@@ -45,10 +45,10 @@ from .expected import conjecture_counts, expected_tables, expected_totals, regim
 from .families import (
     FamilyParams,
     StructuredAut,
-    all_groups,
     all_labels,
     build_group,
     derive_params,
+    family_aut,
     structured_aut,
 )
 from .holomorph import Holomorph, HolSubgroup, closure_packed, is_regular
@@ -88,7 +88,6 @@ __all__ = [
     "Solution",
     "StructuredAut",
     "Witness",
-    "all_groups",
     "all_labels",
     "all_lemma_ids",
     "applicable_lemma_ids",
@@ -114,6 +113,7 @@ __all__ = [
     "expected_totals",
     "export",
     "export_solution",
+    "family_aut",
     "ideals",
     "identify_p2q",
     "import_cache",

@@ -50,15 +50,7 @@ import numpy as np
 
 from .core import FiniteGroup, GroupLabel, identify_p2q
 from .enumeration import OrbitClass, _orbit_of, circle_group, stratified_orbit_classes
-from .families import (
-    FamilyParams,
-    all_labels,
-    build_group,
-    derive_params,
-    generator_letters,
-    letter_moduli,
-    structured_aut,
-)
+from .families import FamilyParams, derive_params, family_aut, generator_letters, letter_moduli
 from .holomorph import Holomorph, HolSubgroup, closure_packed, is_regular
 
 DATA_VERSION = 1
@@ -308,13 +300,10 @@ class FamilyContext:
 
     def __init__(self, additive: str, p: int, q: int, choice: str = "first"):
         self.p, self.q, self.choice = p, q, choice
-        self.params = derive_params(p, q, choice)
-        label = next((lb for lb in all_labels(p, q) if lb.key() == additive), None)
-        if label is None:
-            raise ValueError(f"no additive family {additive!r} at ({p}, {q})")
-        self.label = label
-        self.group: FiniteGroup = build_group(label, self.params)
-        self.saut = structured_aut(label, self.params, self.group)
+        self.saut = family_aut(p, q, additive, choice)
+        self.params = self.saut.params
+        self.label = label = self.saut.label
+        self.group: FiniteGroup = self.saut.base
         self.hol = Holomorph(self.group, self.saut.aut)
         self.letters = generator_letters(label)
         self.moduli = letter_moduli(label, p, q)

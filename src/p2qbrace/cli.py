@@ -12,9 +12,8 @@ import click
 
 from .braces import brace_from_regular
 from .catalog import manual_notes, verify_catalog
-from .core import compute_automorphisms
 from .enumeration import stratified_orbit_classes
-from .families import all_labels, build_group, derive_params
+from .families import family_aut
 from .holomorph import Holomorph
 from .report import STRATEGIES, classify, conjecture, export, verify_tables
 from .ybe import check_nondegenerate, check_ybe, export_solution, is_involutive, solution_from_brace
@@ -128,15 +127,10 @@ def conjecture_cmd(p, q, strategy, budget):
 def solutions_cmd(p, q, additive, orbit_index, check, choice):
     """Emit the Yang-Baxter solution of one orbit class (text matrix)."""
     try:
-        params = derive_params(p, q, choice)
+        sa = family_aut(p, q, additive, choice)
     except ValueError as exc:
         raise _usage(exc)
-    label = next((lb for lb in all_labels(p, q) if lb.key() == additive), None)
-    if label is None:
-        keys = ", ".join(lb.key() for lb in all_labels(p, q))
-        raise click.UsageError(f"no additive family {additive!r} at ({p}, {q}); have: {keys}")
-    group = build_group(label, params)
-    hol = Holomorph(group, compute_automorphisms(group))
+    hol = Holomorph(sa.base, sa.aut)
     classes = stratified_orbit_classes(hol)
     if not 0 <= orbit_index < len(classes):
         raise click.UsageError(

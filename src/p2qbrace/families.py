@@ -50,8 +50,9 @@ __all__ = [
     "StructuredAut",
     "derive_params",
     "build_group",
-    "all_groups",
     "all_labels",
+    "aut_order",
+    "family_aut",
     "structured_aut",
     "gk_values",
     "generator_letters",
@@ -353,11 +354,6 @@ def build_group(label: GroupLabel, params: FamilyParams) -> FiniteGroup:
     raise ValueError(f"unknown family {fam}")
 
 
-def all_groups(p: int, q: int, choice: str = "first") -> list[FiniteGroup]:
-    params = derive_params(p, q, choice)
-    return [build_group(lbl, params) for lbl in all_labels(p, q)]
-
-
 # -- presentation letters for witness recipes ---------------------------------
 
 _LETTERS = {
@@ -472,7 +468,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
     fam = label.family
     if fam == "CyclicP2Q":
         cands = units(n)
-        return ("u",), [(u,) for u in cands], lambda c: [c[0]], len(cands)
+        return ("u",), ((u,) for u in cands), lambda c: [c[0]], len(cands)
     if fam == "PxPQ":
         gl = _gl2(p)
         uq = units(q)
@@ -481,7 +477,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [(a * p + cc) * q, (b * p + d) * q, u]
         return (
             ("a", "b", "c", "d", "u"),
-            [m + (u,) for m in gl for u in uq],
+            (m + (u,) for m in gl for u in uq),
             imgs,
             len(gl) * len(uq),
         )
@@ -492,7 +488,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [u * q, cc * q + 1]
         return (
             ("c", "u"),
-            [(cc, u) for cc in range(p2) for u in up2],
+            ((cc, u) for cc in range(p2) for u in up2),
             imgs,
             p2 * len(up2),
         )
@@ -503,7 +499,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [a * p * q, b * q, nn * p * q + 1]
         return (
             ("n", "a", "b"),
-            [(nn, a, b) for nn in range(p) for a in up for b in up],
+            ((nn, a, b) for nn in range(p) for a in up for b in up),
             imgs,
             p * len(up) ** 2,
         )
@@ -514,7 +510,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [(a * p + cc) * q, (b * p + d) * q, (nn * p + m) * q + 1]
         return (
             ("n", "m", "a", "b", "c", "d"),
-            [(nn, m) + mat for nn in range(p) for m in range(p) for mat in gl],
+            ((nn, m) + mat for nn in range(p) for m in range(p) for mat in gl),
             imgs,
             p2 * len(gl),
         )
@@ -527,14 +523,14 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [b * q, a * p * q, (nn * p + m) * q + (q - 1)]
         return (
             ("w", "n", "m", "a", "b"),
-            [
+            (
                 (w, nn, m, a, b)
                 for w in (0, 1)
                 for nn in range(p)
                 for m in range(p)
                 for a in up
                 for b in up
-            ],
+            ),
             imgs,
             2 * p2 * len(up) ** 2,
         )
@@ -545,13 +541,13 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [a * p * q, b * q, (nn * p + m) * q + 1]
         return (
             ("n", "m", "a", "b"),
-            [
+            (
                 (nn, m, a, b)
                 for nn in range(p)
                 for m in range(p)
                 for a in up
                 for b in up
-            ],
+            ),
             imgs,
             p2 * len(up) ** 2,
         )
@@ -574,13 +570,13 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [(a * p + cc) * q, (b * p + d) * q, (nn * p + m) * q + ez]
         return (
             ("w", "n", "m", "x", "y"),
-            [
+            (
                 (w, nn, m, x, y)
                 for w in (0, 1)
                 for nn in range(p)
                 for m in range(p)
                 for (x, y) in pairs
-            ],
+            ),
             imgs,
             2 * p2 * (p2 - 1),
         )
@@ -591,7 +587,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [cc * p2 + (k * p + 1) % p2, u * p2]
         return (
             ("k", "c", "u"),
-            [(k, cc, u) for k in range(p) for cc in range(q) for u in uq],
+            ((k, cc, u) for k in range(p) for cc in range(q) for u in uq),
             imgs,
             p * q * len(uq),
         )
@@ -602,7 +598,7 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [cc * p2 + 1, u * p2]
         return (
             ("c", "u"),
-            [(cc, u) for cc in range(q) for u in uq],
+            ((cc, u) for cc in range(q) for u in uq),
             imgs,
             q * len(uq),
         )
@@ -613,41 +609,41 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
             return [(cc * p + l) * p + 1, i * p, u * p2]
         return (
             ("l", "i", "c", "u"),
-            [
+            (
                 (l, i, cc, u)
                 for l in range(p)
                 for i in up
                 for cc in range(q)
                 for u in uq
-            ],
+            ),
             imgs,
             p * q * len(up) * len(uq),
         )
     raise ValueError(f"no structured automorphism group for {fam}")
 
 
-def _assert_automorphisms(group: FiniteGroup, perms: np.ndarray, full_limit=1500):
+def _assert_automorphisms(group: FiniteGroup, perms: np.ndarray) -> None:
+    """Raise unless every row of ``perms`` is an automorphism of ``group``.
+
+    A bijection phi with phi(e) = e and phi(x*s) = phi(x)*phi(s) for every x
+    and every generator s is a homomorphism: induction on the length of a
+    word in the generators gives phi(x*y) = phi(x)*phi(y) for every y.
+    """
     if not (np.sort(perms, axis=1) == np.arange(group.n)).all():
         raise AssertionError("structured aut produced a non-bijective map")
-    count = perms.shape[0]
-    if count <= full_limit:
-        check = range(count)
-    else:
-        check = np.random.default_rng(1).choice(count, size=64, replace=False)
+    if not (perms[:, group.identity] == group.identity).all():
+        raise AssertionError("structured aut moved the identity")
     mul = group.mul
-    for i in check:
-        pm = perms[i]
-        if not np.array_equal(pm[mul], mul[pm[:, None], pm[None, :]]):
+    for s in group.generators:
+        if not np.array_equal(perms[:, mul[:, s]], mul[perms, perms[:, [s]]]):
             raise AssertionError("structured aut produced a non-homomorphism")
 
 
-def structured_aut(
-    label: GroupLabel, params: FamilyParams, base: FiniteGroup | None = None
-) -> StructuredAut:
-    """Aut(A) from the family's coordinate parametrisation."""
-    if base is None:
-        base = build_group(label, params)
-    names, coord_list, imgs, expected = _family_coords(label, params)
+def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
+    """A and Aut(A) from the family's coordinate parametrisation."""
+    base = build_group(label, params)
+    names, coords, imgs, expected = _family_coords(label, params)
+    coord_list = list(coords)
     tree = _spanning_tree(base, base.generators)
     blocks = []
     chunk = 4096
@@ -655,13 +651,14 @@ def structured_aut(
         gen_imgs = np.array(
             [imgs(c) for c in coord_list[lo : lo + chunk]], dtype=np.int32
         )
-        blocks.append(_extend_batch(base, tree, gen_imgs))
+        block = _extend_batch(base, tree, gen_imgs)
+        _assert_automorphisms(base, block)
+        blocks.append(block)
     perms = np.vstack(blocks)
     if perms.shape[0] != expected:
         raise AssertionError(
             f"{label.key()}: got {perms.shape[0]} automorphisms, expected {expected}"
         )
-    _assert_automorphisms(base, perms)
     aut = AutGroup(base, perms)
     # AutGroup sorts its rows; realign the coordinate labels
     coords_sorted: list[tuple[int, ...] | None] = [None] * aut.k
@@ -677,3 +674,22 @@ def structured_aut(
         coord_names=names,
         coords=coords_sorted,  # type: ignore[arg-type]
     )
+
+
+def aut_order(label: GroupLabel, params: FamilyParams) -> int:
+    """|Aut(A)| from the family's closed form, without building A."""
+    return _family_coords(label, params)[3]
+
+
+def family_aut(p: int, q: int, key: str, choice: str = "first") -> StructuredAut:
+    """The structured Aut(A), with A itself, of the additive family ``key``.
+
+    Raises ValueError naming the valid keys when (p, q) has no such family.
+    """
+    params = derive_params(p, q, choice)
+    labels = all_labels(p, q)
+    label = next((lb for lb in labels if lb.key() == key), None)
+    if label is None:
+        keys = ", ".join(lb.key() for lb in labels)
+        raise ValueError(f"no additive family {key!r} at ({p}, {q}); have: {keys}")
+    return structured_aut(label, params)

@@ -27,8 +27,6 @@ from .core import AutGroup, FiniteGroup, closure, closure_indices, _factor
 __all__ = [
     "Holomorph",
     "HolSubgroup",
-    "hol_mul",
-    "hol_inv",
     "is_regular",
     "pi1_closure_bound",
     "closure_packed",
@@ -127,14 +125,6 @@ class Holomorph:
         out = amap[a].astype(np.int64) * self.n_aut + fs
         out.sort()
         return out
-
-
-def hol_mul(hol: Holomorph, x: int, y: int) -> int:
-    return hol.mul(x, y)
-
-
-def hol_inv(hol: Holomorph, x: int) -> int:
-    return hol.inv(x)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .braces import brace_from_regular, is_bi_skew
-from .core import compute_automorphisms, identify_p2q
+from .core import identify_p2q
 from .enumeration import (
     OrbitClass,
     circle_group,
@@ -26,7 +26,7 @@ from .enumeration import (
     stratified_orbit_classes,
 )
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
-from .families import FamilyParams, all_labels, build_group, derive_params
+from .families import all_labels, aut_order, derive_params, family_aut
 from .holomorph import Holomorph, HolSubgroup, closure_packed, is_regular
 
 __all__ = [
@@ -138,11 +138,8 @@ def _one_group(args: tuple[int, int, str, str, str, str | None]) -> tuple[str, l
     """Classify a single additive type; top-level so process pools can run it."""
     p, q, key, strategy, choice, cache_dir = args
     t0 = time.time()
-    params = derive_params(p, q, choice)
-    label = next(lb for lb in all_labels(p, q) if lb.key() == key)
-    group = build_group(label, params)
-    aut = compute_automorphisms(group)
-    hol = Holomorph(group, aut)
+    sa = family_aut(p, q, key, choice)
+    hol = Holomorph(sa.base, sa.aut)
     classes = _classes_for(hol, strategy)
     cells = [(cl.mul_label.key(), cl.kernel_size) for cl in classes]
     if cache_dir is not None:
@@ -165,8 +162,10 @@ def classify(
 
     ``additive`` restricts to one additive label key.  Groups whose
     holomorph exceeds the normal budget are skipped (report flagged
-    incomplete) unless ``budget="large"``.  With ``cache_dir`` set, orbit
-    representatives are loaded from (or saved to) validated cache files.
+    incomplete) unless ``budget="large"``; the gate reads |Hol(A)| =
+    p^2 q |Aut(A)| off the family's closed form and builds nothing.  With
+    ``cache_dir`` set, orbit representatives are loaded from (or saved to)
+    validated cache files.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
@@ -189,9 +188,7 @@ def classify(
     pending: list[tuple[int, int, str, str, str]] = []
     for label in labels:
         key = label.key()
-        group = build_group(label, params)
-        aut = compute_automorphisms(group)
-        if budget == "normal" and group.n * aut.k > NORMAL_HOL_LIMIT:
+        if budget == "normal" and p * p * q * aut_order(label, params) > NORMAL_HOL_LIMIT:
             report.complete = False
             report.skipped.append(key)
             continue
@@ -438,10 +435,8 @@ def write_cache(
     os.makedirs(cache_dir, exist_ok=True)
     params = derive_params(p, q, choice)
     if hol is None:
-        label = next(lb for lb in all_labels(p, q) if lb.key() == key)
-        group = build_group(label, params)
-        aut = compute_automorphisms(group)
-        hol = Holomorph(group, aut)
+        sa = family_aut(p, q, key, choice)
+        hol = Holomorph(sa.base, sa.aut)
     if classes is None:
         classes = stratified_orbit_classes(hol)
     orbits = []
@@ -492,15 +487,15 @@ def import_cache(path: str) -> dict:
             f"cache version {payload['version']} != expected {CACHE_VERSION}"
         )
     p, q, key = payload["p"], payload["q"], payload["additive"]
-    params = derive_params(p, q, payload["choice"])
+    try:
+        sa = family_aut(p, q, key, payload["choice"])
+    except ValueError as exc:
+        raise CacheError(f"cache file {path}: {exc}") from exc
+    params = sa.params
     if params.as_dict() != payload["params"]:
         raise CacheError(f"cache params {payload['params']} are stale")
-    label = next((lb for lb in all_labels(p, q) if lb.key() == key), None)
-    if label is None:
-        raise CacheError(f"no additive type {key!r} at ({p}, {q})")
-    group = build_group(label, params)
-    aut = compute_automorphisms(group)
-    hol = Holomorph(group, aut)
+    group = sa.base
+    hol = Holomorph(group, sa.aut)
 
     classes: list[OrbitClass] = []
     seen: set[tuple[int, ...]] = set()

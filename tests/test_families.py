@@ -5,6 +5,7 @@ import pytest
 
 from p2qbrace.core import identify_p2q
 from p2qbrace.families import (
+    _assert_automorphisms,
     all_labels,
     derive_params,
     generator_letters,
@@ -89,15 +90,29 @@ def test_generator_letters_have_the_stated_orders():
                 assert int(orders[el]) == moduli[letter], (key, letter)
 
 
-@pytest.mark.parametrize("pair", SMALL_PAIRS)
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((2, 11), (5, 2)))
 def test_structured_aut_equals_brute_force(pair):
     # identical sorted permutation tables, not merely equal cardinality
     p, q = pair
     for key in label_keys(p, q):
+        if (pair, key) == ((5, 2), "Gk(1)"):
+            continue  # 12 000 automorphisms: brute force takes ~24 s
         sa = structured_of(p, q, key)
         brute = brute_aut_of(p, q, key)
         assert sa.aut.k == brute.k, key
         assert np.array_equal(sa.aut.perms, brute.perms), key
+
+
+def test_automorphism_check_catches_one_corrupted_row():
+    sa = structured_of(7, 2, "PxPQ")
+    perms = sa.aut.perms.copy()
+    assert perms.shape[0] == 2016
+    _assert_automorphisms(sa.base, perms)
+    row = 1999  # a late row: every row is checked, not a sample
+    x, y = [v for v in range(sa.base.n) if perms[row, v] != sa.base.identity][:2]
+    perms[row, [x, y]] = perms[row, [y, x]]
+    with pytest.raises(AssertionError):
+        _assert_automorphisms(sa.base, perms)
 
 
 def test_structured_aut_coordinate_codec_round_trips():

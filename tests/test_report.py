@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import p2qbrace.core as core
+import p2qbrace.families as families
 import p2qbrace.report as report_mod
 from p2qbrace.report import (
     CacheError,
@@ -63,13 +65,45 @@ def test_parallel_jobs_give_the_same_report():
 
 
 def test_budget_skips_oversized_holomorphs(monkeypatch):
-    monkeypatch.setattr(report_mod, "NORMAL_HOL_LIMIT", 100)
+    # |Hol(A)| at order 20: CyclicP2Q 160, PxPQ 480, QbyP2_ordP 800,
+    # QbyP2_ordP2 400, PxQbyP 800
+    monkeypatch.setattr(report_mod, "NORMAL_HOL_LIMIT", 500)
+    built = []
+    build_group = families.build_group
+
+    def counting_build_group(label, params):
+        built.append(label.key())
+        return build_group(label, params)
+
+    monkeypatch.setattr(families, "build_group", counting_build_group)
     rep = classify(2, 5)
     assert not rep.complete
-    assert rep.skipped
+    assert rep.skipped == ["QbyP2_ordP", "PxQbyP"]
+    assert built == list(rep.rows) == ["CyclicP2Q", "PxPQ", "QbyP2_ordP2"]
     with pytest.raises(ValueError):
         conjecture(2, 5)
-    monkeypatch.setattr(report_mod, "NORMAL_HOL_LIMIT", 150_000)
+
+
+def test_budget_refuses_order98_in_closed_form():
+    # brute force would search Gk(1)'s 98 784 automorphisms before refusing it
+    rep = classify(7, 2)
+    assert rep.skipped == ["PxPQ", "P2SemidirectQ", "Gk(1)"]
+    assert {key: row["total"] for key, row in rep.rows.items()} == {
+        "CyclicP2Q": 3,
+        "Gk(0)": 12,
+    }
+
+
+def test_pipeline_never_searches_for_automorphisms(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force homomorphism search")
+
+    monkeypatch.setattr(core, "_hom_images", refuse)
+    cold = classify(2, 7, cache_dir=str(tmp_path))
+    warm = classify(2, 7, cache_dir=str(tmp_path))
+    assert warm.rows == cold.rows
+    assert (cold.a_total, cold.b_total) == (9, 20)
+    write_cache(str(tmp_path / "direct"), 2, 7, "PxQbyP", "first")
 
 
 def test_export_json_round_trips():
@@ -143,6 +177,23 @@ def test_cache_rejects_wrong_version(tmp_path):
     data["version"] = 999
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CacheError):
+        import_cache(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("additive", "GF", "have: CyclicP2Q, PxPQ, QbyP2_ordP, PxQbyP"),
+        ("choice", "third", "choice must be"),
+        ("p", 4, "need distinct primes"),
+    ],
+)
+def test_cache_rejects_a_family_that_does_not_exist(tmp_path, field, value, message):
+    path = write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first")
+    data = json.loads(open(path).read())
+    data[field] = value
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CacheError, match=message):
         import_cache(path)
 
 
