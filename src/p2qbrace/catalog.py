@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from .core import FiniteGroup, GroupLabel, identify_p2q
 from .enumeration import OrbitClass, _orbit_of, circle_group, stratified_orbit_classes
 from .families import FamilyParams, derive_params, family_aut, generator_letters, letter_moduli
@@ -535,11 +533,6 @@ class LemmaReport:
         )
 
 
-def _canonical_orbit(hol: Holomorph, elements) -> tuple[int, ...]:
-    key, _, _ = _orbit_of(hol, np.asarray(elements, dtype=np.int64))
-    return key
-
-
 def verify_lemma(
     lemma_id: str,
     p: int,
@@ -576,7 +569,7 @@ def verify_lemma(
             problems.append(
                 f"{w.name}: multiplicative class {got}, recipe says {w.expected_class}"
             )
-        key = _canonical_orbit(ctx.hol, sub.elements)
+        key = _orbit_of(ctx.hol, sub.arr)[0]
         if key in canon:
             problems.append(f"{w.name}: conjugate to witness {canon[key]}")
         else:
@@ -584,7 +577,8 @@ def verify_lemma(
     if enumerated is None:
         enumerated = stratified_orbit_classes(ctx.hol)
     stratum = [cl for cl in enumerated if cl.pi2_size == inst.pi2_size]
-    enum_keys = {_canonical_orbit(ctx.hol, cl.rep.elements) for cl in stratum}
+    # enumerated representatives are already their orbit's lex-least member
+    enum_keys = {cl.rep.elements for cl in stratum}
     if len(canon) != inst.expected_count:
         problems.append(
             f"{len(canon)} pairwise non-conjugate witnesses, expected "

@@ -411,7 +411,9 @@ class AutGroup:
 
     ``perms`` has one row per automorphism (sorted lexicographically, so
     indices are canonical); composition is a table when the group is small
-    enough, and a dict lookup on permutation bytes otherwise.
+    enough, and a dict lookup on permutation bytes otherwise.  ``lookup``
+    finds automorphisms by their images of ``base.generators``, which fix
+    them, so whole rows of compositions are found by one sorted search.
     """
 
     COMP_LIMIT = 4100
@@ -431,6 +433,7 @@ class AutGroup:
             dtype=np.int32,
         )
         self._comp: np.ndarray | None = None
+        self._conj_rows: dict[int, np.ndarray] = {}
         self._generators = list(map(int, generators)) if generators is not None else None
 
     @property
@@ -445,11 +448,37 @@ class AutGroup:
         """
         if self._comp is None and self.k <= self.COMP_LIMIT:
             comp = np.empty((self.k, self.k), dtype=np.int32)
+            images = self.perms[:, self.base.generators]  # (k, gens): g(s)
             for f in range(self.k):
-                rows = self.perms[f][self.perms]  # (k, n): f o g for all g
-                comp[f] = [self.index[rows[g].tobytes()] for g in range(self.k)]
+                comp[f] = self.lookup(self.perms[f][images])  # f o g for all g
             self._comp = comp
         return self._comp is not None
+
+    @cached_property
+    def _codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # mixed-radix codes of the images of base.generators, sorted once
+        radix = self.base.n ** np.arange(len(self.base.generators), dtype=np.int64)
+        codes = self.perms[:, self.base.generators] @ radix
+        order = np.argsort(codes)
+        return radix, codes[order], order
+
+    def lookup(self, images: np.ndarray) -> np.ndarray:
+        """Indices of the automorphisms sending ``base.generators`` to the
+        last axis of ``images``; KeyError if some row fits none."""
+        radix, sorted_codes, order = self._codes
+        codes = np.asarray(images) @ radix
+        pos = np.minimum(np.searchsorted(sorted_codes, codes), self.k - 1)
+        if not np.array_equal(sorted_codes[pos], codes):
+            raise KeyError("generator images of no automorphism")
+        return order[pos].astype(np.int32)
+
+    def conj_row(self, h: int) -> np.ndarray:
+        """The map f -> h f h^{-1} on every automorphism index (cached)."""
+        if h not in self._conj_rows:
+            hi = int(self.inv[h])
+            images = self.perms[h][self.perms[:, self.perms[hi, self.base.generators]]]
+            self._conj_rows[h] = self.lookup(images)
+        return self._conj_rows[h]
 
     def compose(self, f: int, g: int) -> int:
         if self._comp is not None:
@@ -458,10 +487,6 @@ class AutGroup:
 
     def apply(self, f: int, x: int) -> int:
         return int(self.perms[f, x])
-
-    def conj(self, h: int, f: int) -> int:
-        """h f h^{-1}"""
-        return self.compose(self.compose(h, f), int(self.inv[h]))
 
     @cached_property
     def element_orders(self) -> np.ndarray:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
 
 import numpy as np
 
@@ -65,14 +63,10 @@ def circle_group(hol: Holomorph, sub: HolSubgroup) -> FiniteGroup:
     m = len(els)
     a = sub.a_parts
     f = sub.f_parts
-    ap = hol.base.mul[a[:, None], hol.aut.perms[f[:, None], a[None, :]]].astype(np.int64)
-    if hol.aut.comp is not None:
-        fp = hol.aut.comp[f[:, None], f[None, :]].astype(np.int64)
-    else:
-        fp = np.empty((m, m), dtype=np.int64)
-        for i, fi in enumerate(f):
-            for j, fj in enumerate(f):
-                fp[i, j] = hol.aut.compose(int(fi), int(fj))
+    perms = hol.aut.perms
+    ap = hol.base.mul[a[:, None], perms[f[:, None], a[None, :]]].astype(np.int64)
+    # f_i o f_j, found by its images of the base generators
+    fp = hol.aut.lookup(perms[f[:, None, None], perms[f[None, :, None], hol.base.generators]])
     packed = ap * hol.n_aut + fp
     idx = np.searchsorted(els, packed)
     if not np.all(els[np.minimum(idx, m - 1)] == packed):
@@ -288,7 +282,12 @@ def _subgroup_gens_in(base: FiniteGroup, elements: tuple[int, ...]) -> list[int]
 
 def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
                  kernel: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Regular subgroups with pi2 = <k_gens> exactly and kernel pi1 = kernel."""
+    """Regular subgroups with pi2 = <k_gens> exactly and kernel pi1 = kernel.
+
+    Each combination of admissible lifts is closed with an early abort on a
+    pi1 collision, which alone decides regularity: if pi1(G) lies in a
+    proper subgroup H of A, the closure collides after |H| + 1 elements.
+    """
     base = hol.base
     aut = hol.aut
     n = base.n
@@ -330,15 +329,6 @@ def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
     found = []
     kernel_packed = [hol.pack(m, aut.identity) for m in n_gens]
     for combo in itertools.product(*per_gen):
-        # pi1(G) lies in the span of the K-orbits of the generators' first
-        # coordinates; regularity needs that span to be all of A
-        seeds = {
-            int(aut.perms[h, x])
-            for x in list(n_gens) + list(combo)
-            for h in k_elems
-        }
-        if len(closure(base, seeds)) != n:
-            continue
         gens_packed = kernel_packed + [
             hol.pack(u, alpha) for u, alpha in zip(combo, k_gens)
         ]
@@ -407,48 +397,55 @@ def enumerate_stratified(hol: Holomorph) -> list[HolSubgroup]:
 def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]:
     """Partition a complete list of regular subgroups into conjugacy orbits."""
     p, q = _pq_of(hol.base.n)
-    universe = {s.elements for s in subs}
+    universe = {s.arr.tobytes() for s in subs}
     remaining = set(universe)
-    gens = hol.aut.generators
     classes: list[OrbitClass] = []
-    for key in sorted(universe):
-        if key not in remaining:
+    for sub in sorted(subs, key=lambda s: s.elements):
+        if sub.arr.tobytes() not in remaining:
             continue
-        orbit = {key}
-        queue = [key]
-        for t in queue:
-            arr = np.array(t, dtype=np.int64)
-            for h in gens:
-                u = tuple(map(int, hol.conjugate_subgroup(arr, h)))
-                if u not in orbit:
-                    if u not in universe:
-                        raise AssertionError(
-                            "conjugate of a regular subgroup missing: enumeration incomplete"
-                        )
-                    orbit.add(u)
-                    queue.append(u)
-        remaining -= orbit
-        rep = HolSubgroup(hol, min(orbit))
+        best, size, orbit = _orbit_of(hol, sub.arr)
+        keys = {member.tobytes() for member in orbit}
+        if not keys <= universe:
+            raise AssertionError(
+                "conjugate of a regular subgroup missing: enumeration incomplete"
+            )
+        remaining -= keys
+        rep = HolSubgroup(hol, best)
         label = identify_p2q(circle_group(hol, rep), p, q)
-        classes.append(OrbitClass(rep=rep, orbit_size=len(orbit), mul_label=label))
+        classes.append(OrbitClass(rep=rep, orbit_size=size, mul_label=label))
     return sorted(classes, key=OrbitClass.sort_key)
 
 
 def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
-    """Orbit classes straight from the strata, one orbit in memory at a time.
+    """Orbit classes straight from the strata, each orbit walked once.
 
     Equivalent to ``orbit_partition(hol, enumerate_stratified(hol))`` but
     never materializes the full subgroup list; used for large holomorphs.
+    Stratum representatives sharing a pi2 (one class representative K,
+    several kernels) may lie in one orbit; a walk therefore remembers its
+    members with pi2 exactly K, a slice of the orbit, and later
+    representatives found there are skipped.  The representatives of one K
+    come consecutively, so the slices are dropped when K changes.
     """
     p, q = _pq_of(hol.base.n)
     by_min: dict[tuple[int, ...], int] = {}
+    walked: set[bytes] = set()
+    pi2 = None
     for rep in _stratified_reps(hol):
         arr = np.array(rep, dtype=np.int64)
-        best, size, _ = _orbit_of(hol, arr)
-        if best in by_min:
-            assert by_min[best] == size
-        else:
-            by_min[best] = size
+        rep_pi2 = np.unique(arr % hol.n_aut)
+        if pi2 is None or not np.array_equal(rep_pi2, pi2):
+            walked.clear()
+            pi2 = rep_pi2
+        elif arr.tobytes() in walked:
+            continue
+        best, size, orbit = _orbit_of(hol, arr)
+        assert best not in by_min, "a walk from an unseen representative met a known orbit"
+        by_min[best] = size
+        walked.update(
+            member.tobytes() for member in orbit
+            if np.array_equal(np.unique(member % hol.n_aut), pi2)
+        )
     classes = []
     for key in sorted(by_min):
         rep = HolSubgroup(hol, key)

@@ -46,7 +46,6 @@ class Holomorph:
         self.n_aut = aut.k
         self.size = base.n * aut.k
         self.identity = self.pack(base.identity, aut.identity)
-        self._conj_cache: dict[int, tuple[np.ndarray, dict[int, int]]] = {}
 
     def pack(self, a: int, f: int) -> int:
         return int(a) * self.n_aut + int(f)
@@ -96,33 +95,10 @@ class Holomorph:
         a, f = divmod(int(x), self.n_aut)
         return int(self.base.mul[a, self.aut.perms[f, pt]])
 
-    def _conj_maps(self, h: int) -> tuple[np.ndarray, dict[int, int]]:
-        """Maps for conjugation by (1, h): a -> h(a) and f -> h f h^{-1}.
-
-        The f-map is a dict filled on demand (the full table is only built
-        when the composition table exists anyway).
-        """
-        if h not in self._conj_cache:
-            fmap: dict[int, int] = {}
-            if self.aut.comp is not None:
-                hi = int(self.aut.inv[h])
-                row = self.aut.comp[self.aut.comp[h], hi]
-                fmap = {f: int(row[f]) for f in range(self.n_aut)}
-            self._conj_cache[h] = (self.aut.perms[h], fmap)
-        return self._conj_cache[h]
-
     def conjugate_subgroup(self, elements: np.ndarray, h: int) -> np.ndarray:
         """(1,h) G (1,h)^{-1} as a sorted packed array."""
-        amap, fmap = self._conj_maps(h)
-        a = elements // self.n_aut
-        f = elements % self.n_aut
-        fs = np.empty_like(f)
-        for i, ff in enumerate(f):
-            ff = int(ff)
-            if ff not in fmap:
-                fmap[ff] = self.aut.conj(h, ff)
-            fs[i] = fmap[ff]
-        out = amap[a].astype(np.int64) * self.n_aut + fs
+        out = self.aut.perms[h][elements // self.n_aut].astype(np.int64) * self.n_aut
+        out += self.aut.conj_row(h)[elements % self.n_aut]
         out.sort()
         return out
 
@@ -397,7 +373,7 @@ def aut_subgroup_classes(aut: AutGroup, m: int) -> list[tuple[int, ...]]:
         queue = [s]
         for t in queue:
             for h in gens:
-                u = tuple(sorted(aut.conj(h, f) for f in t))
+                u = tuple(sorted(map(int, aut.conj_row(h)[list(t)])))
                 if u not in orbit:
                     if u not in sub_set:
                         raise AssertionError("conjugate of a subgroup not in the enumeration")

@@ -14,7 +14,8 @@ from p2qbrace.core import (
     identify_p2q,
     subgroups_of_order,
 )
-from helpers import SMALL_PAIRS, group_of, label_keys, params_of
+from p2qbrace.families import family_aut
+from helpers import SMALL_PAIRS, brute_aut_of, group_of, label_keys, params_of
 
 
 def cyclic(n):
@@ -116,6 +117,33 @@ def test_automorphism_group_is_closed_and_faithful():
             expect = aut.perms[g][aut.perms[f]]  # apply f then g
             assert np.array_equal(aut.perms[comp[f, g]], expect)
     assert len({p.tobytes() for p in aut.perms}) == aut.k
+
+
+@pytest.mark.parametrize("source", ["structured", "brute force"])
+def test_comp_table_from_generator_codes(source):
+    # the table found by generator-image codes equals the lookup of whole
+    # composed permutations in the index dict
+    if source == "structured":
+        aut = family_aut(2, 5, "QbyP2_ordP").aut
+    else:
+        aut = brute_aut_of(2, 7, "PxQbyP")
+    gens = aut.base.generators
+    assert np.array_equal(aut.lookup(aut.perms[:, gens]), np.arange(aut.k))
+    assert aut.ensure_comp()
+    for f in range(aut.k):
+        for g in range(aut.k):
+            assert aut.comp[f, g] == aut.index[aut.perms[f][aut.perms[g]].tobytes()]
+
+
+def test_lookup_rejects_images_of_no_automorphism():
+    aut = family_aut(2, 5, "QbyP2_ordP").aut
+    gens = aut.base.generators
+    assert len(gens) >= 2
+    images = np.full(len(gens), aut.base.identity)
+    with pytest.raises(KeyError):
+        aut.lookup(images)
+    with pytest.raises(KeyError):
+        aut.lookup(np.vstack([aut.perms[aut.identity, gens], images]))
 
 
 def test_group_label_round_trips():

@@ -8,6 +8,8 @@ from p2qbrace.enumeration import (
     circle_group,
     cross_validate,
     enumerate_dfs,
+    _orbit_of,
+    _stratified_reps,
     enumerate_stratified,
     orbit_partition,
     stratified_orbit_classes,
@@ -108,3 +110,25 @@ def test_pi2_is_a_subgroup_image():
             assert hol.n_aut % sub.pi2_size == 0
             assert 28 % sub.pi2_size == 0
             assert sub.pi2_size * sub.kernel_size() == 28
+
+
+@pytest.mark.parametrize("pair_key", [((3, 7), "PxQbyP"), ((5, 3), "GF")])
+def test_class_reps_are_lex_least_in_their_orbit(pair_key):
+    (p, q), key = pair_key
+    hol = hol_of(p, q, key)
+    for cl in classes_of(p, q, key):
+        assert _orbit_of(hol, cl.rep.arr)[0] == cl.rep.elements
+
+
+def test_orbit_skip_matches_the_full_list_oracle():
+    # at (5,3) GF, 495 of 504 stratum representatives lie in orbits already
+    # walked; skipping them must not change reps, orbit sizes or labels
+    hol = hol_of(5, 3, "GF")
+    assert len(_stratified_reps(hol)) == 504
+    skipped = list(classes_of(5, 3, "GF"))
+    oracle = orbit_partition(hol, enumerate_stratified(hol))
+    assert len(skipped) == 9
+    assert [(c.rep, c.orbit_size, c.mul_label) for c in skipped] == [
+        (c.rep, c.orbit_size, c.mul_label) for c in oracle
+    ]
+    assert sum(c.orbit_size for c in skipped) == 552

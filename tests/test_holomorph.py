@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from p2qbrace.core import subgroups_of_order
+from p2qbrace.core import AutGroup, subgroups_of_order
+from p2qbrace.enumeration import stratified_orbit_classes
+from p2qbrace.families import family_aut
 from p2qbrace.holomorph import (
     HolSubgroup,
+    Holomorph,
     aut_subgroup_classes,
     candidate_pool,
     closure_packed,
@@ -141,3 +144,27 @@ def test_subgroup_pi2_and_kernel_size():
         assert len(sub) == 20
         assert sub.pi2_size * sub.kernel_size() == 20
         assert len(set(map(int, sub.f_parts))) == sub.pi2_size
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
+    # the gather through a conjugation row equals (1,h) x (1,h)^-1 computed
+    # element by element, with the composition table and without it
+    if not table:
+        monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+    sa = family_aut(2, 5, "QbyP2_ordP")
+    hol = Holomorph(sa.base, sa.aut)
+    assert hol.aut.ensure_comp() is table
+    rng = np.random.default_rng(0)
+    hs = list(hol.aut.generators) + [int(h) for h in rng.integers(0, hol.n_aut, 5)]
+    classes = stratified_orbit_classes(hol)
+    for cl in classes:
+        for h in hs:
+            g = hol.pack(hol.base.identity, h)
+            gi = hol.inv(g)
+            expect = sorted(hol.mul(hol.mul(g, int(x)), gi) for x in cl.rep.arr)
+            assert hol.conjugate_subgroup(cl.rep.arr, h).tolist() == expect
+    cached = classes_of(2, 5, "QbyP2_ordP")
+    assert [(c.rep.elements, c.orbit_size, c.mul_label) for c in classes] == [
+        (c.rep.elements, c.orbit_size, c.mul_label) for c in cached
+    ]
