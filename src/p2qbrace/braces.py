@@ -101,13 +101,7 @@ def brace_from_regular(hol: Holomorph, sub: HolSubgroup) -> SkewBrace:
     # lambda recovered from the tables must be the stored automorphisms
     assert np.array_equal(brace.lambda_perms, hol.aut.perms[lam])
     # a -> (a, f_a) is an isomorphism (B, o) -> G: the f-parts multiply along
-    if hol.aut.comp is not None:
-        f_prod = hol.aut.comp[lam[:, None], lam[None, :]]
-    else:
-        f_prod = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                f_prod[x, y] = hol.aut.compose(int(lam[x]), int(lam[y]))
+    f_prod = hol.aut.product(lam[:, None], lam[None, :])
     assert np.array_equal(lam[circ], f_prod), "(B, o) is not isomorphic to G"
     return brace
 

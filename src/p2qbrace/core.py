@@ -140,6 +140,13 @@ class FiniteGroup:
             k >>= 1
         return acc
 
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        return self.mul.tolist()
+
+    def compose(self, a: int, b: int) -> int:
+        return self._rows[a][b]
+
     def conj(self, a: int, x: int) -> int:
         """a x a^{-1}"""
         return int(self.mul[self.mul[a, x], self.inv[a]])
@@ -208,60 +215,48 @@ class Morphism:
 
 
 # -- closure and subgroups ---------------------------------------------------
+#
+# One kernel for Cayley-table groups and automorphism groups alike: it needs
+# only ``identity``, a scalar ``compose(a, b)`` and ``element_orders``, whose
+# length is the group order.
 
 
-def closure(group: FiniteGroup, seed, limit: int | None = None) -> list[int] | None:
+def closure(group, seed, limit: int | None = None) -> list[int] | None:
     """Subgroup generated by ``seed``, as a sorted list of element indices.
 
     BFS over right-multiplication by the generators; in a finite group the
     word closure under products already contains inverses.  With ``limit``
     set, returns None as soon as the partial closure exceeds it.
     """
-    seed = list(seed)
-    gens = np.unique(np.asarray(seed, dtype=np.int32)) if seed else np.empty(0, np.int32)
-    members = np.zeros(group.n, dtype=bool)
-    members[group.identity] = True
-    count = 1
-    frontier = np.array([group.identity], dtype=np.int32)
-    while frontier.size and gens.size:
-        prod = group.mul[np.ix_(frontier, gens)].ravel()
-        new = np.unique(prod[~members[prod]])
-        if new.size == 0:
-            break
-        members[new] = True
-        count += int(new.size)
-        if limit is not None and count > limit:
-            return None
-        frontier = new
-    return [int(x) for x in np.nonzero(members)[0]]
+    compose = group.compose
+    gens = sorted({int(g) for g in seed})
+    out = {group.identity}
+    queue = [group.identity]
+    for u in queue:
+        for g in gens:
+            v = compose(u, g)
+            if v not in out:
+                out.add(v)
+                if limit is not None and len(out) > limit:
+                    return None
+                queue.append(v)
+    return sorted(out)
 
 
-def generating_set(group: FiniteGroup) -> list[int]:
-    """A small generating set, greedily picked by descending element order."""
-    orders = group.element_orders
-    cand = sorted(range(group.n), key=lambda x: (-int(orders[x]), x))
+def generating_set(group, elements=None) -> list[int]:
+    """A small generating set of the subgroup ``elements``, picked greedily
+    in the given order; by default the whole group by descending element
+    order."""
+    if elements is None:
+        elements = np.argsort(-np.asarray(group.element_orders), kind="stable").tolist()
     gens: list[int] = []
     have = {group.identity}
-    for x in cand:
+    for x in elements:
         if x in have:
             continue
-        gens.append(x)
+        gens.append(int(x))
         have = set(closure(group, gens))
-        if len(have) == group.n:
-            break
-    return gens
-
-
-def _subgroup_generators(group: FiniteGroup, sub: tuple[int, ...]) -> list[int]:
-    inside = set(sub)
-    gens: list[int] = []
-    have = {group.identity}
-    for x in sub:
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(closure(group, gens))
-        if len(have) == len(inside):
+        if len(have) == len(elements):
             break
     return gens
 
@@ -282,51 +277,57 @@ def _factor(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def subgroups_of_order(group: FiniteGroup, m: int) -> list[tuple[int, ...]]:
+def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
     """All subgroups of order ``m``, each a sorted tuple of element indices.
 
     Supports the orders that occur inside groups of order p^2*q
-    (1, r, r^2, r*s, r^2*s and the full order); enough for kernel scans
-    and ideal lattices.
+    (1, r, r^2, r*s, r^2*s and the full order); enough for kernel scans,
+    ideal lattices and the subgroups of Aut(A) that can be images pi2.
+    Only elements of order dividing ``m`` seed the closures.
     """
-    n = group.n
+    orders = np.asarray(group.element_orders)
+    n = len(orders)
     if m <= 0 or n % m:
         return []
     if m == 1:
         return [(group.identity,)]
     if m == n:
         return [tuple(range(n))]
-    orders = group.element_orders
     fac = _factor(m)
     subs: set[tuple[int, ...]] = set()
+
+    def some_generator(sub):
+        return sub[0] if sub[0] != group.identity else sub[1]
+
+    def join(gens):
+        c = closure(group, gens, limit=m)
+        if c is not None and len(c) == m:
+            subs.add(tuple(c))
+
     if len(fac) == 1 and fac[0][1] == 1:
         for x in np.nonzero(orders == m)[0]:
-            subs.add(tuple(closure(group, [int(x)])))
+            subs.add(tuple(closure(group, [x])))
     elif len(fac) == 1 and fac[0][1] == 2:
         r = fac[0][0]
         for x in np.nonzero(orders == m)[0]:
-            subs.add(tuple(closure(group, [int(x)])))
+            subs.add(tuple(closure(group, [x])))
         small = subgroups_of_order(group, r)
         for s1, s2 in itertools.combinations(small, 2):
-            c = closure(group, [s1[-1], s2[-1]], limit=m)
-            if c is not None and len(c) == m:
-                subs.add(tuple(c))
+            join([some_generator(s1), some_generator(s2)])
     elif len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:
         r, s = fac[0][0], fac[1][0]
+        small_s = subgroups_of_order(group, s)
         for s1 in subgroups_of_order(group, r):
-            for s2 in subgroups_of_order(group, s):
-                c = closure(group, [s1[-1], s2[-1]], limit=m)
-                if c is not None and len(c) == m:
-                    subs.add(tuple(c))
+            for s2 in small_s:
+                join([some_generator(s1), some_generator(s2)])
     elif len(fac) == 2 and sorted(e for _, e in fac) == [1, 2]:
         r = next(d for d, e in fac if e == 2)
         s = next(d for d, e in fac if e == 1)
+        small_s = subgroups_of_order(group, s)
         for s1 in subgroups_of_order(group, r * r):
-            g1 = _subgroup_generators(group, s1)
-            for s2 in subgroups_of_order(group, s):
-                c = closure(group, g1 + [s2[-1]], limit=m)
-                if c is not None and len(c) == m:
-                    subs.add(tuple(c))
+            g1 = generating_set(group, s1)
+            for s2 in small_s:
+                join(g1 + [some_generator(s2)])
     else:
         raise ValueError(f"unsupported subgroup order {m}")
     return sorted(subs)
@@ -413,12 +414,13 @@ class AutGroup:
     indices are canonical); composition is a table when the group is small
     enough, and a dict lookup on permutation bytes otherwise.  ``lookup``
     finds automorphisms by their images of ``base.generators``, which fix
-    them, so whole rows of compositions are found by one sorted search.
+    them, so whole arrays of compositions are found by one sorted search.
+    ``compose(f, g)`` and ``product`` are f o g: apply g, then f.
     """
 
     COMP_LIMIT = 4100
 
-    def __init__(self, base: FiniteGroup, perms: np.ndarray, generators=None):
+    def __init__(self, base: FiniteGroup, perms: np.ndarray):
         perms = np.ascontiguousarray(np.asarray(perms, dtype=np.int32))
         order = np.lexsort(perms.T[::-1])
         self.base = base
@@ -434,7 +436,6 @@ class AutGroup:
         )
         self._comp: np.ndarray | None = None
         self._conj_rows: dict[int, np.ndarray] = {}
-        self._generators = list(map(int, generators)) if generators is not None else None
 
     @property
     def comp(self) -> np.ndarray | None:
@@ -447,10 +448,11 @@ class AutGroup:
         pointless for one-off closures, hence not automatic.
         """
         if self._comp is None and self.k <= self.COMP_LIMIT:
+            every = np.arange(self.k)
             comp = np.empty((self.k, self.k), dtype=np.int32)
-            images = self.perms[:, self.base.generators]  # (k, gens): g(s)
-            for f in range(self.k):
-                comp[f] = self.lookup(self.perms[f][images])  # f o g for all g
+            step = max(1, 2**16 // self.k)  # rows per call: bounded temporaries
+            for lo in range(0, self.k, step):
+                comp[lo:lo + step] = self.product(every[lo:lo + step, None], every)
             self._comp = comp
         return self._comp is not None
 
@@ -472,6 +474,14 @@ class AutGroup:
             raise KeyError("generator images of no automorphism")
         return order[pos].astype(np.int32)
 
+    def product(self, f, g) -> np.ndarray:
+        """f o g for broadcast index arrays ``f`` and ``g``: a gather from
+        the table when it exists, else a lookup by generator images."""
+        if self._comp is not None:
+            return self._comp[f, g]
+        inner = self.perms[np.asarray(g)[..., None], self.base.generators]  # g(s)
+        return self.lookup(self.perms[np.asarray(f)[..., None], inner])  # f(g(s))
+
     def conj_row(self, h: int) -> np.ndarray:
         """The map f -> h f h^{-1} on every automorphism index (cached)."""
         if h not in self._conj_rows:
@@ -490,40 +500,23 @@ class AutGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        out = np.empty(self.k, dtype=np.int64)
-        for f in range(self.k):
-            seen = np.zeros(self.base.n, dtype=bool)
-            o = 1
-            perm = self.perms[f]
-            for start in range(self.base.n):
-                if seen[start]:
-                    continue
-                length = 0
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    x = int(perm[x])
-                    length += 1
-                o = lcm(o, length)
-            out[f] = o
+        # the order of f is the first j with f^j(s) = s for every generator s
+        gens = np.asarray(self.base.generators)
+        out = np.zeros(self.k, dtype=np.int64)
+        todo = np.arange(self.k)
+        images = self.perms[:, gens]
+        j = 1
+        while todo.size:
+            done = (images == gens).all(axis=1)
+            out[todo[done]] = j
+            todo, images = todo[~done], images[~done]
+            images = self.perms[todo[:, None], images]
+            j += 1
         return out
 
-    @property
+    @cached_property
     def generators(self) -> list[int]:
-        if self._generators is None:
-            orders = self.element_orders
-            cand = sorted(range(self.k), key=lambda x: (-int(orders[x]), x))
-            gens: list[int] = []
-            have = {self.identity}
-            for x in cand:
-                if x in have:
-                    continue
-                gens.append(x)
-                have = closure_indices(self.identity, gens, self.compose)
-                if len(have) == self.k:
-                    break
-            self._generators = gens
-        return self._generators
+        return generating_set(self)
 
     def morphism(self, i: int) -> Morphism:
         return Morphism(self.base, self.base, self.perms[i].copy())
@@ -533,20 +526,6 @@ class AutGroup:
         if not self.ensure_comp():
             raise ValueError("automorphism group too large for a Cayley table")
         return FiniteGroup(self._comp, check=False, name=f"Aut({self.base.name})")
-
-
-def closure_indices(identity: int, gens, compose) -> set[int]:
-    """Closure of ``gens`` under an arbitrary composition callback."""
-    out = {identity}
-    queue = [identity]
-    gl = list(gens)
-    for u in queue:
-        for g in gl:
-            v = compose(u, g)
-            if v not in out:
-                out.add(v)
-                queue.append(v)
-    return out
 
 
 def compute_automorphisms(group: FiniteGroup, bound: int = 200) -> AutGroup:

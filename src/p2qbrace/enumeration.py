@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGroup, GroupLabel, _factor, closure, identify_p2q
+from .core import FiniteGroup, GroupLabel, _factor, generating_set, identify_p2q, subgroups_of_order
 from .holomorph import (
     HolSubgroup,
     Holomorph,
-    _abstract_generators,
     aut_subgroup_classes,
     candidate_pool,
     closure_packed,
@@ -63,10 +62,8 @@ def circle_group(hol: Holomorph, sub: HolSubgroup) -> FiniteGroup:
     m = len(els)
     a = sub.a_parts
     f = sub.f_parts
-    perms = hol.aut.perms
-    ap = hol.base.mul[a[:, None], perms[f[:, None], a[None, :]]].astype(np.int64)
-    # f_i o f_j, found by its images of the base generators
-    fp = hol.aut.lookup(perms[f[:, None, None], perms[f[None, :, None], hol.base.generators]])
+    ap = hol.base.mul[a[:, None], hol.aut.perms[f[:, None], a[None, :]]].astype(np.int64)
+    fp = hol.aut.product(f[:, None], f[None, :])
     packed = ap * hol.n_aut + fp
     idx = np.searchsorted(els, packed)
     if not np.all(els[np.minimum(idx, m - 1)] == packed):
@@ -267,19 +264,6 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _subgroup_gens_in(base: FiniteGroup, elements: tuple[int, ...]) -> list[int]:
-    gens: list[int] = []
-    have = {base.identity}
-    for x in elements:
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(closure(base, gens))
-        if len(have) == len(elements):
-            break
-    return gens
-
-
 def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
                  kernel: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Regular subgroups with pi2 = <k_gens> exactly and kernel pi1 = kernel.
@@ -294,7 +278,7 @@ def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
     n_arr = np.array(kernel, dtype=np.int64)
     n_mask = np.zeros(n, dtype=bool)
     n_mask[n_arr] = True
-    n_gens = _subgroup_gens_in(base, kernel)
+    n_gens = generating_set(base, kernel)
 
     # right coset representatives of the kernel
     reps = []
@@ -347,13 +331,11 @@ def _stratified_reps(hol: Holomorph) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = [
         tuple(hol.pack(a, hol.aut.identity) for a in range(n))
     ]
-    from .core import subgroups_of_order
-
     for d in _divisors(n):
         if d == 1 or hol.aut.k % d:
             continue
         for k_rep in aut_subgroup_classes(hol.aut, d):
-            k_gens = _abstract_generators(hol.aut.identity, hol.aut.compose, k_rep)
+            k_gens = generating_set(hol.aut, k_rep)
             for kernel in subgroups_of_order(base, n // d):
                 out.extend(_lift_search(hol, k_rep, k_gens, kernel))
     return out

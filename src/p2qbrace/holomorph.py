@@ -15,14 +15,13 @@ main pruning device of the enumeration strategies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
 import numpy as np
 
-from .core import AutGroup, FiniteGroup, closure, closure_indices, _factor
+from .core import AutGroup, FiniteGroup, closure, subgroups_of_order
 
 __all__ = [
     "Holomorph",
@@ -168,7 +167,7 @@ def pi1_closure_bound(hol: Holomorph, generators) -> list[int]:
     """
     gens = [int(x) for x in generators]
     fparts = {g % hol.n_aut for g in gens}
-    k = closure_indices(hol.aut.identity, fparts, hol.aut.compose)
+    k = closure(hol.aut, fparts)
     seeds = {int(hol.aut.perms[h, g // hol.n_aut]) for h in k for g in gens}
     return closure(hol.base, seeds)
 
@@ -265,103 +264,14 @@ def candidate_pool(hol: Holomorph) -> np.ndarray:
 # -- subgroups of Aut(A) up to conjugacy --------------------------------------
 
 
-def _abstract_closure(identity, gens, compose, limit=None):
-    out = {identity}
-    queue = [identity]
-    gl = sorted(set(gens))
-    for u in queue:
-        for g in gl:
-            v = compose(u, g)
-            if v not in out:
-                out.add(v)
-                if limit is not None and len(out) > limit:
-                    return None
-                queue.append(v)
-    return out
-
-
-def _abstract_subgroups(identity, compose, orders: np.ndarray, m: int):
-    """All order-m subgroups of a group given by a composition callback.
-
-    Same order shapes as core.subgroups_of_order (divisors of p^2*q); works
-    on automorphism groups too large for a Cayley table because only
-    elements of order dividing m are ever touched.
-    """
-    if m == 1:
-        return [(identity,)]
-    fac = _factor(m)
-    subs: set[tuple[int, ...]] = set()
-
-    def elems(o):
-        return [int(x) for x in np.nonzero(orders == o)[0]]
-
-    if len(fac) == 1 and fac[0][1] == 1:
-        for x in elems(m):
-            subs.add(tuple(sorted(_abstract_closure(identity, [x], compose))))
-    elif len(fac) == 1 and fac[0][1] == 2:
-        r = fac[0][0]
-        for x in elems(m):
-            subs.add(tuple(sorted(_abstract_closure(identity, [x], compose))))
-        small = _abstract_subgroups(identity, compose, orders, r)
-        for s1, s2 in itertools.combinations(small, 2):
-            c = _abstract_closure(identity, [s1[-1] if s1[-1] != identity else s1[0],
-                                             s2[-1] if s2[-1] != identity else s2[0]],
-                                  compose, limit=m)
-            if c is not None and len(c) == m:
-                subs.add(tuple(sorted(c)))
-    elif len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:
-        r, s = fac[0][0], fac[1][0]
-        small_r = _abstract_subgroups(identity, compose, orders, r)
-        small_s = _abstract_subgroups(identity, compose, orders, s)
-        for s1 in small_r:
-            g1 = next(x for x in s1 if x != identity)
-            for s2 in small_s:
-                g2 = next(x for x in s2 if x != identity)
-                c = _abstract_closure(identity, [g1, g2], compose, limit=m)
-                if c is not None and len(c) == m:
-                    subs.add(tuple(sorted(c)))
-    elif len(fac) == 2 and sorted(e for _, e in fac) == [1, 2]:
-        r = next(d for d, e in fac if e == 2)
-        s = next(d for d, e in fac if e == 1)
-        small_r2 = _abstract_subgroups(identity, compose, orders, r * r)
-        small_s = _abstract_subgroups(identity, compose, orders, s)
-        for s1 in small_r2:
-            gens1 = _abstract_generators(identity, compose, s1)
-            for s2 in small_s:
-                g2 = next(x for x in s2 if x != identity)
-                c = _abstract_closure(identity, gens1 + [g2], compose, limit=m)
-                if c is not None and len(c) == m:
-                    subs.add(tuple(sorted(c)))
-    else:
-        raise ValueError(f"unsupported subgroup order {m}")
-    return sorted(subs)
-
-
-def _abstract_generators(identity, compose, sub) -> list[int]:
-    gens: list[int] = []
-    have = {identity}
-    for x in sub:
-        if x in have:
-            continue
-        gens.append(x)
-        have = _abstract_closure(identity, gens, compose)
-        if len(have) == len(sub):
-            break
-    return gens
-
-
 def aut_subgroup_classes(aut: AutGroup, m: int) -> list[tuple[int, ...]]:
     """Conjugacy-class representatives of the order-m subgroups of Aut(A).
 
     Each class is represented by its lexicographically least member (as a
     sorted index tuple).
     """
-    if m == 1:
-        return [(aut.identity,)]
-    if aut.k % m:
-        return []
     aut.ensure_comp()
-    subs = _abstract_subgroups(aut.identity, aut.compose, aut.element_orders, m)
+    subs = subgroups_of_order(aut, m)
     sub_set = set(subs)
     gens = aut.generators
     reps: list[tuple[int, ...]] = []

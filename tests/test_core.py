@@ -1,10 +1,13 @@
 """Group plumbing: tables, closures, subgroup scans, isomorphism, labels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from p2qbrace.core import (
     FAMILIES,
+    AutGroup,
     FiniteGroup,
     GroupLabel,
     are_isomorphic,
@@ -32,6 +35,29 @@ def sym3():
         for j, b in enumerate(perms):
             mul[i, j] = idx[tuple(b[a[k]] for k in range(3))]
     return FiniteGroup(mul)
+
+
+def z2xz6_identity_last():
+    # Z2 x Z6 with (a, b) at index 11 - (6a + b), so the identity is index 11
+    old = np.arange(12)
+    a, b = old // 6, old % 6
+    prod = 6 * ((a[:, None] + a[None, :]) % 2) + (b[:, None] + b[None, :]) % 6
+    mul = 11 - prod[11 - old[:, None], 11 - old[None, :]]
+    return FiniteGroup(mul.astype(np.int32))
+
+
+def subgroups_by_subsets(group):
+    """Distinct closures of all seeds of at most three elements.
+
+    That is every subgroup of order m | p^2 q: a Sylow p-subgroup of order
+    at most p^2 needs two generators, a Sylow q-subgroup one.
+    """
+    n = len(group.element_orders)
+    return {
+        tuple(closure(group, seed))
+        for r in range(4)
+        for seed in itertools.combinations(range(n), r)
+    }
 
 
 def test_cyclic_group_basics():
@@ -88,6 +114,29 @@ def test_subgroups_of_order_against_hand_counts():
         assert all(int(s3.mul[a, b]) in els for a in sub for b in sub)
 
 
+def test_subgroups_of_order_when_the_identity_is_the_last_index():
+    g = z2xz6_identity_last()
+    assert g.identity == 11
+    counts = {m: len(subgroups_of_order(g, m)) for m in (1, 2, 3, 4, 6, 12)}
+    assert counts == {1: 1, 2: 3, 3: 1, 4: 1, 6: 3, 12: 1}
+
+
+@pytest.mark.parametrize("case", ["Z2xZ6 relabelled", "QbyP2_ordP", "its Aut without table"])
+def test_subgroups_of_order_against_closures_of_small_seeds(monkeypatch, case):
+    if case == "Z2xZ6 relabelled":
+        group, n = z2xz6_identity_last(), 12
+    elif case == "QbyP2_ordP":
+        group, n = group_of(2, 5, "QbyP2_ordP"), 20
+    else:
+        monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+        group, n = family_aut(2, 5, "QbyP2_ordP").aut, 20
+        assert not group.ensure_comp() and group.k == 40
+    oracle = subgroups_by_subsets(group)
+    for m in range(1, n + 1):
+        if n % m == 0:
+            assert subgroups_of_order(group, m) == sorted(s for s in oracle if len(s) == m), m
+
+
 def test_are_isomorphic_positive_and_negative():
     a = cyclic(6)
     # Z6 under a relabelled table: x*y computed through a permutation
@@ -100,21 +149,13 @@ def test_are_isomorphic_positive_and_negative():
     assert are_isomorphic(a, sym3()) is None
 
 
-def test_automorphism_group_orders():
-    # |Aut(Z_n)| = phi(n); an independent Euler-phi count
-    for n in (5, 8, 12, 20):
-        phi = sum(1 for k in range(1, n) if np.gcd(k, n) == 1)
-        assert compute_automorphisms(cyclic(n)).k == phi
-    assert compute_automorphisms(sym3()).k == 6  # S3 is complete
-
-
 def test_automorphism_group_is_closed_and_faithful():
     aut = compute_automorphisms(cyclic(12))
     assert aut.ensure_comp()
     comp = aut.comp
     for f in range(aut.k):
         for g in range(aut.k):
-            expect = aut.perms[g][aut.perms[f]]  # apply f then g
+            expect = aut.perms[f][aut.perms[g]]  # apply g then f
             assert np.array_equal(aut.perms[comp[f, g]], expect)
     assert len({p.tobytes() for p in aut.perms}) == aut.k
 
@@ -133,6 +174,37 @@ def test_comp_table_from_generator_codes(source):
     for f in range(aut.k):
         for g in range(aut.k):
             assert aut.comp[f, g] == aut.index[aut.perms[f][aut.perms[g]].tobytes()]
+
+
+def test_automorphism_group_orders():
+    # |Aut(Z_n)| = phi(n); an independent Euler-phi count
+    for n in (5, 8, 12, 20):
+        phi = sum(1 for k in range(1, n) if np.gcd(k, n) == 1)
+        assert compute_automorphisms(cyclic(n)).k == phi
+    assert compute_automorphisms(sym3()).k == 6  # S3 is complete
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])
+@pytest.mark.parametrize("source", ["structured", "brute force"])
+def test_composition_is_f_after_g(monkeypatch, source, table):
+    # compose(f, g) and product(f, g) are f o g: apply g, then f.  Both
+    # groups are non-abelian, so the other order would fail.
+    if not table:
+        monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+    if source == "structured":
+        aut = family_aut(2, 5, "QbyP2_ordP").aut
+    else:
+        aut = compute_automorphisms(group_of(2, 7, "PxQbyP"))
+    assert aut.ensure_comp() is table
+    assert len({p.tobytes() for p in aut.perms}) == aut.k
+    # the generator images fix each automorphism
+    assert np.array_equal(aut.lookup(aut.perms[:, aut.base.generators]), np.arange(aut.k))
+    every = np.arange(aut.k)
+    prod = aut.product(every[:, None], every[None, :])
+    assert not np.array_equal(prod, prod.T)
+    after = aut.perms[every[:, None, None], aut.perms[None, :, :]]  # f(g(x))
+    assert np.array_equal(aut.perms[prod], after)
+    assert all(aut.compose(f, g) == prod[f, g] for f in range(aut.k) for g in range(aut.k))
 
 
 def test_lookup_rejects_images_of_no_automorphism():
