@@ -14,7 +14,7 @@ product decompositions over pairs of ideals, and the bi-skew property
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -78,9 +78,6 @@ class SkewBrace:
         fixed = (self.lambda_perms == np.arange(self.n)[None, :]).all(axis=0)
         return [int(x) for x in np.nonzero(fixed)[0]]
 
-    def circ_inverse(self) -> np.ndarray:
-        return self.mul.inv
-
     def labels(self) -> tuple[GroupLabel, GroupLabel]:
         p, q = _pq_of(self.n)
         add_label = self.add.label or identify_p2q(self.add, p, q)
@@ -113,6 +110,18 @@ def _first_failure(ok: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(x) for x in bad[0])
 
 
+def _brace_law(plus: FiniteGroup, circ: FiniteGroup) -> np.ndarray:
+    """Where a o (b + c) == (a o b) - a + (a o c), over all (a, b, c).
+
+    Exchanging + and o gives the law of the swapped pair (B, o, +).
+    """
+    add, mul = plus.mul, circ.mul
+    a = np.arange(plus.n)
+    lhs = mul[a[:, None, None], add[None, :, :]]
+    rhs = add[add[mul[:, :, None], plus.inv[a][:, None, None]], mul[:, None, :]]
+    return lhs == rhs
+
+
 def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
     """Exhaustive check of both group structures and the brace law.
 
@@ -131,14 +140,10 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
             return False, f"{name} identity fails"
         if not np.array_equal(t[a, g.inv], np.full(n, ident)):
             return False, f"{name} inverses fail"
-    add, circ = brace.add.mul, brace.mul.mul
-    ainv = brace.add.inv
-    # a o (b + c) == (a o b) - a + (a o c)
-    lhs = circ[a[:, None, None], add[None, :, :]]
-    rhs = add[add[circ[:, :, None], ainv[a][:, None, None]], circ[:, None, :]]
-    ok = lhs == rhs
+    ok = _brace_law(brace.add, brace.mul)
     if not ok.all():
         return False, f"brace law fails at (a, b, c) = {_first_failure(ok)}"
+    add, circ = brace.add.mul, brace.mul.mul
     # each lambda_a respects +, and a -> lambda_a is a homomorphism on (B, o)
     perms = brace.lambda_perms
     if not np.array_equal(perms[:, add], add[perms[:, :, None], perms[:, None, :]]):
@@ -149,15 +154,9 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
 
 
 def is_bi_skew(brace: SkewBrace) -> bool:
-    """Whether (B, o, +) with the roles swapped is also a skew brace."""
-    add, circ = brace.add.mul, brace.mul.mul
-    cinv = brace.mul.inv
-    n = brace.n
-    a = np.arange(n)
-    # a + (b o c) == (a + b) o a' o (a + c) with a' the o-inverse
-    lhs = add[a[:, None, None], circ[None, :, :]]
-    rhs = circ[circ[add[:, :, None], cinv[a][:, None, None]], add[:, None, :]]
-    return bool((lhs == rhs).all())
+    """Whether (B, o, +) with the roles swapped is also a skew brace:
+    a + (b o c) = (a + b) o a' o (a + c), with a' the o-inverse."""
+    return bool(_brace_law(brace.mul, brace.add).all())
 
 
 def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:

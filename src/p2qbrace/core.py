@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -411,11 +411,12 @@ class AutGroup:
     """The automorphism group of a base group, stored as permutation rows.
 
     ``perms`` has one row per automorphism (sorted lexicographically, so
-    indices are canonical); composition is a table when the group is small
-    enough, and a dict lookup on permutation bytes otherwise.  ``lookup``
-    finds automorphisms by their images of ``base.generators``, which fix
-    them, so whole arrays of compositions are found by one sorted search.
-    ``compose(f, g)`` and ``product`` are f o g: apply g, then f.
+    indices are canonical).  An automorphism is fixed by its images of
+    ``base.generators``; their mixed-radix codes are its one key.
+    ``lookup`` finds whole arrays of automorphisms by a sorted search on
+    the codes, and the identity, the inverses and the scalar ``compose``
+    without a composition table all go through them.  ``compose(f, g)``
+    and ``product`` are f o g: apply g, then f.
     """
 
     COMP_LIMIT = 4100
@@ -426,14 +427,12 @@ class AutGroup:
         self.base = base
         self.perms = np.ascontiguousarray(perms[order])
         self.k = int(perms.shape[0])
-        self.index = {self.perms[i].tobytes(): i for i in range(self.k)}
-        if len(self.index) != self.k:
+        if (np.diff(self._codes[1]) == 0).any():
             raise ValueError("duplicate automorphisms")
-        self.identity = self.index[np.arange(base.n, dtype=np.int32).tobytes()]
-        self.inv = np.array(
-            [self.index[np.argsort(self.perms[i]).astype(np.int32).tobytes()] for i in range(self.k)],
-            dtype=np.int32,
-        )
+        gens = base.generators
+        self.identity = int(self.lookup(np.asarray(gens)))
+        # f^-1(s) is the point that f sends to s
+        self.inv = self.lookup(np.stack([np.argmax(self.perms == s, axis=1) for s in gens], axis=1))
         self._comp: np.ndarray | None = None
         self._conj_rows: dict[int, np.ndarray] = {}
 
@@ -490,10 +489,24 @@ class AutGroup:
             self._conj_rows[h] = self.lookup(images)
         return self._conj_rows[h]
 
+    @cached_property
+    def _code_index(self) -> tuple[dict[int, int], list[list[int]], list[int], memoryview]:
+        # for compose without a table, as Python objects: code -> index,
+        # each g's generator images, the radix, and the rows
+        radix, sorted_codes, order = self._codes
+        images = self.perms[:, self.base.generators].tolist()
+        index = dict(zip(sorted_codes.tolist(), order.tolist()))
+        return index, images, radix.tolist(), memoryview(self.perms)
+
     def compose(self, f: int, g: int) -> int:
         if self._comp is not None:
             return int(self._comp[f, g])
-        return self.index[self.perms[f][self.perms[g]].tobytes()]
+        # the code of f o g: f's row read at g's generator images
+        index, images, radix, rows = self._code_index
+        code = 0
+        for x, r in zip(images[g], radix):
+            code += rows[f, x] * r
+        return index[code]
 
     def apply(self, f: int, x: int) -> int:
         return int(self.perms[f, x])
@@ -517,9 +530,6 @@ class AutGroup:
     @cached_property
     def generators(self) -> list[int]:
         return generating_set(self)
-
-    def morphism(self, i: int) -> Morphism:
-        return Morphism(self.base, self.base, self.perms[i].copy())
 
     def as_group(self) -> FiniteGroup:
         """The abstract group on automorphism indices (needs the comp table)."""

@@ -60,11 +60,7 @@ def circle_group(hol: Holomorph, sub: HolSubgroup) -> FiniteGroup:
     """The subgroup itself as an abstract group on indices 0..|G|-1."""
     els = sub.arr
     m = len(els)
-    a = sub.a_parts
-    f = sub.f_parts
-    ap = hol.base.mul[a[:, None], hol.aut.perms[f[:, None], a[None, :]]].astype(np.int64)
-    fp = hol.aut.product(f[:, None], f[None, :])
-    packed = ap * hol.n_aut + fp
+    packed = hol.product(els[:, None], els[None, :])
     idx = np.searchsorted(els, packed)
     if not np.all(els[np.minimum(idx, m - 1)] == packed):
         raise AssertionError("subgroup is not closed under multiplication")
@@ -102,32 +98,12 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
         )
     n = hol.base.n
     n_aut = hol.n_aut
-    amul = hol.base.mul
-    perms = hol.aut.perms
-    comp = hol.aut.comp
 
     e = hol.identity
-    pool = candidate_pool(hol)
-    pool_a = pool // n_aut
-    pool_f = pool % n_aut
-    # nontrivial powers of each pool element, flattened (<y> minus identity);
-    # the identity-cycle length of a pool member equals its order
-    pool_ord = np.empty(len(pool), dtype=np.int64)
-    pw_chunks = []
-    for i in range(len(pool)):
-        y = int(pool[i])
-        w, powers = y, [y]
-        while True:
-            w = hol.mul(w, y)
-            if w == e:
-                break
-            powers.append(w)
-        pool_ord[i] = len(powers) + 1
-        pw_chunks.append(np.array(powers, dtype=np.int64))
-    pw_counts = np.array([len(c) for c in pw_chunks], dtype=np.int64)
-    pw_starts = np.concatenate(([0], np.cumsum(pw_counts)[:-1]))
-    pw_flat = np.concatenate(pw_chunks) if pw_chunks else np.empty(0, np.int64)
-    pw_flat_a = pw_flat // n_aut
+    # row i: the powers y, y^2, ..., y^ord(y) = e of pool member y, padded
+    # with e; the identity-cycle length of a pool member equals its order
+    pool, pool_pw = candidate_pool(hol)
+    pool_ord = (pool_pw != e).sum(axis=1) + 1
 
     results: list[tuple[int, ...]] = []
 
@@ -196,19 +172,11 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
             return
         idx = idx[keep]
         cand = cand[keep]
-        ca = pool_a[lo:][keep]
-        cf = pool_f[lo:][keep]
-        sa = s_sorted // n_aut
-        sf = s_sorted % n_aut
         # products S * y and y * S for every candidate y, vectorized
-        pa_r = amul[sa[:, None], perms[sf[:, None], ca[None, :]]]
-        pf_r = comp[sf[:, None], cf[None, :]]
-        pa_l = amul[ca[None, :], perms[cf[None, :], sa[:, None]]]
-        pf_l = comp[cf[None, :], sf[:, None]]
         packed = np.concatenate(
             [
-                pa_r.astype(np.int64) * n_aut + pf_r,
-                pa_l.astype(np.int64) * n_aut + pf_l,
+                hol.product(s_sorted[:, None], cand[None, :]),
+                hol.product(cand[None, :], s_sorted[:, None]),
             ],
             axis=0,
         )
@@ -224,17 +192,9 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
         idx = idx[~bad]
         cand = cand[~bad]
         # every power of y must already lie in S or be a fresh element >= y
-        counts = pw_counts[idx]
-        rep = np.repeat(np.arange(len(idx)), counts)
-        flat = pw_starts[idx].repeat(counts)
-        within = np.arange(len(flat)) - np.concatenate(([0], np.cumsum(counts)[:-1])).repeat(counts)
-        w = pw_flat[flat + within]
-        wa = pw_flat_a[flat + within]
-        pos = np.searchsorted(s_sorted, w)
-        in_s = s_sorted[np.minimum(pos, m - 1)] == w
-        bad_w = ~in_s & ((w < cand[rep]) | pi1_mask[wa])
-        ok = np.ones(len(idx), dtype=bool)
-        ok[rep[bad_w]] = False
+        w = pool_pw[idx]
+        in_s = s_sorted[np.minimum(np.searchsorted(s_sorted, w), m - 1)] == w
+        ok = ~(~in_s & ((w < cand[:, None]) | pi1_mask[w // n_aut])).any(axis=1)
         for y in cand[ok]:
             y = int(y)
             grown, mask = extend(s_sorted, s_set, pi1_mask, gens, y)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .catalog import eval_expr
 from .families import is_prime
 
 __all__ = [
@@ -240,13 +241,6 @@ _TABLES: dict[str, dict[str, dict]] = {
 }
 
 
-def _ev(expr: str, p: int, q: int) -> int:
-    val = eval(expr, {"__builtins__": {}}, {"p": p, "q": q})  # noqa: S307 - own constants
-    if val != int(val):
-        raise ValueError(f"non-integer table cell {expr!r} at p={p}, q={q}")
-    return int(val)
-
-
 @dataclass(frozen=True)
 class ExpectedType:
     """Expected counts for one nonabelian additive type."""
@@ -266,16 +260,17 @@ def expected_tables(p: int, q: int) -> dict[str, ExpectedType]:
             "tables for p = 1 mod q with q > 3 are not encoded; "
             "only row data for q = 3 is available"
         )
+    env = {"p": p, "q": q}
     out: dict[str, ExpectedType] = {}
     for add_key, spec_ in _TABLES[reg].items():
-        cross = {m: _ev(f, p, q) for m, f in spec_["cross"].items() if _ev(f, p, q)}
+        cross = {m: v for m, f in spec_["cross"].items() if (v := eval_expr(f, env))}
         bk = None
         if "by_kernel" in spec_:
             bk = {}
             for kexpr, cells in spec_["by_kernel"].items():
-                ksize = _ev(kexpr, p, q)
+                ksize = eval_expr(kexpr, env)
                 for m, f in cells.items():
-                    v = _ev(f, p, q)
+                    v = eval_expr(f, env)
                     if v:
                         bk[(ksize, m)] = v
             # the kernel refinement must add up to the cross row

@@ -661,18 +661,16 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
         )
     aut = AutGroup(base, perms)
     # AutGroup sorts its rows; realign the coordinate labels
-    coords_sorted: list[tuple[int, ...] | None] = [None] * aut.k
-    for coord, pm in zip(coord_list, perms):
-        coords_sorted[aut.index[pm.tobytes()]] = coord
-    if any(c is None for c in coords_sorted):
-        raise AssertionError("duplicate coordinates in structured aut")
+    coords_sorted: list[tuple[int, ...]] = [()] * aut.k
+    for coord, i in zip(coord_list, aut.lookup(perms[:, base.generators]).tolist()):
+        coords_sorted[i] = coord
     return StructuredAut(
         label=label,
         params=params,
         base=base,
         aut=aut,
         coord_names=names,
-        coords=coords_sorted,  # type: ignore[arg-type]
+        coords=coords_sorted,
     )
 
 

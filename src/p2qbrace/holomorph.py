@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
@@ -73,26 +72,14 @@ class Holomorph:
             k >>= 1
         return acc
 
-    def order_of(self, x: int) -> int:
-        """Order of a holomorph element = order of its action permutation."""
-        a, f = divmod(int(x), self.n_aut)
-        perm = self.base.mul[a, self.aut.perms[f]]
-        seen = np.zeros(self.base.n, dtype=bool)
-        o = 1
-        for start in range(self.base.n):
-            if seen[start]:
-                continue
-            length, cur = 0, start
-            while not seen[cur]:
-                seen[cur] = True
-                cur = int(perm[cur])
-                length += 1
-            o = lcm(o, length)
-        return o
-
-    def act(self, x: int, pt: int) -> int:
-        a, f = divmod(int(x), self.n_aut)
-        return int(self.base.mul[a, self.aut.perms[f, pt]])
+    def product(self, x, y) -> np.ndarray:
+        """x y for broadcast packed arrays ``x`` and ``y``: the
+        vectorized ``mul``."""
+        a, f = np.divmod(np.asarray(x), self.n_aut)
+        b, g = np.divmod(np.asarray(y), self.n_aut)
+        out = self.base.mul[a, self.aut.perms[f, b]].astype(np.int64) * self.n_aut
+        out += self.aut.product(f, g)
+        return out
 
     def conjugate_subgroup(self, elements: np.ndarray, h: int) -> np.ndarray:
         """(1,h) G (1,h)^{-1} as a sorted packed array."""
@@ -177,15 +164,12 @@ def closure_packed(
     generators,
     limit: int | None = None,
     require_injective_pi1: bool = False,
-    reject_below: int | None = None,
 ) -> tuple[int, ...] | None:
     """Subgroup of Hol(A) generated by packed ``generators``.
 
     Returns the sorted element tuple, or None as soon as (a) the size
-    exceeds ``limit``, (b) ``require_injective_pi1`` is set and two elements
-    share a first coordinate, or (c) ``reject_below`` is set and a
-    non-generator element below that packed value appears (used for the
-    canonical-chain rule of the DFS).
+    exceeds ``limit``, or (b) ``require_injective_pi1`` is set and two
+    elements share a first coordinate.
     """
     gens = sorted({int(g) for g in generators})
     e = hol.identity
@@ -205,8 +189,6 @@ def closure_packed(
                 if pi1_seen[a]:
                     return None
                 pi1_seen[a] = True
-            if reject_below is not None and v < reject_below and v not in gens:
-                return None
             seen.add(v)
             out.append(v)
             if limit is not None and len(out) > limit:
@@ -215,50 +197,44 @@ def closure_packed(
     return tuple(sorted(out))
 
 
-def candidate_pool(hol: Holomorph) -> np.ndarray:
-    """Packed elements that can live in a regular subgroup, sorted ascending.
+def candidate_pool(hol: Holomorph) -> tuple[np.ndarray, np.ndarray]:
+    """Packed elements that can live in a regular subgroup, sorted
+    ascending, and a table of their powers.
 
-    (a, f) qualifies iff its order divides |A| and the cycle of the identity
-    under its action is the full order (so the cyclic group it generates has
-    injective pi1).
+    (a, f) qualifies iff it is not the identity, its order divides |A|, and
+    the cycle of the identity of A under its action is as long as its order
+    (so the cyclic group it generates has injective pi1).  One walk of
+    powers x, x^2, ... over every (a, f) with ord(f) dividing |A| stops each
+    x when pi1(x^j) returns to the identity of A, at the cycle length j; x
+    qualifies iff x^j is the identity there and j divides |A|.  Row i of the
+    table holds x^1, ..., x^ord(x) of pool member i, padded with the
+    identity.
     """
-    n = hol.base.n
-    aut_orders = hol.aut.element_orders
-    pool = []
-    amul = hol.base.mul
-    perms = hol.aut.perms
-    for f in range(hol.n_aut):
-        if n % int(aut_orders[f]):
-            continue
-        action = amul[:, perms[f]]  # row a = action permutation of (a, f)
-        for a in range(n):
-            perm = action[a]
-            # cycle containing the identity of A
-            length, cur = 0, hol.base.identity
-            while True:
-                cur = int(perm[cur])
-                length += 1
-                if cur == hol.base.identity:
-                    break
-            if n % length:
-                continue
-            # full order = lcm of cycle lengths; must equal the 0-cycle
-            seen = np.zeros(n, dtype=bool)
-            o = 1
-            for start in range(n):
-                if seen[start]:
-                    continue
-                ln, cur = 0, start
-                while not seen[cur]:
-                    seen[cur] = True
-                    cur = int(perm[cur])
-                    ln += 1
-                o = lcm(o, ln)
-                if o > length:
-                    break
-            if o == length and (a, f) != (hol.base.identity, hol.aut.identity):
-                pool.append(a * hol.n_aut + f)
-    return np.array(sorted(pool), dtype=np.int64)
+    n, n_aut, e = hol.base.n, hol.n_aut, hol.identity
+    fs = np.nonzero(n % hol.aut.element_orders == 0)[0]
+    x = (np.arange(n)[:, None] * n_aut + fs[None, :]).ravel()  # ascending
+    x = x[x != e]
+    qualifies = np.zeros(len(x), dtype=bool)
+    length = np.zeros(len(x), dtype=np.int64)
+    steps = []  # (indices into x, their j-th powers) for j = 1, 2, ...
+    live, cur = np.arange(len(x)), x
+    j = 1
+    while live.size:
+        steps.append((live, cur))
+        back = cur // n_aut == hol.base.identity
+        length[live[back]] = j
+        qualifies[live[back]] = (cur[back] == e) & (n % j == 0)
+        live, cur = live[~back], cur[~back]
+        cur = hol.product(cur, x[live])
+        j += 1
+    members = np.nonzero(qualifies)[0]
+    row = np.full(len(x), -1)
+    row[members] = np.arange(len(members))
+    powers = np.full((len(members), int(length[members].max(initial=0))), e, dtype=np.int64)
+    for j, (live, cur) in enumerate(steps):
+        keep = row[live] >= 0
+        powers[row[live[keep]], j] = cur[keep]
+    return x[members], powers
 
 
 # -- subgroups of Aut(A) up to conjugacy --------------------------------------

@@ -64,29 +64,21 @@ def solution_from_brace(brace: SkewBrace) -> Solution:
 
 
 def check_ybe(sol: Solution) -> tuple[bool, str]:
-    """Braid relation over all n^3 triples; the message names a witness."""
-    s, t = sol.sigma, sol.tau
+    """Braid relation over all n^3 triples; the message names a witness.
+
+    R12 = r x id and R23 = id x r are maps of the triples, flattened in C
+    order, and the relation is R12 R23 R12 = R23 R12 R23.
+    """
     n = sol.n
-    x = np.arange(n)[:, None, None]
-    y = np.arange(n)[None, :, None]
-    z = np.arange(n)[None, None, :]
-    xy_s = np.broadcast_to(s[:, :, None], (n, n, n))  # sigma[x, y]
-    xy_t = np.broadcast_to(t[:, :, None], (n, n, n))  # tau[x, y]
-    # left side: r12, r23, r12
-    a1 = xy_s
-    b1 = t[xy_t, z]
-    m1 = s[xy_t, z]
-    l1, l2, l3 = s[a1, m1], t[a1, m1], b1
-    # right side: r23, r12, r23
-    yz_s = np.broadcast_to(s[None, :, :], (n, n, n))
-    yz_t = np.broadcast_to(t[None, :, :], (n, n, n))
-    a2 = s[x, yz_s]
-    b2 = t[x, yz_s]
-    r1, r2, r3 = a2, s[b2, yz_t], t[b2, yz_t]
-    ok = (l1 == r1) & (l2 == r2) & (l3 == r3)
-    if ok.all():
+    dtype = np.int32 if n**3 < 2**31 else np.int64
+    r = sol.r_flat.astype(dtype)
+    pts = np.arange(n, dtype=dtype)
+    r12 = (r[:, None] * n + pts).ravel()
+    r23 = (pts[:, None] * (n * n) + r).ravel()
+    bad = r12[r23[r12]] != r23[r12[r23]]
+    if not bad.any():
         return True, "braid relation holds on all triples"
-    w = tuple(int(v) for v in np.argwhere(~ok)[0])
+    w = tuple(int(v) for v in np.unravel_index(int(np.argmax(bad)), (n, n, n)))
     return False, f"braid relation fails at (x, y, z) = {w}"
 
 
@@ -101,11 +93,7 @@ def check_nondegenerate(sol: Solution) -> bool:
 
 def is_involutive(sol: Solution) -> bool:
     """Whether r o r is the identity on pairs."""
-    s, t = sol.sigma, sol.tau
-    return bool(
-        (s[s, t] == np.arange(sol.n)[:, None]).all()
-        and (t[s, t] == np.arange(sol.n)[None, :]).all()
-    )
+    return bool((sol.r_flat[sol.r_flat] == np.arange(sol.n * sol.n)).all())
 
 
 def export_solution(sol: Solution) -> str:

@@ -14,7 +14,8 @@ from p2qbrace.braces import (
     is_bi_skew,
 )
 from p2qbrace.catalog import FamilyContext, evaluate_witness, instantiate_lemma
-from helpers import all_reps, classes_of, group_of, hol_of
+from p2qbrace.core import FiniteGroup
+from helpers import all_reps, classes_of, hol_of
 
 
 def trivial_brace(p, q, key):
@@ -175,6 +176,38 @@ def test_not_every_brace_is_bi_skew():
     for key, hol, cl in all_reps(2, 5):
         flags.add(is_bi_skew(brace_from_regular(hol, cl.rep)))
     assert flags == {True, False}
+
+
+def first_law_failure(plus, circ):
+    """Oracle, triple by triple in C order: the first (a, b, c) with
+    a o (b + c) != (a o b) - a + (a o c), with + from ``plus`` and o from
+    ``circ``; None if the law holds."""
+    add, mul, neg = plus.mul.tolist(), circ.mul.tolist(), plus.inv.tolist()
+    n = plus.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[a][add[b][c]] != add[add[mul[a][b]][neg[a]]][mul[a][c]]:
+                    return (a, b, c)
+    return None
+
+
+def test_brace_laws_against_the_triple_oracle():
+    for key, hol, cl in all_reps(2, 5):
+        brace = brace_from_regular(hol, cl.rep)
+        assert first_law_failure(brace.add, brace.mul) is None
+        assert is_bi_skew(brace) is (first_law_failure(brace.mul, brace.add) is None)
+    # Z6 and S3 on one carrier, both with identity 0: two groups, no brace
+    z6 = FiniteGroup((np.arange(6)[:, None] + np.arange(6)) % 6)
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    s3 = FiniteGroup([[perms.index(tuple(b[a[k]] for k in range(3))) for b in perms] for a in perms])
+    for plus, circ in ((z6, s3), (s3, z6)):
+        witness = first_law_failure(plus, circ)
+        assert witness is not None
+        ok, msg = check_axioms(SkewBrace(add=plus, mul=circ, lam=None, aut=None))
+        assert not ok and msg == f"brace law fails at (a, b, c) = {witness}"
+        swapped = SkewBrace(add=circ, mul=plus, lam=None, aut=None)
+        assert is_bi_skew(swapped) is (first_law_failure(plus, circ) is None)
 
 
 def test_invariants_and_isomorphism_separation():

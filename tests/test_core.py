@@ -163,17 +163,49 @@ def test_automorphism_group_is_closed_and_faithful():
 @pytest.mark.parametrize("source", ["structured", "brute force"])
 def test_comp_table_from_generator_codes(source):
     # the table found by generator-image codes equals the lookup of whole
-    # composed permutations in the index dict
+    # composed permutations in a dict keyed by row bytes
     if source == "structured":
         aut = family_aut(2, 5, "QbyP2_ordP").aut
     else:
         aut = brute_aut_of(2, 7, "PxQbyP")
+    index = {row.tobytes(): i for i, row in enumerate(aut.perms)}
     gens = aut.base.generators
     assert np.array_equal(aut.lookup(aut.perms[:, gens]), np.arange(aut.k))
     assert aut.ensure_comp()
     for f in range(aut.k):
         for g in range(aut.k):
-            assert aut.comp[f, g] == aut.index[aut.perms[f][aut.perms[g]].tobytes()]
+            assert aut.comp[f, g] == index[aut.perms[f][aut.perms[g]].tobytes()]
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])
+@pytest.mark.parametrize("source", ["structured", "brute force"])
+def test_identity_and_inverses_against_whole_rows(monkeypatch, source, table):
+    # oracle: the identity row and each row's argsort, found among the rows
+    if not table:
+        monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+    if source == "structured":
+        aut = family_aut(3, 7, "PxQbyP").aut
+    else:
+        aut = compute_automorphisms(group_of(2, 7, "PxQbyP"))
+    assert aut.ensure_comp() is table
+    index = {row.tobytes(): i for i, row in enumerate(aut.perms)}
+    assert aut.identity == index[np.arange(aut.base.n, dtype=np.int32).tobytes()]
+    inv = [index[np.argsort(row).astype(np.int32).tobytes()] for row in aut.perms]
+    assert aut.inv.tolist() == inv
+    assert all(aut.compose(f, inv[f]) == aut.identity for f in range(aut.k))
+
+
+def test_equal_generator_images_are_duplicate_automorphisms():
+    aut = family_aut(2, 5, "QbyP2_ordP").aut
+    with pytest.raises(ValueError, match="duplicate automorphisms"):
+        AutGroup(aut.base, np.vstack([aut.perms, aut.perms[3]]))
+    # a second row that agrees with row 3 on the generators only
+    gens = set(aut.base.generators)
+    x, y = [x for x in range(aut.base.n) if x not in gens and x != aut.base.identity][:2]
+    other = aut.perms[3].copy()
+    other[[x, y]] = other[[y, x]]
+    with pytest.raises(ValueError, match="duplicate automorphisms"):
+        AutGroup(aut.base, np.vstack([aut.perms, other]))
 
 
 def test_automorphism_group_orders():

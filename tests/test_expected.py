@@ -2,7 +2,9 @@
 
 import pytest
 
+from p2qbrace.catalog import eval_expr
 from p2qbrace.expected import (
+    _TABLES,
     REGIME_NAMES,
     conjecture_counts,
     expected_tables,
@@ -43,6 +45,22 @@ def test_internal_consistency_at_many_orders():
         for add_key, t in tables.items():
             assert t.total() == sum(t.cross.values())
             assert all(v > 0 for v in t.cross.values())
+
+
+def test_formulas_evaluate_as_python_expressions():
+    # every table formula, in every regime, at the orders of the tier-1
+    # tests: the package's evaluator against Python's own
+    formulas = set()
+    for reg in _TABLES.values():
+        for spec in reg.values():
+            formulas.update(spec["cross"].values())
+            for kexpr, cells in spec.get("by_kernel", {}).items():
+                formulas.add(kexpr)
+                formulas.update(cells.values())
+    assert len(formulas) > 20
+    for p, q in ((2, 5), (2, 7), (3, 7), (5, 3), (2, 11), (5, 2), (7, 2), (2, 13), (7, 3), (11, 3)):
+        for f in formulas:
+            assert eval_expr(f, {"p": p, "q": q}) == eval(f, {"__builtins__": {}}, {"p": p, "q": q}), f
 
 
 def test_order20_row_anchors():

@@ -45,14 +45,38 @@ def test_hol_mul_matches_semidirect_formula():
         assert hol.mul(x, y) == expect
 
 
-def test_order_of_and_power():
+def test_candidate_pool_and_powers_match_the_definition():
+    # x qualifies iff x != e, its order k divides |A| and pi1(x^j) first
+    # returns to the identity of A at j = k; orders and powers by hol.power
     hol = hol_of(2, 7, "PxPQ")
-    for x in range(0, hol.size, 13):
-        k = hol.order_of(x)
-        assert hol.power(x, k) == hol.identity
-        for d in (2, 3, 7):
-            if k % d == 0:
-                assert hol.power(x, k // d) != hol.identity
+    n, e = hol.base.n, hol.identity
+    pool, powers = candidate_pool(hol)
+    assert np.all(np.diff(pool) > 0)
+    expect = []
+    for x in range(hol.size):
+        walk = [hol.power(x, j) for j in range(1, n + 1)]
+        length = next(j for j, w in enumerate(walk, 1) if w // hol.n_aut == hol.base.identity)
+        if x != e and n % length == 0 and walk[length - 1] == e:
+            expect.append(x)
+    assert pool.tolist() == expect
+    orders = []
+    for x, row in zip(map(int, pool), powers.tolist()):
+        k = row.index(e) + 1
+        assert n % k == 0
+        assert all(hol.power(x, k // d) != e for d in (2, 7) if k % d == 0)
+        assert row == [hol.power(x, j) for j in range(1, k + 1)] + [e] * (len(row) - k)
+        orders.append(k)
+    assert powers.shape == (len(pool), max(orders))
+
+
+def test_product_is_the_vectorized_mul():
+    for key in ("QbyP2_ordP", "PxQbyP"):
+        hol = hol_of(2, 5, key) if key == "QbyP2_ordP" else hol_of(3, 7, key)
+        rng = np.random.default_rng(5)
+        xs, ys = rng.integers(0, hol.size, size=(2, 60))
+        prod = hol.product(xs[:, None], ys[None, :])
+        assert prod.shape == (60, 60) and prod.dtype == np.int64
+        assert prod.tolist() == [[hol.mul(x, y) for y in map(int, ys)] for x in map(int, xs)]
 
 
 def test_closure_packed_gives_subgroups():
@@ -98,7 +122,7 @@ def test_pi1_closure_bound_contains_generated_a_parts():
 def test_candidate_pool_excludes_nothing_regular_needs():
     # every non-identity element of every regular subgroup lies in the pool
     hol = hol_of(2, 5, "QbyP2_ordP")
-    pool = set(map(int, candidate_pool(hol)))
+    pool = set(map(int, candidate_pool(hol)[0]))
     for cl in classes_of(2, 5, "QbyP2_ordP"):
         assert set(map(int, cl.rep.elements)) - {hol.identity} <= pool
 

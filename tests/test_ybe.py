@@ -15,6 +15,48 @@ from p2qbrace.ybe import (
 from helpers import all_reps
 
 
+def braid_oracle(sol):
+    """The braid relation by broadcasting sigma and tau over (n, n, n):
+    first failing (x, y, z) in C order, or None."""
+    s, t = sol.sigma, sol.tau
+    n = sol.n
+    x = np.arange(n)[:, None, None]
+    z = np.arange(n)[None, None, :]
+    xy_s = np.broadcast_to(s[:, :, None], (n, n, n))  # sigma[x, y]
+    xy_t = np.broadcast_to(t[:, :, None], (n, n, n))  # tau[x, y]
+    # left side: r12, r23, r12
+    a1 = xy_s
+    b1 = t[xy_t, z]
+    m1 = s[xy_t, z]
+    l1, l2, l3 = s[a1, m1], t[a1, m1], b1
+    # right side: r23, r12, r23
+    yz_s = np.broadcast_to(s[None, :, :], (n, n, n))
+    yz_t = np.broadcast_to(t[None, :, :], (n, n, n))
+    a2 = s[x, yz_s]
+    b2 = t[x, yz_s]
+    r1, r2, r3 = a2, s[b2, yz_t], t[b2, yz_t]
+    bad = np.argwhere(~((l1 == r1) & (l2 == r2) & (l3 == r3)))
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def involutive_oracle(sol):
+    s, t = sol.sigma, sol.tau
+    return bool(
+        (s[s, t] == np.arange(sol.n)[:, None]).all()
+        and (t[s, t] == np.arange(sol.n)[None, :]).all()
+    )
+
+
+def assert_agrees_with_oracle(sol):
+    ok, msg = check_ybe(sol)
+    witness = braid_oracle(sol)
+    assert ok is (witness is None)
+    if witness is not None:
+        assert msg == f"braid relation fails at (x, y, z) = {witness}"
+    assert is_involutive(sol) is involutive_oracle(sol)
+    return ok
+
+
 def flip(n):
     grid = np.indices((n, n))
     return Solution(sigma=grid[1].astype(np.int32), tau=grid[0].astype(np.int32))
@@ -44,16 +86,14 @@ def test_noncommuting_twist_breaks_braid_relation():
         tau=((2 * grid[0]) % n).astype(np.int32),
     )
     assert check_nondegenerate(sol)
-    ok, _ = check_ybe(sol)
-    assert not ok
+    assert not assert_agrees_with_oracle(sol)
     # while the commuting variant does solve it
-    ok2, _ = check_ybe(
+    assert assert_agrees_with_oracle(
         Solution(
             sigma=((grid[1] + 1) % n).astype(np.int32),
             tau=((grid[0] + 2) % n).astype(np.int32),
         )
     )
-    assert ok2
 
 
 def test_trivial_brace_gives_the_flip():
@@ -79,6 +119,20 @@ def test_every_orbit_rep_yields_a_verified_solution(pair):
         ok, msg = check_ybe(sol)
         assert ok, f"{key}: {msg}"
         assert check_nondegenerate(sol)
+
+
+def test_checks_agree_with_the_broadcast_oracles():
+    # every (2,5) solution passes both; one corrupted tau entry fails both
+    # braid checks at the same first witness
+    for key, hol, cl in all_reps(2, 5):
+        assert assert_agrees_with_oracle(solution_from_brace(brace_from_regular(hol, cl.rep)))
+    key, hol, cl = next((k, h, c) for k, h, c in all_reps(2, 5) if k == "QbyP2_ordP")
+    sol = solution_from_brace(brace_from_regular(hol, cl.rep))
+    tau = sol.tau.copy()
+    tau[7, 11] = (tau[7, 11] + 1) % sol.n
+    bad = Solution(sigma=sol.sigma, tau=tau)
+    assert braid_oracle(bad) is not None
+    assert not assert_agrees_with_oracle(bad)
 
 
 def test_involutive_exactly_for_abelian_additive():
