@@ -51,7 +51,7 @@ from .families import (
     family_aut,
     structured_aut,
 )
-from .holomorph import Holomorph, HolSubgroup, closure_packed, is_regular
+from .holomorph import Holomorph, HolSubgroup, closure_packed
 from .report import (
     ClassificationReport,
     classify,
@@ -121,7 +121,6 @@ __all__ = [
     "invariants",
     "is_bi_skew",
     "is_involutive",
-    "is_regular",
     "manual_notes",
     "orbit_partition",
     "regime",

@@ -49,7 +49,7 @@ from importlib import resources
 from .core import FiniteGroup, GroupLabel, identify_p2q
 from .enumeration import OrbitClass, _orbit_of, circle_group, stratified_orbit_classes
 from .families import FamilyParams, derive_params, family_aut, generator_letters, letter_moduli
-from .holomorph import Holomorph, HolSubgroup, closure_packed, is_regular
+from .holomorph import Holomorph, HolSubgroup, closure_packed
 
 DATA_VERSION = 1
 
@@ -480,8 +480,8 @@ def instantiate_lemma(
 def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
     """Close the witness generators inside the holomorph.
 
-    Raises RecipeError when the arithmetic is undefined or the closure does
-    not have order p²q.
+    Raises RecipeError when the arithmetic is undefined or the closure is
+    not a regular subgroup.
     """
     if witness.additive != ctx.label.key():
         raise ValueError(
@@ -502,7 +502,10 @@ def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
         raise RecipeError(
             f"{witness.name}: generated subgroup has order {size}, expected {n}"
         )
-    return HolSubgroup(ctx.hol, elems)
+    try:
+        return HolSubgroup.from_packed(ctx.hol, elems)
+    except ValueError as exc:
+        raise RecipeError(f"{witness.name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +558,6 @@ def verify_lemma(
         except RecipeError as exc:
             problems.append(f"{w.name}: {exc}")
             continue
-        if not is_regular(ctx.hol, sub):
-            problems.append(f"{w.name}: closure is not a regular subgroup")
-            continue
         if sub.pi2_size != inst.pi2_size:
             problems.append(
                 f"{w.name}: automorphism image has size {sub.pi2_size}, "
@@ -578,7 +578,7 @@ def verify_lemma(
         enumerated = stratified_orbit_classes(ctx.hol)
     stratum = [cl for cl in enumerated if cl.pi2_size == inst.pi2_size]
     # enumerated representatives are already their orbit's lex-least member
-    enum_keys = {cl.rep.elements for cl in stratum}
+    enum_keys = {cl.rep.lam for cl in stratum}
     if len(canon) != inst.expected_count:
         problems.append(
             f"{len(canon)} pairwise non-conjugate witnesses, expected "

@@ -26,13 +26,11 @@ import numpy as np
 __all__ = [
     "FiniteGroup",
     "GroupLabel",
-    "Morphism",
     "AutGroup",
     "closure",
     "generating_set",
     "subgroups_of_order",
     "compute_automorphisms",
-    "are_isomorphic",
     "identify_p2q",
 ]
 
@@ -195,25 +193,6 @@ class FiniteGroup:
         return int(lcm(*map(int, np.unique(self.element_orders))))
 
 
-@dataclass(eq=False)
-class Morphism:
-    """A map between groups given by its full image table."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    map: np.ndarray
-
-    def __call__(self, x: int) -> int:
-        return int(self.map[x])
-
-    def is_homomorphism(self) -> bool:
-        m = self.map
-        return np.array_equal(self.target.mul[m[:, None], m[None, :]], m[self.source.mul])
-
-    def is_bijective(self) -> bool:
-        return self.source.n == self.target.n and len(np.unique(self.map)) == self.source.n
-
-
 # -- closure and subgroups ---------------------------------------------------
 #
 # One kernel for Cayley-table groups and automorphism groups alike: it needs
@@ -342,7 +321,7 @@ def _element_invariants(group: FiniteGroup) -> list[tuple[int, int]]:
     return [(int(orders[x]), int(sizes[x])) for x in range(group.n)]
 
 
-def _hom_images(src: FiniteGroup, dst: FiniteGroup, first_only: bool):
+def _hom_images(src: FiniteGroup, dst: FiniteGroup):
     """Yield image tables of bijective homomorphisms src -> dst."""
     if src.n != dst.n:
         return
@@ -390,21 +369,12 @@ def _hom_images(src: FiniteGroup, dst: FiniteGroup, first_only: bool):
             mark = len(known)
             if try_assign(gens[i], y):
                 yield from rec(i + 1)
-                if first_only:
-                    return
             for x in known[mark:]:
                 used[img[x]] = False
                 img[x] = -1
             del known[mark:]
 
     yield from rec(0)
-
-
-def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Morphism | None:
-    """First isomorphism found by generator-image backtracking, else None."""
-    for m in _hom_images(g, h, first_only=True):
-        return Morphism(g, h, m)
-    return None
 
 
 class AutGroup:
@@ -508,9 +478,6 @@ class AutGroup:
             code += rows[f, x] * r
         return index[code]
 
-    def apply(self, f: int, x: int) -> int:
-        return int(self.perms[f, x])
-
     @cached_property
     def element_orders(self) -> np.ndarray:
         # the order of f is the first j with f^j(s) = s for every generator s
@@ -546,7 +513,7 @@ def compute_automorphisms(group: FiniteGroup, bound: int = 200) -> AutGroup:
     """
     if group.n > bound:
         raise ValueError(f"group of order {group.n} exceeds the bound {bound}")
-    perms = list(_hom_images(group, group, first_only=False))
+    perms = list(_hom_images(group, group))
     return AutGroup(group, np.array(perms, dtype=np.int32))
 
 

@@ -12,10 +12,14 @@ Two independent strategies produce the full list of regular subgroups:
   coset representatives of N, and closes; the Aut(A)-orbit of each hit is
   then expanded by conjugation.
 
-``cross_validate`` checks the two agree element-for-element.  Orbits under
-conjugation by 1 x Aut(A) correspond to isomorphism classes of the attached
-algebraic structures; ``orbit_partition`` computes them with lex-least
-representatives.
+Both hand on each regular subgroup as its lambda table lam (G is
+{(a, lam[a])}), and everything after the closures works on those tables:
+an orbit walk conjugates a table by one scatter and keys it by its bytes,
+pi2 is the set of its values, and the circle group a o b = a * lam[a](b)
+is read off it.  ``cross_validate`` checks the two strategies agree
+subgroup for subgroup.  Orbits under conjugation by 1 x Aut(A) correspond
+to isomorphism classes of the attached algebraic structures;
+``orbit_partition`` computes them with lex-least representatives.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .holomorph import (
     aut_subgroup_classes,
     candidate_pool,
     closure_packed,
-    is_regular,
     pi1_closure_bound,
 )
 
@@ -56,15 +59,20 @@ def _pq_of(n: int) -> tuple[int, int]:
     return ps[0], qs[0]
 
 
+def _circle_table(hol: Holomorph, lam: np.ndarray) -> np.ndarray:
+    """a o b = a * lam[a](b), the product of (a, lam[a]) and (b, lam[b])
+    read in pi1; ValueError unless the lambda of a o b is lam[a] o lam[b],
+    that is unless {(a, lam[a])} is closed, hence a subgroup."""
+    circ = hol.base.mul[np.arange(hol.base.n)[:, None], hol.aut.perms[lam]]
+    if not np.array_equal(lam[circ], hol.aut.product(lam[:, None], lam[None, :])):
+        raise ValueError("lambda table is not closed under multiplication")
+    return circ
+
+
 def circle_group(hol: Holomorph, sub: HolSubgroup) -> FiniteGroup:
-    """The subgroup itself as an abstract group on indices 0..|G|-1."""
-    els = sub.arr
-    m = len(els)
-    packed = hol.product(els[:, None], els[None, :])
-    idx = np.searchsorted(els, packed)
-    if not np.all(els[np.minimum(idx, m - 1)] == packed):
-        raise AssertionError("subgroup is not closed under multiplication")
-    return FiniteGroup(idx.astype(np.int32), check=False)
+    """The subgroup itself as an abstract group, element a standing for
+    (a, lam[a])."""
+    return FiniteGroup(_circle_table(hol, sub.arr), check=False)
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,6 @@ class OrbitClass:
     @property
     def kernel_size(self) -> int:
         return self.rep.kernel_size()
-
-    def sort_key(self):
-        return self.rep.elements
 
 
 # -- depth-first search over canonical generator chains -----------------------
@@ -202,10 +207,8 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
                 continue
             size = len(grown)
             if size == n:
-                sub = HolSubgroup(hol, tuple(map(int, grown)))
-                assert is_regular(hol, sub)
                 assert len(pi1_closure_bound(hol, gens + [y])) == n
-                results.append(sub.elements)
+                results.append(tuple(map(int, grown)))
             elif n % size == 0:
                 visit(grown, set(map(int, grown)), mask, gens + [y], y)
 
@@ -214,7 +217,7 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
     visit(np.array([e], dtype=np.int64), {e}, mask0, [], -1)
 
     assert len(set(results)) == len(results), "canonical-chain DFS produced a duplicate"
-    return sorted((HolSubgroup(hol, t) for t in results), key=lambda s: s.elements)
+    return sorted(HolSubgroup.from_packed(hol, t) for t in results)
 
 
 # -- stratified search: fix pi2 up to conjugacy and the kernel ----------------
@@ -225,12 +228,14 @@ def _divisors(n: int) -> list[int]:
 
 
 def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
-                 kernel: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Regular subgroups with pi2 = <k_gens> exactly and kernel pi1 = kernel.
+                 kernel: tuple[int, ...]) -> list[np.ndarray]:
+    """Lambda tables of the regular subgroups with pi2 = <k_gens> exactly
+    and kernel pi1 = kernel.
 
     Each combination of admissible lifts is closed with an early abort on a
     pi1 collision, which alone decides regularity: if pi1(G) lies in a
     proper subgroup H of A, the closure collides after |H| + 1 elements.
+    A regular closure, sorted, is a * |Aut| + lam[a] for a = 0, 1, ...
     """
     base = hol.base
     aut = hol.aut
@@ -279,18 +284,18 @@ def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
         c = closure_packed(hol, gens_packed, limit=n, require_injective_pi1=True)
         if c is None or len(c) != n:
             continue
-        assert {x % hol.n_aut for x in c} == set(k_elems)
-        found.append(c)
+        lam = (np.array(c) % hol.n_aut).astype(np.int32)
+        assert np.array_equal(np.unique(lam), k_elems)
+        found.append(lam)
     return found
 
 
-def _stratified_reps(hol: Holomorph) -> list[tuple[int, ...]]:
-    """One member per (pi2-class, kernel) stratum; not yet expanded."""
+def _stratified_reps(hol: Holomorph) -> list[np.ndarray]:
+    """Lambda tables of one member per (pi2-class, kernel) stratum; not yet
+    expanded."""
     base = hol.base
     n = base.n
-    out: list[tuple[int, ...]] = [
-        tuple(hol.pack(a, hol.aut.identity) for a in range(n))
-    ]
+    out = [np.full(n, hol.aut.identity, dtype=np.int32)]
     for d in _divisors(n):
         if d == 1 or hol.aut.k % d:
             continue
@@ -302,38 +307,34 @@ def _stratified_reps(hol: Holomorph) -> list[tuple[int, ...]]:
 
 
 def _orbit_of(hol: Holomorph, start: np.ndarray):
-    """Conjugation orbit of a subgroup; returns (lex-min tuple, orbit size)."""
+    """Conjugation orbit of a lambda table; returns (lex-min tuple, orbit
+    size, member tables)."""
     gens = hol.aut.generators
-    key0 = start.tobytes()
-    seen = {key0}
+    seen = {start.tobytes()}
     queue = [start]
-    best = start
-    for arr in queue:
+    best = start.tolist()
+    for lam in queue:
         for h in gens:
-            nxt = hol.conjugate_subgroup(arr, h)
+            nxt = hol.conjugate_subgroup(lam, h)
             key = nxt.tobytes()
             if key not in seen:
                 seen.add(key)
                 queue.append(nxt)
-                if tuple(nxt) < tuple(best):
-                    best = nxt
-    return tuple(map(int, best)), len(seen), queue
+                cand = nxt.tolist()
+                if cand < best:
+                    best = cand
+    return tuple(best), len(seen), queue
 
 
 def enumerate_stratified(hol: Holomorph) -> list[HolSubgroup]:
     """All regular subgroups, via strata expanded by Aut(A)-conjugation."""
     all_sets: set[tuple[int, ...]] = set()
-    for rep in _stratified_reps(hol):
-        arr = np.array(rep, dtype=np.int64)
-        if rep in all_sets:
+    for lam in _stratified_reps(hol):
+        if tuple(lam.tolist()) in all_sets:
             continue
-        _, _, orbit = _orbit_of(hol, arr)
-        for member in orbit:
-            all_sets.add(tuple(map(int, member)))
-    subs = sorted(all_sets)
-    for t in subs:
-        assert is_regular(hol, HolSubgroup(hol, t))
-    return [HolSubgroup(hol, t) for t in subs]
+        _, _, orbit = _orbit_of(hol, lam)
+        all_sets.update(tuple(member.tolist()) for member in orbit)
+    return [HolSubgroup(t) for t in sorted(all_sets)]
 
 
 def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]:
@@ -342,7 +343,7 @@ def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]
     universe = {s.arr.tobytes() for s in subs}
     remaining = set(universe)
     classes: list[OrbitClass] = []
-    for sub in sorted(subs, key=lambda s: s.elements):
+    for sub in sorted(subs):
         if sub.arr.tobytes() not in remaining:
             continue
         best, size, orbit = _orbit_of(hol, sub.arr)
@@ -352,10 +353,10 @@ def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]
                 "conjugate of a regular subgroup missing: enumeration incomplete"
             )
         remaining -= keys
-        rep = HolSubgroup(hol, best)
+        rep = HolSubgroup(best)
         label = identify_p2q(circle_group(hol, rep), p, q)
         classes.append(OrbitClass(rep=rep, orbit_size=size, mul_label=label))
-    return sorted(classes, key=OrbitClass.sort_key)
+    return sorted(classes, key=lambda cl: cl.rep)
 
 
 def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
@@ -373,25 +374,23 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
     by_min: dict[tuple[int, ...], int] = {}
     walked: set[bytes] = set()
     pi2 = None
-    for rep in _stratified_reps(hol):
-        arr = np.array(rep, dtype=np.int64)
-        rep_pi2 = np.unique(arr % hol.n_aut)
+    for lam in _stratified_reps(hol):
+        rep_pi2 = np.unique(lam)
         if pi2 is None or not np.array_equal(rep_pi2, pi2):
             walked.clear()
             pi2 = rep_pi2
-        elif arr.tobytes() in walked:
+        elif lam.tobytes() in walked:
             continue
-        best, size, orbit = _orbit_of(hol, arr)
+        best, size, orbit = _orbit_of(hol, lam)
         assert best not in by_min, "a walk from an unseen representative met a known orbit"
         by_min[best] = size
         walked.update(
             member.tobytes() for member in orbit
-            if np.array_equal(np.unique(member % hol.n_aut), pi2)
+            if np.array_equal(np.unique(member), pi2)
         )
     classes = []
     for key in sorted(by_min):
-        rep = HolSubgroup(hol, key)
-        assert is_regular(hol, rep)
+        rep = HolSubgroup(key)
         label = identify_p2q(circle_group(hol, rep), p, q)
         classes.append(OrbitClass(rep=rep, orbit_size=by_min[key], mul_label=label))
     return classes
@@ -399,8 +398,8 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
 
 def cross_validate(hol: Holomorph) -> tuple[bool, str]:
     """Run both strategies and compare the exact subgroup sets."""
-    dfs = {s.elements for s in enumerate_dfs(hol)}
-    strat = {s.elements for s in enumerate_stratified(hol)}
+    dfs = {s.lam for s in enumerate_dfs(hol)}
+    strat = {s.lam for s in enumerate_stratified(hol)}
     if dfs == strat:
         return True, f"both strategies agree: {len(dfs)} regular subgroups"
     only_d = sorted(dfs - strat)
@@ -411,9 +410,9 @@ def cross_validate(hol: Holomorph) -> tuple[bool, str]:
     ]
     for name, side in (("dfs", only_d), ("stratified", only_s)):
         if side:
-            sub = HolSubgroup(hol, side[0])
+            sub = HolSubgroup(side[0])
             lines.append(
                 f"  first {name}-only subgroup: pi2 size {sub.pi2_size}, "
-                f"elements {side[0][:6]}..."
+                f"lambda {side[0][:6]}..."
             )
     return False, "\n".join(lines)

@@ -7,10 +7,15 @@ lexicographic order on (a, f).  Multiplication is
 first-coordinate projection pi1 is the orbit map of the identity.
 
 A subgroup G <= Hol(A) with |G| = |A| is regular iff pi1 restricted to G is
-a bijection iff G meets 1 x Aut(A) trivially; both forms are checked and
-asserted equal.  Closures abort early on a pi1 collision (two elements with
-the same first coordinate kill regularity of every overgroup), which is the
-main pruning device of the enumeration strategies.
+a bijection.  Then G = {(a, lam[a]) : a in A} for one table lam of
+automorphism indices, and ``HolSubgroup`` stores nothing else.  The sorted
+packed elements of G are a * |Aut| + lam[a] for a = 0, 1, ..., so the lex
+order on lambda tables is the lex order on sorted element tuples.
+Conjugating G by (1, h) sends (a, lam[a]) to (h(a), h lam[a] h^-1): one
+scatter of the table, no sort.  Closures abort early on a pi1 collision
+(two elements with the same first coordinate kill regularity of every
+overgroup), which is the main pruning device of the enumeration
+strategies.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .core import AutGroup, FiniteGroup, closure, subgroups_of_order
 __all__ = [
     "Holomorph",
     "HolSubgroup",
-    "is_regular",
     "pi1_closure_bound",
     "closure_packed",
     "candidate_pool",
@@ -81,68 +85,45 @@ class Holomorph:
         out += self.aut.product(f, g)
         return out
 
-    def conjugate_subgroup(self, elements: np.ndarray, h: int) -> np.ndarray:
-        """(1,h) G (1,h)^{-1} as a sorted packed array."""
-        out = self.aut.perms[h][elements // self.n_aut].astype(np.int64) * self.n_aut
-        out += self.aut.conj_row(h)[elements % self.n_aut]
-        out.sort()
+    def conjugate_subgroup(self, lam: np.ndarray, h: int) -> np.ndarray:
+        """The lambda table of (1,h) G (1,h)^{-1}, G having the table ``lam``:
+        (a, lam[a]) goes to (h(a), h lam[a] h^{-1})."""
+        out = np.empty_like(lam)
+        out[self.aut.perms[h]] = self.aut.conj_row(h)[lam]
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HolSubgroup:
-    """A subgroup of Hol(A), stored as the sorted tuple of packed elements."""
+    """A regular subgroup {(a, lam[a]) : a in A} of Hol(A), stored as its
+    lambda table; the order is the lex order of the sorted element tuples."""
 
-    hol: Holomorph
-    elements: tuple[int, ...]
+    lam: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, HolSubgroup) and self.elements == other.elements
+    @classmethod
+    def from_packed(cls, hol: Holomorph, elements) -> HolSubgroup:
+        """The subgroup with these packed elements; ValueError unless pi1
+        maps them bijectively onto A."""
+        a, f = np.divmod(np.asarray(elements, dtype=np.int64), hol.n_aut)
+        if not np.array_equal(np.sort(a), np.arange(hol.base.n)):
+            raise ValueError("not a regular subgroup: pi1 is not a bijection onto A")
+        lam = np.empty(hol.base.n, dtype=np.int64)
+        lam[a] = f
+        return cls(tuple(lam.tolist()))
 
     @cached_property
     def arr(self) -> np.ndarray:
-        return np.array(self.elements, dtype=np.int64)
+        """The lambda table as a read-only int32 array."""
+        arr = np.array(self.lam, dtype=np.int32)
+        arr.setflags(write=False)
+        return arr
 
     @cached_property
-    def a_parts(self) -> np.ndarray:
-        return self.arr // self.hol.n_aut
-
-    @cached_property
-    def f_parts(self) -> np.ndarray:
-        return self.arr % self.hol.n_aut
-
-    @cached_property
-    def pi2(self) -> tuple[int, ...]:
-        return tuple(sorted(set(map(int, self.f_parts))))
-
-    @property
     def pi2_size(self) -> int:
-        return len(self.pi2)
+        return len(np.unique(self.arr))
 
     def kernel_size(self) -> int:
-        return len(self.elements) // self.pi2_size
-
-
-def is_regular(hol: Holomorph, sub: HolSubgroup) -> bool:
-    """Both equivalent regularity tests, asserted to agree.
-
-    (i) |G| = |A| and pi1 is a bijection onto A;
-    (ii) |G| = |A| and G meets 1 x Aut(A) only in the identity.
-    """
-    n = hol.base.n
-    if len(sub) != n:
-        return False
-    by_pi1 = len(np.unique(sub.a_parts)) == n
-    stab = int(np.count_nonzero(sub.a_parts == hol.base.identity))
-    by_stab = stab == 1
-    assert by_pi1 == by_stab, "the two regularity criteria disagree"
-    return by_pi1
+        return len(self.lam) // self.pi2_size
 
 
 def pi1_closure_bound(hol: Holomorph, generators) -> list[int]:

@@ -27,7 +27,7 @@ from .enumeration import (
 )
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
 from .families import all_labels, aut_order, derive_params, family_aut
-from .holomorph import Holomorph, HolSubgroup, closure_packed, is_regular
+from .holomorph import Holomorph, HolSubgroup
 
 __all__ = [
     "ClassificationReport",
@@ -125,7 +125,7 @@ def _classes_for(hol: Holomorph, strategy: str) -> list[OrbitClass]:
     if strategy == "both":
         via_strat = stratified_orbit_classes(hol)
         via_dfs = orbit_partition(hol, enumerate_dfs(hol))
-        if [c.rep.elements for c in via_strat] != [c.rep.elements for c in via_dfs]:
+        if [c.rep for c in via_strat] != [c.rep for c in via_dfs]:
             raise AssertionError(
                 f"strategies disagree on {hol.base.label.key()}: "
                 f"{len(via_strat)} vs {len(via_dfs)} classes"
@@ -197,6 +197,12 @@ def classify(
             path = cache_path(cache_dir, p, q, key, choice)
             if os.path.exists(path):
                 cached = import_cache(path)
+                found = (cached["p"], cached["q"], cached["additive"], cached["choice"])
+                if found != (p, q, key, choice):
+                    raise CacheError(
+                        f"cache file {path} holds (p, q, additive, choice) = {found}, "
+                        f"looked up {(p, q, key, choice)}"
+                    )
         if cached is not None:
             t0 = time.time()
             cells = [(cl.mul_label.key(), cl.kernel_size) for cl in cached["classes"]]
@@ -444,10 +450,7 @@ def write_cache(
         brace = brace_from_regular(hol, cl.rep)
         orbits.append(
             {
-                "rep": [
-                    [int(a), int(f)]
-                    for a, f in zip(cl.rep.a_parts, cl.rep.f_parts)
-                ],
+                "rep": [[a, f] for a, f in enumerate(cl.rep.lam)],
                 "pi2_size": int(cl.pi2_size),
                 "mul_label": cl.mul_label.key(),
                 "biskew": bool(is_bi_skew(brace)),
@@ -470,9 +473,11 @@ def write_cache(
 def import_cache(path: str) -> dict:
     """Load and revalidate a cached orbit file.
 
-    Every stored representative is closed again and checked for
-    regularity, and its multiplicative label is recomputed; any mismatch
-    raises CacheError rather than silently reusing poisoned data.
+    Every stored representative must have pi1 bijective onto A, so it is a
+    lambda table, and a closed one: the circle group checks that, and a
+    closed finite non-empty subset of a group is a subgroup.  Its
+    multiplicative label is recomputed.  Any mismatch raises CacheError
+    rather than silently reusing poisoned data.
     """
     try:
         with open(path) as fh:
@@ -498,23 +503,25 @@ def import_cache(path: str) -> dict:
     hol = Holomorph(group, sa.aut)
 
     classes: list[OrbitClass] = []
-    seen: set[tuple[int, ...]] = set()
+    seen: set[HolSubgroup] = set()
     for entry in payload["orbits"]:
         pairs = entry["rep"]
         if len(pairs) != group.n:
             raise CacheError(f"cached subgroup has {len(pairs)} != {group.n} elements")
-        packed = sorted(hol.pack(a, f) for a, f in pairs)
-        elements = tuple(packed)
-        if elements in seen:
+        if not all(0 <= a < group.n and 0 <= f < hol.n_aut for a, f in pairs):
+            raise CacheError("cached element out of range")
+        try:
+            sub = HolSubgroup.from_packed(hol, [hol.pack(a, f) for a, f in pairs])
+        except ValueError as exc:
+            raise CacheError(f"cached subgroup: {exc}") from exc
+        if sub in seen:
             raise CacheError("cached orbit representatives are not distinct")
-        seen.add(elements)
-        closed = closure_packed(hol, list(elements))
-        if closed is None or tuple(closed) != elements:
-            raise CacheError("cached element set is not a subgroup")
-        sub = HolSubgroup(hol, elements)
-        if not is_regular(hol, sub):
-            raise CacheError("cached subgroup is not regular")
-        mul_label = identify_p2q(circle_group(hol, sub), p, q)
+        seen.add(sub)
+        try:
+            circ = circle_group(hol, sub)
+        except ValueError as exc:
+            raise CacheError(f"cached element set is not a subgroup: {exc}") from exc
+        mul_label = identify_p2q(circ, p, q)
         if mul_label.key() != entry["mul_label"]:
             raise CacheError(
                 f"cached label {entry['mul_label']} != recomputed {mul_label.key()}"
@@ -522,4 +529,5 @@ def import_cache(path: str) -> dict:
         if sub.pi2_size != entry["pi2_size"]:
             raise CacheError("cached pi2 size does not match")
         classes.append(OrbitClass(rep=sub, orbit_size=0, mul_label=mul_label))
-    return {"p": p, "q": q, "additive": key, "params": params, "classes": classes}
+    return {"p": p, "q": q, "additive": key, "choice": payload["choice"],
+            "params": params, "classes": classes}

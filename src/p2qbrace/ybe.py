@@ -51,9 +51,6 @@ class Solution:
         n = self.n
         return (self.sigma.astype(np.int64) * n + self.tau).reshape(n * n)
 
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        return int(self.sigma[x, y]), int(self.tau[x, y])
-
 
 def solution_from_brace(brace: SkewBrace) -> Solution:
     circ = brace.mul.mul

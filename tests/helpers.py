@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
-from p2qbrace.core import GroupLabel, compute_automorphisms
+import numpy as np
+
+from p2qbrace.core import FiniteGroup, GroupLabel, _hom_images, compute_automorphisms
 from p2qbrace.enumeration import stratified_orbit_classes
 from p2qbrace.families import all_labels, build_group, derive_params, structured_aut
 from p2qbrace.holomorph import Holomorph
@@ -62,3 +65,39 @@ def all_reps(p, q):
         hol = hol_of(p, q, key)
         for cl in classes_of(p, q, key):
             yield key, hol, cl
+
+
+def packed_elements(hol, sub):
+    """The sorted packed elements a * |Aut| + lam[a] of a lambda-form
+    subgroup."""
+    return tuple(a * hol.n_aut + f for a, f in enumerate(sub.lam))
+
+
+def meets_stabiliser_trivially(hol, elements):
+    """The stabiliser criterion for regularity: |G| = |A| and G meets
+    1 x Aut(A), the stabiliser of the identity of A, only in the identity."""
+    a_parts = np.asarray(elements, dtype=np.int64) // hol.n_aut
+    return len(a_parts) == hol.base.n and int((a_parts == hol.base.identity).sum()) == 1
+
+
+@dataclass(eq=False)
+class Morphism:
+    """A map between groups given by its full image table."""
+
+    source: FiniteGroup
+    target: FiniteGroup
+    map: np.ndarray
+
+    def is_homomorphism(self) -> bool:
+        m = self.map
+        return np.array_equal(self.target.mul[m[:, None], m[None, :]], m[self.source.mul])
+
+    def is_bijective(self) -> bool:
+        return self.source.n == self.target.n and len(np.unique(self.map)) == self.source.n
+
+
+def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Morphism | None:
+    """First isomorphism found by generator-image backtracking, else None."""
+    for m in _hom_images(g, h):
+        return Morphism(g, h, m)
+    return None

@@ -1,8 +1,9 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
-Criterion 9 (order 147) is a stretch goal; it runs only when the
-P2QBRACE_STRETCH environment variable is set to 1, since the largest
-holomorph there has 14.5 million elements.
+Criteria 9 (order 147) and 10 (order 171) are stretch goals; they run
+only when the P2QBRACE_STRETCH environment variable is set to 1, since the
+largest holomorph at order 147 has 14.5 million elements and order 171
+takes about a minute.
 """
 
 import os
@@ -15,7 +16,7 @@ import pytest
 from p2qbrace.braces import brace_from_regular, check_axioms
 from p2qbrace.catalog import verify_catalog
 from p2qbrace.enumeration import enumerate_dfs, enumerate_stratified
-from p2qbrace.expected import expected_tables
+from p2qbrace.expected import expected_tables, regime
 from p2qbrace.report import classify, export, verify_tables
 from p2qbrace.ybe import check_nondegenerate, check_ybe, solution_from_brace
 from helpers import (
@@ -32,6 +33,11 @@ PROPERTY_ORDERS = ((2, 5), (2, 7), (2, 13), (3, 7), (5, 3))
 
 # filled by _report; conftest echoes these lines after the run
 RESULT_LINES: list[str] = []
+
+stretch = pytest.mark.skipif(
+    os.environ.get("P2QBRACE_STRETCH") != "1",
+    reason="stretch case; set P2QBRACE_STRETCH=1 to run",
+)
 
 
 def _report(num, desc, problems, elapsed=None, limit=None):
@@ -183,10 +189,7 @@ def test_criterion_8_parameter_independence():
             problems, time.monotonic() - t0)
 
 
-@pytest.mark.skipif(
-    os.environ.get("P2QBRACE_STRETCH") != "1",
-    reason="order 147 stretch; set P2QBRACE_STRETCH=1 to run",
-)
+@stretch
 def test_criterion_9_stretch_order147():
     t0 = time.monotonic()
     problems = []
@@ -206,4 +209,17 @@ def test_criterion_9_stretch_order147():
         if cross != e.cross:
             problems.append(f"{add_key} row {cross} != {e.cross}")
     _report(9, "order 147 stretch rows (8, 24) and B=114",
+            problems, time.monotonic() - t0)
+
+
+@stretch
+def test_criterion_10_stretch_order171_q1_modp2():
+    # q = 1 mod p^2 with p odd: the one regime no other criterion reaches
+    t0 = time.monotonic()
+    problems = []
+    if regime(3, 19) != "q1_modp2":
+        problems.append(f"regime(3, 19) = {regime(3, 19)}")
+    ok, diffs = verify_tables(3, 19)
+    problems.extend(diffs)
+    _report(10, "order 171 tables, regime q1_modp2",
             problems, time.monotonic() - t0)

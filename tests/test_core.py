@@ -10,7 +10,6 @@ from p2qbrace.core import (
     AutGroup,
     FiniteGroup,
     GroupLabel,
-    are_isomorphic,
     closure,
     compute_automorphisms,
     generating_set,
@@ -18,7 +17,7 @@ from p2qbrace.core import (
     subgroups_of_order,
 )
 from p2qbrace.families import family_aut
-from helpers import SMALL_PAIRS, brute_aut_of, group_of, label_keys, params_of
+from helpers import SMALL_PAIRS, are_isomorphic, brute_aut_of, group_of, label_keys, params_of
 
 
 def cyclic(n):

@@ -12,10 +12,17 @@ from p2qbrace.holomorph import (
     aut_subgroup_classes,
     candidate_pool,
     closure_packed,
-    is_regular,
     pi1_closure_bound,
 )
-from helpers import classes_of, hol_of, structured_of
+from helpers import (
+    SMALL_PAIRS,
+    classes_of,
+    hol_of,
+    label_keys,
+    meets_stabiliser_trivially,
+    packed_elements,
+    structured_of,
+)
 
 
 def test_holomorph_is_a_group():
@@ -41,7 +48,7 @@ def test_hol_mul_matches_semidirect_formula():
         a, b = map(int, rng.integers(0, base.n, 2))
         f, g = map(int, rng.integers(0, aut.k, 2))
         x, y = hol.pack(a, f), hol.pack(b, g)
-        expect = hol.pack(int(base.mul[a, aut.apply(f, b)]), aut.compose(f, g))
+        expect = hol.pack(int(base.mul[a, aut.perms[f, b]]), aut.compose(f, g))
         assert hol.mul(x, y) == expect
 
 
@@ -94,20 +101,57 @@ def test_translation_subgroup_is_regular():
         hol = hol_of(2, 5, key)
         ident_aut = hol.aut.identity
         elems = tuple(sorted(hol.pack(a, ident_aut) for a in range(20)))
-        sub = HolSubgroup(hol, elems)
-        assert is_regular(hol, sub)
+        assert meets_stabiliser_trivially(hol, elems)
+        sub = HolSubgroup.from_packed(hol, elems)
+        assert sub.lam == (ident_aut,) * 20
         assert sub.pi2_size == 1
         assert sub.kernel_size() == 20
 
 
 def test_non_regular_subgroup_detected():
     hol = hol_of(2, 5, "CyclicP2Q")
-    # the point stabiliser {0} x Aut has order 8 and fixes 0: not regular,
-    # and not even of order n, so extend it by a translation subgroup part
-    els = closure_packed(hol, [hol.pack(0, f) for f in range(hol.n_aut)])
-    sub = HolSubgroup(hol, els)
-    assert len(sub) == 8
-    assert not is_regular(hol, sub)
+    base, aut = hol.base, hol.aut
+    # the point stabiliser 1 x Aut has order 8 and fixes the identity
+    stab = closure_packed(hol, [hol.pack(base.identity, f) for f in aut.generators])
+    assert len(stab) == 8
+    # translations by an order-10 element and the inversion: order 20, but
+    # pi1 covers only the index-2 subgroup
+    t = next(x for x in range(20) if base.element_orders[x] == 10)
+    inversion = next(f for f in range(aut.k) if np.array_equal(aut.perms[f], base.inv))
+    dihedral = closure_packed(hol, [hol.pack(t, aut.identity), hol.pack(base.identity, inversion)])
+    assert len(dihedral) == 20
+    for els in (stab, dihedral):
+        assert not meets_stabiliser_trivially(hol, els)
+        with pytest.raises(ValueError, match="pi1 is not a bijection"):
+            HolSubgroup.from_packed(hol, els)
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_stabiliser_criterion_accepts_every_class_representative(pair):
+    # every representative is a subgroup (its elements close to themselves)
+    # that the stabiliser criterion calls regular, and the lambda
+    # constructor gives it back from those elements in any order
+    for key in label_keys(*pair):
+        hol = hol_of(*pair, key)
+        for cl in classes_of(*pair, key):
+            elems = packed_elements(hol, cl.rep)
+            assert closure_packed(hol, elems, limit=hol.base.n) == elems
+            assert meets_stabiliser_trivially(hol, elems)
+            assert HolSubgroup.from_packed(hol, elems[::-1]) == cl.rep
+
+
+def test_lambda_order_is_the_packed_tuple_order():
+    # sorted packed elements are a * |Aut| + lam[a], so comparing lambda
+    # tables compares element tuples; random pairs within each family
+    rng = np.random.default_rng(11)
+    for pair in SMALL_PAIRS:
+        for key in label_keys(*pair):
+            hol = hol_of(*pair, key)
+            reps = [cl.rep for cl in classes_of(*pair, key)]
+            for i, j in rng.integers(0, len(reps), size=(20, 2)):
+                r, s = reps[i], reps[j]
+                x, y = packed_elements(hol, r), packed_elements(hol, s)
+                assert (r < s, r == s) == (x < y, x == y)
 
 
 def test_pi1_closure_bound_contains_generated_a_parts():
@@ -124,7 +168,7 @@ def test_candidate_pool_excludes_nothing_regular_needs():
     hol = hol_of(2, 5, "QbyP2_ordP")
     pool = set(map(int, candidate_pool(hol)[0]))
     for cl in classes_of(2, 5, "QbyP2_ordP"):
-        assert set(map(int, cl.rep.elements)) - {hol.identity} <= pool
+        assert set(packed_elements(hol, cl.rep)) - {hol.identity} <= pool
 
 
 def test_aut_subgroup_classes_against_brute_force():
@@ -165,15 +209,16 @@ def test_subgroup_pi2_and_kernel_size():
     hol = hol_of(2, 5, "CyclicP2Q")
     for cl in classes_of(2, 5, "CyclicP2Q"):
         sub = cl.rep
-        assert len(sub) == 20
+        assert len(sub.lam) == 20
         assert sub.pi2_size * sub.kernel_size() == 20
-        assert len(set(map(int, sub.f_parts))) == sub.pi2_size
+        assert len(set(sub.lam)) == sub.pi2_size
 
 
 @pytest.mark.parametrize("table", [True, False])
 def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
-    # the gather through a conjugation row equals (1,h) x (1,h)^-1 computed
-    # element by element, with the composition table and without it
+    # the scatter of a lambda table through a conjugation row equals
+    # (1,h) x (1,h)^-1 computed element by element with hol.mul and hol.inv,
+    # with the composition table and without it
     if not table:
         monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
     sa = family_aut(2, 5, "QbyP2_ordP")
@@ -186,9 +231,11 @@ def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
         for h in hs:
             g = hol.pack(hol.base.identity, h)
             gi = hol.inv(g)
-            expect = sorted(hol.mul(hol.mul(g, int(x)), gi) for x in cl.rep.arr)
-            assert hol.conjugate_subgroup(cl.rep.arr, h).tolist() == expect
+            conj = [hol.mul(hol.mul(g, x), gi) for x in packed_elements(hol, cl.rep)]
+            got = hol.conjugate_subgroup(cl.rep.arr, h)
+            assert got.dtype == cl.rep.arr.dtype
+            assert tuple(got.tolist()) == HolSubgroup.from_packed(hol, conj).lam
     cached = classes_of(2, 5, "QbyP2_ordP")
-    assert [(c.rep.elements, c.orbit_size, c.mul_label) for c in classes] == [
-        (c.rep.elements, c.orbit_size, c.mul_label) for c in cached
+    assert [(c.rep, c.orbit_size, c.mul_label) for c in classes] == [
+        (c.rep, c.orbit_size, c.mul_label) for c in cached
     ]

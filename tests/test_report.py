@@ -1,6 +1,7 @@
 """Classification reports, serialization, caching, table verification."""
 
 import json
+import shutil
 
 import pytest
 
@@ -169,6 +170,30 @@ def test_cache_rejects_edited_elements(tmp_path):
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CacheError):
         import_cache(path)
+
+
+def test_cache_rejects_swapped_lambda_entries(tmp_path):
+    # pi1 stays a bijection and the labels stay as written; only the closure
+    # check of the circle group can notice
+    path = write_cache(str(tmp_path), 2, 7, "QbyP2_ordP", "first")
+    data = json.loads(open(path).read())
+    rep = data["orbits"][3]["rep"]
+    assert [a for a, _ in rep] == list(range(28))
+    assert rep[4][1] != rep[5][1]
+    rep[4][1], rep[5][1] = rep[5][1], rep[4][1]
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CacheError, match="lambda table is not closed"):
+        import_cache(path)
+
+
+def test_classify_rejects_the_cache_of_another_family(tmp_path):
+    classify(2, 5, cache_dir=str(tmp_path))
+    shutil.copy(
+        cache_path(str(tmp_path), 2, 5, "PxPQ", "first"),
+        cache_path(str(tmp_path), 2, 5, "QbyP2_ordP2", "first"),
+    )
+    with pytest.raises(CacheError, match=r"holds .*'PxPQ'.* looked up .*'QbyP2_ordP2'"):
+        classify(2, 5, cache_dir=str(tmp_path))
 
 
 def test_cache_rejects_wrong_version(tmp_path):

@@ -102,8 +102,7 @@ def test_trivial_brace_gives_the_flip():
     from helpers import hol_of
 
     hol = hol_of(2, 5, "CyclicP2Q")
-    elems = tuple(sorted(hol.pack(a, hol.aut.identity) for a in range(20)))
-    brace = brace_from_regular(hol, HolSubgroup(hol, elems))
+    brace = brace_from_regular(hol, HolSubgroup((hol.aut.identity,) * 20))
     sol = solution_from_brace(brace)
     ref = flip(20)
     assert np.array_equal(sol.sigma, ref.sigma)
@@ -148,11 +147,16 @@ def test_involutive_exactly_for_abelian_additive():
 
 
 def test_solution_apply_matches_tables():
+    # r(x, y) = (lambda_x(y), lambda_x(y)' o x o y), entry by entry from the
+    # brace, against the gathered sigma and tau tables
     for key, hol, cl in all_reps(2, 5):
         brace = brace_from_regular(hol, cl.rep)
         sol = solution_from_brace(brace)
-        assert sol.apply(3, 7) == (int(sol.sigma[3, 7]), int(sol.tau[3, 7]))
-        break
+        circ, cinv = brace.mul.mul, brace.mul.inv
+        for x, y in ((3, 7), (0, 11), (19, 19)):
+            s = int(hol.aut.perms[brace.lam[x], y])
+            t = int(circ[circ[cinv[s], x], y])
+            assert (int(sol.sigma[x, y]), int(sol.tau[x, y])) == (s, t), key
 
 
 def test_r_is_a_bijection_on_pairs():
