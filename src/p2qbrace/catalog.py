@@ -624,20 +624,3 @@ def verify_catalog(
         ctx, classes = contexts[additive]
         reports.append(verify_lemma(lid, p, q, choice, ctx=ctx, enumerated=classes))
     return reports
-
-
-def gf_level_subgroup(ctx: FamilyContext, x: int, y: int) -> tuple[int, ...]:
-    """The plane subgroup attached to a vector v = (x, y): generated by the
-    two translation-automorphism pairs whose invariant is psi(x, y)."""
-    p, xi = ctx.params.p, ctx.params.xi
-    if xi is None:
-        raise RecipeError("plane subgroups need the irreducible-action family")
-    vt = ((-y - 1) % p, (x - xi * y - 1) % p)
-    a1 = ctx.aut_of({"w": "0", "n": "1", "m": "0", "x": "1", "y": "0"}, {})
-    a2 = ctx.aut_of({"w": "0", "n": "0", "m": "1", "x": "1", "y": "0"}, {})
-    g1 = ctx.hol.pack(ctx.element_of_word((("s", str(vt[0])), ("t", str(vt[1]))), {}), a1)
-    g2 = ctx.hol.pack(ctx.element_of_word((("s", str(x)), ("t", str(y))), {}), a2)
-    elems = closure_packed(ctx.hol, [g1, g2], limit=p * p)
-    if elems is None or len(elems) != p * p:
-        raise RecipeError(f"plane subgroup at ({x}, {y}) does not have order p²")
-    return elems

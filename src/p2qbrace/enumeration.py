@@ -8,9 +8,12 @@ Two independent strategies produce the full list of regular subgroups:
   so no deduplication is needed; a hash-set assertion keeps this honest.
 
 * ``enumerate_stratified`` fixes the image K = pi2(G) up to conjugacy and
-  the kernel N = pi1(G meet A x 1), lifts generators of K through right
-  coset representatives of N, and closes; the Aut(A)-orbit of each hit is
-  then expanded by conjugation.
+  the kernel N = pi1(G meet A x 1) and lifts generators of K through right
+  coset representatives of N.  All combinations of lifts are closed at
+  once, as partial lambda tables filled in rounds until nothing changes: a
+  table closed under right multiplication by the generators is the
+  subgroup they generate, and two values for one cell are a pi1 collision.
+  The Aut(A)-orbit of each regular hit is then expanded by conjugation.
 
 Both hand on each regular subgroup as its lambda table lam (G is
 {(a, lam[a])}), and everything after the closures works on those tables:
@@ -24,7 +27,7 @@ to isomorphism classes of the attached algebraic structures;
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,6 @@ from .holomorph import (
     Holomorph,
     aut_subgroup_classes,
     candidate_pool,
-    closure_packed,
     pi1_closure_bound,
 )
 
@@ -223,20 +225,42 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
 # -- stratified search: fix pi2 up to conjugacy and the kernel ----------------
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+_CHUNK_CELLS = 2**14  # lambda cells per chunk of combinations: bounded temporaries
 
 
-def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
-                 kernel: tuple[int, ...]) -> list[np.ndarray]:
-    """Lambda tables of the regular subgroups with pi2 = <k_gens> exactly
-    and kernel pi1 = kernel.
+def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Lambda tables of the rows of generators that generate regular
+    subgroups, in row order; row r holds the generators (b[r, j], g[j]).
 
-    Each combination of admissible lifts is closed with an early abort on a
-    pi1 collision, which alone decides regularity: if pi1(G) lies in a
-    proper subgroup H of A, the closure collides after |H| + 1 elements.
-    A regular closure, sorted, is a * |Aut| + lam[a] for a = 0, 1, ...
+    Row r starts as lam[e] = id.  Each round sends the cells (a, lam[a])
+    filled in the round before through every generator (b, g), writing
+    lam[a * lam[a](b)] = lam[a] o g into the empty cells; a row dies when
+    a cell then disagrees with a write to it, an old value or a new one.
     """
+    base, aut = hol.base, hol.aut
+    rows, n = len(b), base.n
+    lam = np.full((rows, n), -1, dtype=np.int32)
+    lam[:, base.identity] = aut.identity
+    flat = lam.reshape(-1)
+    alive = np.ones(rows, dtype=bool)
+    r, a = np.arange(rows), np.full(rows, base.identity)
+    while r.size:
+        f = lam[r, a]
+        cell = r[:, None] * n + base.mul[a[:, None], aut.perms[f[:, None], b[r]]]
+        val = aut.product(f[:, None], g[None, :])
+        empty = flat[cell] < 0
+        flat[cell[empty]] = val[empty]
+        alive[r[(flat[cell] != val).any(axis=1)]] = False
+        r, a = np.divmod(np.unique(cell[empty]), n)
+        live = alive[r]
+        r, a = r[live], a[live]
+    return lam[alive & (lam >= 0).all(axis=1)]
+
+
+def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...]):
+    """Generators of the kernel, and for each generator alpha of K the right
+    coset representatives u of the kernel for which (u, alpha) can lie in a
+    regular subgroup with that kernel."""
     base = hol.base
     aut = hol.aut
     n = base.n
@@ -254,7 +278,7 @@ def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
             seen[base.mul[n_arr, u]] = True
 
     orders = aut.element_orders
-    per_gen: list[list[int]] = []
+    per_gen: list[np.ndarray] = []
     for alpha in k_gens:
         o = int(orders[alpha])
         good = []
@@ -271,38 +295,56 @@ def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
             if wf != aut.identity or not n_mask[wa]:
                 continue
             good.append(u)
-        if not good:
-            return []
-        per_gen.append(good)
+        per_gen.append(np.array(good, dtype=np.int64))
+    return n_gens, per_gen
 
+
+def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
+                 kernel: tuple[int, ...]) -> list[np.ndarray]:
+    """Lambda tables of the regular subgroups with pi2 = <k_gens> exactly
+    and kernel pi1 = kernel, in the order of the lift combinations.
+
+    Every combination of admissible lifts, with the kernel generators, is a
+    row of ``_regular_closures``, a chunk of rows at a time.  The cells of a
+    live row are closed under right multiplication by the generators, so in
+    a finite group they are the subgroup G the row generates, and a row dies
+    exactly on a pi1 collision in G: a row is returned iff G is regular.
+    """
+    n_gens, lifts = _lifts(hol, k_gens, kernel)
+    shape = tuple(map(len, lifts))
+    g = np.array(list(k_gens) + [hol.aut.identity] * len(n_gens), dtype=np.int64)
+    total, step = math.prod(shape), max(1, _CHUNK_CELLS // hol.base.n)
     found = []
-    kernel_packed = [hol.pack(m, aut.identity) for m in n_gens]
-    for combo in itertools.product(*per_gen):
-        gens_packed = kernel_packed + [
-            hol.pack(u, alpha) for u, alpha in zip(combo, k_gens)
-        ]
-        c = closure_packed(hol, gens_packed, limit=n, require_injective_pi1=True)
-        if c is None or len(c) != n:
-            continue
-        lam = (np.array(c) % hol.n_aut).astype(np.int32)
+    for lo in range(0, total, step):
+        combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
+        b = np.column_stack([lift[i] for lift, i in zip(lifts, combo)]
+                            + [np.full(len(combo[0]), m) for m in n_gens])
+        found.extend(_regular_closures(hol, b, g))
+    for lam in found:
         assert np.array_equal(np.unique(lam), k_elems)
-        found.append(lam)
     return found
+
+
+def _strata(hol: Holomorph):
+    """(K, generators of K, kernel) for every class representative K of
+    the subgroups of Aut(A) of order d > 1 dividing n, and every subgroup
+    of A of order n / d."""
+    n = hol.base.n
+    for d in range(2, n + 1):
+        if n % d or hol.aut.k % d:
+            continue
+        for k_rep in aut_subgroup_classes(hol.aut, d):
+            k_gens = generating_set(hol.aut, k_rep)
+            for kernel in subgroups_of_order(hol.base, n // d):
+                yield k_rep, k_gens, kernel
 
 
 def _stratified_reps(hol: Holomorph) -> list[np.ndarray]:
     """Lambda tables of one member per (pi2-class, kernel) stratum; not yet
     expanded."""
-    base = hol.base
-    n = base.n
-    out = [np.full(n, hol.aut.identity, dtype=np.int32)]
-    for d in _divisors(n):
-        if d == 1 or hol.aut.k % d:
-            continue
-        for k_rep in aut_subgroup_classes(hol.aut, d):
-            k_gens = generating_set(hol.aut, k_rep)
-            for kernel in subgroups_of_order(base, n // d):
-                out.extend(_lift_search(hol, k_rep, k_gens, kernel))
+    out = [np.full(hol.base.n, hol.aut.identity, dtype=np.int32)]
+    for k_rep, k_gens, kernel in _strata(hol):
+        out.extend(_lift_search(hol, k_rep, k_gens, kernel))
     return out
 
 

@@ -204,17 +204,6 @@ def all_labels(p: int, q: int) -> list[GroupLabel]:
     return labels
 
 
-def _geom_table(b: int, count: int, mod: int) -> np.ndarray:
-    """geom[k] = 1 + b + ... + b^{k-1} mod ``mod``."""
-    out = np.zeros(count, dtype=np.int64)
-    acc, power = 0, 1
-    for k in range(1, count):
-        acc = (acc + power) % mod
-        power = (power * b) % mod
-        out[k] = acc
-    return out
-
-
 def _pow_table(b: int, count: int, mod: int) -> np.ndarray:
     out = np.empty(count, dtype=np.int64)
     cur = 1

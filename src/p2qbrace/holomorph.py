@@ -12,10 +12,8 @@ automorphism indices, and ``HolSubgroup`` stores nothing else.  The sorted
 packed elements of G are a * |Aut| + lam[a] for a = 0, 1, ..., so the lex
 order on lambda tables is the lex order on sorted element tuples.
 Conjugating G by (1, h) sends (a, lam[a]) to (h(a), h lam[a] h^-1): one
-scatter of the table, no sort.  Closures abort early on a pi1 collision
-(two elements with the same first coordinate kill regularity of every
-overgroup), which is the main pruning device of the enumeration
-strategies.
+scatter of the table, no sort.  ``closure_packed`` closes packed
+generators one element at a time, for the witness catalog.
 """
 
 from __future__ import annotations
@@ -141,35 +139,23 @@ def pi1_closure_bound(hol: Holomorph, generators) -> list[int]:
 
 
 def closure_packed(
-    hol: Holomorph,
-    generators,
-    limit: int | None = None,
-    require_injective_pi1: bool = False,
+    hol: Holomorph, generators, limit: int | None = None
 ) -> tuple[int, ...] | None:
     """Subgroup of Hol(A) generated by packed ``generators``.
 
-    Returns the sorted element tuple, or None as soon as (a) the size
-    exceeds ``limit``, or (b) ``require_injective_pi1`` is set and two
-    elements share a first coordinate.
+    Returns the sorted element tuple, or None as soon as the size exceeds
+    ``limit``.
     """
     gens = sorted({int(g) for g in generators})
     e = hol.identity
     seen = {e}
     out = [e]
-    pi1_seen = np.zeros(hol.base.n, dtype=bool)
-    pi1_seen[hol.base.identity] = True
-    n_aut = hol.n_aut
     queue = [e]
     for u in queue:
         for g in gens:
             v = hol.mul(u, g)
             if v in seen:
                 continue
-            if require_injective_pi1:
-                a = v // n_aut
-                if pi1_seen[a]:
-                    return None
-                pi1_seen[a] = True
             seen.add(v)
             out.append(v)
             if limit is not None and len(out) > limit:

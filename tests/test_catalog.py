@@ -12,7 +12,6 @@ from p2qbrace.catalog import (
     evaluate_witness,
     eval_cond,
     eval_expr,
-    gf_level_subgroup,
     gf_psi,
     gf_vector,
     instantiate_lemma,
@@ -22,6 +21,7 @@ from p2qbrace.catalog import (
     verify_lemma,
 )
 from p2qbrace.enumeration import circle_group
+from helpers import gf_level_subgroup
 
 
 # -- expression language ------------------------------------------------------

@@ -3,19 +3,31 @@
 import numpy as np
 import pytest
 
-from p2qbrace.core import identify_p2q
+from p2qbrace.core import AutGroup, generating_set, identify_p2q
 from p2qbrace.enumeration import (
     circle_group,
     cross_validate,
     enumerate_dfs,
+    _lift_search,
     _orbit_of,
+    _regular_closures,
+    _strata,
     _stratified_reps,
     enumerate_stratified,
     orbit_partition,
     stratified_orbit_classes,
 )
-from p2qbrace.holomorph import HolSubgroup
-from helpers import classes_of, hol_of, label_keys, packed_elements
+from p2qbrace.families import family_aut
+from p2qbrace.holomorph import HolSubgroup, Holomorph
+from helpers import (
+    SMALL_PAIRS,
+    classes_of,
+    hol_of,
+    label_keys,
+    lift_search_oracle,
+    packed_elements,
+    regular_closure_oracle,
+)
 
 
 @pytest.mark.parametrize("key", label_keys(2, 5))
@@ -133,3 +145,67 @@ def test_orbit_skip_matches_the_full_list_oracle():
         (c.rep, c.orbit_size, c.mul_label) for c in oracle
     ]
     assert sum(c.orbit_size for c in skipped) == 552
+
+
+def assert_lift_search_matches_the_oracle(hol):
+    strata = 0
+    for k_rep, k_gens, kernel in _strata(hol):
+        got = _lift_search(hol, k_rep, k_gens, kernel)
+        want = lift_search_oracle(hol, k_rep, k_gens, kernel)
+        assert len(got) == len(want)
+        for lam, oracle in zip(got, want):
+            assert lam.dtype == oracle.dtype and np.array_equal(lam, oracle)
+        strata += 1
+    assert strata
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_lift_search_matches_the_scalar_closure_oracle(pair):
+    # the fixpoint over all lift combinations keeps the tables, and the
+    # order, of one scalar closure per combination; the (3,7) PxQbyP stratum
+    # of 14 175 combinations spans many chunks
+    for key in label_keys(*pair):
+        assert_lift_search_matches_the_oracle(hol_of(*pair, key))
+
+
+@pytest.mark.parametrize("pair_key", [((2, 5), key) for key in label_keys(2, 5)]
+                         + [((3, 7), "PxQbyP")])
+def test_lift_search_matches_the_oracle_without_a_composition_table(monkeypatch, pair_key):
+    (p, q), key = pair_key
+    monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+    sa = family_aut(p, q, key)
+    hol = Holomorph(sa.base, sa.aut)
+    assert not hol.aut.ensure_comp()
+    assert_lift_search_matches_the_oracle(hol)
+
+
+def test_regular_closures_reject_collisions_and_proper_subgroups():
+    hol = hol_of(2, 7, "PxPQ")
+    base, aut = hol.base, hol.aut
+    e, one = base.identity, aut.identity
+    f = next(x for x in range(aut.k) if x != one)
+    a = int(np.nonzero(np.asarray(base.element_orders) == 2)[0][0])
+    gens = generating_set(base)
+    assert len(gens) == 2
+    t = gens[0]
+    cases = [
+        # (e, f) meets the identity (e, id) in pi1 at once
+        ([[e]], [f], False),
+        # (t, id) and (t, f) write one cell in the same round
+        ([[t, t]], [one, f], False),
+        # one translation of order p closes to a proper subgroup
+        ([[a, a]], [one, one], False),
+        # the translations A x 1 are regular
+        ([gens], [one, one], True),
+    ]
+    for b, g, regular in cases:
+        got = _regular_closures(hol, np.array(b), np.array(g))
+        want = regular_closure_oracle(hol, [hol.pack(u, h) for u, h in zip(b[0], g)])
+        assert len(got) == int(regular)
+        assert (want is not None) is regular
+        if regular:
+            assert np.array_equal(got[0], want)
+            assert (got[0] == one).all()
+    # rows are closed independently: of three, only the translations survive
+    rows = _regular_closures(hol, np.array([[a, a], gens, [e, e]]), np.array([one, one]))
+    assert len(rows) == 1 and (rows[0] == one).all()
