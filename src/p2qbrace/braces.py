@@ -20,7 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import AutGroup, FiniteGroup, GroupLabel, identify_p2q, subgroups_of_order
+from .core import (
+    AutGroup,
+    FiniteGroup,
+    GroupLabel,
+    _first_failure,
+    _generates,
+    associativity_failure,
+    identify_p2q,
+)
 from .enumeration import _circle_table, _pq_of
 from .holomorph import HolSubgroup, Holomorph
 
@@ -96,18 +104,8 @@ def brace_from_regular(hol: Holomorph, sub: HolSubgroup) -> SkewBrace:
     return brace
 
 
-def _first_failure(ok: np.ndarray) -> tuple[int, ...] | None:
-    bad = np.argwhere(~ok)
-    if len(bad) == 0:
-        return None
-    return tuple(int(x) for x in bad[0])
-
-
 def _brace_law(plus: FiniteGroup, circ: FiniteGroup) -> np.ndarray:
-    """Where a o (b + c) == (a o b) - a + (a o c), over all (a, b, c).
-
-    Exchanging + and o gives the law of the swapped pair (B, o, +).
-    """
+    """Where a o (b + c) == (a o b) - a + (a o c), over all (a, b, c)."""
     add, mul = plus.mul, circ.mul
     a = np.arange(plus.n)
     lhs = mul[a[:, None, None], add[None, :, :]]
@@ -115,54 +113,79 @@ def _brace_law(plus: FiniteGroup, circ: FiniteGroup) -> np.ndarray:
     return lhs == rhs
 
 
-def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
-    """Exhaustive check of both group structures and the brace law.
+def _gens(group: FiniteGroup) -> list[int]:
+    """The group's generators, or every element if they fail to generate
+    it, so that a check on them is exact either way."""
+    gens = group.generators
+    return gens if _generates(group, gens) else list(range(group.n))
 
-    Returns (ok, message); on failure the message carries the first
-    counterexample triple.
+
+def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
+    """Check both group structures, the brace law and that lambda is a
+    homomorphism, each exactly and each in O(n^2) per generator.
+
+    - Associativity: Light's test (``core.associativity_failure``).
+    - Brace law: a o (b + c) = a o b - a + a o c is, after adding -a on
+      the left of both sides, lambda_a(b + c) = lambda_a(b) + lambda_a(c),
+      triple by triple.  The elements g with lambda_a(g + c) =
+      lambda_a(g) + lambda_a(c) for all c are closed under + (and
+      lambda_a(0) = 0 follows from any one of them), so the law holds iff
+      it holds for g among the additive generators and all a, c.
+    - lambda_{g o b} = lambda_g lambda_b for all b holds for a set of g
+      that is closed under o (lambda_e is the identity), so the
+      o-generators g suffice.
+
+    Returns (ok, message).  When the generator test of the brace law fails,
+    the n^3 scan names the first counterexample (a, b, c) in C order.
     """
     n = brace.n
     a = np.arange(n)
     for name, g in (("additive", brace.add), ("multiplicative", brace.mul)):
         t = g.mul
-        assoc = t[t, :] == t[:, t]
-        if not assoc.all():
-            return False, f"{name} law is not associative at {_first_failure(assoc)}"
+        bad = associativity_failure(g)
+        if bad is not None:
+            return False, f"{name} law is not associative at {bad}"
         ident = g.identity
         if not (np.array_equal(t[ident], a) and np.array_equal(t[:, ident], a)):
             return False, f"{name} identity fails"
         if not np.array_equal(t[a, g.inv], np.full(n, ident)):
             return False, f"{name} inverses fail"
-    ok = _brace_law(brace.add, brace.mul)
-    if not ok.all():
-        return False, f"brace law fails at (a, b, c) = {_first_failure(ok)}"
     add, circ = brace.add.mul, brace.mul.mul
-    # each lambda_a respects +, and a -> lambda_a is a homomorphism on (B, o)
     perms = brace.lambda_perms
-    if not np.array_equal(perms[:, add], add[perms[:, :, None], perms[:, None, :]]):
-        return False, "lambda_a is not additive for some a"
-    if not np.array_equal(perms[circ], perms[:, perms]):
+    g = _gens(brace.add)
+    if not np.array_equal(perms[:, add[g]], add[perms[:, g, None], perms[:, None, :]]):
+        witness = _first_failure(_brace_law(brace.add, brace.mul))
+        return False, f"brace law fails at (a, b, c) = {witness}"
+    g = _gens(brace.mul)
+    if not np.array_equal(perms[circ[g]], perms[g][:, perms]):
         return False, "lambda is not a homomorphism from (B, o)"
     return True, "all axioms hold"
 
 
 def is_bi_skew(brace: SkewBrace) -> bool:
     """Whether (B, o, +) with the roles swapped is also a skew brace:
-    a + (b o c) = (a + b) o a' o (a + c), with a' the o-inverse."""
-    return bool(_brace_law(brace.mul, brace.add).all())
+    a + (b o c) = (a + b) o a' o (a + c), with a' the o-inverse.
+
+    With mu_a(b) = a' o (a + b), that law is, after a' o on the left of
+    both sides, mu_a(b o c) = mu_a(b) o mu_a(c), triple by triple.  The
+    elements g with mu_a(g o c) = mu_a(g) o mu_a(c) for all c are closed
+    under o (mu_a(e) = e), so checking the o-generators g against every a
+    and c is exact: O(n^2) per generator.
+    """
+    add, circ = brace.add.mul, brace.mul.mul
+    mu = circ[brace.mul.inv[:, None], add]
+    g = _gens(brace.mul)
+    return bool(np.array_equal(mu[:, circ[g]], circ[mu[:, g, None], mu[:, None, :]]))
 
 
 def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
     """All ideals: lambda-stable subgroups normal in (B,+) and in (B,o)."""
-    n = brace.n
     out = []
     perms = brace.lambda_perms
     add_gens = brace.add.generators
     mul_gens = brace.mul.generators
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        for cand in subgroups_of_order(brace.add, d):
+    for subs in brace.add.subgroups.values():
+        for cand in subs:
             s = set(cand)
             arr = np.array(cand)
             add_t, add_i = brace.add.mul, brace.add.inv

@@ -27,6 +27,7 @@ __all__ = [
     "FiniteGroup",
     "GroupLabel",
     "AutGroup",
+    "associativity_failure",
     "closure",
     "generating_set",
     "subgroups_of_order",
@@ -111,18 +112,8 @@ class FiniteGroup:
         if (inv < 0).any() or not (mul[inv, np.arange(self.n)] == self.identity).all():
             raise ValueError("table has non-invertible elements")
         self.inv = inv
-        if check:
-            self._check_associative()
         self._generators = list(map(int, generators)) if generators is not None else None
-
-    def _check_associative(self, samples=2000):
-        if self.n <= 200:
-            ok = np.array_equal(self.mul[self.mul, :], self.mul[:, self.mul])
-        else:
-            rng = np.random.default_rng(0)
-            a, b, c = rng.integers(0, self.n, size=(3, samples))
-            ok = np.array_equal(self.mul[self.mul[a, b], c], self.mul[a, self.mul[b, c]])
-        if not ok:
+        if check and associativity_failure(self) is not None:
             raise ValueError("multiplication table is not associative")
 
     # -- basic element arithmetic -------------------------------------------
@@ -192,6 +183,12 @@ class FiniteGroup:
     def exponent(self) -> int:
         return int(lcm(*map(int, np.unique(self.element_orders))))
 
+    @cached_property
+    def subgroups(self) -> dict[int, list[tuple[int, ...]]]:
+        """``subgroups_of_order`` for every order d dividing n, ascending,
+        listed once per group."""
+        return {d: subgroups_of_order(self, d) for d in range(1, self.n + 1) if self.n % d == 0}
+
 
 # -- closure and subgroups ---------------------------------------------------
 #
@@ -220,6 +217,41 @@ def closure(group, seed, limit: int | None = None) -> list[int] | None:
                     return None
                 queue.append(v)
     return sorted(out)
+
+
+def _first_failure(ok: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first False entry of ``ok`` in C order, or None."""
+    bad = np.argwhere(~ok)
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def _generates(group, gens) -> bool:
+    """Whether right multiplication by ``gens``, starting at the identity,
+    reaches every element of the table."""
+    return len(closure(group, gens)) == group.n
+
+
+def associativity_failure(group: FiniteGroup) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in C order with (xy)z != x(yz), or None.
+
+    Light's test: the elements a with (xa)y = x(ay) for all x, y are closed
+    under the product.  For a and b among them, (x(ab))y = ((xa)b)y =
+    (xa)(by) = x(a(by)) = x((ab)y).  So if every generator passes and right
+    multiplication by the generators reaches all n elements from the
+    identity (which passes), the table is associative.  That costs two
+    n x n gathers per generator; the n^3 scan runs only when the test does
+    not pass, to name the first failing triple.  The generators are the
+    group's own when it was given some, else picked greedily in index order,
+    which needs no element orders and so works on any table with an
+    identity.
+    """
+    t = group.mul
+    gens = group._generators
+    if gens is None:
+        gens = generating_set(group, range(group.n))
+    if _generates(group, gens) and np.array_equal(t[t[:, gens]], t[:, t[gens]]):
+        return None
+    return _first_failure(t[t, :] == t[:, t])
 
 
 def generating_set(group, elements=None) -> list[int]:
@@ -497,12 +529,6 @@ class AutGroup:
     @cached_property
     def generators(self) -> list[int]:
         return generating_set(self)
-
-    def as_group(self) -> FiniteGroup:
-        """The abstract group on automorphism indices (needs the comp table)."""
-        if not self.ensure_comp():
-            raise ValueError("automorphism group too large for a Cayley table")
-        return FiniteGroup(self._comp, check=False, name=f"Aut({self.base.name})")
 
 
 def compute_automorphisms(group: FiniteGroup, bound: int = 200) -> AutGroup:

@@ -446,9 +446,6 @@ class StructuredAut:
             coord = tuple(int(v) for v in args)
         return self._index[coord]
 
-    def coords_of(self, i: int) -> dict[str, int]:
-        return dict(zip(self.coord_names, self.coords[i]))
-
 
 def _family_coords(label: GroupLabel, pr: FamilyParams):
     """(coord_names, iterator of coord tuples, gen_images fn, |Aut| formula)."""

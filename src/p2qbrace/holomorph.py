@@ -50,9 +50,6 @@ class Holomorph:
     def pack(self, a: int, f: int) -> int:
         return int(a) * self.n_aut + int(f)
 
-    def unpack(self, x: int) -> tuple[int, int]:
-        return divmod(int(x), self.n_aut)
-
     def mul(self, x: int, y: int) -> int:
         a, f = divmod(int(x), self.n_aut)
         b, g = divmod(int(y), self.n_aut)

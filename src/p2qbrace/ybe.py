@@ -95,7 +95,5 @@ def is_involutive(sol: Solution) -> bool:
 
 def export_solution(sol: Solution) -> str:
     """Plain-text matrix, one row per x, entries "sigma_x(y),tau_y(x)"."""
-    lines = []
-    for xrow, trow in zip(sol.sigma, sol.tau):
-        lines.append(" ".join(f"{int(a)},{int(b)}" for a, b in zip(xrow, trow)))
-    return "\n".join(lines) + "\n"
+    rows = zip(sol.sigma.tolist(), sol.tau.tolist())
+    return "\n".join(" ".join(f"{a},{b}" for a, b in zip(s, t)) for s, t in rows) + "\n"

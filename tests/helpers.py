@@ -98,6 +98,54 @@ class Morphism:
         return self.source.n == self.target.n and len(np.unique(self.map)) == self.source.n
 
 
+def unpack(hol, x):
+    """The pair (a, f) of the packed holomorph element x = a * |Aut| + f."""
+    return divmod(int(x), hol.n_aut)
+
+
+def aut_as_group(aut):
+    """The abstract group on automorphism indices (needs the comp table)."""
+    if not aut.ensure_comp():
+        raise ValueError("automorphism group too large for a Cayley table")
+    return FiniteGroup(aut.comp, check=False, name=f"Aut({aut.base.name})")
+
+
+def coords_of(sa, i):
+    """The structured coordinates of automorphism ``i``, by name."""
+    return dict(zip(sa.coord_names, sa.coords[i]))
+
+
+# a loop of order 5 (identity 0, every element its own inverse); the
+# groups of order 5 are cyclic, so it is not associative
+LOOP5 = np.array([
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+])
+
+
+def direct_product_table(t1, t2):
+    """The product table of two tables on pairs (x1, x2) = x1 * n2 + x2."""
+    n2 = len(t2)
+    x1, x2 = np.divmod(np.arange(len(t1) * n2), n2)
+    return np.asarray(t1)[x1[:, None], x1[None, :]] * n2 + np.asarray(t2)[x2[:, None], x2[None, :]]
+
+
+def first_associativity_failure(table):
+    """Oracle, triple by triple in C order: the first (x, y, z) with
+    (xy)z != x(yz); None if the table is associative."""
+    t = np.asarray(table).tolist()
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if t[t[x][y]][z] != t[x][t[y][z]]:
+                    return (x, y, z)
+    return None
+
+
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Morphism | None:
     """First isomorphism found by generator-image backtracking, else None."""
     for m in _hom_images(g, h):

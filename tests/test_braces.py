@@ -15,7 +15,14 @@ from p2qbrace.braces import (
 )
 from p2qbrace.catalog import FamilyContext, evaluate_witness, instantiate_lemma
 from p2qbrace.core import FiniteGroup
-from helpers import all_reps, classes_of, hol_of
+from helpers import (
+    LOOP5,
+    all_reps,
+    classes_of,
+    direct_product_table,
+    first_associativity_failure,
+    hol_of,
+)
 
 
 def trivial_brace(p, q, key):
@@ -176,6 +183,14 @@ def test_not_every_brace_is_bi_skew():
     assert flags == {True, False}
 
 
+def z6_and_s3():
+    """Z6 and S3 on one carrier, both with identity 0."""
+    z6 = FiniteGroup((np.arange(6)[:, None] + np.arange(6)) % 6)
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    s3 = FiniteGroup([[perms.index(tuple(b[a[k]] for k in range(3))) for b in perms] for a in perms])
+    return z6, s3
+
+
 def first_law_failure(plus, circ):
     """Oracle, triple by triple in C order: the first (a, b, c) with
     a o (b + c) != (a o b) - a + (a o c), with + from ``plus`` and o from
@@ -195,10 +210,8 @@ def test_brace_laws_against_the_triple_oracle():
         brace = brace_from_regular(hol, cl.rep)
         assert first_law_failure(brace.add, brace.mul) is None
         assert is_bi_skew(brace) is (first_law_failure(brace.mul, brace.add) is None)
-    # Z6 and S3 on one carrier, both with identity 0: two groups, no brace
-    z6 = FiniteGroup((np.arange(6)[:, None] + np.arange(6)) % 6)
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
-    s3 = FiniteGroup([[perms.index(tuple(b[a[k]] for k in range(3))) for b in perms] for a in perms])
+    # two groups on one carrier, no brace
+    z6, s3 = z6_and_s3()
     for plus, circ in ((z6, s3), (s3, z6)):
         witness = first_law_failure(plus, circ)
         assert witness is not None
@@ -206,6 +219,91 @@ def test_brace_laws_against_the_triple_oracle():
         assert not ok and msg == f"brace law fails at (a, b, c) = {witness}"
         swapped = SkewBrace(add=circ, mul=plus, lam=None, aut=None)
         assert is_bi_skew(swapped) is (first_law_failure(plus, circ) is None)
+
+
+def axioms_oracle(brace):
+    """``check_axioms`` from the triple oracles: the message of the first
+    failing law, or None.  Identities and inverses are not re-checked, as
+    ``FiniteGroup`` refuses tables without them."""
+    for name, g in (("additive", brace.add), ("multiplicative", brace.mul)):
+        witness = first_associativity_failure(g.mul)
+        if witness is not None:
+            return f"{name} law is not associative at {witness}"
+    witness = first_law_failure(brace.add, brace.mul)
+    if witness is not None:
+        return f"brace law fails at (a, b, c) = {witness}"
+    return None
+
+
+def test_corrupted_circle_tables_fail_with_the_oracle_witness():
+    # swap two automorphisms of a brace's lambda table, or two images of one
+    # lambda_a, and rebuild a o b = a + lambda_a(b)
+    failed = 0
+    for key, hol, cl in all_reps(2, 5):
+        brace = brace_from_regular(hol, cl.rep)
+        n, lam, e = brace.n, brace.lam, brace.add.identity
+        xs = [x for x in range(n) if x != e]
+        other = next((x for x in xs if lam[x] != lam[xs[0]]), None)
+        for swap in ("automorphisms", "images"):
+            perms = brace.lambda_perms.copy()
+            if swap == "images":
+                perms[xs[0], xs[1:3]] = perms[xs[0], xs[2:0:-1]]
+            elif other is not None:
+                perms[[xs[0], other]] = perms[[other, xs[0]]]
+            else:
+                continue
+            try:
+                circ = FiniteGroup(brace.add.mul[np.arange(n)[:, None], perms], check=False)
+            except ValueError:
+                continue  # not even a loop
+            bad = SkewBrace(add=brace.add, mul=circ, lam=None, aut=None)
+            expected = axioms_oracle(bad)
+            assert check_axioms(bad) == (False, expected), f"{key} {swap}"
+            failed += 1
+    assert failed >= 20
+
+
+def test_loops_fail_the_axioms_with_the_oracle_witness():
+    z2 = np.array([[0, 1], [1, 0]])
+    for table in (LOOP5, direct_product_table(LOOP5, z2)):
+        n = len(table)
+        loop = FiniteGroup(table, check=False)
+        cyclic = FiniteGroup((np.arange(n)[:, None] + np.arange(n)) % n)
+        witness = first_associativity_failure(table)
+        ok, msg = check_axioms(SkewBrace(add=cyclic, mul=loop, lam=None, aut=None))
+        assert not ok and msg == f"multiplicative law is not associative at {witness}"
+        ok, msg = check_axioms(SkewBrace(add=loop, mul=cyclic, lam=None, aut=None))
+        assert not ok and msg == f"additive law is not associative at {witness}"
+
+
+def test_every_generator_is_checked():
+    # Z2 x (Z6, S3): the trivial brace on Z2 times a pair that is no brace,
+    # with the generator of Z2 listed first, so a test of the first
+    # generator alone would pass; both laws must fail with the oracle's
+    # answers
+    z2 = np.array([[0, 1], [1, 0]])
+    z6, s3 = z6_and_s3()
+
+    def times_z2(g):
+        return FiniteGroup(direct_product_table(z2, g.mul), generators=[6] + g.generators)
+
+    for plus, circ in ((z6, s3), (s3, z6)):
+        brace = SkewBrace(add=times_z2(plus), mul=times_z2(circ), lam=None, aut=None)
+        witness = first_law_failure(brace.add, brace.mul)
+        assert witness is not None
+        assert check_axioms(brace) == (False, f"brace law fails at (a, b, c) = {witness}")
+        assert first_law_failure(brace.mul, brace.add) is not None
+        assert not is_bi_skew(brace)
+
+
+def test_bi_skew_against_the_triple_oracle_order28():
+    flags = set()
+    for key, hol, cl in all_reps(2, 7):
+        brace = brace_from_regular(hol, cl.rep)
+        flag = first_law_failure(brace.mul, brace.add) is None
+        assert is_bi_skew(brace) is flag, key
+        flags.add(flag)
+    assert flags == {True, False}
 
 
 def test_invariants_and_isomorphism_separation():

@@ -10,6 +10,7 @@ from p2qbrace.core import (
     AutGroup,
     FiniteGroup,
     GroupLabel,
+    associativity_failure,
     closure,
     compute_automorphisms,
     generating_set,
@@ -17,7 +18,17 @@ from p2qbrace.core import (
     subgroups_of_order,
 )
 from p2qbrace.families import family_aut
-from helpers import SMALL_PAIRS, are_isomorphic, brute_aut_of, group_of, label_keys, params_of
+from helpers import (
+    LOOP5,
+    SMALL_PAIRS,
+    are_isomorphic,
+    brute_aut_of,
+    direct_product_table,
+    first_associativity_failure,
+    group_of,
+    label_keys,
+    params_of,
+)
 
 
 def cyclic(n):
@@ -76,6 +87,30 @@ def test_nonassociative_table_rejected():
     bad[2, 2] = 1
     with pytest.raises(ValueError):
         FiniteGroup(bad)
+
+
+@pytest.mark.parametrize("name", ["loop5", "loop5 x Z2", "Z2 x loop5"])
+def test_nonassociative_loops_fail_at_the_first_triple(name):
+    # identity and inverses hold, so only the associativity test can reject
+    # them; in "loop5 x Z2" the first generator, (e, 1), passes Light's
+    # test and the others must be tested too
+    z2 = np.array([[0, 1], [1, 0]])
+    table = {
+        "loop5": LOOP5,
+        "loop5 x Z2": direct_product_table(LOOP5, z2),
+        "Z2 x loop5": direct_product_table(z2, LOOP5),
+    }[name]
+    witness = first_associativity_failure(table)
+    assert witness is not None
+    assert associativity_failure(FiniteGroup(table, check=False)) == witness
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(table)
+
+
+def test_associativity_test_accepts_groups():
+    for group in (cyclic(12), sym3(), z2xz6_identity_last(), group_of(2, 5, "QbyP2_ordP")):
+        assert associativity_failure(group) is None
+        assert first_associativity_failure(group.mul) is None
 
 
 def test_sym3_structure():

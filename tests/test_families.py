@@ -15,7 +15,7 @@ from p2qbrace.families import (
     mult_order,
     units_of_order,
 )
-from helpers import SMALL_PAIRS, brute_aut_of, group_of, label_keys, structured_of
+from helpers import SMALL_PAIRS, brute_aut_of, coords_of, group_of, label_keys, structured_of
 
 
 def test_prime_helpers():
@@ -118,7 +118,7 @@ def test_automorphism_check_catches_one_corrupted_row():
 def test_structured_aut_coordinate_codec_round_trips():
     sa = structured_of(5, 3, "GF")
     for i in range(0, sa.aut.k, 97):
-        coords = sa.coords_of(i)
+        coords = coords_of(sa, i)
         assert sa.aut_index(**coords) == i
     # composing two automorphisms stays inside the indexed set
     a, b = 1 % sa.aut.k, 7 % sa.aut.k

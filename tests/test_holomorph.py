@@ -16,12 +16,14 @@ from p2qbrace.holomorph import (
 )
 from helpers import (
     SMALL_PAIRS,
+    aut_as_group,
     classes_of,
     hol_of,
     label_keys,
     meets_stabiliser_trivially,
     packed_elements,
     structured_of,
+    unpack,
 )
 
 
@@ -34,7 +36,7 @@ def test_holomorph_is_a_group():
         assert hol.mul(x, hol.identity) == x
         assert hol.mul(hol.identity, x) == x
         assert hol.mul(x, hol.inv(x)) == hol.identity
-        a, f = hol.unpack(x)
+        a, f = unpack(hol, x)
         assert hol.pack(a, f) == x
     for x, y, z in zip(map(int, xs), map(int, xs[1:]), map(int, xs[2:])):
         assert hol.mul(hol.mul(x, y), z) == hol.mul(x, hol.mul(y, z))
@@ -173,10 +175,10 @@ def test_candidate_pool_excludes_nothing_regular_needs():
 
 def test_aut_subgroup_classes_against_brute_force():
     sa = structured_of(2, 5, "CyclicP2Q")
-    aut_as_group = sa.aut.as_group()
+    aut_group = aut_as_group(sa.aut)
     for m in (1, 2, 4):
         classes = aut_subgroup_classes(sa.aut, m)
-        brute = subgroups_of_order(aut_as_group, m)
+        brute = subgroups_of_order(aut_group, m)
         # every brute subgroup is conjugate to exactly one returned class;
         # Aut(Z20) is abelian so conjugacy is equality and counts agree
         assert len(classes) == len(brute)
@@ -185,7 +187,7 @@ def test_aut_subgroup_classes_against_brute_force():
 
 def test_aut_subgroup_classes_nonabelian_case():
     sa = structured_of(2, 5, "QbyP2_ordP")  # |Aut| = 40, nonabelian
-    aut_group = sa.aut.as_group()
+    aut_group = aut_as_group(sa.aut)
     for m in (2, 4, 5, 10):
         classes = aut_subgroup_classes(sa.aut, m)
         brute = subgroups_of_order(aut_group, m)
