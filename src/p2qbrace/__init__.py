@@ -32,15 +32,7 @@ from .catalog import (
     verify_lemma,
 )
 from .core import AutGroup, FiniteGroup, GroupLabel, compute_automorphisms, identify_p2q
-from .enumeration import (
-    OrbitClass,
-    circle_group,
-    cross_validate,
-    enumerate_dfs,
-    enumerate_stratified,
-    orbit_partition,
-    stratified_orbit_classes,
-)
+from .enumeration import OrbitClass, circle_group, stratified_orbit_classes
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
 from .families import (
     FamilyParams,
@@ -103,11 +95,8 @@ __all__ = [
     "compute_automorphisms",
     "conjecture",
     "conjecture_counts",
-    "cross_validate",
     "derive_params",
     "direct_product_pairs",
-    "enumerate_dfs",
-    "enumerate_stratified",
     "evaluate_witness",
     "expected_tables",
     "expected_totals",
@@ -122,7 +111,6 @@ __all__ = [
     "is_bi_skew",
     "is_involutive",
     "manual_notes",
-    "orbit_partition",
     "regime",
     "solution_from_brace",
     "stratified_orbit_classes",

@@ -121,8 +121,8 @@ def _gens(group: FiniteGroup) -> list[int]:
 
 
 def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
-    """Check both group structures, the brace law and that lambda is a
-    homomorphism, each exactly and each in O(n^2) per generator.
+    """Check both group structures and the brace law, each exactly and each
+    in O(n^2) per generator.
 
     - Associativity: Light's test (``core.associativity_failure``).
     - Brace law: a o (b + c) = a o b - a + a o c is, after adding -a on
@@ -131,34 +131,27 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
       lambda_a(g) + lambda_a(c) for all c are closed under + (and
       lambda_a(0) = 0 follows from any one of them), so the law holds iff
       it holds for g among the additive generators and all a, c.
-    - lambda_{g o b} = lambda_g lambda_b for all b holds for a set of g
-      that is closed under o (lambda_e is the identity), so the
-      o-generators g suffice.
+
+    Nothing else can fail.  Identity and inverses hold in both tables, since
+    the ``FiniteGroup`` constructor refuses a table without them.  And once
+    both group laws and the brace law hold, lambda is a homomorphism
+    (B, o) -> Aut(B, +) (Guarnieri-Vendramin, Prop. 1.9): the brace law at
+    b + (-b) = 0 gives a o (-b) = a - a o b + a, the identities coinciding,
+    so lambda_a(lambda_b(c)) = -a + a o (-b) - a + a o (b o c) =
+    -(a o b) + (a o b) o c = lambda_{a o b}(c).
 
     Returns (ok, message).  When the generator test of the brace law fails,
     the n^3 scan names the first counterexample (a, b, c) in C order.
     """
-    n = brace.n
-    a = np.arange(n)
     for name, g in (("additive", brace.add), ("multiplicative", brace.mul)):
-        t = g.mul
         bad = associativity_failure(g)
         if bad is not None:
             return False, f"{name} law is not associative at {bad}"
-        ident = g.identity
-        if not (np.array_equal(t[ident], a) and np.array_equal(t[:, ident], a)):
-            return False, f"{name} identity fails"
-        if not np.array_equal(t[a, g.inv], np.full(n, ident)):
-            return False, f"{name} inverses fail"
-    add, circ = brace.add.mul, brace.mul.mul
-    perms = brace.lambda_perms
+    add, perms = brace.add.mul, brace.lambda_perms
     g = _gens(brace.add)
     if not np.array_equal(perms[:, add[g]], add[perms[:, g, None], perms[:, None, :]]):
         witness = _first_failure(_brace_law(brace.add, brace.mul))
         return False, f"brace law fails at (a, b, c) = {witness}"
-    g = _gens(brace.mul)
-    if not np.array_equal(perms[circ[g]], perms[g][:, perms]):
-        return False, "lambda is not a homomorphism from (B, o)"
     return True, "all axioms hold"
 
 

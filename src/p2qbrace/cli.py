@@ -15,7 +15,7 @@ from .catalog import manual_notes, verify_catalog
 from .enumeration import stratified_orbit_classes
 from .families import family_aut
 from .holomorph import Holomorph
-from .report import STRATEGIES, classify, conjecture, export, verify_tables
+from .report import classify, conjecture, export, verify_tables
 from .ybe import check_nondegenerate, check_ybe, export_solution, is_involutive, solution_from_brace
 
 _PQ = [
@@ -42,21 +42,19 @@ def main():
 @main.command("enumerate")
 @_with_pq
 @click.option("--additive", default=None, help="restrict to one additive family (label key)")
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="stratified", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "md"]), default="md", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write instead of printing")
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None, help="orbit cache directory")
 @click.option("--jobs", type=int, default=1, show_default=True, help="parallel per-family workers")
 @click.option("--budget", type=click.Choice(["normal", "large"]), default="normal", show_default=True)
 @click.option("--choice", type=click.Choice(["first", "second"]), default="first", show_default=True, help="derived parameter choice")
-def enumerate_cmd(p, q, additive, strategy, fmt, out, cache_dir, jobs, budget, choice):
+def enumerate_cmd(p, q, additive, fmt, out, cache_dir, jobs, budget, choice):
     """Classify braces at (p, q) and print or write the count tables."""
     try:
         report = classify(
             p,
             q,
             additive=additive,
-            strategy=strategy,
             choice=choice,
             budget=budget,
             jobs=jobs,
@@ -81,12 +79,11 @@ def enumerate_cmd(p, q, additive, strategy, fmt, out, cache_dir, jobs, budget, c
 
 @main.command("verify-tables")
 @_with_pq
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="stratified", show_default=True)
 @click.option("--choice", type=click.Choice(["first", "second"]), default="first", show_default=True)
-def verify_tables_cmd(p, q, strategy, choice):
+def verify_tables_cmd(p, q, choice):
     """Diff the computed classification against the reference tables."""
     try:
-        ok, diffs = verify_tables(p, q, strategy=strategy, choice=choice)
+        ok, diffs = verify_tables(p, q, choice=choice)
     except ValueError as exc:
         raise _usage(exc)
     for line in diffs:
@@ -97,12 +94,11 @@ def verify_tables_cmd(p, q, strategy, choice):
 
 @main.command("conjecture")
 @_with_pq
-@click.option("--strategy", type=click.Choice(STRATEGIES), default="stratified", show_default=True)
 @click.option("--budget", type=click.Choice(["normal", "large"]), default="normal", show_default=True)
-def conjecture_cmd(p, q, strategy, budget):
+def conjecture_cmd(p, q, budget):
     """Compare computed totals with the closed-form counts."""
     try:
-        res = conjecture(p, q, strategy=strategy, budget=budget)
+        res = conjecture(p, q, budget=budget)
     except ValueError as exc:
         raise _usage(exc)
     for key in ("n", "s_computed", "A_computed", "B_computed"):

@@ -12,8 +12,8 @@ automorphism indices, and ``HolSubgroup`` stores nothing else.  The sorted
 packed elements of G are a * |Aut| + lam[a] for a = 0, 1, ..., so the lex
 order on lambda tables is the lex order on sorted element tuples.
 Conjugating G by (1, h) sends (a, lam[a]) to (h(a), h lam[a] h^-1): one
-scatter of the table, no sort.  ``closure_packed`` closes packed
-generators one element at a time, for the witness catalog.
+scatter of the table, no sort.  ``closure_packed`` is ``core.closure``
+on packed generators, for the witness catalog.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .core import AutGroup, FiniteGroup, closure, subgroups_of_order
 __all__ = [
     "Holomorph",
     "HolSubgroup",
-    "pi1_closure_bound",
     "closure_packed",
-    "candidate_pool",
     "aut_subgroup_classes",
 ]
 
@@ -50,7 +48,7 @@ class Holomorph:
     def pack(self, a: int, f: int) -> int:
         return int(a) * self.n_aut + int(f)
 
-    def mul(self, x: int, y: int) -> int:
+    def compose(self, x: int, y: int) -> int:
         a, f = divmod(int(x), self.n_aut)
         b, g = divmod(int(y), self.n_aut)
         return int(self.base.mul[a, self.aut.perms[f, b]]) * self.n_aut + self.aut.compose(f, g)
@@ -66,14 +64,14 @@ class Holomorph:
         acc, base = self.identity, x
         while k:
             if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = self.compose(acc, base)
+            base = self.compose(base, base)
             k >>= 1
         return acc
 
     def product(self, x, y) -> np.ndarray:
         """x y for broadcast packed arrays ``x`` and ``y``: the
-        vectorized ``mul``."""
+        vectorized ``compose``."""
         a, f = np.divmod(np.asarray(x), self.n_aut)
         b, g = np.divmod(np.asarray(y), self.n_aut)
         out = self.base.mul[a, self.aut.perms[f, b]].astype(np.int64) * self.n_aut
@@ -121,84 +119,16 @@ class HolSubgroup:
         return len(self.lam) // self.pi2_size
 
 
-def pi1_closure_bound(hol: Holomorph, generators) -> list[int]:
-    """Subgroup of A guaranteed to contain pi1(<generators>).
-
-    If G = <(u_i, f_i)> then pi1(G) lies in the subgroup generated by all
-    h(u_i) with h in pi2(G) = <f_i>.  Sound only when applied to a complete
-    generating set (appending generators can only grow the bound).
-    """
-    gens = [int(x) for x in generators]
-    fparts = {g % hol.n_aut for g in gens}
-    k = closure(hol.aut, fparts)
-    seeds = {int(hol.aut.perms[h, g // hol.n_aut]) for h in k for g in gens}
-    return closure(hol.base, seeds)
-
-
 def closure_packed(
     hol: Holomorph, generators, limit: int | None = None
 ) -> tuple[int, ...] | None:
     """Subgroup of Hol(A) generated by packed ``generators``.
 
     Returns the sorted element tuple, or None as soon as the size exceeds
-    ``limit``.
+    ``limit``: ``core.closure`` on the holomorph.
     """
-    gens = sorted({int(g) for g in generators})
-    e = hol.identity
-    seen = {e}
-    out = [e]
-    queue = [e]
-    for u in queue:
-        for g in gens:
-            v = hol.mul(u, g)
-            if v in seen:
-                continue
-            seen.add(v)
-            out.append(v)
-            if limit is not None and len(out) > limit:
-                return None
-            queue.append(v)
-    return tuple(sorted(out))
-
-
-def candidate_pool(hol: Holomorph) -> tuple[np.ndarray, np.ndarray]:
-    """Packed elements that can live in a regular subgroup, sorted
-    ascending, and a table of their powers.
-
-    (a, f) qualifies iff it is not the identity, its order divides |A|, and
-    the cycle of the identity of A under its action is as long as its order
-    (so the cyclic group it generates has injective pi1).  One walk of
-    powers x, x^2, ... over every (a, f) with ord(f) dividing |A| stops each
-    x when pi1(x^j) returns to the identity of A, at the cycle length j; x
-    qualifies iff x^j is the identity there and j divides |A|.  Row i of the
-    table holds x^1, ..., x^ord(x) of pool member i, padded with the
-    identity.
-    """
-    n, n_aut, e = hol.base.n, hol.n_aut, hol.identity
-    fs = np.nonzero(n % hol.aut.element_orders == 0)[0]
-    x = (np.arange(n)[:, None] * n_aut + fs[None, :]).ravel()  # ascending
-    x = x[x != e]
-    qualifies = np.zeros(len(x), dtype=bool)
-    length = np.zeros(len(x), dtype=np.int64)
-    steps = []  # (indices into x, their j-th powers) for j = 1, 2, ...
-    live, cur = np.arange(len(x)), x
-    j = 1
-    while live.size:
-        steps.append((live, cur))
-        back = cur // n_aut == hol.base.identity
-        length[live[back]] = j
-        qualifies[live[back]] = (cur[back] == e) & (n % j == 0)
-        live, cur = live[~back], cur[~back]
-        cur = hol.product(cur, x[live])
-        j += 1
-    members = np.nonzero(qualifies)[0]
-    row = np.full(len(x), -1)
-    row[members] = np.arange(len(members))
-    powers = np.full((len(members), int(length[members].max(initial=0))), e, dtype=np.int64)
-    for j, (live, cur) in enumerate(steps):
-        keep = row[live] >= 0
-        powers[row[live[keep]], j] = cur[keep]
-    return x[members], powers
+    elems = closure(hol, generators, limit)
+    return None if elems is None else tuple(elems)
 
 
 # -- subgroups of Aut(A) up to conjugacy --------------------------------------

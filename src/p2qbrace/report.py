@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 from .braces import brace_from_regular, is_bi_skew
 from .core import identify_p2q
-from .enumeration import (
-    OrbitClass,
-    circle_group,
-    enumerate_dfs,
-    orbit_partition,
-    stratified_orbit_classes,
-)
+from .enumeration import OrbitClass, circle_group, stratified_orbit_classes
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
 from .families import all_labels, aut_order, derive_params, family_aut
 from .holomorph import Holomorph, HolSubgroup
@@ -45,8 +39,6 @@ CACHE_VERSION = 1
 # budget="large".  Covers every order up to 100 with plenty of slack.
 NORMAL_HOL_LIMIT = 150_000
 
-STRATEGIES = ("stratified", "dfs", "both")
-
 
 class CacheError(ValueError):
     """A cache file is unusable: wrong version, stale params, or bad data."""
@@ -57,7 +49,6 @@ class ClassificationReport:
     p: int
     q: int
     regime: str
-    strategy: str
     params: dict[str, int]
     # label key -> {"display": str, "abelian": bool, "total": int,
     #               "cells": {(mul key, kernel size): count}}
@@ -107,7 +98,7 @@ class ClassificationReport:
             "q": self.q,
             "n": self.n,
             "regime": self.regime,
-            "strategy": self.strategy,
+            "strategy": "stratified",
             "params": self.params,
             "rows": rows,
             "totals": {"A": self.a_total, "B": self.b_total, "s": self.s_total},
@@ -117,30 +108,13 @@ class ClassificationReport:
         }
 
 
-def _classes_for(hol: Holomorph, strategy: str) -> list[OrbitClass]:
-    if strategy == "stratified":
-        return stratified_orbit_classes(hol)
-    if strategy == "dfs":
-        return orbit_partition(hol, enumerate_dfs(hol))
-    if strategy == "both":
-        via_strat = stratified_orbit_classes(hol)
-        via_dfs = orbit_partition(hol, enumerate_dfs(hol))
-        if [c.rep for c in via_strat] != [c.rep for c in via_dfs]:
-            raise AssertionError(
-                f"strategies disagree on {hol.base.label.key()}: "
-                f"{len(via_strat)} vs {len(via_dfs)} classes"
-            )
-        return via_strat
-    raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-
-
-def _one_group(args: tuple[int, int, str, str, str, str | None]) -> tuple[str, list, float]:
+def _one_group(args: tuple[int, int, str, str, str | None]) -> tuple[str, list, float]:
     """Classify a single additive type; top-level so process pools can run it."""
-    p, q, key, strategy, choice, cache_dir = args
+    p, q, key, choice, cache_dir = args
     t0 = time.time()
     sa = family_aut(p, q, key, choice)
     hol = Holomorph(sa.base, sa.aut)
-    classes = _classes_for(hol, strategy)
+    classes = stratified_orbit_classes(hol)
     cells = [(cl.mul_label.key(), cl.kernel_size) for cl in classes]
     if cache_dir is not None:
         write_cache(cache_dir, p, q, key, choice, hol=hol, classes=classes)
@@ -152,7 +126,6 @@ def classify(
     q: int,
     *,
     additive: str | None = None,
-    strategy: str = "stratified",
     choice: str = "first",
     budget: str = "normal",
     jobs: int = 1,
@@ -167,8 +140,6 @@ def classify(
     ``cache_dir`` set, orbit representatives are loaded from (or saved to)
     validated cache files.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     if budget not in ("normal", "large"):
         raise ValueError(f"budget must be 'normal' or 'large', got {budget!r}")
     params = derive_params(p, q, choice)
@@ -182,10 +153,8 @@ def classify(
         if not labels:
             raise ValueError(f"no additive type {additive!r} at ({p}, {q})")
 
-    report = ClassificationReport(
-        p=p, q=q, regime=reg, strategy=strategy, params=params.as_dict()
-    )
-    pending: list[tuple[int, int, str, str, str]] = []
+    report = ClassificationReport(p=p, q=q, regime=reg, params=params.as_dict())
+    pending: list[tuple[int, int, str, str, str | None]] = []
     for label in labels:
         key = label.key()
         if budget == "normal" and p * p * q * aut_order(label, params) > NORMAL_HOL_LIMIT:
@@ -209,7 +178,7 @@ def classify(
             _add_row(report, label, p, q, cells)
             report.timings[key] = time.time() - t0
         else:
-            pending.append((p, q, key, strategy, choice, cache_dir))
+            pending.append((p, q, key, choice, cache_dir))
 
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -249,9 +218,7 @@ def _add_row(report, label, p, q, cells: list[tuple[str, int]]) -> None:
 # -- reference-table comparison ------------------------------------------------
 
 
-def verify_tables(
-    p: int, q: int, *, strategy: str = "stratified", choice: str = "first"
-) -> tuple[bool, list[str]]:
+def verify_tables(p: int, q: int, *, choice: str = "first") -> tuple[bool, list[str]]:
     """Diff the computed classification against the reference tables.
 
     Returns (ok, diff lines); each line names the cell, the expected value
@@ -260,7 +227,7 @@ def verify_tables(
     """
     exp = expected_tables(p, q)  # raises outside encoded regimes
     totals = expected_totals(p, q)
-    report = classify(p, q, strategy=strategy, choice=choice, budget="large")
+    report = classify(p, q, choice=choice, budget="large")
     diffs: list[str] = []
 
     nonabelian = {k: r for k, r in report.rows.items() if not r["abelian"]}
@@ -302,15 +269,13 @@ def verify_tables(
     return not diffs, diffs
 
 
-def conjecture(
-    p: int, q: int, *, strategy: str = "stratified", budget: str = "normal"
-) -> dict:
+def conjecture(p: int, q: int, *, budget: str = "normal") -> dict:
     """Compare the computed s/A/B with the closed-form counts.
 
     The formula fields are None when (p, q) sits outside the validity
     range of the closed forms (order 12, or q <= p + 1 for odd p).
     """
-    report = classify(p, q, strategy=strategy, budget=budget)
+    report = classify(p, q, budget=budget)
     if not report.complete:
         raise ValueError(
             f"classification at ({p}, {q}) incomplete under the normal budget; "

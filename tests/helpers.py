@@ -9,10 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from p2qbrace.catalog import FamilyContext, RecipeError
-from p2qbrace.core import FiniteGroup, GroupLabel, _hom_images, compute_automorphisms
-from p2qbrace.enumeration import _lifts, stratified_orbit_classes
+from p2qbrace.core import FiniteGroup, GroupLabel, _hom_images, closure, compute_automorphisms, identify_p2q
+from p2qbrace.enumeration import (
+    OrbitClass,
+    _lifts,
+    _orbit_of,
+    _pq_of,
+    _stratified_reps,
+    circle_group,
+    stratified_orbit_classes,
+)
 from p2qbrace.families import all_labels, build_group, derive_params, structured_aut
-from p2qbrace.holomorph import Holomorph, closure_packed
+from p2qbrace.holomorph import HolSubgroup, Holomorph, closure_packed
 from p2qbrace.report import classify
 
 # the orders every fast test may lean on; (2,13) is reserved for acceptance
@@ -51,8 +59,8 @@ def classes_of(p, q, key, choice="first"):
 
 
 @functools.lru_cache(maxsize=None)
-def report_of(p, q, strategy="stratified", choice="first", budget="normal"):
-    rep = classify(p, q, strategy=strategy, choice=choice, budget=budget)
+def report_of(p, q, choice="first", budget="normal"):
+    rep = classify(p, q, choice=choice, budget=budget)
     rep.check_consistency()
     return rep
 
@@ -180,6 +188,229 @@ def lift_search_oracle(hol, k_elems, k_gens, kernel):
             assert np.array_equal(np.unique(lam), k_elems)
             found.append(lam)
     return found
+
+
+# -- the enumeration oracle: canonical-chain DFS and the full subgroup list ---
+#
+# ``enumerate_dfs`` grows generator chains g_1 < g_2 < ... where each new
+# generator is the smallest element of the extended subgroup not already
+# present.  Every subgroup has exactly one such chain (greedy minimality), so
+# no deduplication is needed; a hash-set assertion keeps this honest.  It
+# shares no code with the strata and lift closures of ``enumeration``, and
+# ``orbit_partition`` walks the orbits of a complete list, so together they
+# check ``stratified_orbit_classes`` class for class.
+
+
+def pi1_closure_bound(hol: Holomorph, generators) -> list[int]:
+    """Subgroup of A guaranteed to contain pi1(<generators>).
+
+    If G = <(u_i, f_i)> then pi1(G) lies in the subgroup generated by all
+    h(u_i) with h in pi2(G) = <f_i>.  Sound only when applied to a complete
+    generating set (appending generators can only grow the bound).
+    """
+    gens = [int(x) for x in generators]
+    fparts = {g % hol.n_aut for g in gens}
+    k = closure(hol.aut, fparts)
+    seeds = {int(hol.aut.perms[h, g // hol.n_aut]) for h in k for g in gens}
+    return closure(hol.base, seeds)
+
+
+def candidate_pool(hol: Holomorph) -> tuple[np.ndarray, np.ndarray]:
+    """Packed elements that can live in a regular subgroup, sorted
+    ascending, and a table of their powers.
+
+    (a, f) qualifies iff it is not the identity, its order divides |A|, and
+    the cycle of the identity of A under its action is as long as its order
+    (so the cyclic group it generates has injective pi1).  One walk of
+    powers x, x^2, ... over every (a, f) with ord(f) dividing |A| stops each
+    x when pi1(x^j) returns to the identity of A, at the cycle length j; x
+    qualifies iff x^j is the identity there and j divides |A|.  Row i of the
+    table holds x^1, ..., x^ord(x) of pool member i, padded with the
+    identity.
+    """
+    n, n_aut, e = hol.base.n, hol.n_aut, hol.identity
+    fs = np.nonzero(n % hol.aut.element_orders == 0)[0]
+    x = (np.arange(n)[:, None] * n_aut + fs[None, :]).ravel()  # ascending
+    x = x[x != e]
+    qualifies = np.zeros(len(x), dtype=bool)
+    length = np.zeros(len(x), dtype=np.int64)
+    steps = []  # (indices into x, their j-th powers) for j = 1, 2, ...
+    live, cur = np.arange(len(x)), x
+    j = 1
+    while live.size:
+        steps.append((live, cur))
+        back = cur // n_aut == hol.base.identity
+        length[live[back]] = j
+        qualifies[live[back]] = (cur[back] == e) & (n % j == 0)
+        live, cur = live[~back], cur[~back]
+        cur = hol.product(cur, x[live])
+        j += 1
+    members = np.nonzero(qualifies)[0]
+    row = np.full(len(x), -1)
+    row[members] = np.arange(len(members))
+    powers = np.full((len(members), int(length[members].max(initial=0))), e, dtype=np.int64)
+    for j, (live, cur) in enumerate(steps):
+        keep = row[live] >= 0
+        powers[row[live[keep]], j] = cur[keep]
+    return x[members], powers
+
+
+def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
+    """All regular subgroups of Hol(A), by canonical-chain DFS."""
+    if not hol.aut.ensure_comp():
+        raise ValueError(
+            "composition table too large for the DFS strategy; use the stratified one"
+        )
+    n = hol.base.n
+    n_aut = hol.n_aut
+
+    e = hol.identity
+    # row i: the powers y, y^2, ..., y^ord(y) = e of pool member y, padded
+    # with e; the identity-cycle length of a pool member equals its order
+    pool, pool_pw = candidate_pool(hol)
+    pool_ord = (pool_pw != e).sum(axis=1) + 1
+
+    results: list[tuple[int, ...]] = []
+
+    def extend(s_sorted: np.ndarray, s_set: set, pi1_mask: np.ndarray,
+               gens: list[int], y: int):
+        """Closure of <S, y>; None on pi1 collision, overflow, or a new
+        element below y (canonical-chain violation)."""
+        seen = set(s_set)
+        seen.add(y)
+        mask = pi1_mask.copy()
+        ay = y // n_aut
+        if mask[ay]:
+            return None, None
+        mask[ay] = True
+        out = list(map(int, s_sorted)) + [y]
+        all_gens = gens + [y]
+        new_queue = [y]
+        # old elements only need the new generator; new ones need all
+        for u in map(int, s_sorted):
+            v = hol.compose(u, y)
+            if v in seen:
+                continue
+            if v < y:
+                return None, None
+            av = v // n_aut
+            if mask[av]:
+                return None, None
+            mask[av] = True
+            seen.add(v)
+            out.append(v)
+            if len(out) > n:
+                return None, None
+            new_queue.append(v)
+        for u in new_queue:
+            for g in all_gens:
+                v = hol.compose(u, g)
+                if v in seen:
+                    continue
+                if v < y:
+                    return None, None
+                av = v // n_aut
+                if mask[av]:
+                    return None, None
+                mask[av] = True
+                seen.add(v)
+                out.append(v)
+                if len(out) > n:
+                    return None, None
+                new_queue.append(v)
+        return np.array(sorted(out), dtype=np.int64), mask
+
+    def visit(s_sorted: np.ndarray, s_set: set, pi1_mask: np.ndarray,
+              gens: list[int], last: int):
+        m = len(s_sorted)
+        lo = int(np.searchsorted(pool, last, side="right"))
+        if lo >= len(pool):
+            return
+        idx = np.arange(lo, len(pool))
+        cand = pool[lo:]
+        cord = pool_ord[lo:]
+        keep = (n % np.lcm(m, cord)) == 0
+        pos = np.searchsorted(s_sorted, cand)
+        pos = np.minimum(pos, m - 1)
+        keep &= s_sorted[pos] != cand
+        if not keep.any():
+            return
+        idx = idx[keep]
+        cand = cand[keep]
+        # products S * y and y * S for every candidate y, vectorized
+        packed = np.concatenate(
+            [
+                hol.product(s_sorted[:, None], cand[None, :]),
+                hol.product(cand[None, :], s_sorted[:, None]),
+            ],
+            axis=0,
+        )
+        bad = pi1_mask[packed // n_aut].any(axis=0)
+        packed.sort(axis=0)
+        # same first coordinate in two distinct products kills injectivity
+        # (the same product appearing twice, e.g. 1*y = y*1, is fine)
+        dup = (np.diff(packed // n_aut, axis=0) == 0) & (np.diff(packed, axis=0) != 0)
+        bad |= dup.any(axis=0)
+        bad |= packed[0] < cand
+        if not (~bad).any():
+            return
+        idx = idx[~bad]
+        cand = cand[~bad]
+        # every power of y must already lie in S or be a fresh element >= y
+        w = pool_pw[idx]
+        in_s = s_sorted[np.minimum(np.searchsorted(s_sorted, w), m - 1)] == w
+        ok = ~(~in_s & ((w < cand[:, None]) | pi1_mask[w // n_aut])).any(axis=1)
+        for y in cand[ok]:
+            y = int(y)
+            grown, mask = extend(s_sorted, s_set, pi1_mask, gens, y)
+            if grown is None:
+                continue
+            size = len(grown)
+            if size == n:
+                assert len(pi1_closure_bound(hol, gens + [y])) == n
+                results.append(tuple(map(int, grown)))
+            elif n % size == 0:
+                visit(grown, set(map(int, grown)), mask, gens + [y], y)
+
+    mask0 = np.zeros(n, dtype=bool)
+    mask0[hol.base.identity] = True
+    visit(np.array([e], dtype=np.int64), {e}, mask0, [], -1)
+
+    assert len(set(results)) == len(results), "canonical-chain DFS produced a duplicate"
+    return sorted(HolSubgroup.from_packed(hol, t) for t in results)
+
+
+def enumerate_stratified(hol: Holomorph) -> list[HolSubgroup]:
+    """All regular subgroups, via strata expanded by Aut(A)-conjugation."""
+    all_sets: set[tuple[int, ...]] = set()
+    for lam in _stratified_reps(hol):
+        if tuple(lam.tolist()) in all_sets:
+            continue
+        _, _, orbit = _orbit_of(hol, lam)
+        all_sets.update(tuple(member.tolist()) for member in orbit)
+    return [HolSubgroup(t) for t in sorted(all_sets)]
+
+
+def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]:
+    """Partition a complete list of regular subgroups into conjugacy orbits."""
+    p, q = _pq_of(hol.base.n)
+    universe = {s.arr.tobytes() for s in subs}
+    remaining = set(universe)
+    classes: list[OrbitClass] = []
+    for sub in sorted(subs):
+        if sub.arr.tobytes() not in remaining:
+            continue
+        best, size, orbit = _orbit_of(hol, sub.arr)
+        keys = {member.tobytes() for member in orbit}
+        if not keys <= universe:
+            raise AssertionError(
+                "conjugate of a regular subgroup missing: enumeration incomplete"
+            )
+        remaining -= keys
+        rep = HolSubgroup(best)
+        label = identify_p2q(circle_group(hol, rep), p, q)
+        classes.append(OrbitClass(rep=rep, orbit_size=size, mul_label=label))
+    return sorted(classes, key=lambda cl: cl.rep)
 
 
 def gf_level_subgroup(ctx: FamilyContext, x: int, y: int) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ import pytest
 
 from p2qbrace.braces import brace_from_regular, check_axioms
 from p2qbrace.catalog import verify_catalog
-from p2qbrace.enumeration import enumerate_dfs, enumerate_stratified
 from p2qbrace.expected import expected_tables, regime
 from p2qbrace.report import classify, export, verify_tables
 from p2qbrace.ybe import check_nondegenerate, check_ybe, solution_from_brace
@@ -23,6 +22,8 @@ from helpers import (
     all_reps,
     brute_aut_of,
     classes_of,
+    enumerate_dfs,
+    enumerate_stratified,
     hol_of,
     label_keys,
     report_of,

@@ -1,8 +1,36 @@
 """The p2qbrace command: exit codes and output of the subcommands."""
 
+import pytest
 from click.testing import CliRunner
 
 from p2qbrace.cli import main
+from p2qbrace.report import export
+from helpers import report_of
+
+
+def test_enumerate_prints_the_export():
+    result = CliRunner().invoke(main, ["enumerate", "--p", "2", "--q", "5", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert result.output == export(report_of(2, 5), "csv")
+
+
+def test_verify_tables_matches_at_order28():
+    result = CliRunner().invoke(main, ["verify-tables", "--p", "2", "--q", "7"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "all cells match\n"
+
+
+def test_conjecture_matches_at_order63():
+    result = CliRunner().invoke(main, ["conjecture", "--p", "3", "--q", "7"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-1] == "match"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-tables", "conjecture"])
+def test_strategy_is_no_longer_an_option(command):
+    result = CliRunner().invoke(main, [command, "--p", "2", "--q", "5", "--strategy", "dfs"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--strategy" in result.output
 
 
 def test_solutions_past_the_brute_force_bound():

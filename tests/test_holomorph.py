@@ -6,22 +6,17 @@ import pytest
 from p2qbrace.core import AutGroup, subgroups_of_order
 from p2qbrace.enumeration import stratified_orbit_classes
 from p2qbrace.families import family_aut
-from p2qbrace.holomorph import (
-    HolSubgroup,
-    Holomorph,
-    aut_subgroup_classes,
-    candidate_pool,
-    closure_packed,
-    pi1_closure_bound,
-)
+from p2qbrace.holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, closure_packed
 from helpers import (
     SMALL_PAIRS,
     aut_as_group,
+    candidate_pool,
     classes_of,
     hol_of,
     label_keys,
     meets_stabiliser_trivially,
     packed_elements,
+    pi1_closure_bound,
     structured_of,
     unpack,
 )
@@ -33,13 +28,13 @@ def test_holomorph_is_a_group():
     rng = np.random.default_rng(7)
     xs = rng.integers(0, hol.size, size=40)
     for x in map(int, xs):
-        assert hol.mul(x, hol.identity) == x
-        assert hol.mul(hol.identity, x) == x
-        assert hol.mul(x, hol.inv(x)) == hol.identity
+        assert hol.compose(x, hol.identity) == x
+        assert hol.compose(hol.identity, x) == x
+        assert hol.compose(x, hol.inv(x)) == hol.identity
         a, f = unpack(hol, x)
         assert hol.pack(a, f) == x
     for x, y, z in zip(map(int, xs), map(int, xs[1:]), map(int, xs[2:])):
-        assert hol.mul(hol.mul(x, y), z) == hol.mul(x, hol.mul(y, z))
+        assert hol.compose(hol.compose(x, y), z) == hol.compose(x, hol.compose(y, z))
 
 
 def test_hol_mul_matches_semidirect_formula():
@@ -51,7 +46,7 @@ def test_hol_mul_matches_semidirect_formula():
         f, g = map(int, rng.integers(0, aut.k, 2))
         x, y = hol.pack(a, f), hol.pack(b, g)
         expect = hol.pack(int(base.mul[a, aut.perms[f, b]]), aut.compose(f, g))
-        assert hol.mul(x, y) == expect
+        assert hol.compose(x, y) == expect
 
 
 def test_candidate_pool_and_powers_match_the_definition():
@@ -85,7 +80,7 @@ def test_product_is_the_vectorized_mul():
         xs, ys = rng.integers(0, hol.size, size=(2, 60))
         prod = hol.product(xs[:, None], ys[None, :])
         assert prod.shape == (60, 60) and prod.dtype == np.int64
-        assert prod.tolist() == [[hol.mul(x, y) for y in map(int, ys)] for x in map(int, xs)]
+        assert prod.tolist() == [[hol.compose(x, y) for y in map(int, ys)] for x in map(int, xs)]
 
 
 def test_closure_packed_gives_subgroups():
@@ -219,7 +214,7 @@ def test_subgroup_pi2_and_kernel_size():
 @pytest.mark.parametrize("table", [True, False])
 def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
     # the scatter of a lambda table through a conjugation row equals
-    # (1,h) x (1,h)^-1 computed element by element with hol.mul and hol.inv,
+    # (1,h) x (1,h)^-1 computed element by element with hol.compose and hol.inv,
     # with the composition table and without it
     if not table:
         monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
@@ -233,7 +228,7 @@ def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
         for h in hs:
             g = hol.pack(hol.base.identity, h)
             gi = hol.inv(g)
-            conj = [hol.mul(hol.mul(g, x), gi) for x in packed_elements(hol, cl.rep)]
+            conj = [hol.compose(hol.compose(g, x), gi) for x in packed_elements(hol, cl.rep)]
             got = hol.conjugate_subgroup(cl.rep.arr, h)
             assert got.dtype == cl.rep.arr.dtype
             assert tuple(got.tolist()) == HolSubgroup.from_packed(hol, conj).lam

@@ -35,8 +35,8 @@ def test_classify_order28_totals_and_consistency():
 def test_classify_rejects_bad_arguments():
     with pytest.raises(ValueError):
         classify(4, 7)
-    with pytest.raises(ValueError):
-        classify(2, 7, strategy="nonsense")
+    with pytest.raises(TypeError):
+        classify(2, 7, strategy="stratified")
     with pytest.raises(ValueError):
         classify(2, 7, additive="NoSuchType")
     with pytest.raises(ValueError):
@@ -50,12 +50,6 @@ def test_classify_single_family():
     # partial reports are marked incomplete about the other families
     full = report_of(2, 7)
     assert full.rows["QbyP2_ordP"] == rep.rows["QbyP2_ordP"]
-
-
-def test_both_strategies_cross_validate():
-    rep = report_of(2, 5, strategy="both")
-    assert rep.s_total == 43
-    assert rep.complete
 
 
 def test_parallel_jobs_give_the_same_report():
