@@ -28,6 +28,7 @@ from .core import (
     _generates,
     associativity_failure,
     identify_p2q,
+    subgroups_of_order,
 )
 from .enumeration import _circle_table, _pq_of
 from .holomorph import HolSubgroup, Holomorph
@@ -177,8 +178,9 @@ def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
     perms = brace.lambda_perms
     add_gens = brace.add.generators
     mul_gens = brace.mul.generators
-    for subs in brace.add.subgroups.values():
-        for cand in subs:
+    subgroups_of_order(brace.add, brace.n)  # lists every order dividing n on the way
+    for d in sorted(brace.add.subgroups):
+        for cand in brace.add.subgroups[d]:
             s = set(cand)
             arr = np.array(cand)
             add_t, add_i = brace.add.mul, brace.add.inv

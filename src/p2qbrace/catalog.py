@@ -48,7 +48,8 @@ from importlib import resources
 
 from .core import FiniteGroup, GroupLabel, identify_p2q
 from .enumeration import OrbitClass, _orbit_of, circle_group, stratified_orbit_classes
-from .families import FamilyParams, derive_params, family_aut, generator_letters, letter_moduli
+from .families import FamilyParams, derive_params, family_aut, generator_letters
+from .families import _mat_add, _mat_apply, _mat_inv, _mat_mul, _mat_pow, _mat_scalar
 from .holomorph import Holomorph, HolSubgroup, closure_packed
 
 DATA_VERSION = 1
@@ -169,43 +170,7 @@ def eval_cond(expr: str, env: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices over Z_p for the irreducible-action vector recipes
-
-
-def _m_mul(A, B, p):
-    a, b, c, d = A
-    e, f, g, h = B
-    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
-
-
-def _m_add(A, B, p):
-    return tuple((x + y) % p for x, y in zip(A, B))
-
-
-def _m_scale(k, A, p):
-    return tuple((k * x) % p for x in A)
-
-
-def _m_pow(A, k, p):
-    R = (1, 0, 0, 1)
-    for _ in range(k):
-        R = _m_mul(R, A, p)
-    return R
-
-
-def _m_inv(A, p):
-    a, b, c, d = A
-    det = (a * d - b * c) % p
-    try:
-        di = pow(det, -1, p)
-    except ValueError:
-        raise RecipeError("singular matrix in a vector recipe") from None
-    return ((d * di) % p, (-b * di) % p, (-c * di) % p, (a * di) % p)
-
-
-def _m_apply(A, v, p):
-    a, b, c, d = A
-    return ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
+# the irreducible-action vector recipes
 
 
 def gf_psi(x: int, y: int, p: int, xi: int) -> int:
@@ -226,26 +191,31 @@ def gf_vector(name: str, env: dict, params: FamilyParams) -> tuple[int, int]:
     p, xi = params.p, params.xi
     if xi is None:
         raise RecipeError("vector recipes need the irreducible-action parameters")
-    I = (1, 0, 0, 1)
-    F = (0, (-1) % p, 1, (-xi) % p)
+    F = params.companion()
 
-    def char_poly(M):
-        return _m_add(_m_add(_m_mul(M, M, p), _m_scale(xi, M, p), p), I, p)
+    def char_poly(M):  # M^2 + xi M + 1
+        return _mat_add(_mat_mul(_mat_add(M, _mat_scalar(xi, p), p), M, p), _mat_scalar(1, p), p)
 
     def minus_I(M):
-        return _m_add(M, _m_scale(-1, I, p), p)
+        return _mat_add(M, _mat_scalar(-1, p), p)
+
+    def inv(M):
+        try:
+            return _mat_inv(M, p)
+        except ValueError:
+            raise RecipeError("singular matrix in a vector recipe") from None
 
     if name in ("ws", "wt"):
         basis = (1, 0) if name == "ws" else (0, 1)
-        return _m_apply(_m_inv(minus_I(F), p), basis, p)
+        return _mat_apply(inv(minus_I(F)), basis, p)
     if name in ("uc", "Fuc"):
         c = int(env["c"])
-        M = _m_inv(char_poly(_m_pow(F, c + 1, p)), p)
-        M = _m_mul(M, _m_inv(minus_I(F), p), p)
-        M = _m_mul(M, minus_I(_m_pow(F, c, p)), p)
-        M = _m_mul(M, minus_I(_m_pow(F, c + 2, p)), p)
-        u = _m_apply(M, (1, 0), p)
-        return _m_apply(F, u, p) if name == "Fuc" else u
+        M = inv(char_poly(_mat_pow(F, c + 1, p)))
+        M = _mat_mul(M, inv(minus_I(F)), p)
+        M = _mat_mul(M, minus_I(_mat_pow(F, c, p)), p)
+        M = _mat_mul(M, minus_I(_mat_pow(F, c + 2, p)), p)
+        u = _mat_apply(M, (1, 0), p)
+        return _mat_apply(F, u, p) if name == "Fuc" else u
     if name in ("va", "vta"):
         a = int(env["a"]) % p
         v = next(
@@ -304,8 +274,9 @@ class FamilyContext:
         self.group: FiniteGroup = self.saut.base
         self.hol = Holomorph(self.group, self.saut.aut)
         self.letters = generator_letters(label)
-        self.moduli = letter_moduli(label, p, q)
         self.gen_of = dict(zip(self.letters, self.group.generators))
+        # the modulus of a letter's exponent is its generator's order
+        self.moduli = {x: int(self.group.element_orders[g]) for x, g in self.gen_of.items()}
         self.coord_moduli = _coord_moduli(label, p, q)
         self.env = _base_env(p, q, self.params)
 
@@ -316,21 +287,14 @@ class FamilyContext:
         for atom, expr in word:
             if atom == "vec":
                 vx, vy = gf_vector(expr, env, self.params)
-                part = self._letter_power("s", vx)
-                part = int(group.mul[part, self._letter_power("t", vy)])
+                s, t = self.gen_of["s"], self.gen_of["t"]
+                part = int(group.mul[group.power(s, vx), group.power(t, vy)])
             else:
                 if atom not in self.gen_of:
                     raise RecipeError(f"unknown letter {atom!r} for {self.label.key()}")
-                part = self._letter_power(atom, eval_expr(expr, env, self.moduli[atom]))
+                part = group.power(self.gen_of[atom], eval_expr(expr, env, self.moduli[atom]))
             elem = int(group.mul[elem, part])
         return elem
-
-    def _letter_power(self, letter: str, exp: int) -> int:
-        g = self.gen_of[letter]
-        out = self.group.identity
-        for _ in range(exp % self.moduli[letter]):
-            out = int(self.group.mul[out, g])
-        return out
 
     def aut_of(self, coords, env: dict) -> int:
         if coords is None:

@@ -16,10 +16,8 @@ assignment is a homomorphism by construction.  That is plenty for
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
@@ -113,6 +111,7 @@ class FiniteGroup:
             raise ValueError("table has non-invertible elements")
         self.inv = inv
         self._generators = list(map(int, generators)) if generators is not None else None
+        self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
         if check and associativity_failure(self) is not None:
             raise ValueError("multiplication table is not associative")
 
@@ -135,6 +134,10 @@ class FiniteGroup:
 
     def compose(self, a: int, b: int) -> int:
         return self._rows[a][b]
+
+    def product(self, a, b) -> np.ndarray:
+        """a b for broadcast index arrays ``a`` and ``b``."""
+        return self.mul[a, b]
 
     def conj(self, a: int, x: int) -> int:
         """a x a^{-1}"""
@@ -180,21 +183,12 @@ class FiniteGroup:
             self._generators = generating_set(self)
         return self._generators
 
-    def exponent(self) -> int:
-        return int(lcm(*map(int, np.unique(self.element_orders))))
-
-    @cached_property
-    def subgroups(self) -> dict[int, list[tuple[int, ...]]]:
-        """``subgroups_of_order`` for every order d dividing n, ascending,
-        listed once per group."""
-        return {d: subgroups_of_order(self, d) for d in range(1, self.n + 1) if self.n % d == 0}
-
 
 # -- closure and subgroups ---------------------------------------------------
 #
 # One kernel for Cayley-table groups and automorphism groups alike: it needs
-# only ``identity``, a scalar ``compose(a, b)`` and ``element_orders``, whose
-# length is the group order.
+# only ``identity``, a scalar ``compose(a, b)``, a vectorized ``product(a, b)``,
+# the ``inv`` array and ``element_orders``, whose length is the group order.
 
 
 def closure(group, seed, limit: int | None = None) -> list[int] | None:
@@ -289,59 +283,56 @@ def _factor(m: int) -> list[tuple[int, int]]:
 
 
 def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
-    """All subgroups of order ``m``, each a sorted tuple of element indices.
+    """All subgroups of order ``m``, each a sorted tuple of element indices,
+    for any ``m`` with at most two distinct prime factors.
 
-    Supports the orders that occur inside groups of order p^2*q
-    (1, r, r^2, r*s, r^2*s and the full order); enough for kernel scans,
-    ideal lattices and the subgroups of Aut(A) that can be images pi2.
-    Only elements of order dividing ``m`` seed the closures.
+    A group whose order has at most two prime factors is solvable
+    (Burnside), so a subgroup H of order m > 1 has a normal subgroup N of
+    some prime index r, and H = N u xN u ... u x^(r-1)N for any x in H
+    outside N.  Conversely, if N has order m/r and x lies outside N,
+    normalises N and has x^r in N, that union of cosets is a subgroup of
+    order m.  So for each prime r | m and each N of order m/r, the
+    candidates x of order dividing m are tested against the generators of
+    N (x g x^-1 in N) and on x^r in N, all at once, and each H is built
+    from its cosets; the elements of H are marked so that H is built once
+    per N.  The lists are kept on the group by order (``group.subgroups``),
+    so the smaller ones are built once.  ValueError if m has more than two
+    distinct prime factors.
     """
+    if m in group.subgroups:
+        return group.subgroups[m]
     orders = np.asarray(group.element_orders)
-    n = len(orders)
-    if m <= 0 or n % m:
+    size = len(orders)
+    if m <= 0 or size % m:
         return []
-    if m == 1:
-        return [(group.identity,)]
-    if m == n:
-        return [tuple(range(n))]
     fac = _factor(m)
-    subs: set[tuple[int, ...]] = set()
-
-    def some_generator(sub):
-        return sub[0] if sub[0] != group.identity else sub[1]
-
-    def join(gens):
-        c = closure(group, gens, limit=m)
-        if c is not None and len(c) == m:
-            subs.add(tuple(c))
-
-    if len(fac) == 1 and fac[0][1] == 1:
-        for x in np.nonzero(orders == m)[0]:
-            subs.add(tuple(closure(group, [x])))
-    elif len(fac) == 1 and fac[0][1] == 2:
-        r = fac[0][0]
-        for x in np.nonzero(orders == m)[0]:
-            subs.add(tuple(closure(group, [x])))
-        small = subgroups_of_order(group, r)
-        for s1, s2 in itertools.combinations(small, 2):
-            join([some_generator(s1), some_generator(s2)])
-    elif len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:
-        r, s = fac[0][0], fac[1][0]
-        small_s = subgroups_of_order(group, s)
-        for s1 in subgroups_of_order(group, r):
-            for s2 in small_s:
-                join([some_generator(s1), some_generator(s2)])
-    elif len(fac) == 2 and sorted(e for _, e in fac) == [1, 2]:
-        r = next(d for d, e in fac if e == 2)
-        s = next(d for d, e in fac if e == 1)
-        small_s = subgroups_of_order(group, s)
-        for s1 in subgroups_of_order(group, r * r):
-            g1 = generating_set(group, s1)
-            for s2 in small_s:
-                join(g1 + [some_generator(s2)])
-    else:
-        raise ValueError(f"unsupported subgroup order {m}")
-    return sorted(subs)
+    if len(fac) > 2:
+        raise ValueError(f"subgroup order {m} has more than two prime factors")
+    found = {(group.identity,)} if m == 1 else set()
+    pool = np.nonzero(m % orders == 0)[0]
+    for r, _ in fac:
+        for sub in subgroups_of_order(group, m // r):
+            in_sub = np.zeros(size, dtype=bool)
+            in_sub[list(sub)] = True
+            x = pool[~in_sub[pool]]
+            for g in generating_set(group, sub):
+                x = x[in_sub[group.product(group.product(x, g), group.inv[x])]]
+            power = x
+            for _ in range(r - 1):
+                power = group.product(power, x)
+            done = in_sub.copy()
+            coset = np.asarray(sub)
+            for y in x[in_sub[power]]:
+                if done[y]:
+                    continue
+                cosets = [coset]
+                for _ in range(r - 1):
+                    cosets.append(group.product(y, cosets[-1]))
+                h = np.sort(np.concatenate(cosets))
+                done[h] = True
+                found.add(tuple(h.tolist()))
+    group.subgroups[m] = sorted(found)
+    return group.subgroups[m]
 
 
 # -- automorphisms and isomorphism -------------------------------------------
@@ -437,10 +428,7 @@ class AutGroup:
         self.inv = self.lookup(np.stack([np.argmax(self.perms == s, axis=1) for s in gens], axis=1))
         self._comp: np.ndarray | None = None
         self._conj_rows: dict[int, np.ndarray] = {}
-
-    @property
-    def comp(self) -> np.ndarray | None:
-        return self._comp
+        self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
 
     def ensure_comp(self) -> bool:
         """Build the k x k composition table if the group is small enough.

@@ -56,7 +56,6 @@ __all__ = [
     "structured_aut",
     "gk_values",
     "generator_letters",
-    "letter_moduli",
 ]
 
 
@@ -120,11 +119,42 @@ class FamilyParams:
         return out
 
 
+# 2x2 matrices over F_p are row pairs ((a, b), (c, d)), acting on column
+# vectors (x, y).
+
+
 def _mat_mul(a, b, p):
     return (
         ((a[0][0] * b[0][0] + a[0][1] * b[1][0]) % p, (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % p),
         ((a[1][0] * b[0][0] + a[1][1] * b[1][0]) % p, (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % p),
     )
+
+
+def _mat_add(a, b, p):
+    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mat_scalar(k, p):
+    return ((k % p, 0), (0, k % p))
+
+
+def _mat_pow(m, k, p):
+    out = _mat_scalar(1, p)
+    for _ in range(k):
+        out = _mat_mul(out, m, p)
+    return out
+
+
+def _mat_inv(m, p):
+    """The inverse of m; ValueError if m is singular."""
+    (a, b), (c, d) = m
+    di = pow((a * d - b * c) % p, -1, p)
+    return ((d * di % p, -b * di % p), (-c * di % p, a * di % p))
+
+
+def _mat_apply(m, v, p):
+    (a, b), (c, d) = m
+    return ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
 
 
 def _mat_order(m, p, limit):
@@ -265,18 +295,11 @@ def _build_gk(pr: FamilyParams, k: int) -> FiniteGroup:
 
 def _build_gf(pr: FamilyParams) -> FiniteGroup:
     p, q = pr.p, pr.q
-    f = pr.companion()
-    fpow = [((1, 0), (0, 1))]
-    for _ in range(q - 1):
-        fpow.append(_mat_mul(fpow[-1], f, p))
-    f00 = np.array([m[0][0] for m in fpow])
-    f01 = np.array([m[0][1] for m in fpow])
-    f10 = np.array([m[1][0] for m in fpow])
-    f11 = np.array([m[1][1] for m in fpow])
     idx = np.arange(p * p * q)
     z, y, x = idx % q, (idx // q) % p, idx // (p * q)
-    X = (x[:, None] + f00[z][:, None] * x[None, :] + f01[z][:, None] * y[None, :]) % p
-    Y = (y[:, None] + f10[z][:, None] * x[None, :] + f11[z][:, None] * y[None, :]) % p
+    f = np.array([_mat_pow(pr.companion(), e, p) for e in range(q)])[z, :, :, None]  # F^z
+    X = (x[:, None] + f[:, 0, 0] * x[None, :] + f[:, 0, 1] * y[None, :]) % p
+    Y = (y[:, None] + f[:, 1, 0] * x[None, :] + f[:, 1, 1] * y[None, :]) % p
     Z = (z[:, None] + z[None, :]) % q
     mul = (X * p + Y) * q + Z
     return FiniteGroup(
@@ -360,24 +383,6 @@ _LETTERS = {
 def generator_letters(label: GroupLabel) -> tuple[str, ...]:
     """Letters naming the presentation generators, aligned with .generators."""
     return _LETTERS[label.family]
-
-
-def letter_moduli(label: GroupLabel, p: int, q: int) -> dict[str, int]:
-    """Order of each presentation generator (the modulus of its exponent)."""
-    fam = label.family
-    if fam == "CyclicP2Q":
-        return {"s": p * p * q}
-    if fam == "PxPQ":
-        return {"s": p, "t": p, "e": q}
-    if fam == "P2SemidirectQ":
-        return {"s": p * p, "t": q}
-    if fam in ("Gk", "GF"):
-        return {"s": p, "t": p, "e": q}
-    if fam in ("QbyP2_ordP", "QbyP2_ordP2"):
-        return {"s": p * p, "t": q}
-    if fam == "PxQbyP":
-        return {"s": p, "t": p, "e": q}
-    raise ValueError(fam)
 
 
 # -- structured automorphism groups -------------------------------------------

@@ -53,14 +53,8 @@ class Holomorph:
         b, g = divmod(int(y), self.n_aut)
         return int(self.base.mul[a, self.aut.perms[f, b]]) * self.n_aut + self.aut.compose(f, g)
 
-    def inv(self, x: int) -> int:
-        a, f = divmod(int(x), self.n_aut)
-        fi = int(self.aut.inv[f])
-        return int(self.aut.perms[fi, self.base.inv[a]]) * self.n_aut + fi
-
     def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv(x), -k
+        """x^k for k >= 0."""
         acc, base = self.identity, x
         while k:
             if k & 1:
@@ -68,15 +62,6 @@ class Holomorph:
             base = self.compose(base, base)
             k >>= 1
         return acc
-
-    def product(self, x, y) -> np.ndarray:
-        """x y for broadcast packed arrays ``x`` and ``y``: the
-        vectorized ``compose``."""
-        a, f = np.divmod(np.asarray(x), self.n_aut)
-        b, g = np.divmod(np.asarray(y), self.n_aut)
-        out = self.base.mul[a, self.aut.perms[f, b]].astype(np.int64) * self.n_aut
-        out += self.aut.product(f, g)
-        return out
 
     def conjugate_subgroup(self, lam: np.ndarray, h: int) -> np.ndarray:
         """The lambda table of (1,h) G (1,h)^{-1}, G having the table ``lam``:

@@ -5,11 +5,21 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
 from p2qbrace.catalog import FamilyContext, RecipeError
-from p2qbrace.core import FiniteGroup, GroupLabel, _hom_images, closure, compute_automorphisms, identify_p2q
+from p2qbrace.core import (
+    FiniteGroup,
+    GroupLabel,
+    _factor,
+    _hom_images,
+    closure,
+    compute_automorphisms,
+    generating_set,
+    identify_p2q,
+)
 from p2qbrace.enumeration import (
     OrbitClass,
     _lifts,
@@ -111,11 +121,39 @@ def unpack(hol, x):
     return divmod(int(x), hol.n_aut)
 
 
+def hol_inv(hol, x):
+    """The inverse (f^-1(a^-1), f^-1) of the packed element x = (a, f)."""
+    a, f = unpack(hol, x)
+    fi = int(hol.aut.inv[f])
+    return int(hol.aut.perms[fi, hol.base.inv[a]]) * hol.n_aut + fi
+
+
+def hol_product(hol, x, y):
+    """x y for broadcast packed arrays ``x`` and ``y``: the vectorized
+    ``Holomorph.compose``."""
+    a, f = np.divmod(np.asarray(x), hol.n_aut)
+    b, g = np.divmod(np.asarray(y), hol.n_aut)
+    out = hol.base.mul[a, hol.aut.perms[f, b]].astype(np.int64) * hol.n_aut
+    out += hol.aut.product(f, g)
+    return out
+
+
+def exponent(group):
+    """The least common multiple of the element orders."""
+    return int(lcm(*map(int, np.unique(group.element_orders))))
+
+
+def comp_table(aut):
+    """The k x k composition table of Aut(A), or None until
+    ``ensure_comp`` builds one."""
+    return aut._comp
+
+
 def aut_as_group(aut):
     """The abstract group on automorphism indices (needs the comp table)."""
     if not aut.ensure_comp():
         raise ValueError("automorphism group too large for a Cayley table")
-    return FiniteGroup(aut.comp, check=False, name=f"Aut({aut.base.name})")
+    return FiniteGroup(comp_table(aut), check=False, name=f"Aut({aut.base.name})")
 
 
 def coords_of(sa, i):
@@ -243,7 +281,7 @@ def candidate_pool(hol: Holomorph) -> tuple[np.ndarray, np.ndarray]:
         length[live[back]] = j
         qualifies[live[back]] = (cur[back] == e) & (n % j == 0)
         live, cur = live[~back], cur[~back]
-        cur = hol.product(cur, x[live])
+        cur = hol_product(hol, cur, x[live])
         j += 1
     members = np.nonzero(qualifies)[0]
     row = np.full(len(x), -1)
@@ -340,8 +378,8 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
         # products S * y and y * S for every candidate y, vectorized
         packed = np.concatenate(
             [
-                hol.product(s_sorted[:, None], cand[None, :]),
-                hol.product(cand[None, :], s_sorted[:, None]),
+                hol_product(hol, s_sorted[:, None], cand[None, :]),
+                hol_product(hol, cand[None, :], s_sorted[:, None]),
             ],
             axis=0,
         )
@@ -411,6 +449,70 @@ def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]
         label = identify_p2q(circle_group(hol, rep), p, q)
         classes.append(OrbitClass(rep=rep, orbit_size=size, mul_label=label))
     return sorted(classes, key=lambda cl: cl.rep)
+
+
+# -- the subgroup oracle: closures of pairs of smaller subgroups -------------
+#
+# ``core.subgroups_of_order`` builds each subgroup from a normal subgroup of
+# prime index and one coset representative.  The oracle takes another road:
+# one branch per factorisation shape of m, each closing pairs of smaller
+# subgroups, with no cache.
+
+
+def subgroups_of_order_oracle(group, m: int) -> list[tuple[int, ...]]:
+    """All subgroups of order ``m``, each a sorted tuple of element indices.
+
+    Supports the orders that occur inside groups of order p^2*q
+    (1, r, r^2, r*s, r^2*s and the full order); enough for kernel scans,
+    ideal lattices and the subgroups of Aut(A) that can be images pi2.
+    Only elements of order dividing ``m`` seed the closures.
+    """
+    orders = np.asarray(group.element_orders)
+    n = len(orders)
+    if m <= 0 or n % m:
+        return []
+    if m == 1:
+        return [(group.identity,)]
+    if m == n:
+        return [tuple(range(n))]
+    fac = _factor(m)
+    subs: set[tuple[int, ...]] = set()
+
+    def some_generator(sub):
+        return sub[0] if sub[0] != group.identity else sub[1]
+
+    def join(gens):
+        c = closure(group, gens, limit=m)
+        if c is not None and len(c) == m:
+            subs.add(tuple(c))
+
+    if len(fac) == 1 and fac[0][1] == 1:
+        for x in np.nonzero(orders == m)[0]:
+            subs.add(tuple(closure(group, [x])))
+    elif len(fac) == 1 and fac[0][1] == 2:
+        r = fac[0][0]
+        for x in np.nonzero(orders == m)[0]:
+            subs.add(tuple(closure(group, [x])))
+        small = subgroups_of_order_oracle(group, r)
+        for s1, s2 in itertools.combinations(small, 2):
+            join([some_generator(s1), some_generator(s2)])
+    elif len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:
+        r, s = fac[0][0], fac[1][0]
+        small_s = subgroups_of_order_oracle(group, s)
+        for s1 in subgroups_of_order_oracle(group, r):
+            for s2 in small_s:
+                join([some_generator(s1), some_generator(s2)])
+    elif len(fac) == 2 and sorted(e for _, e in fac) == [1, 2]:
+        r = next(d for d, e in fac if e == 2)
+        s = next(d for d, e in fac if e == 1)
+        small_s = subgroups_of_order_oracle(group, s)
+        for s1 in subgroups_of_order_oracle(group, r * r):
+            g1 = generating_set(group, s1)
+            for s2 in small_s:
+                join(g1 + [some_generator(s2)])
+    else:
+        raise ValueError(f"unsupported subgroup order {m}")
+    return sorted(subs)
 
 
 def gf_level_subgroup(ctx: FamilyContext, x: int, y: int) -> tuple[int, ...]:

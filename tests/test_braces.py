@@ -19,6 +19,7 @@ from helpers import (
     LOOP5,
     all_reps,
     classes_of,
+    comp_table,
     direct_product_table,
     first_associativity_failure,
     hol_of,
@@ -44,7 +45,7 @@ def test_lambda_is_a_homomorphism_exhaustively():
     # lambda_{a o b} = lambda_a . lambda_b, checked on full tables
     for key, hol, cl in all_reps(2, 7):
         brace = brace_from_regular(hol, cl.rep)
-        lam, comp = brace.lam, brace.aut.comp
+        lam, comp = brace.lam, comp_table(brace.aut)
         assert comp is not None
         circ = brace.mul.mul
         assert np.array_equal(lam[circ], comp[lam[:, None], lam[None, :]])

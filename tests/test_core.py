@@ -23,11 +23,14 @@ from helpers import (
     SMALL_PAIRS,
     are_isomorphic,
     brute_aut_of,
+    comp_table,
     direct_product_table,
+    exponent,
     first_associativity_failure,
     group_of,
     label_keys,
     params_of,
+    subgroups_of_order_oracle,
 )
 
 
@@ -74,7 +77,7 @@ def test_cyclic_group_basics():
     g = cyclic(12)
     assert g.identity == 0
     assert g.is_abelian()
-    assert g.exponent() == 12
+    assert exponent(g) == 12
     # order of k in Z12 is 12/gcd(k, 12)
     assert list(g.element_orders) == [1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12]
     assert g.power(5, 7) == (5 * 7) % 12
@@ -146,6 +149,14 @@ def test_subgroups_of_order_against_hand_counts():
     for sub in subgroups_of_order(s3, 2):
         els = set(sub)
         assert all(int(s3.mul[a, b]) in els for a in sub for b in sub)
+    # (Z2)^3: seven subgroups of order 2 and seven of order 4
+    z2 = cyclic(2).mul
+    z2_cubed = FiniteGroup(direct_product_table(direct_product_table(z2, z2), z2))
+    counts = {m: len(subgroups_of_order(z2_cubed, m)) for m in (1, 2, 4, 8)}
+    assert counts == {1: 1, 2: 7, 4: 7, 8: 1}
+    # the solvability argument needs at most two distinct prime factors
+    with pytest.raises(ValueError):
+        subgroups_of_order(cyclic(60), 30)
 
 
 def test_subgroups_of_order_when_the_identity_is_the_last_index():
@@ -171,6 +182,34 @@ def test_subgroups_of_order_against_closures_of_small_seeds(monkeypatch, case):
             assert subgroups_of_order(group, m) == sorted(s for s in oracle if len(s) == m), m
 
 
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_subgroups_of_order_against_the_pairwise_oracle(monkeypatch, pair, table):
+    # A and Aut(A) of every family, fresh so that no list is cached yet, at
+    # every order dividing both |A| and the group order
+    p, q = pair
+    n = p * p * q
+    if not table:
+        monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+    for key in label_keys(p, q):
+        sa = family_aut(p, q, key)
+        assert sa.aut.ensure_comp() == table
+        for group in (sa.base, sa.aut):
+            size = len(group.element_orders)
+            for m in range(1, n + 1):
+                if n % m == 0 and size % m == 0:
+                    expect = subgroups_of_order_oracle(group, m)
+                    assert subgroups_of_order(group, m) == expect, (key, m)
+
+
+def test_subgroups_of_order_against_the_pairwise_oracle_at_order50():
+    # (5,2) Gk(1): 12 000 automorphisms, past COMP_LIMIT, so no table
+    aut = family_aut(5, 2, "Gk(1)").aut
+    assert not aut.ensure_comp()
+    for m in (10, 25, 50):
+        assert subgroups_of_order(aut, m) == subgroups_of_order_oracle(aut, m), m
+
+
 def test_are_isomorphic_positive_and_negative():
     a = cyclic(6)
     # Z6 under a relabelled table: x*y computed through a permutation
@@ -186,7 +225,7 @@ def test_are_isomorphic_positive_and_negative():
 def test_automorphism_group_is_closed_and_faithful():
     aut = compute_automorphisms(cyclic(12))
     assert aut.ensure_comp()
-    comp = aut.comp
+    comp = comp_table(aut)
     for f in range(aut.k):
         for g in range(aut.k):
             expect = aut.perms[f][aut.perms[g]]  # apply g then f
@@ -208,7 +247,7 @@ def test_comp_table_from_generator_codes(source):
     assert aut.ensure_comp()
     for f in range(aut.k):
         for g in range(aut.k):
-            assert aut.comp[f, g] == index[aut.perms[f][aut.perms[g]].tobytes()]
+            assert comp_table(aut)[f, g] == index[aut.perms[f][aut.perms[g]].tobytes()]
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])

@@ -20,6 +20,7 @@ from helpers import (
     classes_of,
     enumerate_dfs,
     enumerate_stratified,
+    hol_inv,
     hol_of,
     label_keys,
     lift_search_oracle,
@@ -76,7 +77,7 @@ def test_orbit_reps_are_pairwise_nonconjugate():
         arr = packed_elements(hol, c.rep)
         for f in range(hol.n_aut):
             g = hol.pack(0, f)
-            gi = hol.inv(g)
+            gi = hol_inv(hol, g)
             conj = {hol.compose(hol.compose(g, int(x)), gi) for x in arr}
             for j, other in enumerate(rep_sets):
                 if conj == other:
