@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .core import FiniteGroup, GroupLabel, identify_p2q
+from .core import FiniteGroup, identify_p2q
 from .enumeration import OrbitClass, _orbit_of, circle_group, stratified_orbit_classes
 from .families import FamilyParams, derive_params, family_aut, generator_letters
 from .families import _mat_add, _mat_apply, _mat_inv, _mat_mul, _mat_pow, _mat_scalar
@@ -235,34 +235,6 @@ def gf_vector(name: str, env: dict, params: FamilyParams) -> tuple[int, int]:
 # evaluation contexts
 
 
-def _coord_moduli(label: GroupLabel, p: int, q: int) -> dict[str, int]:
-    fam = label.family
-    if fam == "QbyP2_ordP":
-        return {"k": p, "c": q, "u": q}
-    if fam == "QbyP2_ordP2":
-        return {"c": q, "u": q}
-    if fam == "PxQbyP":
-        return {"l": p, "i": p, "c": q, "u": q}
-    if fam == "GF":
-        return {"w": 2, "n": p, "m": p, "x": p, "y": p}
-    if fam == "P2SemidirectQ":
-        return {"c": p * p, "u": p * p}
-    if fam == "CyclicP2Q":
-        return {"u": p * p * q}
-    if fam == "PxPQ":
-        return {"a": p, "b": p, "c": p, "d": p, "u": q}
-    raise RecipeError(f"no coordinate moduli for family {fam}")
-
-
-def _base_env(p: int, q: int, params: FamilyParams) -> dict[str, int]:
-    env = {"p": p, "q": q}
-    for name in ("t", "g", "xi", "r", "h"):
-        value = getattr(params, name)
-        if value is not None:
-            env[name] = value
-    return env
-
-
 class FamilyContext:
     """Holomorph, structured automorphisms and environment for one family."""
 
@@ -277,8 +249,7 @@ class FamilyContext:
         self.gen_of = dict(zip(self.letters, self.group.generators))
         # the modulus of a letter's exponent is its generator's order
         self.moduli = {x: int(self.group.element_orders[g]) for x, g in self.gen_of.items()}
-        self.coord_moduli = _coord_moduli(label, p, q)
-        self.env = _base_env(p, q, self.params)
+        self.env = self.params.as_dict()
 
     def element_of_word(self, word, env: dict) -> int:
         """Left-to-right product of letter powers (and vector atoms)."""
@@ -299,14 +270,10 @@ class FamilyContext:
     def aut_of(self, coords, env: dict) -> int:
         if coords is None:
             return int(self.saut.aut.identity)
-        names = set(self.saut.coord_names)
-        if set(coords) != names:
-            raise RecipeError(
-                f"coordinates {sorted(coords)} do not match {sorted(names)}"
-            )
-        values = {
-            nm: eval_expr(expr, env, self.coord_moduli[nm]) for nm, expr in coords.items()
-        }
+        moduli = self.saut.coord_moduli
+        if set(coords) != set(moduli):
+            raise RecipeError(f"coordinates {sorted(coords)} do not match {sorted(moduli)}")
+        values = {nm: eval_expr(expr, env, moduli[nm]) for nm, expr in coords.items()}
         try:
             return self.saut.aut_index(**values)
         except KeyError:
@@ -347,7 +314,7 @@ def manual_notes() -> list[dict]:
 
 def applicable_lemma_ids(p: int, q: int, choice: str = "first") -> list[str]:
     """Lemma ids whose regime predicate holds at (p, q), in data order."""
-    env = _base_env(p, q, derive_params(p, q, choice))
+    env = derive_params(p, q, choice).as_dict()
     return [e["id"] for e in _data()["lemmas"] if eval_cond(e["requires"], env)]
 
 
@@ -401,7 +368,7 @@ def instantiate_lemma(
     Raises ValueError when (p, q) lies outside the lemma's regime.
     """
     entry = lemma_entry(lemma_id)
-    env = _base_env(p, q, derive_params(p, q, choice))
+    env = derive_params(p, q, choice).as_dict()
     if not eval_cond(entry["requires"], env):
         raise ValueError(f"lemma {lemma_id} does not apply at ({p}, {q})")
     pi2 = eval_expr(entry["pi2_size"], env)

@@ -288,22 +288,16 @@ def expected_tables(p: int, q: int) -> dict[str, ExpectedType]:
 def expected_totals(p: int, q: int) -> dict[str, int | None]:
     """Closed-form s/A/B where the formulas are valid; None otherwise.
 
-    B is always derivable by summing the regime tables; the closed A (and
-    hence s) formulas hold for p = 2, q >= 5 and for q > p + 1 > 3.
+    B is always derivable by summing the regime tables; A (and hence s) is
+    the closed form of ``conjecture_counts``, which holds for p = 2, q >= 5
+    and for q > p + 1 > 3.
     """
     reg = regime(p, q)
-    tables = expected_tables(p, q)
-    b_val = sum(t.total() for t in tables.values())
-    a_val: int | None = None
-    if p == 2 and q >= 5:
-        a_val = 11 if q % 4 == 1 else 9
-    elif q > p + 1 > 3:
-        if q % (p * p) == 1:
-            a_val = 2 * p + 8
-        elif q % p == 1:
-            a_val = p + 8
-        elif reg == "independent":
-            a_val = 4
+    b_val = sum(t.total() for t in expected_tables(p, q).values())
+    try:
+        a_val: int | None = conjecture_counts(p, q)["A"]
+    except ValueError:
+        a_val = None
     return {
         "s": None if a_val is None else a_val + b_val,
         "A": a_val,

@@ -16,9 +16,13 @@ For distinct primes p, q the groups of order p^2*q fall into eight families
 
 Each family has an explicit exponent encoding of its elements, a vectorised
 Cayley-table constructor, and a coordinate parametrisation of its full
-automorphism group.  Automorphisms are realised as permutation rows by
-extending generator images along a spanning tree of the Cayley graph; the
-tests cross-check the result against brute-force Aut for |G| <= 100.
+automorphism group, declared once in ``_family_coords`` as an ordered list
+of factors (names, values, modulus) with the map from coordinates to the
+images of the generators.  |Aut(A)| is the product of the factor sizes and
+``StructuredAut.coord_moduli`` lists the moduli.  Automorphisms are realised
+as permutation rows by extending generator images along a spanning tree of
+the Cayley graph; the tests cross-check the result against brute-force Aut
+for |G| <= 100.
 
 Coordinate conventions (typical letters: s = sigma, t = tau, e = epsilon):
 
@@ -38,8 +42,9 @@ Coordinate conventions (typical letters: s = sigma, t = tau, e = epsilon):
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -428,188 +433,123 @@ def _extend_batch(group: FiniteGroup, tree, gen_imgs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StructuredAut:
-    """Aut(A) with a two-way codec between coordinates and aut indices."""
+    """A and Aut(A), with Aut(A) addressed by the family's coordinates.
+
+    ``coord_moduli`` maps each coordinate name, in coordinate order, to the
+    modulus its values lie below, and ``images`` maps a coordinate tuple in
+    that order to the images of ``base.generators``.  No coordinates are
+    stored per automorphism: ``aut_index`` looks the images up in ``aut``.
+    """
 
     label: GroupLabel
     params: FamilyParams
     base: FiniteGroup
     aut: AutGroup
-    coord_names: tuple[str, ...]
-    coords: list[tuple[int, ...]]  # aligned with aut indices
+    coord_moduli: dict[str, int]
+    images: Callable[[tuple[int, ...]], list[int]]
 
-    def __post_init__(self):
-        self._index = {c: i for i, c in enumerate(self.coords)}
+    @property
+    def coord_names(self) -> tuple[str, ...]:
+        return tuple(self.coord_moduli)
 
-    def aut_index(self, *args, **kw) -> int:
-        if args and kw:
-            raise TypeError("pass coordinates positionally or by name, not both")
-        if kw:
-            coord = tuple(int(kw[name]) for name in self.coord_names)
-        elif len(args) == 1 and isinstance(args[0], (tuple, list)):
-            coord = tuple(int(v) for v in args[0])
-        else:
-            coord = tuple(int(v) for v in args)
-        return self._index[coord]
+    def aut_index(self, **coords: int) -> int:
+        """The index in ``aut`` of the automorphism with these coordinates.
+
+        KeyError when a name is missing or unknown, a value lies outside
+        range(modulus), or the coordinates name no automorphism.
+        """
+        if set(coords) != set(self.coord_moduli):
+            raise KeyError(f"coordinates {sorted(coords)} are not {list(self.coord_moduli)}")
+        coord = tuple(int(coords[name]) for name in self.coord_moduli)
+        for (name, mod), v in zip(self.coord_moduli.items(), coord):
+            if not 0 <= v < mod:
+                raise KeyError(f"coordinate {name} = {v} is outside range({mod})")
+        return int(self.aut.lookup(np.array([self.images(coord)]))[0])
+
+
+def _residues(name: str, m: int):
+    """The factor of a coordinate that ranges over Z_m."""
+    return (name, [(x,) for x in range(m)], m)
+
+
+def _units(name: str, m: int):
+    """The factor of a coordinate that ranges over the units mod m."""
+    return (name, [(x,) for x in units(m)], m)
 
 
 def _family_coords(label: GroupLabel, pr: FamilyParams):
-    """(coord_names, iterator of coord tuples, gen_images fn, |Aut| formula)."""
+    """Aut(A) in coordinates: ``(factors, images)``.
+
+    A factor ``(names, values, modulus)`` lists the tuples ``values`` that
+    the one-letter coordinates in the string ``names`` take together, each
+    coordinate below ``modulus``.  The product of the factors, in the order
+    listed, is the list of coordinate tuples, one per automorphism, and
+    ``images`` maps a tuple to the images of ``base.generators``.
+    """
     p, q = pr.p, pr.q
     p2, n = p * p, p * p * q
     fam = label.family
     if fam == "CyclicP2Q":
-        cands = units(n)
-        return ("u",), ((u,) for u in cands), lambda c: [c[0]], len(cands)
+        return [_units("u", n)], lambda c: [c[0]]
     if fam == "PxPQ":
-        gl = _gl2(p)
-        uq = units(q)
         def imgs(c):
             a, b, cc, d, u = c
             return [(a * p + cc) * q, (b * p + d) * q, u]
-        return (
-            ("a", "b", "c", "d", "u"),
-            (m + (u,) for m in gl for u in uq),
-            imgs,
-            len(gl) * len(uq),
-        )
+        return [("abcd", _gl2(p), p), _units("u", q)], imgs
     if fam == "P2SemidirectQ":
-        up2 = units(p2)
         def imgs(c):
             cc, u = c
             return [u * q, cc * q + 1]
-        return (
-            ("c", "u"),
-            ((cc, u) for cc in range(p2) for u in up2),
-            imgs,
-            p2 * len(up2),
-        )
+        return [_residues("c", p2), _units("u", p2)], imgs
     if fam == "Gk" and label.k == 0:
-        up = units(p)
         def imgs(c):
             nn, a, b = c
             return [a * p * q, b * q, nn * p * q + 1]
-        return (
-            ("n", "a", "b"),
-            ((nn, a, b) for nn in range(p) for a in up for b in up),
-            imgs,
-            p * len(up) ** 2,
-        )
+        return [_residues("n", p), _units("a", p), _units("b", p)], imgs
     if fam == "Gk" and label.k == 1:
-        gl = _gl2(p)
         def imgs(c):
             nn, m, a, b, cc, d = c
             return [(a * p + cc) * q, (b * p + d) * q, (nn * p + m) * q + 1]
-        return (
-            ("n", "m", "a", "b", "c", "d"),
-            ((nn, m) + mat for nn in range(p) for m in range(p) for mat in gl),
-            imgs,
-            p2 * len(gl),
-        )
-    if fam == "Gk" and label.k == -1:
-        up = units(p)
+        return [_residues("n", p), _residues("m", p), ("abcd", _gl2(p), p)], imgs
+    if fam == "Gk":
+        # only k = -1 has the swap s <-> t, which inverts e
+        swap = [_residues("w", 2)] if label.k == -1 else []
         def imgs(c):
-            w, nn, m, a, b = c
+            w, nn, m, a, b = c if swap else (0, *c)
             if w == 0:
                 return [a * p * q, b * q, (nn * p + m) * q + 1]
             return [b * q, a * p * q, (nn * p + m) * q + (q - 1)]
-        return (
-            ("w", "n", "m", "a", "b"),
-            (
-                (w, nn, m, a, b)
-                for w in (0, 1)
-                for nn in range(p)
-                for m in range(p)
-                for a in up
-                for b in up
-            ),
-            imgs,
-            2 * p2 * len(up) ** 2,
-        )
-    if fam == "Gk":
-        up = units(p)
-        def imgs(c):
-            nn, m, a, b = c
-            return [a * p * q, b * q, (nn * p + m) * q + 1]
-        return (
-            ("n", "m", "a", "b"),
-            (
-                (nn, m, a, b)
-                for nn in range(p)
-                for m in range(p)
-                for a in up
-                for b in up
-            ),
-            imgs,
-            p2 * len(up) ** 2,
-        )
+        return swap + [_residues("n", p), _residues("m", p), _units("a", p), _units("b", p)], imgs
     if fam == "GF":
         xi = pr.xi
-        pairs = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
         def imgs(c):
             w, nn, m, x, y = c
             if w == 0:
                 # M = x*I + y*F
-                mat = (x, (-y) % p, y, (x - xi * y) % p)
-                ez = 1
+                a, b, cc, d = x, (-y) % p, y, (x - xi * y) % p
             else:
                 # M = (x*I + y*F) * X with X = [[1, -xi], [0, -1]]
-                mat = (x, (y - xi * x) % p, y, (-x) % p)
-                ez = q - 1
-            a, b, cc, d = mat
-            if (a * d - b * cc) % p == 0:
-                raise ValueError("singular plane map in GF coordinates")
+                a, b, cc, d = x, (y - xi * x) % p, y, (-x) % p
+            ez = 1 if w == 0 else q - 1
             return [(a * p + cc) * q, (b * p + d) * q, (nn * p + m) * q + ez]
-        return (
-            ("w", "n", "m", "x", "y"),
-            (
-                (w, nn, m, x, y)
-                for w in (0, 1)
-                for nn in range(p)
-                for m in range(p)
-                for (x, y) in pairs
-            ),
-            imgs,
-            2 * p2 * (p2 - 1),
-        )
+        # x*I + y*F is invertible unless x = y = 0: F has no eigenvalue in F_p
+        plane = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
+        return [_residues("w", 2), _residues("n", p), _residues("m", p), ("xy", plane, p)], imgs
     if fam == "QbyP2_ordP":
-        uq = units(q)
         def imgs(c):
             k, cc, u = c
             return [cc * p2 + (k * p + 1) % p2, u * p2]
-        return (
-            ("k", "c", "u"),
-            ((k, cc, u) for k in range(p) for cc in range(q) for u in uq),
-            imgs,
-            p * q * len(uq),
-        )
+        return [_residues("k", p), _residues("c", q), _units("u", q)], imgs
     if fam == "QbyP2_ordP2":
-        uq = units(q)
         def imgs(c):
             cc, u = c
             return [cc * p2 + 1, u * p2]
-        return (
-            ("c", "u"),
-            ((cc, u) for cc in range(q) for u in uq),
-            imgs,
-            q * len(uq),
-        )
+        return [_residues("c", q), _units("u", q)], imgs
     if fam == "PxQbyP":
-        up, uq = units(p), units(q)
         def imgs(c):
             l, i, cc, u = c
             return [(cc * p + l) * p + 1, i * p, u * p2]
-        return (
-            ("l", "i", "c", "u"),
-            (
-                (l, i, cc, u)
-                for l in range(p)
-                for i in up
-                for cc in range(q)
-                for u in uq
-            ),
-            imgs,
-            p * q * len(up) * len(uq),
-        )
+        return [_residues("l", p), _units("i", p), _residues("c", q), _units("u", q)], imgs
     raise ValueError(f"no structured automorphism group for {fam}")
 
 
@@ -631,43 +571,31 @@ def _assert_automorphisms(group: FiniteGroup, perms: np.ndarray) -> None:
 
 
 def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
-    """A and Aut(A) from the family's coordinate parametrisation."""
+    """A and Aut(A) from the family's coordinate factors."""
     base = build_group(label, params)
-    names, coords, imgs, expected = _family_coords(label, params)
-    coord_list = list(coords)
+    factors, images = _family_coords(label, params)
     tree = _spanning_tree(base, base.generators)
+    coords = (
+        sum(parts, ()) for parts in itertools.product(*(vals for _, vals, _ in factors))
+    )
     blocks = []
-    chunk = 4096
-    for lo in range(0, len(coord_list), chunk):
-        gen_imgs = np.array(
-            [imgs(c) for c in coord_list[lo : lo + chunk]], dtype=np.int32
-        )
-        block = _extend_batch(base, tree, gen_imgs)
+    while chunk := list(itertools.islice(coords, 4096)):
+        block = _extend_batch(base, tree, np.array([images(c) for c in chunk], dtype=np.int32))
         _assert_automorphisms(base, block)
         blocks.append(block)
-    perms = np.vstack(blocks)
-    if perms.shape[0] != expected:
-        raise AssertionError(
-            f"{label.key()}: got {perms.shape[0]} automorphisms, expected {expected}"
-        )
-    aut = AutGroup(base, perms)
-    # AutGroup sorts its rows; realign the coordinate labels
-    coords_sorted: list[tuple[int, ...]] = [()] * aut.k
-    for coord, i in zip(coord_list, aut.lookup(perms[:, base.generators]).tolist()):
-        coords_sorted[i] = coord
     return StructuredAut(
         label=label,
         params=params,
         base=base,
-        aut=aut,
-        coord_names=names,
-        coords=coords_sorted,
+        aut=AutGroup(base, np.vstack(blocks)),
+        coord_moduli={name: mod for names, _, mod in factors for name in names},
+        images=images,
     )
 
 
 def aut_order(label: GroupLabel, params: FamilyParams) -> int:
-    """|Aut(A)| from the family's closed form, without building A."""
-    return _family_coords(label, params)[3]
+    """|Aut(A)|, the product of the factor sizes, without building A."""
+    return prod(len(vals) for _, vals, _ in _family_coords(label, params)[0])
 
 
 def family_aut(p: int, q: int, key: str, choice: str = "first") -> StructuredAut:

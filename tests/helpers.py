@@ -29,7 +29,13 @@ from p2qbrace.enumeration import (
     circle_group,
     stratified_orbit_classes,
 )
-from p2qbrace.families import all_labels, build_group, derive_params, structured_aut
+from p2qbrace.families import (
+    _family_coords,
+    all_labels,
+    build_group,
+    derive_params,
+    structured_aut,
+)
 from p2qbrace.holomorph import HolSubgroup, Holomorph, closure_packed
 from p2qbrace.report import classify
 
@@ -156,9 +162,12 @@ def aut_as_group(aut):
     return FiniteGroup(comp_table(aut), check=False, name=f"Aut({aut.base.name})")
 
 
-def coords_of(sa, i):
-    """The structured coordinates of automorphism ``i``, by name."""
-    return dict(zip(sa.coord_names, sa.coords[i]))
+def coords_of(sa):
+    """Every coordinate tuple of ``sa``, by name: the product of the
+    family's coordinate factors, in the declared order."""
+    factors, _ = _family_coords(sa.label, sa.params)
+    for parts in itertools.product(*(vals for _, vals, _ in factors)):
+        yield dict(zip(sa.coord_names, sum(parts, ())))
 
 
 # a loop of order 5 (identity 0, every element its own inverse); the

@@ -21,7 +21,7 @@ from p2qbrace.catalog import (
     verify_lemma,
 )
 from p2qbrace.enumeration import circle_group
-from helpers import gf_level_subgroup
+from helpers import gf_level_subgroup, label_keys, structured_of
 
 
 # -- expression language ------------------------------------------------------
@@ -162,6 +162,45 @@ def test_aut_of_rejects_wrong_coordinates():
     with pytest.raises(RecipeError):
         ctx.aut_of({"bogus": "1"}, ctx.env)
     assert ctx.aut_of(None, ctx.env) == ctx.hol.aut.identity
+
+
+def test_witness_with_coordinates_of_no_automorphism_fails():
+    ctx = FamilyContext("QbyP2_ordP", 2, 7)
+    bad = Witness(
+        lemma_id="x",
+        additive="QbyP2_ordP",
+        name="u-not-a-unit",
+        pi2_size=2,
+        binding=(),
+        # u = 0 sends tau to the identity: in range, but no automorphism
+        generators=(((("s", "1"),), (("c", "0"), ("k", "1"), ("u", "0"))),),
+        expected_class="QbyP2_ordP",
+    )
+    with pytest.raises(RecipeError, match="are not an automorphism"):
+        evaluate_witness(bad, ctx)
+
+
+def test_coord_moduli_match_the_recipe_moduli():
+    # the coordinate moduli the witness recipes were written against
+    def table(p, q):
+        return {
+            "QbyP2_ordP": {"k": p, "c": q, "u": q},
+            "QbyP2_ordP2": {"c": q, "u": q},
+            "PxQbyP": {"l": p, "i": p, "c": q, "u": q},
+            "GF": {"w": 2, "n": p, "m": p, "x": p, "y": p},
+            "P2SemidirectQ": {"c": p * p, "u": p * p},
+            "CyclicP2Q": {"u": p * p * q},
+            "PxPQ": {"a": p, "b": p, "c": p, "d": p, "u": q},
+        }
+
+    seen = set()
+    for p, q in ((2, 5), (3, 7), (5, 3), (5, 2)):
+        for key in label_keys(p, q):
+            if key in table(p, q):
+                moduli = structured_of(p, q, key).coord_moduli
+                assert list(moduli.items()) == list(table(p, q)[key].items()), key
+                seen.add(key)
+    assert seen == set(table(2, 5))
 
 
 def test_every_witness_is_regular_at_order28():

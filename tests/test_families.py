@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from p2qbrace.core import identify_p2q
+from p2qbrace.core import GroupLabel, identify_p2q
 from p2qbrace.families import (
     _assert_automorphisms,
     all_labels,
+    aut_order,
     derive_params,
     generator_letters,
     gk_values,
@@ -117,14 +118,57 @@ def test_automorphism_check_catches_one_corrupted_row():
 
 
 def test_structured_aut_coordinate_codec_round_trips():
-    sa = structured_of(5, 3, "GF")
-    for i in range(0, sa.aut.k, 97):
-        coords = coords_of(sa, i)
-        assert sa.aut_index(**coords) == i
+    # aut_index maps the coordinate tuples one-to-one onto the aut indices
+    for p, q in ((2, 5), (2, 7), (3, 7), (5, 3), (5, 2)):
+        for key in label_keys(p, q):
+            if key == "Gk(1)":
+                continue  # 12 000 automorphisms at (5,2)
+            sa = structured_of(p, q, key)
+            indices = sorted(sa.aut_index(**c) for c in coords_of(sa))
+            assert indices == list(range(sa.aut.k)), (p, q, key)
     # composing two automorphisms stays inside the indexed set
+    sa = structured_of(5, 3, "GF")
     a, b = 1 % sa.aut.k, 7 % sa.aut.k
     c = sa.aut.compose(a, b)
     assert 0 <= c < sa.aut.k
+
+
+def test_aut_index_rejects_coordinates_of_no_automorphism():
+    sa = structured_of(2, 7, "QbyP2_ordP")
+    good = {"k": 1, "c": 3, "u": 5}
+    assert 0 <= sa.aut_index(**good) < sa.aut.k
+    bad = [
+        {**good, "k": 2},  # out of range: k lives mod p = 2
+        {**good, "c": -1},
+        {**good, "bogus": 0},  # unknown name
+        {"k": 1, "c": 3},  # missing name
+        {**good, "u": 0},  # u must be a unit mod q
+    ]
+    for coords in bad:
+        with pytest.raises(KeyError):
+            sa.aut_index(**coords)
+    with pytest.raises(KeyError):
+        structured_of(2, 5, "CyclicP2Q").aut_index(u=2)  # not a unit mod 20
+    gf = structured_of(5, 3, "GF")
+    for w in (0, 1):
+        with pytest.raises(KeyError):  # the singular plane map x*I + y*F = 0
+            gf.aut_index(w=w, n=0, m=0, x=0, y=0)
+
+
+def test_aut_order_is_the_product_of_the_factor_sizes():
+    # the closed forms |Aut(A)| had before it was read off the factors;
+    # nothing is built, so even (17,2) Gk(1) takes well under a second
+    closed = {
+        (7, 3, "Gk(1)"): 98_784,  # p^2 |GL_2(p)|
+        (11, 2, "Gk(1)"): 1_597_200,
+        (13, 3, "Gk(1)"): 4_429_152,
+        (13, 3, "Gk(-1)"): 48_672,  # 2 p^2 (p-1)^2
+        (13, 3, "PxPQ"): 52_416,  # |GL_2(p)| (q-1)
+        (17, 2, "P2SemidirectQ"): 78_608,  # p^2 phi(p^2)
+        (17, 2, "Gk(1)"): 22_639_104,
+    }
+    for (p, q, key), order in closed.items():
+        assert aut_order(GroupLabel.from_key(key), derive_params(p, q)) == order, key
 
 
 def test_derive_params_second_choice_differs():
