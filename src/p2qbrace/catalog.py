@@ -245,7 +245,7 @@ class FamilyContext:
         self.label = label = self.saut.label
         self.group: FiniteGroup = self.saut.base
         self.hol = Holomorph(self.group, self.saut.aut)
-        self.letters = generator_letters(label)
+        self.letters = generator_letters(label, self.params)
         self.gen_of = dict(zip(self.letters, self.group.generators))
         # the modulus of a letter's exponent is its generator's order
         self.moduli = {x: int(self.group.element_orders[g]) for x, g in self.gen_of.items()}

@@ -88,7 +88,7 @@ class GroupLabel:
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
-    def __init__(self, mul, generators=None, label=None, check=True, name=""):
+    def __init__(self, mul, generators=None, label=None, check=True):
         mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -96,7 +96,6 @@ class FiniteGroup:
         if mul.min() < 0 or mul.max() >= self.n:
             raise ValueError("table entries out of range")
         self.mul = mul
-        self.name = name
         self.label = label
         ident = np.nonzero((mul == np.arange(self.n)).all(axis=1))[0]
         if len(ident) != 1:

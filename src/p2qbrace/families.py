@@ -1,30 +1,40 @@
 """Constructors for the groups of order p^2*q and their automorphism groups.
 
 For distinct primes p, q the groups of order p^2*q fall into eight families
-(two abelian, six split extensions), gated by congruences between p and q:
+(two abelian, six split extensions), gated by congruences between p and q.
+Each is a semidirect product N x| Z_m of a product N of cyclic groups by a
+cyclic group, declared once in ``_presentation`` by its digit moduli (N's
+digits first, the complement's digit c last), the matrix A by which the
+complement's generator acts on N's digits, and the digit whose unit vector
+each generator s, t, e is.  An element's index is the mixed-radix number of
+its digits, the first digit most significant, and ``build_group`` applies
+one rule, (v, c)(v', c') = (v + A^c v', c + c'), to all pairs at once:
 
-* ``CyclicP2Q``       Z_{p^2 q}
-* ``PxPQ``            Z_p x Z_{pq}
-* ``P2SemidirectQ``   Z_{p^2} x| Z_q with t of order q mod p^2   (p = 1 mod q)
-* ``Gk``              (Z_p)^2 x| Z_q, diagonal action diag(g, g^k) (p = 1 mod q);
-                      k is canonical (k ~ k^{-1}), with 0, 1, -1 special
-* ``GF``              (Z_p)^2 x| Z_q, irreducible action by the companion
-                      matrix F of x^2 + xi*x + 1                 (q | p+1, q > 2)
-* ``QbyP2_ordP``      Z_q x| Z_{p^2}, conjugation exponent r of order p (q = 1 mod p)
-* ``QbyP2_ordP2``     Z_q x| Z_{p^2}, conjugation exponent h of order p^2 (q = 1 mod p^2)
-* ``PxQbyP``          Z_p x (Z_q x| Z_p)                         (q = 1 mod p)
+    family         gate            digits                       A             s, t, e
+    CyclicP2Q                      (c mod p^2 q)                none          c
+    PxPQ                           (x, y mod p, c mod q)        I             x, y, c
+    P2SemidirectQ  p = 1 mod q     (x mod p^2, c mod q)         [t]           x, c
+    Gk(k)          p = 1 mod q     (x, y mod p, c mod q)        diag(g, g^k)  x, y, c
+    GF             q | p+1, q > 2  (x, y mod p, c mod q)        F             x, y, c
+    QbyP2_ordP     q = 1 mod p     (y mod q, c mod p^2)         [r]           c, y
+    QbyP2_ordP2    q = 1 mod p^2   (y mod q, c mod p^2)         [h]           c, y
+    PxQbyP         q = 1 mod p     (z mod q, y mod p, c mod p)  diag(r, 1)    c, y, z
 
-Each family has an explicit exponent encoding of its elements, a vectorised
-Cayley-table constructor, and a coordinate parametrisation of its full
-automorphism group, declared once in ``_family_coords`` as an ordered list
-of factors (names, values, modulus) with the map from coordinates to the
-images of the generators.  |Aut(A)| is the product of the factor sizes and
+t and g have order q mod p^2 and mod p, r and h order p and p^2 mod q, and
+F is the companion matrix of x^2 + xi*x + 1, irreducible over F_p, of
+order q.  k is canonical (k ~ k^{-1} mod q), with 0, 1 and -1 special.
+
+Aut(A) is parametrised by coordinates, declared once in ``_family_coords``
+as an ordered list of factors (names, values, modulus) with the map from
+coordinates to the images of the generators, written as digit vectors.
+|Aut(A)| is the product of the factor sizes and
 ``StructuredAut.coord_moduli`` lists the moduli.  Automorphisms are realised
 as permutation rows by extending generator images along a spanning tree of
 the Cayley graph; the tests cross-check the result against brute-force Aut
 for |G| <= 100.
 
-Coordinate conventions (typical letters: s = sigma, t = tau, e = epsilon):
+Coordinate conventions (typical letters: s = sigma, t = tau, e = epsilon;
+in the digits of the layout above, e -> s^n t^m e^{-1} is (n, m, -1)):
 
 * P2SemidirectQ  (c, u):        s -> s^u,            t -> s^c t
 * Gk generic     (n, m, a, b):  s -> s^a, t -> t^b,  e -> s^n t^m e
@@ -162,24 +172,13 @@ def _mat_apply(m, v, p):
     return ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
 
 
-def _mat_order(m, p, limit):
-    ident = ((1, 0), (0, 1))
-    cur, o = m, 1
-    while cur != ident:
-        cur = _mat_mul(cur, m, p)
-        o += 1
-        if o > limit:
-            raise ValueError("matrix order exceeds limit")
-    return o
-
-
 def _valid_xis(p: int, q: int) -> list[int]:
     out = []
     for xi in range(1, p):
         if any((x * x + xi * x + 1) % p == 0 for x in range(p)):
             continue  # reducible
-        f = ((0, (-1) % p), (1, (-xi) % p))
-        if _mat_order(f, p, p + 1) == q:
+        # F is not I, so F^q = I says that F has the prime order q
+        if _mat_pow(((0, (-1) % p), (1, (-xi) % p)), q, p) == ((1, 0), (0, 1)):
             out.append(xi)
     return out
 
@@ -239,166 +238,105 @@ def all_labels(p: int, q: int) -> list[GroupLabel]:
     return labels
 
 
-def _pow_table(b: int, count: int, mod: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
-    cur = 1
-    for k in range(count):
-        out[k] = cur
-        cur = (cur * b) % mod
-    return out
+# -- one rule for every family ------------------------------------------------
 
 
-# -- Cayley table constructors ------------------------------------------------
+def _needs(value, family: str, congruence: str):
+    """``value``, or ValueError naming the congruence that defines it."""
+    if value is None:
+        raise ValueError(f"{family} needs {congruence}")
+    return value
 
 
-def _build_cyclic(pr: FamilyParams) -> FiniteGroup:
-    n = pr.p * pr.p * pr.q
-    mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(mul, generators=[1], label=GroupLabel("CyclicP2Q"), name=f"Z{n}")
+def _presentation(label: GroupLabel, pr: FamilyParams):
+    """The family as N x| Z_m (see the module docstring).
+
+    Returns the digit moduli, the matrix A row by row, and a map from each
+    generator letter, in generator order, to the digit whose unit vector it is.
+    """
+    p, q, fam = pr.p, pr.q, label.family
+    ste = {"s": 0, "t": 1, "e": 2}
+    if fam == "CyclicP2Q":
+        return (p * p * q,), [], {"s": 0}
+    if fam == "PxPQ":
+        return (p, p, q), [[1, 0], [0, 1]], ste
+    if fam == "P2SemidirectQ":
+        return (p * p, q), [[_needs(pr.t, fam, "p = 1 mod q")]], {"s": 0, "t": 1}
+    if fam == "Gk":
+        g = _needs(pr.g, fam, "p = 1 mod q")
+        return (p, p, q), [[g, 0], [0, pow(g, label.k % q, p)]], ste
+    if fam == "GF":
+        _needs(pr.xi, fam, "q | p+1 and q > 2")
+        return (p, p, q), pr.companion(), ste
+    if fam == "QbyP2_ordP":
+        return (q, p * p), [[_needs(pr.r, fam, "q = 1 mod p")]], {"s": 1, "t": 0}
+    if fam == "QbyP2_ordP2":
+        return (q, p * p), [[_needs(pr.h, fam, "q = 1 mod p^2")]], {"s": 1, "t": 0}
+    return (q, p, p), [[_needs(pr.r, fam, "q = 1 mod p"), 0], [0, 1]], {"s": 2, "t": 1, "e": 0}
 
 
-def _build_pxpq(pr: FamilyParams) -> FiniteGroup:
-    p, q = pr.p, pr.q
-    idx = np.arange(p * p * q)
-    y, x2, x1 = idx % q, (idx // q) % p, idx // (p * q)
-    X1 = (x1[:, None] + x1[None, :]) % p
-    X2 = (x2[:, None] + x2[None, :]) % p
-    Y = (y[:, None] + y[None, :]) % q
-    mul = (X1 * p + X2) * q + Y
-    return FiniteGroup(
-        mul, generators=[p * q, q, 1], label=GroupLabel("PxPQ"), name=f"Z{p}xZ{p*q}"
-    )
+def _encode(moduli, digits) -> np.ndarray:
+    """The element indices of digit vectors (the last axis of ``digits``).
 
-
-def _build_p2sq(pr: FamilyParams) -> FiniteGroup:
-    p2, q, t = pr.p * pr.p, pr.q, pr.t
-    idx = np.arange(p2 * q)
-    x, y = idx // q, idx % q
-    tp = _pow_table(t, q, p2)
-    X = (x[:, None] + tp[y][:, None] * x[None, :]) % p2
-    Y = (y[:, None] + y[None, :]) % q
-    mul = X * q + Y
-    return FiniteGroup(
-        mul, generators=[q, 1], label=GroupLabel("P2SemidirectQ"), name=f"Z{p2}:Z{q}"
-    )
-
-
-def _build_gk(pr: FamilyParams, k: int) -> FiniteGroup:
-    p, q, g = pr.p, pr.q, pr.g
-    idx = np.arange(p * p * q)
-    z, y, x = idx % q, (idx // q) % p, idx // (p * q)
-    gz = _pow_table(g, q, p)
-    gkz = np.array([pow(g, (k * zz) % q, p) for zz in range(q)], dtype=np.int64)
-    X = (x[:, None] + gz[z][:, None] * x[None, :]) % p
-    Y = (y[:, None] + gkz[z][:, None] * y[None, :]) % p
-    Z = (z[:, None] + z[None, :]) % q
-    mul = (X * p + Y) * q + Z
-    return FiniteGroup(
-        mul, generators=[p * q, q, 1], label=GroupLabel("Gk", k), name=f"G({k})@{p}"
-    )
-
-
-def _build_gf(pr: FamilyParams) -> FiniteGroup:
-    p, q = pr.p, pr.q
-    idx = np.arange(p * p * q)
-    z, y, x = idx % q, (idx // q) % p, idx // (p * q)
-    f = np.array([_mat_pow(pr.companion(), e, p) for e in range(q)])[z, :, :, None]  # F^z
-    X = (x[:, None] + f[:, 0, 0] * x[None, :] + f[:, 0, 1] * y[None, :]) % p
-    Y = (y[:, None] + f[:, 1, 0] * x[None, :] + f[:, 1, 1] * y[None, :]) % p
-    Z = (z[:, None] + z[None, :]) % q
-    mul = (X * p + Y) * q + Z
-    return FiniteGroup(
-        mul, generators=[p * q, q, 1], label=GroupLabel("GF"), name=f"GF@{p},{q}"
-    )
-
-
-def _build_qp2(pr: FamilyParams, unit: int, label: GroupLabel) -> FiniteGroup:
-    p2, q = pr.p * pr.p, pr.q
-    idx = np.arange(p2 * q)
-    y, x = idx // p2, idx % p2
-    up = _pow_table(unit, p2, q)
-    Y = (y[:, None] + up[x][:, None] * y[None, :]) % q
-    X = (x[:, None] + x[None, :]) % p2
-    mul = Y * p2 + X
-    kind = "h" if label.family == "QbyP2_ordP2" else "r"
-    return FiniteGroup(mul, generators=[1, p2], label=label, name=f"Z{q}:Z{p2}({kind})")
-
-
-def _build_pxq(pr: FamilyParams) -> FiniteGroup:
-    p, q, r = pr.p, pr.q, pr.r
-    idx = np.arange(p * p * q)
-    x, y, z = idx % p, (idx // p) % p, idx // (p * p)
-    rp = _pow_table(r, p, q)
-    Z = (z[:, None] + rp[x][:, None] * z[None, :]) % q
-    Y = (y[:, None] + y[None, :]) % p
-    X = (x[:, None] + x[None, :]) % p
-    mul = (Z * p + Y) * p + X
-    return FiniteGroup(
-        mul, generators=[1, p, p * p], label=GroupLabel("PxQbyP"), name=f"Z{p}x(Z{q}:Z{p})"
-    )
+    Each digit is reduced mod its modulus; the first digit is the most
+    significant.
+    """
+    return np.ravel_multi_index(np.moveaxis(np.asarray(digits), -1, 0), moduli, mode="wrap")
 
 
 def build_group(label: GroupLabel, params: FamilyParams) -> FiniteGroup:
-    fam = label.family
-    if fam == "CyclicP2Q":
-        return _build_cyclic(params)
-    if fam == "PxPQ":
-        return _build_pxpq(params)
-    if fam == "P2SemidirectQ":
-        if params.t is None:
-            raise ValueError("P2SemidirectQ needs p = 1 mod q")
-        return _build_p2sq(params)
-    if fam == "Gk":
-        if params.g is None:
-            raise ValueError("Gk needs p = 1 mod q")
-        return _build_gk(params, label.k)
-    if fam == "GF":
-        if params.xi is None:
-            raise ValueError("GF needs q | p+1 and q > 2")
-        return _build_gf(params)
-    if fam == "QbyP2_ordP":
-        if params.r is None:
-            raise ValueError("QbyP2_ordP needs q = 1 mod p")
-        return _build_qp2(params, params.r, label)
-    if fam == "QbyP2_ordP2":
-        if params.h is None:
-            raise ValueError("QbyP2_ordP2 needs q = 1 mod p^2")
-        return _build_qp2(params, params.h, label)
-    if fam == "PxQbyP":
-        if params.r is None:
-            raise ValueError("PxQbyP needs q = 1 mod p")
-        return _build_pxq(params)
-    raise ValueError(f"unknown family {fam}")
+    """The family's group, (v, c)(v', c') = (v + A^c v', c + c').
+
+    ValueError names the congruence when the family's parameter is
+    undefined at (p, q).
+    """
+    moduli, action, gens = _presentation(label, params)
+    size = len(moduli)
+    # B = diag(A, 1) on whole digit vectors x = (v, c): x x' = x + B^c x'.
+    # Row i of B^c is reduced mod digit i's modulus: where A is not
+    # diagonal, N's digits share one modulus.
+    b = np.eye(size, dtype=np.int64)
+    b[:-1, :-1] = action
+    powers = [np.eye(size, dtype=np.int64)]
+    for _ in range(1, moduli[-1]):
+        powers.append(b @ powers[-1] % np.array(moduli)[:, None])
+    digits = np.stack(np.unravel_index(np.arange(prod(moduli)), moduli), axis=-1)
+    acted = (np.array(powers) @ digits.T).transpose(0, 2, 1)  # [c, y] = B^c y
+    return FiniteGroup(
+        _encode(moduli, digits[:, None, :] + acted[digits[:, -1]]),
+        generators=_encode(moduli, np.eye(size, dtype=np.int64)[list(gens.values())]),
+        label=label,
+    )
 
 
-# -- presentation letters for witness recipes ---------------------------------
-
-_LETTERS = {
-    "CyclicP2Q": ("s",),
-    "PxPQ": ("s", "t", "e"),
-    "P2SemidirectQ": ("s", "t"),
-    "Gk": ("s", "t", "e"),
-    "GF": ("s", "t", "e"),
-    "QbyP2_ordP": ("s", "t"),
-    "QbyP2_ordP2": ("s", "t"),
-    "PxQbyP": ("s", "t", "e"),
-}
-
-
-def generator_letters(label: GroupLabel) -> tuple[str, ...]:
+def generator_letters(label: GroupLabel, params: FamilyParams) -> tuple[str, ...]:
     """Letters naming the presentation generators, aligned with .generators."""
-    return _LETTERS[label.family]
+    return tuple(_presentation(label, params)[2])
 
 
 # -- structured automorphism groups -------------------------------------------
 
 
-def _gl2(p: int) -> list[tuple[int, int, int, int]]:
-    return [
-        (a, b, c, d)
-        for a, b, c, d in itertools.product(range(p), repeat=4)
-        if (a * d - b * c) % p
-    ]
+class _GL2:
+    """The invertible 2x2 matrices (a, b, c, d) over F_p, listed lazily.
+
+    ``len`` is |GL_2(p)| = (p^2 - 1)(p^2 - p) in closed form, so that
+    ``aut_order`` counts the matrices without listing them.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __len__(self) -> int:
+        return (self.p**2 - 1) * (self.p**2 - self.p)
+
+    def __iter__(self):
+        p = self.p
+        return (
+            (a, b, c, d)
+            for a, b, c, d in itertools.product(range(p), repeat=4)
+            if (a * d - b * c) % p
+        )
 
 
 def _spanning_tree(group: FiniteGroup, gens: list[int]):
@@ -436,9 +374,10 @@ class StructuredAut:
     """A and Aut(A), with Aut(A) addressed by the family's coordinates.
 
     ``coord_moduli`` maps each coordinate name, in coordinate order, to the
-    modulus its values lie below, and ``images`` maps a coordinate tuple in
-    that order to the images of ``base.generators``.  No coordinates are
-    stored per automorphism: ``aut_index`` looks the images up in ``aut``.
+    modulus its values lie below, and ``images`` maps a list of coordinate
+    tuples in that order to the rows of images of ``base.generators``.  No
+    coordinates are stored per automorphism: ``aut_index`` looks the images
+    up in ``aut``.
     """
 
     label: GroupLabel
@@ -446,7 +385,7 @@ class StructuredAut:
     base: FiniteGroup
     aut: AutGroup
     coord_moduli: dict[str, int]
-    images: Callable[[tuple[int, ...]], list[int]]
+    images: Callable[[list[tuple[int, ...]]], np.ndarray]
 
     @property
     def coord_names(self) -> tuple[str, ...]:
@@ -464,7 +403,7 @@ class StructuredAut:
         for (name, mod), v in zip(self.coord_moduli.items(), coord):
             if not 0 <= v < mod:
                 raise KeyError(f"coordinate {name} = {v} is outside range({mod})")
-        return int(self.aut.lookup(np.array([self.images(coord)]))[0])
+        return int(self.aut.lookup(self.images([coord]))[0])
 
 
 def _residues(name: str, m: int):
@@ -484,73 +423,67 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
     the one-letter coordinates in the string ``names`` take together, each
     coordinate below ``modulus``.  The product of the factors, in the order
     listed, is the list of coordinate tuples, one per automorphism, and
-    ``images`` maps a tuple to the images of ``base.generators``.
+    ``images`` maps a tuple to the digit vectors of the images of the
+    presentation generators (see ``_presentation``).
     """
     p, q = pr.p, pr.q
-    p2, n = p * p, p * p * q
     fam = label.family
     if fam == "CyclicP2Q":
-        return [_units("u", n)], lambda c: [c[0]]
+        return [_units("u", p * p * q)], lambda c: [c]
     if fam == "PxPQ":
         def imgs(c):
             a, b, cc, d, u = c
-            return [(a * p + cc) * q, (b * p + d) * q, u]
-        return [("abcd", _gl2(p), p), _units("u", q)], imgs
+            return [(a, cc, 0), (b, d, 0), (0, 0, u)]
+        return [("abcd", _GL2(p), p), _units("u", q)], imgs
     if fam == "P2SemidirectQ":
         def imgs(c):
             cc, u = c
-            return [u * q, cc * q + 1]
-        return [_residues("c", p2), _units("u", p2)], imgs
+            return [(u, 0), (cc, 1)]
+        return [_residues("c", p * p), _units("u", p * p)], imgs
     if fam == "Gk" and label.k == 0:
         def imgs(c):
             nn, a, b = c
-            return [a * p * q, b * q, nn * p * q + 1]
+            return [(a, 0, 0), (0, b, 0), (nn, 0, 1)]
         return [_residues("n", p), _units("a", p), _units("b", p)], imgs
     if fam == "Gk" and label.k == 1:
         def imgs(c):
             nn, m, a, b, cc, d = c
-            return [(a * p + cc) * q, (b * p + d) * q, (nn * p + m) * q + 1]
-        return [_residues("n", p), _residues("m", p), ("abcd", _gl2(p), p)], imgs
+            return [(a, cc, 0), (b, d, 0), (nn, m, 1)]
+        return [_residues("n", p), _residues("m", p), ("abcd", _GL2(p), p)], imgs
     if fam == "Gk":
         # only k = -1 has the swap s <-> t, which inverts e
         swap = [_residues("w", 2)] if label.k == -1 else []
         def imgs(c):
             w, nn, m, a, b = c if swap else (0, *c)
             if w == 0:
-                return [a * p * q, b * q, (nn * p + m) * q + 1]
-            return [b * q, a * p * q, (nn * p + m) * q + (q - 1)]
+                return [(a, 0, 0), (0, b, 0), (nn, m, 1)]
+            return [(0, b, 0), (a, 0, 0), (nn, m, -1)]
         return swap + [_residues("n", p), _residues("m", p), _units("a", p), _units("b", p)], imgs
     if fam == "GF":
         xi = pr.xi
         def imgs(c):
             w, nn, m, x, y = c
-            if w == 0:
-                # M = x*I + y*F
-                a, b, cc, d = x, (-y) % p, y, (x - xi * y) % p
-            else:
-                # M = (x*I + y*F) * X with X = [[1, -xi], [0, -1]]
-                a, b, cc, d = x, (y - xi * x) % p, y, (-x) % p
-            ez = 1 if w == 0 else q - 1
-            return [(a * p + cc) * q, (b * p + d) * q, (nn * p + m) * q + ez]
+            # s and t go to the columns of M = x*I + y*F (w = 0) or of
+            # M = (x*I + y*F) * X with X = [[1, -xi], [0, -1]] (w = 1)
+            t = (-y, x - xi * y) if w == 0 else (y - xi * x, -x)
+            return [(x, y, 0), (*t, 0), (nn, m, 1 - 2 * w)]
         # x*I + y*F is invertible unless x = y = 0: F has no eigenvalue in F_p
         plane = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
         return [_residues("w", 2), _residues("n", p), _residues("m", p), ("xy", plane, p)], imgs
     if fam == "QbyP2_ordP":
         def imgs(c):
             k, cc, u = c
-            return [cc * p2 + (k * p + 1) % p2, u * p2]
+            return [(cc, k * p + 1), (u, 0)]
         return [_residues("k", p), _residues("c", q), _units("u", q)], imgs
     if fam == "QbyP2_ordP2":
         def imgs(c):
             cc, u = c
-            return [cc * p2 + 1, u * p2]
+            return [(cc, 1), (u, 0)]
         return [_residues("c", q), _units("u", q)], imgs
-    if fam == "PxQbyP":
-        def imgs(c):
-            l, i, cc, u = c
-            return [(cc * p + l) * p + 1, i * p, u * p2]
-        return [_residues("l", p), _units("i", p), _residues("c", q), _units("u", q)], imgs
-    raise ValueError(f"no structured automorphism group for {fam}")
+    def imgs(c):  # PxQbyP
+        l, i, cc, u = c
+        return [(cc, l, 1), (0, i, 0), (u, 0, 0)]
+    return [_residues("l", p), _units("i", p), _residues("c", q), _units("u", q)], imgs
 
 
 def _assert_automorphisms(group: FiniteGroup, perms: np.ndarray) -> None:
@@ -574,13 +507,20 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
     """A and Aut(A) from the family's coordinate factors."""
     base = build_group(label, params)
     factors, images = _family_coords(label, params)
+    moduli = _presentation(label, params)[0]
+
+    def codes(coords) -> np.ndarray:
+        # flattened for np.fromiter: np.array over the nested tuples is slower
+        digits = itertools.chain.from_iterable(itertools.chain.from_iterable(map(images, coords)))
+        return _encode(moduli, np.fromiter(digits, np.int64).reshape(len(coords), -1, len(moduli)))
+
     tree = _spanning_tree(base, base.generators)
     coords = (
         sum(parts, ()) for parts in itertools.product(*(vals for _, vals, _ in factors))
     )
     blocks = []
     while chunk := list(itertools.islice(coords, 4096)):
-        block = _extend_batch(base, tree, np.array([images(c) for c in chunk], dtype=np.int32))
+        block = _extend_batch(base, tree, codes(chunk))
         _assert_automorphisms(base, block)
         blocks.append(block)
     return StructuredAut(
@@ -589,7 +529,7 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
         base=base,
         aut=AutGroup(base, np.vstack(blocks)),
         coord_moduli={name: mod for names, _, mod in factors for name in names},
-        images=images,
+        images=codes,
     )
 
 

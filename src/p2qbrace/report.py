@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .braces import brace_from_regular, is_bi_skew
-from .core import identify_p2q
+from .core import GroupLabel, identify_p2q
 from .enumeration import OrbitClass, circle_group, stratified_orbit_classes
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
 from .families import all_labels, aut_order, derive_params, family_aut
@@ -347,22 +347,12 @@ def _markdown_tables(report: ClassificationReport) -> str:
     for title, rows_lb in (("abelian", abelian), ("nonabelian", nonab)):
         if not rows_lb:
             continue
-        mul_keys: list[str] = []
-        for lb in all_labels(p, q):
-            mk = lb.key()
-            if any(
-                m == mk
-                for rl in rows_lb
-                for (m, _) in report.rows[rl.key()]["cells"]
-            ):
-                mul_keys.append(mk)
+        used = {m for rl in rows_lb for (m, _) in report.rows[rl.key()]["cells"]}
+        mul_keys = [lb.key() for lb in all_labels(p, q) if lb.key() in used]
         out.append(f"## Additive type {title}")
         out.append("")
-        disp = {
-            mk: next(lb.display(p, q) for lb in all_labels(p, q) if lb.key() == mk)
-            for mk in mul_keys
-        }
-        out.append("| additive \\ multiplicative | " + " | ".join(disp[m] for m in mul_keys) + " | total |")
+        disp = [GroupLabel.from_key(mk).display(p, q) for mk in mul_keys]
+        out.append("| additive \\ multiplicative | " + " | ".join(disp) + " | total |")
         out.append("|---" * (len(mul_keys) + 2) + "|")
         for lb in rows_lb:
             row = report.rows[lb.key()]

@@ -159,7 +159,7 @@ def aut_as_group(aut):
     """The abstract group on automorphism indices (needs the comp table)."""
     if not aut.ensure_comp():
         raise ValueError("automorphism group too large for a Cayley table")
-    return FiniteGroup(comp_table(aut), check=False, name=f"Aut({aut.base.name})")
+    return FiniteGroup(comp_table(aut), check=False)
 
 
 def coords_of(sa):

@@ -36,7 +36,7 @@ from helpers import (
 
 def cyclic(n):
     mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(mul.astype(np.int32), name=f"Z{n}")
+    return FiniteGroup(mul.astype(np.int32))
 
 
 def sym3():
