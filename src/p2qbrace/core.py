@@ -6,12 +6,12 @@ groups of order p^2*q for distinct primes p, q, so group orders stay small
 fastest honest representation.  Element 0 is *not* assumed to be the
 identity; constructors locate it.
 
-Automorphisms are found by generator-image backtracking with invariant
-pruning (element order + conjugacy class size) and incremental closure
-propagation: when a pair (x -> y) is recorded, images of all products with
-previously known elements are recorded and checked too, so every completed
-assignment is a homomorphism by construction.  That is plenty for
-|G| <= 200, where |Aut(G)| stays in the low thousands.
+Aut(A) comes from ``families.structured_aut`` as an ``AutGroup`` of
+permutation rows, and the kernel below (closure, generating sets,
+subgroups of each order, element orders) serves it and Cayley tables
+alike.  Generator-image backtracking with invariant pruning remains as
+the brute-force oracle ``compute_automorphisms`` and for the additive
+isomorphisms of ``braces.brace_isomorphic``.
 """
 
 from __future__ import annotations
@@ -144,19 +144,8 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        n = self.n
-        orders = np.zeros(n, dtype=np.int32)
-        orders[self.identity] = 1
-        cur = np.arange(n)
-        k = 1
-        while (orders == 0).any():
-            k += 1
-            cur = self.mul[cur, np.arange(n)]
-            hit = (cur == self.identity) & (orders == 0)
-            orders[hit] = k
-            if k > n:
-                raise RuntimeError("order computation ran away")
-        return orders
+        # column x is right multiplication by x: x^j = x^(j-1) x on any table
+        return _orders(self.mul.T, [self.identity])
 
     @cached_property
     def conjugacy_class_sizes(self) -> np.ndarray:
@@ -188,6 +177,28 @@ class FiniteGroup:
 # One kernel for Cayley-table groups and automorphism groups alike: it needs
 # only ``identity``, a scalar ``compose(a, b)``, a vectorized ``product(a, b)``,
 # the ``inv`` array and ``element_orders``, whose length is the group order.
+# Both kinds of group take their element orders from ``_orders``.
+
+
+def _orders(rows: np.ndarray, points) -> np.ndarray:
+    """For each permutation row x of ``rows``, the first j >= 1 at which
+    x^j fixes every one of ``points``, as int64; only the rows not yet
+    done are walked.  No order in a group of k rows exceeds k, so a walk
+    past k steps raises RuntimeError."""
+    points = np.asarray(points)
+    out = np.zeros(len(rows), dtype=np.int64)
+    todo, images = np.arange(len(rows)), rows[:, points]
+    j = 1
+    while todo.size:
+        done = (images == points).all(axis=1)
+        if done.any():  # most steps finish no row, and compacting is not free
+            out[todo[done]] = j
+            todo, images = todo[~done], images[~done]
+        if todo.size and j >= len(rows):
+            raise RuntimeError("order computation ran away")
+        images = rows[todo[:, None], images]
+        j += 1
+    return out
 
 
 def closure(group, seed, limit: int | None = None) -> list[int] | None:
@@ -499,19 +510,8 @@ class AutGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        # the order of f is the first j with f^j(s) = s for every generator s
-        gens = np.asarray(self.base.generators)
-        out = np.zeros(self.k, dtype=np.int64)
-        todo = np.arange(self.k)
-        images = self.perms[:, gens]
-        j = 1
-        while todo.size:
-            done = (images == gens).all(axis=1)
-            out[todo[done]] = j
-            todo, images = todo[~done], images[~done]
-            images = self.perms[todo[:, None], images]
-            j += 1
-        return out
+        # f is fixed by its images of the generators
+        return _orders(self.perms, self.base.generators)
 
     @cached_property
     def generators(self) -> list[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteGroup, GroupLabel, _factor, generating_set, identify_p2q, subgroups_of_order
-from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes
+from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
 
 __all__ = [
     "OrbitClass",
@@ -112,44 +112,28 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> np.ndarra
 
 
 def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...]):
-    """Generators of the kernel, and for each generator alpha of K the right
-    coset representatives u of the kernel for which (u, alpha) can lie in a
-    regular subgroup with that kernel."""
-    base = hol.base
-    aut = hol.aut
-    n = base.n
-    n_arr = np.array(kernel, dtype=np.int64)
-    n_mask = np.zeros(n, dtype=bool)
-    n_mask[n_arr] = True
+    """Generators of the kernel N, and for each generator alpha of K, in
+    ascending order, the right coset representatives u of N (the least
+    element of N u) for which (u, alpha) normalises N x 1 and has its o-th
+    power, o = ord(alpha), in N x 1, as in any regular subgroup with kernel
+    N.  That power is (u alpha(u) ... alpha^(o-1)(u), alpha^o), and alpha^o
+    is the identity, so only its first coordinate is tested.
+    """
+    base, aut = hol.base, hol.aut
+    n_mask = np.zeros(base.n, dtype=bool)
+    n_mask[list(kernel)] = True
     n_gens = generating_set(base, kernel)
-
-    # right coset representatives of the kernel
-    reps = []
-    seen = np.zeros(n, dtype=bool)
-    for u in range(n):
-        if not seen[u]:
-            reps.append(u)
-            seen[base.mul[n_arr, u]] = True
-
-    orders = aut.element_orders
+    reps = np.nonzero(base.mul[list(kernel)].min(axis=0) == np.arange(base.n))[0]
+    inv = base.inv[reps][:, None]
     per_gen: list[np.ndarray] = []
     for alpha in k_gens:
-        o = int(orders[alpha])
-        good = []
-        for u in reps:
-            # (u, alpha) must normalize kernel x 1 ...
-            if any(
-                not n_mask[base.mul[base.mul[u, aut.perms[alpha, m]], base.inv[u]]]
-                for m in n_gens
-            ):
-                continue
-            # ... and its ord(alpha)-th power must fall into kernel x 1
-            w = hol.power(hol.pack(u, alpha), o)
-            wa, wf = divmod(w, hol.n_aut)
-            if wf != aut.identity or not n_mask[wa]:
-                continue
-            good.append(u)
-        per_gen.append(np.array(good, dtype=np.int64))
+        row = aut.perms[alpha]
+        normal = n_mask[base.mul[base.mul[reps[:, None], row[n_gens]], inv]].all(axis=1)
+        power = image = reps
+        for _ in range(int(aut.element_orders[alpha]) - 1):
+            image = row[image]
+            power = base.mul[power, image]
+        per_gen.append(reps[normal & n_mask[power]])
     return n_gens, per_gen
 
 
@@ -205,21 +189,8 @@ def _stratified_reps(hol: Holomorph) -> list[np.ndarray]:
 def _orbit_of(hol: Holomorph, start: np.ndarray):
     """Conjugation orbit of a lambda table; returns (lex-min tuple, orbit
     size, member tables)."""
-    gens = hol.aut.generators
-    seen = {start.tobytes()}
-    queue = [start]
-    best = start.tolist()
-    for lam in queue:
-        for h in gens:
-            nxt = hol.conjugate_subgroup(lam, h)
-            key = nxt.tobytes()
-            if key not in seen:
-                seen.add(key)
-                queue.append(nxt)
-                cand = nxt.tolist()
-                if cand < best:
-                    best = cand
-    return tuple(best), len(seen), queue
+    members = orbit(start, hol.aut.generators, hol.conjugate_subgroup)
+    return tuple(min(member.tolist() for member in members)), len(members), members
 
 
 def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
@@ -243,11 +214,11 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
             pi2 = rep_pi2
         elif lam.tobytes() in walked:
             continue
-        best, size, orbit = _orbit_of(hol, lam)
+        best, size, members = _orbit_of(hol, lam)
         assert best not in by_min, "a walk from an unseen representative met a known orbit"
         by_min[best] = size
         walked.update(
-            member.tobytes() for member in orbit
+            member.tobytes() for member in members
             if np.array_equal(np.unique(member), pi2)
         )
     classes = []

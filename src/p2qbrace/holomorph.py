@@ -30,6 +30,7 @@ __all__ = [
     "HolSubgroup",
     "closure_packed",
     "aut_subgroup_classes",
+    "orbit",
 ]
 
 
@@ -52,16 +53,6 @@ class Holomorph:
         a, f = divmod(int(x), self.n_aut)
         b, g = divmod(int(y), self.n_aut)
         return int(self.base.mul[a, self.aut.perms[f, b]]) * self.n_aut + self.aut.compose(f, g)
-
-    def power(self, x: int, k: int) -> int:
-        """x^k for k >= 0."""
-        acc, base = self.identity, x
-        while k:
-            if k & 1:
-                acc = self.compose(acc, base)
-            base = self.compose(base, base)
-            k >>= 1
-        return acc
 
     def conjugate_subgroup(self, lam: np.ndarray, h: int) -> np.ndarray:
         """The lambda table of (1,h) G (1,h)^{-1}, G having the table ``lam``:
@@ -116,34 +107,42 @@ def closure_packed(
     return None if elems is None else tuple(elems)
 
 
-# -- subgroups of Aut(A) up to conjugacy --------------------------------------
+# -- orbits -------------------------------------------------------------------
+
+
+def orbit(start: np.ndarray, gens, act) -> list[np.ndarray]:
+    """The orbit of the array ``start`` under <gens>, h sending x to
+    ``act(x, h)``: its members breadth first, told apart by their bytes."""
+    seen = {start.tobytes()}
+    members = [start]
+    for x in members:
+        for h in gens:
+            y = act(x, h)
+            key = y.tobytes()
+            if key not in seen:
+                seen.add(key)
+                members.append(y)
+    return members
 
 
 def aut_subgroup_classes(aut: AutGroup, m: int) -> list[tuple[int, ...]]:
-    """Conjugacy-class representatives of the order-m subgroups of Aut(A).
-
-    Each class is represented by its lexicographically least member (as a
-    sorted index tuple).
+    """Conjugacy-class representatives of the order-m subgroups of Aut(A),
+    each the lexicographically least member of its class (as a sorted
+    index tuple).  AssertionError if a conjugate is not in the enumeration.
     """
     aut.ensure_comp()
     subs = subgroups_of_order(aut, m)
     sub_set = set(subs)
-    gens = aut.generators
     reps: list[tuple[int, ...]] = []
     visited: set[tuple[int, ...]] = set()
     for s in subs:  # subs sorted, so orbits are discovered from their minima
         if s in visited:
             continue
-        orbit = {s}
-        queue = [s]
-        for t in queue:
-            for h in gens:
-                u = tuple(sorted(map(int, aut.conj_row(h)[list(t)])))
-                if u not in orbit:
-                    if u not in sub_set:
-                        raise AssertionError("conjugate of a subgroup not in the enumeration")
-                    orbit.add(u)
-                    queue.append(u)
-        visited |= orbit
-        reps.append(min(orbit))
-    return sorted(reps)
+        members = orbit(np.array(s, dtype=np.int32), aut.generators,
+                        lambda t, h: np.sort(aut.conj_row(h)[t]))
+        conjugates = {tuple(t.tolist()) for t in members}
+        if not conjugates <= sub_set:
+            raise AssertionError("conjugate of a subgroup not in the enumeration")
+        visited |= conjugates
+        reps.append(s)
+    return reps

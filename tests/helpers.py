@@ -22,7 +22,6 @@ from p2qbrace.core import (
 )
 from p2qbrace.enumeration import (
     OrbitClass,
-    _lifts,
     _orbit_of,
     _pq_of,
     _stratified_reps,
@@ -144,6 +143,14 @@ def hol_product(hol, x, y):
     return out
 
 
+def hol_power(hol, x, k):
+    """x^k for k >= 0, by k scalar products ``Holomorph.compose``."""
+    acc = hol.identity
+    for _ in range(k):
+        acc = hol.compose(acc, x)
+    return acc
+
+
 def exponent(group):
     """The least common multiple of the element orders."""
     return int(lcm(*map(int, np.unique(group.element_orders))))
@@ -222,10 +229,46 @@ def regular_closure_oracle(hol, generators):
     return f.astype(np.int32)  # sorted, so a = 0, 1, ..., n - 1
 
 
+def lifts_oracle(hol, k_gens, kernel):
+    """``enumeration._lifts`` element by element: the right coset
+    representatives found by a scan in index order, and for each of them
+    the normaliser test and the ord(alpha)-th power by scalar products."""
+    base, aut = hol.base, hol.aut
+    n = base.n
+    n_arr = np.array(kernel, dtype=np.int64)
+    n_mask = np.zeros(n, dtype=bool)
+    n_mask[n_arr] = True
+    n_gens = generating_set(base, kernel)
+    reps = []
+    seen = np.zeros(n, dtype=bool)
+    for u in range(n):
+        if not seen[u]:
+            reps.append(u)
+            seen[base.mul[n_arr, u]] = True
+    per_gen = []
+    for alpha in k_gens:
+        o = int(aut.element_orders[alpha])
+        good = []
+        for u in reps:
+            # (u, alpha) must normalise kernel x 1 ...
+            if any(
+                not n_mask[base.mul[base.mul[u, aut.perms[alpha, m]], base.inv[u]]]
+                for m in n_gens
+            ):
+                continue
+            # ... and its ord(alpha)-th power must fall into kernel x 1
+            wa, wf = unpack(hol, hol_power(hol, hol.pack(u, alpha), o))
+            if wf != aut.identity or not n_mask[wa]:
+                continue
+            good.append(u)
+        per_gen.append(np.array(good, dtype=np.int64))
+    return n_gens, per_gen
+
+
 def lift_search_oracle(hol, k_elems, k_gens, kernel):
     """``enumeration._lift_search`` by one scalar closure per combination of
-    admissible lifts, taken in ``itertools.product`` order."""
-    n_gens, per_gen = _lifts(hol, k_gens, kernel)
+    the lifts of ``lifts_oracle``, taken in ``itertools.product`` order."""
+    n_gens, per_gen = lifts_oracle(hol, k_gens, kernel)
     kernel_packed = [hol.pack(m, hol.aut.identity) for m in n_gens]
     found = []
     for combo in itertools.product(*per_gen):

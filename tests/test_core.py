@@ -84,6 +84,39 @@ def test_cyclic_group_basics():
     assert g.power(5, -1) == 7
 
 
+def scalar_order(group, x):
+    """The first j >= 1 at which x^j, by repeated ``compose``, is the identity."""
+    j, y = 1, x
+    while y != group.identity:
+        j, y = j + 1, group.compose(y, x)
+    return j
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_element_orders_are_the_first_powers_at_the_identity(monkeypatch, pair, table):
+    # A and Aut(A) of every family; without a table Aut(A) composes by
+    # generator-image codes
+    if not table:
+        monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
+    for key in label_keys(*pair):
+        sa = family_aut(*pair, key)
+        assert sa.aut.ensure_comp() == table
+        for group in (sa.base, sa.aut):
+            orders = group.element_orders
+            assert orders.dtype == np.int64
+            assert orders.tolist() == [scalar_order(group, x) for x in range(len(orders))], key
+
+
+def test_element_orders_of_unchecked_tables():
+    # not a group (row 1 repeats 2): the walk takes x^j = x^(j-1) x, so the
+    # table gives orders, while in its transpose the powers of 1 stay at 2
+    table = np.array([[0, 1, 2, 3], [1, 2, 2, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
+    assert FiniteGroup(table, check=False).element_orders.tolist() == [1, 4, 2, 4]
+    with pytest.raises(RuntimeError, match="ran away"):
+        FiniteGroup(table.T, check=False).element_orders
+
+
 def test_nonassociative_table_rejected():
     bad = np.zeros((3, 3), dtype=np.int32)
     bad[1, 1] = 2

@@ -1,5 +1,7 @@
 """Regular-subgroup enumeration against the DFS oracle, orbits, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from p2qbrace.core import AutGroup, generating_set, identify_p2q
 from p2qbrace.enumeration import (
     circle_group,
     _lift_search,
+    _lifts,
     _orbit_of,
     _regular_closures,
     _strata,
@@ -24,6 +27,7 @@ from helpers import (
     hol_of,
     label_keys,
     lift_search_oracle,
+    lifts_oracle,
     orbit_partition,
     packed_elements,
     regular_closure_oracle,
@@ -161,6 +165,12 @@ def test_orbit_skip_matches_the_full_list_oracle():
 def assert_lift_search_matches_the_oracle(hol):
     strata = 0
     for k_rep, k_gens, kernel in _strata(hol):
+        # the lifts: the same kernel generators and the same arrays in order
+        n_gens, per_gen = _lifts(hol, k_gens, kernel)
+        want_gens, want_lifts = lifts_oracle(hol, k_gens, kernel)
+        assert n_gens == want_gens and len(per_gen) == len(want_lifts)
+        for lifts, oracle in zip(per_gen, want_lifts):
+            assert lifts.dtype == oracle.dtype and np.array_equal(lifts, oracle)
         got = _lift_search(hol, k_rep, k_gens, kernel)
         want = lift_search_oracle(hol, k_rep, k_gens, kernel)
         assert len(got) == len(want)
@@ -172,9 +182,10 @@ def assert_lift_search_matches_the_oracle(hol):
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS)
 def test_lift_search_matches_the_scalar_closure_oracle(pair):
-    # the fixpoint over all lift combinations keeps the tables, and the
-    # order, of one scalar closure per combination; the (3,7) PxQbyP stratum
-    # of 14 175 combinations spans many chunks
+    # the lifts are those of the scalar filter, and the fixpoint over all
+    # their combinations keeps the tables, and the order, of one scalar
+    # closure per combination; the (3,7) PxQbyP stratum of 14 175
+    # combinations spans many chunks
     for key in label_keys(*pair):
         assert_lift_search_matches_the_oracle(hol_of(*pair, key))
 
@@ -220,3 +231,24 @@ def test_regular_closures_reject_collisions_and_proper_subgroups():
     # rows are closed independently: of three, only the translations survive
     rows = _regular_closures(hol, np.array([[a, a], gens, [e, e]]), np.array([one, one]))
     assert len(rows) == 1 and (rows[0] == one).all()
+
+
+def test_regular_closures_on_every_two_generator_row_at_order12():
+    # (2,3) PxPQ: every pair of translation parts against every pair of
+    # automorphisms, so every two-generator row and the clashes within one
+    # round that it can meet
+    hol = hol_of(2, 3, "PxPQ")
+    n, k = hol.base.n, hol.n_aut
+    assert (n, k) == (12, 12)
+    b = np.array(list(itertools.product(range(n), repeat=2)))
+    regular = 0
+    for g in itertools.product(range(k), repeat=2):
+        got = _regular_closures(hol, b, np.array(g))
+        want = [regular_closure_oracle(hol, [hol.pack(u, h) for u, h in zip(row, g)])
+                for row in b.tolist()]
+        want = [lam for lam in want if lam is not None]
+        assert len(got) == len(want), g
+        for lam, oracle in zip(got, want):
+            assert np.array_equal(lam, oracle), g
+        regular += len(got)
+    assert regular

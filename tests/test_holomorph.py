@@ -14,6 +14,7 @@ from helpers import (
     classes_of,
     hol_inv,
     hol_of,
+    hol_power,
     hol_product,
     label_keys,
     meets_stabiliser_trivially,
@@ -53,14 +54,14 @@ def test_hol_mul_matches_semidirect_formula():
 
 def test_candidate_pool_and_powers_match_the_definition():
     # x qualifies iff x != e, its order k divides |A| and pi1(x^j) first
-    # returns to the identity of A at j = k; orders and powers by hol.power
+    # returns to the identity of A at j = k; orders and powers by hol_power
     hol = hol_of(2, 7, "PxPQ")
     n, e = hol.base.n, hol.identity
     pool, powers = candidate_pool(hol)
     assert np.all(np.diff(pool) > 0)
     expect = []
     for x in range(hol.size):
-        walk = [hol.power(x, j) for j in range(1, n + 1)]
+        walk = [hol_power(hol, x, j) for j in range(1, n + 1)]
         length = next(j for j, w in enumerate(walk, 1) if w // hol.n_aut == hol.base.identity)
         if x != e and n % length == 0 and walk[length - 1] == e:
             expect.append(x)
@@ -69,8 +70,8 @@ def test_candidate_pool_and_powers_match_the_definition():
     for x, row in zip(map(int, pool), powers.tolist()):
         k = row.index(e) + 1
         assert n % k == 0
-        assert all(hol.power(x, k // d) != e for d in (2, 7) if k % d == 0)
-        assert row == [hol.power(x, j) for j in range(1, k + 1)] + [e] * (len(row) - k)
+        assert all(hol_power(hol, x, k // d) != e for d in (2, 7) if k % d == 0)
+        assert row == [hol_power(hol, x, j) for j in range(1, k + 1)] + [e] * (len(row) - k)
         orders.append(k)
     assert powers.shape == (len(pool), max(orders))
 
