@@ -245,9 +245,10 @@ def _preserves_mul(phi: np.ndarray, b1: SkewBrace, b2: SkewBrace) -> bool:
 def brace_isomorphic(b1: SkewBrace, b2: SkewBrace) -> np.ndarray | None:
     """A bijection preserving both operations, or None.
 
-    Searches the additive isomorphisms by generator-image backtracking and
-    keeps the first that also respects o.  The identity map is tried first,
-    so a brace compared with itself gets the identity witness.
+    Goes through the additive isomorphisms in the order ``_hom_images``
+    yields them (tuples of generator images, checked a chunk at a time)
+    and keeps the first that also respects o.  The identity map is tried
+    first, so a brace compared with itself gets the identity witness.
     """
     from .core import _hom_images
 

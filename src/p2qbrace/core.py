@@ -9,13 +9,16 @@ identity; constructors locate it.
 Aut(A) comes from ``families.structured_aut`` as an ``AutGroup`` of
 permutation rows, and the kernel below (closure, generating sets,
 subgroups of each order, element orders) serves it and Cayley tables
-alike.  Generator-image backtracking with invariant pruning remains as
-the brute-force oracle ``compute_automorphisms`` and for the additive
+alike.  The brute-force search ``_hom_images`` tests every tuple of
+generator images with matching invariants, a chunk of tuples at a time
+as rows of NumPy arrays, and checks each candidate map on the generators
+only.  It serves the oracle ``compute_automorphisms`` and the additive
 isomorphisms of ``braces.brace_isomorphic``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -354,8 +357,46 @@ def _element_invariants(group: FiniteGroup) -> list[tuple[int, int]]:
     return [(int(orders[x]), int(sizes[x])) for x in range(group.n)]
 
 
+_HOM_CHUNK_CELLS = 2**16  # image cells per chunk of candidate maps: bounded temporaries
+
+
+def _spanning_levels(group: FiniteGroup) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A BFS spanning tree of ``group`` from the identity under right
+    multiplication by its generators, level by level: arrays (x, parent,
+    generator index) with x = parent * generators[index]."""
+    gens = np.asarray(group.generators)
+    seen = np.zeros(group.n, dtype=bool)
+    seen[group.identity] = True
+    front, levels = np.array([group.identity]), []
+    while True:
+        new, first = np.unique(group.mul[front[:, None], gens], return_index=True)
+        fresh = ~seen[new]
+        if not fresh.any():
+            break
+        new, first = new[fresh], first[fresh]
+        seen[new] = True
+        par, gi = np.divmod(first, len(gens))
+        levels.append((new, front[par], gi))
+        front = new
+    assert seen.all(), "generators failed to close the group"
+    return levels
+
+
 def _hom_images(src: FiniteGroup, dst: FiniteGroup):
-    """Yield image tables of bijective homomorphisms src -> dst."""
+    """Yield image tables of bijective homomorphisms src -> dst, in the
+    ``itertools.product`` order of the candidate images of
+    ``src.generators`` (the elements of dst with the same element order
+    and class size).
+
+    A chunk of candidate tuples is a chunk of rows.  Each row extends its
+    generator images to a map phi along a spanning tree of src, phi(x s) =
+    phi(x) phi(s), and is kept iff phi(x g) = phi(x) phi(g) for every x and
+    every generator g, and phi(x) = e for exactly one x.  That suffices:
+    the y with phi(x y) = phi(x) phi(y) for all x are closed under
+    products, phi(x y1 y2) = phi(x y1) phi(y2) = phi(x) phi(y1 y2), so phi
+    is a homomorphism; its kernel is trivial, so it is injective, hence
+    bijective between groups of equal order.
+    """
     if src.n != dst.n:
         return
     inv_s = _element_invariants(src)
@@ -363,51 +404,23 @@ def _hom_images(src: FiniteGroup, dst: FiniteGroup):
     if sorted(inv_s) != sorted(inv_d):
         return
     gens = src.generators
-    cands = [[y for y in range(dst.n) if inv_d[y] == inv_s[g]] for g in gens]
-    sm, dm = src.mul, dst.mul
-
-    img = np.full(src.n, -1, dtype=np.int32)
-    used = np.zeros(dst.n, dtype=bool)
-    img[src.identity] = dst.identity
-    used[dst.identity] = True
-    known: list[int] = [src.identity]
-
-    def try_assign(x0: int, y0: int) -> bool:
-        stack = [(x0, y0)]
-        while stack:
-            x, y = stack.pop()
-            cur = img[x]
-            if cur >= 0:
-                if cur != y:
-                    return False
-                continue
-            if used[y]:
-                return False
-            img[x] = y
-            used[y] = True
-            stack.append((int(sm[x, x]), int(dm[y, y])))
-            for z in known:
-                w = img[z]
-                stack.append((int(sm[x, z]), int(dm[y, w])))
-                stack.append((int(sm[z, x]), int(dm[w, y])))
-            known.append(x)
-        return True
-
-    def rec(i: int):
-        if i == len(gens):
-            assert len(known) == src.n, "generators failed to close the group"
-            yield img.copy()
-            return
-        for y in cands[i]:
-            mark = len(known)
-            if try_assign(gens[i], y):
-                yield from rec(i + 1)
-            for x in known[mark:]:
-                used[img[x]] = False
-                img[x] = -1
-            del known[mark:]
-
-    yield from rec(0)
+    cands = [np.array([y for y in range(dst.n) if inv_d[y] == inv_s[g]]) for g in gens]
+    levels = _spanning_levels(src)
+    shape = tuple(map(len, cands))
+    total, step = math.prod(shape), max(1, _HOM_CHUNK_CELLS // src.n)
+    for lo in range(0, total, step):
+        combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
+        imgs = np.column_stack([c[i] for c, i in zip(cands, combo)])
+        phi = np.empty((len(imgs), src.n), dtype=np.int32)
+        phi[:, src.identity] = dst.identity
+        for xs, par, gi in levels:
+            phi[:, xs] = dst.mul[phi[:, par], imgs[:, gi]]
+        keep = (phi == dst.identity).sum(axis=1) == 1
+        phi, imgs = phi[keep], imgs[keep]
+        for j, g in enumerate(gens):
+            keep = (phi[:, src.mul[:, g]] == dst.mul[phi, imgs[:, j, None]]).all(axis=1)
+            phi, imgs = phi[keep], imgs[keep]
+        yield from phi
 
 
 class AutGroup:
@@ -519,10 +532,12 @@ class AutGroup:
 
 
 def compute_automorphisms(group: FiniteGroup, bound: int = 200) -> AutGroup:
-    """Aut(G) by exhaustive generator-image backtracking.
+    """Aut(G) by testing every tuple of generator images (``_hom_images``).
 
-    Refuses groups larger than ``bound``: the search is quadratic per
-    candidate map and meant for the ambient sizes of this project.
+    Refuses groups larger than ``bound``: the search costs O(n |gens|) per
+    candidate tuple, the tuples number up to n^|gens|, and the rows kept
+    are all of Aut(G), so it is meant for the ambient sizes of this project
+    (order 147 takes seconds).
     """
     if group.n > bound:
         raise ValueError(f"group of order {group.n} exceeds the bound {bound}")

@@ -13,6 +13,7 @@ from p2qbrace.catalog import FamilyContext, RecipeError
 from p2qbrace.core import (
     FiniteGroup,
     GroupLabel,
+    _element_invariants,
     _factor,
     _hom_images,
     closure,
@@ -208,8 +209,74 @@ def first_associativity_failure(table):
     return None
 
 
+# -- the homomorphism oracle: generator-image backtracking ------------------
+#
+# ``core._hom_images`` extends each tuple of generator images along a
+# spanning tree and checks the map on the generators, a chunk of tuples at
+# a time.  The oracle takes another road: it assigns one generator image
+# at a time and propagates every product of known elements, backtracking
+# on the first clash.  Both yield the tables in ``itertools.product`` order
+# of the candidate tuples.
+
+
+def hom_images_oracle(src: FiniteGroup, dst: FiniteGroup):
+    """Yield image tables of bijective homomorphisms src -> dst."""
+    if src.n != dst.n:
+        return
+    inv_s = _element_invariants(src)
+    inv_d = _element_invariants(dst)
+    if sorted(inv_s) != sorted(inv_d):
+        return
+    gens = src.generators
+    cands = [[y for y in range(dst.n) if inv_d[y] == inv_s[g]] for g in gens]
+    sm, dm = src.mul, dst.mul
+
+    img = np.full(src.n, -1, dtype=np.int32)
+    used = np.zeros(dst.n, dtype=bool)
+    img[src.identity] = dst.identity
+    used[dst.identity] = True
+    known: list[int] = [src.identity]
+
+    def try_assign(x0: int, y0: int) -> bool:
+        stack = [(x0, y0)]
+        while stack:
+            x, y = stack.pop()
+            cur = img[x]
+            if cur >= 0:
+                if cur != y:
+                    return False
+                continue
+            if used[y]:
+                return False
+            img[x] = y
+            used[y] = True
+            stack.append((int(sm[x, x]), int(dm[y, y])))
+            for z in known:
+                w = img[z]
+                stack.append((int(sm[x, z]), int(dm[y, w])))
+                stack.append((int(sm[z, x]), int(dm[w, y])))
+            known.append(x)
+        return True
+
+    def rec(i: int):
+        if i == len(gens):
+            assert len(known) == src.n, "generators failed to close the group"
+            yield img.copy()
+            return
+        for y in cands[i]:
+            mark = len(known)
+            if try_assign(gens[i], y):
+                yield from rec(i + 1)
+            for x in known[mark:]:
+                used[img[x]] = False
+                img[x] = -1
+            del known[mark:]
+
+    yield from rec(0)
+
+
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Morphism | None:
-    """First isomorphism found by generator-image backtracking, else None."""
+    """First isomorphism that ``_hom_images`` yields, else None."""
     for m in _hom_images(g, h):
         return Morphism(g, h, m)
     return None

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from p2qbrace import core
 from p2qbrace.core import (
     FAMILIES,
     AutGroup,
@@ -28,6 +29,7 @@ from helpers import (
     exponent,
     first_associativity_failure,
     group_of,
+    hom_images_oracle,
     label_keys,
     params_of,
     subgroups_of_order_oracle,
@@ -243,16 +245,50 @@ def test_subgroups_of_order_against_the_pairwise_oracle_at_order50():
         assert subgroups_of_order(aut, m) == subgroups_of_order_oracle(aut, m), m
 
 
+def relabelled(g, perm):
+    """The same group with element x renamed perm[x]."""
+    inv = np.argsort(perm)
+    return FiniteGroup(perm[g.mul[inv[:, None], inv[None, :]]].astype(np.int32))
+
+
 def test_are_isomorphic_positive_and_negative():
     a = cyclic(6)
-    # Z6 under a relabelled table: x*y computed through a permutation
-    perm = np.array([3, 1, 4, 0, 5, 2])
-    inv = np.argsort(perm)
-    mul = perm[a.mul[inv[:, None], inv[None, :]]]
-    b = FiniteGroup(mul.astype(np.int32))
+    b = relabelled(a, np.array([3, 1, 4, 0, 5, 2]))
     iso = are_isomorphic(a, b)
     assert iso is not None and iso.is_homomorphism() and iso.is_bijective()
     assert are_isomorphic(a, sym3()) is None
+
+
+def assert_hom_images_match_the_oracle(src, dst):
+    """Same tables, dtypes and order as the backtracking oracle; returns
+    how many."""
+    found = list(core._hom_images(src, dst))
+    expect = list(hom_images_oracle(src, dst))
+    assert len(found) == len(expect)
+    for a, b in zip(found, expect):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return len(found)
+
+
+# a small chunk bound puts chunk boundaries inside the searches, so order
+# across them is checked too (13 to 51 candidate maps per chunk here)
+SMALL_CHUNK = 2**10
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_hom_images_match_the_backtracking_oracle(monkeypatch, pair):
+    monkeypatch.setattr(core, "_HOM_CHUNK_CELLS", SMALL_CHUNK)
+    for key in label_keys(*pair):
+        g = group_of(*pair, key)
+        assert assert_hom_images_match_the_oracle(g, g) == family_aut(*pair, key).aut.k, key
+
+
+def test_hom_images_between_different_tables_match_the_oracle(monkeypatch):
+    monkeypatch.setattr(core, "_HOM_CHUNK_CELLS", SMALL_CHUNK)
+    g = group_of(3, 7, "PxQbyP")  # non-abelian, 504 candidate tuples
+    h = relabelled(g, np.random.default_rng(0).permutation(g.n))
+    assert assert_hom_images_match_the_oracle(g, h) == 252
+    assert assert_hom_images_match_the_oracle(cyclic(6), sym3()) == 0
 
 
 def test_automorphism_group_is_closed_and_faithful():
