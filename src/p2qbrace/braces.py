@@ -26,6 +26,7 @@ from .core import (
     GroupLabel,
     _first_failure,
     _generates,
+    _respects,
     associativity_failure,
     identify_p2q,
     subgroups_of_order,
@@ -127,11 +128,10 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
 
     - Associativity: Light's test (``core.associativity_failure``).
     - Brace law: a o (b + c) = a o b - a + a o c is, after adding -a on
-      the left of both sides, lambda_a(b + c) = lambda_a(b) + lambda_a(c),
-      triple by triple.  The elements g with lambda_a(g + c) =
-      lambda_a(g) + lambda_a(c) for all c are closed under + (and
-      lambda_a(0) = 0 follows from any one of them), so the law holds iff
-      it holds for g among the additive generators and all a, c.
+      the left of both sides, lambda_a(b + c) = lambda_a(b) + lambda_a(c):
+      every lambda_a is an endomorphism of (B, +), which
+      ``core._respects`` tests on the additive generators (the lemma in
+      ``core._respects``).
 
     Nothing else can fail.  Identity and inverses hold in both tables, since
     the ``FiniteGroup`` constructor refuses a table without them.  And once
@@ -148,9 +148,7 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
         bad = associativity_failure(g)
         if bad is not None:
             return False, f"{name} law is not associative at {bad}"
-    add, perms = brace.add.mul, brace.lambda_perms
-    g = _gens(brace.add)
-    if not np.array_equal(perms[:, add[g]], add[perms[:, g, None], perms[:, None, :]]):
+    if len(_respects(brace.add, brace.add, brace.lambda_perms, _gens(brace.add))) < brace.n:
         witness = _first_failure(_brace_law(brace.add, brace.mul))
         return False, f"brace law fails at (a, b, c) = {witness}"
     return True, "all axioms hold"
@@ -161,15 +159,12 @@ def is_bi_skew(brace: SkewBrace) -> bool:
     a + (b o c) = (a + b) o a' o (a + c), with a' the o-inverse.
 
     With mu_a(b) = a' o (a + b), that law is, after a' o on the left of
-    both sides, mu_a(b o c) = mu_a(b) o mu_a(c), triple by triple.  The
-    elements g with mu_a(g o c) = mu_a(g) o mu_a(c) for all c are closed
-    under o (mu_a(e) = e), so checking the o-generators g against every a
-    and c is exact: O(n^2) per generator.
+    both sides, mu_a(b o c) = mu_a(b) o mu_a(c): every mu_a is an
+    endomorphism of (B, o), which ``core._respects`` tests on the
+    o-generators (the lemma in ``core._respects``).
     """
-    add, circ = brace.add.mul, brace.mul.mul
-    mu = circ[brace.mul.inv[:, None], add]
-    g = _gens(brace.mul)
-    return bool(np.array_equal(mu[:, circ[g]], circ[mu[:, g, None], mu[:, None, :]]))
+    mu = brace.mul.mul[brace.mul.inv[:, None], brace.add.mul]
+    return len(_respects(brace.mul, brace.mul, mu, _gens(brace.mul))) == brace.n
 
 
 def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
@@ -238,27 +233,25 @@ def invariants(brace: SkewBrace) -> BraceInvariants:
     )
 
 
-def _preserves_mul(phi: np.ndarray, b1: SkewBrace, b2: SkewBrace) -> bool:
-    return np.array_equal(phi[b1.mul.mul], b2.mul.mul[phi[:, None], phi[None, :]])
-
-
 def brace_isomorphic(b1: SkewBrace, b2: SkewBrace) -> np.ndarray | None:
     """A bijection preserving both operations, or None.
 
     Goes through the additive isomorphisms in the order ``_hom_images``
-    yields them (tuples of generator images, checked a chunk at a time)
-    and keeps the first that also respects o.  The identity map is tried
-    first, so a brace compared with itself gets the identity witness.
+    yields them and keeps the first that also respects o on the
+    o-generators, which is exact for an additive bijection (the lemma
+    in ``core._respects``).  The identity map is tried first, so a brace
+    compared with itself gets the identity witness.
     """
     from .core import _hom_images
 
     if b1.n != b2.n:
         return None
+    gens = _gens(b1.mul)
     ident = np.arange(b1.n)
-    if np.array_equal(b1.add.mul, b2.add.mul) and _preserves_mul(ident, b1, b2):
+    if np.array_equal(b1.add.mul, b2.add.mul) and len(_respects(b1.mul, b2.mul, ident[None], gens)):
         return ident
-    for image in _hom_images(b1.add, b2.add):
-        phi = np.asarray(image)
-        if _preserves_mul(phi, b1, b2):
-            return phi
+    for phi in _hom_images(b1.add, b2.add):
+        kept = _respects(b1.mul, b2.mul, phi, gens)
+        if len(kept):
+            return phi[kept[0]]
     return None

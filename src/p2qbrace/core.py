@@ -9,11 +9,15 @@ identity; constructors locate it.
 Aut(A) comes from ``families.structured_aut`` as an ``AutGroup`` of
 permutation rows, and the kernel below (closure, generating sets,
 subgroups of each order, element orders) serves it and Cayley tables
-alike.  The brute-force search ``_hom_images`` tests every tuple of
+alike.  Maps fixed by their images of generators have one kernel too:
+``_extend`` builds them along one spanning tree and ``_respects`` tests
+them on generators, with the lemma that makes that exact in its
+docstring.  ``structured_aut`` and the brace checks use it, and so does
+the brute-force search ``_hom_images``, which tries every tuple of
 generator images with matching invariants, a chunk of tuples at a time
-as rows of NumPy arrays, and checks each candidate map on the generators
-only.  It serves the oracle ``compute_automorphisms`` and the additive
-isomorphisms of ``braces.brace_isomorphic``.
+as rows of NumPy arrays.  That search serves the oracle
+``compute_automorphisms`` and the additive isomorphisms of
+``braces.brace_isomorphic``.
 """
 
 from __future__ import annotations
@@ -360,42 +364,75 @@ def _element_invariants(group: FiniteGroup) -> list[tuple[int, int]]:
 _HOM_CHUNK_CELLS = 2**16  # image cells per chunk of candidate maps: bounded temporaries
 
 
+# -- maps fixed by their images of generators --------------------------------
+
+
 def _spanning_levels(group: FiniteGroup) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A BFS spanning tree of ``group`` from the identity under right
     multiplication by its generators, level by level: arrays (x, parent,
     generator index) with x = parent * generators[index]."""
-    gens = np.asarray(group.generators)
-    seen = np.zeros(group.n, dtype=bool)
-    seen[group.identity] = True
-    front, levels = np.array([group.identity]), []
+    rows, gens = group._rows, group.generators
+    seen = {group.identity}
+    front, levels = [group.identity], []
     while True:
-        new, first = np.unique(group.mul[front[:, None], gens], return_index=True)
-        fresh = ~seen[new]
-        if not fresh.any():
+        level = []
+        for u in front:
+            for i, g in enumerate(gens):
+                x = rows[u][g]
+                if x not in seen:
+                    seen.add(x)
+                    level.append((x, u, i))
+        if not level:
             break
-        new, first = new[fresh], first[fresh]
-        seen[new] = True
-        par, gi = np.divmod(first, len(gens))
-        levels.append((new, front[par], gi))
-        front = new
-    assert seen.all(), "generators failed to close the group"
+        levels.append(tuple(map(np.array, zip(*level))))
+        front = [x for x, _, _ in level]
+    assert len(seen) == group.n, "generators failed to close the group"
     return levels
 
 
-def _hom_images(src: FiniteGroup, dst: FiniteGroup):
-    """Yield image tables of bijective homomorphisms src -> dst, in the
-    ``itertools.product`` order of the candidate images of
-    ``src.generators`` (the elements of dst with the same element order
-    and class size).
+def _extend(src: FiniteGroup, dst: FiniteGroup, blocks):
+    """For each array of rows of images of ``src.generators`` in
+    ``blocks``, yield the rows of maps phi: src -> dst with phi(e) = e and
+    phi(x s) = phi(x) phi(s) along one spanning tree of src.  Each is the
+    only homomorphism with those images, if there is one."""
+    levels = _spanning_levels(src)
+    for imgs in blocks:
+        phi = np.empty((len(imgs), src.n), dtype=np.int32)
+        phi[:, src.identity] = dst.identity
+        for xs, par, gi in levels:
+            phi[:, xs] = dst.mul[phi[:, par], imgs[:, gi]]
+        yield phi
 
-    A chunk of candidate tuples is a chunk of rows.  Each row extends its
-    generator images to a map phi along a spanning tree of src, phi(x s) =
-    phi(x) phi(s), and is kept iff phi(x g) = phi(x) phi(g) for every x and
-    every generator g, and phi(x) = e for exactly one x.  That suffices:
-    the y with phi(x y) = phi(x) phi(y) for all x are closed under
-    products, phi(x y1 y2) = phi(x y1) phi(y2) = phi(x) phi(y1 y2), so phi
-    is a homomorphism; its kernel is trivial, so it is injective, hence
-    bijective between groups of equal order.
+
+def _respects(src: FiniteGroup, dst: FiniteGroup, phi: np.ndarray, gens) -> np.ndarray:
+    """Indices of the rows of ``phi`` (maps src -> dst) with phi(g x) =
+    phi(g) phi(x) for every g in ``gens`` and every x, one generator at a
+    time, dropping the rows that fail.
+
+    Lemma: when ``gens`` generates src, these rows are exactly the
+    homomorphisms.  The g that pass for a row are closed under products,
+    phi(g h x) = phi(g) phi(h x) = phi(g) phi(h) phi(x) = phi(g h) phi(x),
+    so they are all of src.  A homomorphism that sends exactly one element
+    to e has a trivial kernel, so it is injective, and a bijection when
+    src and dst have equal order.
+    """
+    keep = np.arange(len(phi))
+    for g in gens:
+        ok = (phi[:, src.mul[g]] == dst.mul[phi[:, g, None], phi]).all(axis=1)
+        if not ok.all():
+            keep, phi = keep[ok], phi[ok]
+    return keep
+
+
+def _hom_images(src: FiniteGroup, dst: FiniteGroup):
+    """Yield the image tables of the bijective homomorphisms src -> dst, a
+    chunk at a time as arrays of rows, in the ``itertools.product`` order
+    of the candidate images of ``src.generators`` (the elements of dst
+    with the same element order and class size).
+
+    Each candidate tuple is extended to a map (``_extend``) and kept iff
+    it sends exactly one element to e and respects the generators
+    (``_respects``).
     """
     if src.n != dst.n:
         return
@@ -405,22 +442,17 @@ def _hom_images(src: FiniteGroup, dst: FiniteGroup):
         return
     gens = src.generators
     cands = [np.array([y for y in range(dst.n) if inv_d[y] == inv_s[g]]) for g in gens]
-    levels = _spanning_levels(src)
     shape = tuple(map(len, cands))
     total, step = math.prod(shape), max(1, _HOM_CHUNK_CELLS // src.n)
-    for lo in range(0, total, step):
-        combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
-        imgs = np.column_stack([c[i] for c, i in zip(cands, combo)])
-        phi = np.empty((len(imgs), src.n), dtype=np.int32)
-        phi[:, src.identity] = dst.identity
-        for xs, par, gi in levels:
-            phi[:, xs] = dst.mul[phi[:, par], imgs[:, gi]]
-        keep = (phi == dst.identity).sum(axis=1) == 1
-        phi, imgs = phi[keep], imgs[keep]
-        for j, g in enumerate(gens):
-            keep = (phi[:, src.mul[:, g]] == dst.mul[phi, imgs[:, j, None]]).all(axis=1)
-            phi, imgs = phi[keep], imgs[keep]
-        yield from phi
+
+    def chunks():
+        for lo in range(0, total, step):
+            combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
+            yield np.column_stack([c[i] for c, i in zip(cands, combo)])
+
+    for phi in _extend(src, dst, chunks()):
+        phi = phi[(phi == dst.identity).sum(axis=1) == 1]
+        yield phi[_respects(src, dst, phi, gens)]
 
 
 class AutGroup:
@@ -537,12 +569,14 @@ def compute_automorphisms(group: FiniteGroup, bound: int = 200) -> AutGroup:
     Refuses groups larger than ``bound``: the search costs O(n |gens|) per
     candidate tuple, the tuples number up to n^|gens|, and the rows kept
     are all of Aut(G), so it is meant for the ambient sizes of this project
-    (order 147 takes seconds).
+    (order 147 takes seconds).  ValueError on the trivial group, which has
+    no generators to map.
     """
     if group.n > bound:
         raise ValueError(f"group of order {group.n} exceeds the bound {bound}")
-    perms = list(_hom_images(group, group))
-    return AutGroup(group, np.array(perms, dtype=np.int32))
+    if group.n == 1:
+        raise ValueError("the trivial group has no generators to map; its Aut is trivial")
+    return AutGroup(group, np.concatenate(list(_hom_images(group, group))))
 
 
 # -- recognising groups of order p^2 q ---------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import eval_expr
-from .families import is_prime
+from .families import _check_primes
 
 __all__ = [
     "regime",
@@ -39,8 +39,7 @@ REGIME_NAMES = {
 
 
 def regime(p: int, q: int) -> str:
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError(f"need distinct primes, got p={p}, q={q}")
+    _check_primes(p, q)
     if p * p * q == 12:
         raise ValueError("order 12 mixes regimes; its tables are not encoded")
     if p == 2:
@@ -308,8 +307,7 @@ def expected_totals(p: int, q: int) -> dict[str, int | None]:
 
 def conjecture_counts(p: int, q: int) -> dict[str, int]:
     """The closed-form counts, raising outside their validity range."""
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError(f"need distinct primes, got p={p}, q={q}")
+    _check_primes(p, q)
     if p == 2:
         if q < 5:
             raise ValueError("the 4q formulas need q >= 5")

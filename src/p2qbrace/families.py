@@ -29,9 +29,9 @@ as an ordered list of factors (names, values, modulus) with the map from
 coordinates to the images of the generators, written as digit vectors.
 |Aut(A)| is the product of the factor sizes and
 ``StructuredAut.coord_moduli`` lists the moduli.  Automorphisms are realised
-as permutation rows by extending generator images along a spanning tree of
-the Cayley graph; the tests cross-check the result against brute-force Aut
-for |G| <= 100.
+as permutation rows by ``core._extend`` and checked, every row, by
+``core._respects`` and a kernel test; the tests cross-check the result
+against brute-force Aut for |G| <= 100.
 
 Coordinate conventions (typical letters: s = sigma, t = tau, e = epsilon;
 in the digits of the layout above, e -> s^n t^m e^{-1} is (n, m, -1)):
@@ -58,7 +58,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .core import AutGroup, FiniteGroup, GroupLabel
+from .core import AutGroup, FiniteGroup, GroupLabel, _extend, _factor, _respects
 
 __all__ = [
     "FamilyParams",
@@ -75,14 +75,13 @@ __all__ = [
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return _factor(m) == [(m, 1)]
+
+
+def _check_primes(p: int, q: int) -> None:
+    """ValueError unless p and q are distinct primes."""
+    if not (is_prime(p) and is_prime(q)) or p == q:
+        raise ValueError(f"need distinct primes, got p={p}, q={q}")
 
 
 def mult_order(x: int, m: int) -> int:
@@ -185,8 +184,7 @@ def _valid_xis(p: int, q: int) -> list[int]:
 
 def derive_params(p: int, q: int, choice: str = "first") -> FamilyParams:
     """Smallest (or second-smallest) canonical presentation parameters."""
-    if not (is_prime(p) and is_prime(q)) or p == q:
-        raise ValueError(f"need distinct primes, got p={p}, q={q}")
+    _check_primes(p, q)
     if choice not in ("first", "second"):
         raise ValueError(f"choice must be 'first' or 'second', got {choice!r}")
 
@@ -339,36 +337,6 @@ class _GL2:
         )
 
 
-def _spanning_tree(group: FiniteGroup, gens: list[int]):
-    n = group.n
-    parent = np.full(n, -1, dtype=np.int32)
-    via = np.full(n, -1, dtype=np.int32)
-    seen = np.zeros(n, dtype=bool)
-    seen[group.identity] = True
-    order = [group.identity]
-    for u in order:
-        for gi, g in enumerate(gens):
-            v = int(group.mul[u, g])
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                via[v] = gi
-                order.append(v)
-    if len(order) != n:
-        raise ValueError("generators do not generate the group")
-    return np.array(order, dtype=np.int32), parent, via
-
-
-def _extend_batch(group: FiniteGroup, tree, gen_imgs: np.ndarray) -> np.ndarray:
-    """Extend generator images (B, #gens) to full permutations (B, n)."""
-    order, parent, via = tree
-    out = np.empty((gen_imgs.shape[0], group.n), dtype=np.int32)
-    out[:, order[0]] = group.identity
-    for x in order[1:]:
-        out[:, x] = group.mul[out[:, parent[x]], gen_imgs[:, via[x]]]
-    return out
-
-
 @dataclass
 class StructuredAut:
     """A and Aut(A), with Aut(A) addressed by the family's coordinates.
@@ -487,20 +455,13 @@ def _family_coords(label: GroupLabel, pr: FamilyParams):
 
 
 def _assert_automorphisms(group: FiniteGroup, perms: np.ndarray) -> None:
-    """Raise unless every row of ``perms`` is an automorphism of ``group``.
-
-    A bijection phi with phi(e) = e and phi(x*s) = phi(x)*phi(s) for every x
-    and every generator s is a homomorphism: induction on the length of a
-    word in the generators gives phi(x*y) = phi(x)*phi(y) for every y.
-    """
-    if not (np.sort(perms, axis=1) == np.arange(group.n)).all():
-        raise AssertionError("structured aut produced a non-bijective map")
-    if not (perms[:, group.identity] == group.identity).all():
-        raise AssertionError("structured aut moved the identity")
-    mul = group.mul
-    for s in group.generators:
-        if not np.array_equal(perms[:, mul[:, s]], mul[perms, perms[:, [s]]]):
-            raise AssertionError("structured aut produced a non-homomorphism")
+    """Raise unless every row of ``perms`` is an automorphism of ``group``:
+    it respects the generators and sends exactly one element to e (the
+    lemma in ``core._respects``)."""
+    if len(_respects(group, group, perms, group.generators)) < len(perms):
+        raise AssertionError("structured aut produced a non-homomorphism")
+    if not ((perms == group.identity).sum(axis=1) == 1).all():
+        raise AssertionError("structured aut produced a map with a nontrivial kernel")
 
 
 def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
@@ -514,15 +475,13 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
         digits = itertools.chain.from_iterable(itertools.chain.from_iterable(map(images, coords)))
         return _encode(moduli, np.fromiter(digits, np.int64).reshape(len(coords), -1, len(moduli)))
 
-    tree = _spanning_tree(base, base.generators)
     coords = (
         sum(parts, ()) for parts in itertools.product(*(vals for _, vals, _ in factors))
     )
-    blocks = []
-    while chunk := list(itertools.islice(coords, 4096)):
-        block = _extend_batch(base, tree, codes(chunk))
+    chunks = iter(lambda: list(itertools.islice(coords, 4096)), [])
+    blocks = list(_extend(base, base, map(codes, chunks)))
+    for block in blocks:
         _assert_automorphisms(base, block)
-        blocks.append(block)
     return StructuredAut(
         label=label,
         params=params,

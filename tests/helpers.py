@@ -212,11 +212,12 @@ def first_associativity_failure(table):
 # -- the homomorphism oracle: generator-image backtracking ------------------
 #
 # ``core._hom_images`` extends each tuple of generator images along a
-# spanning tree and checks the map on the generators, a chunk of tuples at
-# a time.  The oracle takes another road: it assigns one generator image
-# at a time and propagates every product of known elements, backtracking
-# on the first clash.  Both yield the tables in ``itertools.product`` order
-# of the candidate tuples.
+# spanning tree (``core._extend``) and tests the map on the generators
+# (``core._respects``), a chunk of tuples at a time, yielding each chunk's
+# kept rows as one array.  The oracle takes another road: it assigns one
+# generator image at a time and propagates every product of known
+# elements, backtracking on the first clash.  Both give the tables in
+# ``itertools.product`` order of the candidate tuples.
 
 
 def hom_images_oracle(src: FiniteGroup, dst: FiniteGroup):
@@ -277,8 +278,9 @@ def hom_images_oracle(src: FiniteGroup, dst: FiniteGroup):
 
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Morphism | None:
     """First isomorphism that ``_hom_images`` yields, else None."""
-    for m in _hom_images(g, h):
-        return Morphism(g, h, m)
+    for chunk in _hom_images(g, h):
+        if len(chunk):
+            return Morphism(g, h, chunk[0])
     return None
 
 

@@ -262,7 +262,7 @@ def test_are_isomorphic_positive_and_negative():
 def assert_hom_images_match_the_oracle(src, dst):
     """Same tables, dtypes and order as the backtracking oracle; returns
     how many."""
-    found = list(core._hom_images(src, dst))
+    found = [row for chunk in core._hom_images(src, dst) for row in chunk]
     expect = list(hom_images_oracle(src, dst))
     assert len(found) == len(expect)
     for a, b in zip(found, expect):
@@ -356,6 +356,11 @@ def test_automorphism_group_orders():
         phi = sum(1 for k in range(1, n) if np.gcd(k, n) == 1)
         assert compute_automorphisms(cyclic(n)).k == phi
     assert compute_automorphisms(sym3()).k == 6  # S3 is complete
+
+
+def test_compute_automorphisms_names_the_trivial_group():
+    with pytest.raises(ValueError, match="trivial group"):
+        compute_automorphisms(FiniteGroup([[0]]))
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])

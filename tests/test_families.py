@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from p2qbrace.core import GroupLabel, identify_p2q
+from p2qbrace.core import GroupLabel, _respects, identify_p2q
 from p2qbrace.families import (
     _GL2,
     _assert_automorphisms,
@@ -209,8 +209,22 @@ def test_automorphism_check_catches_one_corrupted_row():
     row = 1999  # a late row: every row is checked, not a sample
     x, y = [v for v in range(sa.base.n) if perms[row, v] != sa.base.identity][:2]
     perms[row, [x, y]] = perms[row, [y, x]]
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="non-homomorphism"):
         _assert_automorphisms(sa.base, perms)
+
+
+def test_automorphism_check_rejects_homomorphisms_with_a_kernel():
+    # both maps respect the generators, so only the kernel check rejects them
+    sa = structured_of(7, 2, "PxPQ")
+    base = sa.base
+    trivial = np.full(base.n, base.identity, dtype=np.int32)
+    p_power = np.array([base.power(x, 7) for x in range(base.n)], dtype=np.int32)
+    for bad in (trivial, p_power):
+        assert len(_respects(base, base, bad[None], base.generators)) == 1
+        perms = sa.aut.perms.copy()
+        perms[1999] = bad
+        with pytest.raises(AssertionError, match="nontrivial kernel"):
+            _assert_automorphisms(base, perms)
 
 
 def test_structured_aut_coordinate_codec_round_trips():
