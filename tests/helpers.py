@@ -651,3 +651,25 @@ def gf_level_subgroup(ctx: FamilyContext, x: int, y: int) -> tuple[int, ...]:
     if elems is None or len(elems) != p * p:
         raise RecipeError(f"plane subgroup at ({x}, {y}) does not have order p²")
     return elems
+
+
+def check_ybe_oracle(sol) -> tuple[bool, str]:
+    """The braid relation by four gathers through two n^3 index arrays:
+    R12 = r x id and R23 = id x r as maps of the triples in C order, and
+    R12 R23 R12 = R23 R12 R23."""
+    n = sol.n
+    r = sol.r_flat
+    pts = np.arange(n)
+    r12 = (r[:, None] * n + pts).ravel()
+    r23 = (pts[:, None] * (n * n) + r).ravel()
+    bad = r12[r23[r12]] != r23[r12[r23]]
+    if not bad.any():
+        return True, "braid relation holds on all triples"
+    w = tuple(int(v) for v in np.unravel_index(int(np.argmax(bad)), (n, n, n)))
+    return False, f"braid relation fails at (x, y, z) = {w}"
+
+
+def export_oracle(sol) -> str:
+    """The export written cell by cell with f-strings."""
+    rows = zip(sol.sigma.tolist(), sol.tau.tolist())
+    return "\n".join(" ".join(f"{a},{b}" for a, b in zip(s, t)) for s, t in rows) + "\n"

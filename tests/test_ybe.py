@@ -1,7 +1,12 @@
 """Set-theoretic Yang-Baxter solutions derived from braces."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2qbrace.braces import brace_from_regular
 from p2qbrace.ybe import (
@@ -12,7 +17,8 @@ from p2qbrace.ybe import (
     is_involutive,
     solution_from_brace,
 )
-from helpers import all_reps
+from p2qbrace import ybe
+from helpers import all_reps, check_ybe_oracle, classes_of, export_oracle, hol_of
 
 
 def braid_oracle(sol):
@@ -53,6 +59,7 @@ def assert_agrees_with_oracle(sol):
     assert ok is (witness is None)
     if witness is not None:
         assert msg == f"braid relation fails at (x, y, z) = {witness}"
+    assert (ok, msg) == check_ybe_oracle(sol)
     assert is_involutive(sol) is involutive_oracle(sol)
     return ok
 
@@ -74,6 +81,8 @@ def test_constant_map_is_not_a_solution():
     n = 3
     const = Solution(sigma=np.zeros((n, n), np.int32), tau=np.zeros((n, n), np.int32))
     assert not check_nondegenerate(const)
+    # r(x, y) = (0, 0) sends every triple to (0, 0, 0) on both sides
+    assert assert_agrees_with_oracle(const)
 
 
 def test_noncommuting_twist_breaks_braid_relation():
@@ -117,6 +126,8 @@ def test_every_orbit_rep_yields_a_verified_solution(pair):
         sol = solution_from_brace(brace)
         ok, msg = check_ybe(sol)
         assert ok, f"{key}: {msg}"
+        assert (ok, msg) == check_ybe_oracle(sol), key
+        assert export_solution(sol) == export_oracle(sol), key
         assert check_nondegenerate(sol)
 
 
@@ -132,6 +143,75 @@ def test_checks_agree_with_the_broadcast_oracles():
     bad = Solution(sigma=sol.sigma, tau=tau)
     assert braid_oracle(bad) is not None
     assert not assert_agrees_with_oracle(bad)
+
+
+def corrupted(sol, table, x, y):
+    sigma, tau = sol.sigma.copy(), sol.tau.copy()
+    t = sigma if table == "sigma" else tau
+    t[x, y] = (t[x, y] + 1) % sol.n
+    return Solution(sigma=sigma, tau=tau)
+
+
+@pytest.mark.parametrize("table", ["sigma", "tau"])
+@pytest.mark.parametrize("pair", [(3, 7), (3, 11)])
+def test_witness_at_block_edges(pair, table, monkeypatch):
+    # check_ybe runs blocks of `step` consecutive x; corrupt the last x of
+    # the first block, the first x of the last block and the last entry of
+    # a non-trivial PxPQ solution (n = 63 and n = 99).  The witness must not
+    # depend on the block size either: one x a block down to one block.
+    pxpq = classes_of(*pair, "PxPQ")[-1]
+    sol = solution_from_brace(brace_from_regular(hol_of(*pair, "PxPQ"), pxpq.rep))
+    n = sol.n
+    step = max(1, ybe._BLOCK // (n * n))
+    assert 1 < step < n
+    for x, y in ((step - 1, n // 2), ((n - 1) // step * step, n // 2), (n - 1, n - 1)):
+        bad = corrupted(sol, table, x, y)
+        witness = braid_oracle(bad)
+        assert witness is not None
+        expected = (False, f"braid relation fails at (x, y, z) = {witness}")
+        assert check_ybe(bad) == check_ybe_oracle(bad) == expected
+        for block in (1, 5 * n * n, n**3):
+            monkeypatch.setattr(ybe, "_BLOCK", block)
+            assert check_ybe(bad) == expected
+        monkeypatch.undo()
+
+
+@st.composite
+def maps(draw):
+    n = draw(st.integers(1, 9))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    sigma = np.array(draw(cells), dtype=np.int32).reshape(n, n)
+    tau = np.array(draw(cells), dtype=np.int32).reshape(n, n)
+    return Solution(sigma=sigma, tau=tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps(), st.sampled_from([1, 20, ybe._BLOCK]))
+def test_braid_check_on_arbitrary_maps(sol, block):
+    # degenerate maps included: the check never assumes bijective rows;
+    # blocks of one x, of a few x and of every x
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ybe, "_BLOCK", block)
+        assert_agrees_with_oracle(sol)
+
+
+@pytest.mark.parametrize("block", [1, ybe._BLOCK])
+def test_every_map_on_two_points(block, monkeypatch):
+    # all 256 maps on {0, 1}; 21 of them fail first at x = 1, so a check
+    # that skips the last block is caught
+    monkeypatch.setattr(ybe, "_BLOCK", block)
+    for cells in itertools.product((0, 1), repeat=8):
+        sigma, tau = np.array(cells).reshape(2, 2, 2)
+        assert_agrees_with_oracle(Solution(sigma=sigma, tau=tau))
+
+
+def test_exports_are_pinned():
+    # SHA-256 of every (2,5) orbit representative's export, concatenated in
+    # the order of all_reps, as the f-string writer produced it
+    digest = hashlib.sha256()
+    for key, hol, cl in all_reps(2, 5):
+        digest.update(export_solution(solution_from_brace(brace_from_regular(hol, cl.rep))).encode())
+    assert digest.hexdigest() == "c2940ee12f7d1cd9cb677be6fb7ffeb5b6bd71d2920462d3892c83889047c874"
 
 
 def test_involutive_exactly_for_abelian_additive():
