@@ -25,7 +25,6 @@ from .core import (
     FiniteGroup,
     GroupLabel,
     _first_failure,
-    _generates,
     _respects,
     associativity_failure,
     identify_p2q,
@@ -115,13 +114,6 @@ def _brace_law(plus: FiniteGroup, circ: FiniteGroup) -> np.ndarray:
     return lhs == rhs
 
 
-def _gens(group: FiniteGroup) -> list[int]:
-    """The group's generators, or every element if they fail to generate
-    it, so that a check on them is exact either way."""
-    gens = group.generators
-    return gens if _generates(group, gens) else list(range(group.n))
-
-
 def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
     """Check both group structures and the brace law, each exactly and each
     in O(n^2) per generator.
@@ -148,7 +140,7 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
         bad = associativity_failure(g)
         if bad is not None:
             return False, f"{name} law is not associative at {bad}"
-    if len(_respects(brace.add, brace.add, brace.lambda_perms, _gens(brace.add))) < brace.n:
+    if len(_respects(brace.add, brace.add, brace.lambda_perms, brace.add.generators)) < brace.n:
         witness = _first_failure(_brace_law(brace.add, brace.mul))
         return False, f"brace law fails at (a, b, c) = {witness}"
     return True, "all axioms hold"
@@ -164,7 +156,7 @@ def is_bi_skew(brace: SkewBrace) -> bool:
     o-generators (the lemma in ``core._respects``).
     """
     mu = brace.mul.mul[brace.mul.inv[:, None], brace.add.mul]
-    return len(_respects(brace.mul, brace.mul, mu, _gens(brace.mul))) == brace.n
+    return len(_respects(brace.mul, brace.mul, mu, brace.mul.generators)) == brace.n
 
 
 def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
@@ -246,7 +238,7 @@ def brace_isomorphic(b1: SkewBrace, b2: SkewBrace) -> np.ndarray | None:
 
     if b1.n != b2.n:
         return None
-    gens = _gens(b1.mul)
+    gens = b1.mul.generators
     ident = np.arange(b1.n)
     if np.array_equal(b1.add.mul, b2.add.mul) and len(_respects(b1.mul, b2.mul, ident[None], gens)):
         return ident

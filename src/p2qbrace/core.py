@@ -7,17 +7,20 @@ fastest honest representation.  Element 0 is *not* assumed to be the
 identity; constructors locate it.
 
 Aut(A) comes from ``families.structured_aut`` as an ``AutGroup`` of
-permutation rows, and the kernel below (closure, generating sets,
-subgroups of each order, element orders) serves it and Cayley tables
-alike.  Maps fixed by their images of generators have one kernel too:
-``_extend`` builds them along one spanning tree and ``_respects`` tests
-them on generators, with the lemma that makes that exact in its
-docstring.  ``structured_aut`` and the brace checks use it, and so does
-the brute-force search ``_hom_images``, which tries every tuple of
-generator images with matching invariants, a chunk of tuples at a time
-as rows of NumPy arrays.  That search serves the oracle
-``compute_automorphisms`` and the additive isomorphisms of
-``braces.brace_isomorphic``.
+permutation rows in one order: by the code of each row's images of the
+key, the base elements picked greedily in index order, which is the lex
+order of the rows (the lemma in its docstring).  The kernel below
+(closure, generating sets, subgroups of each order, element orders)
+serves it and Cayley tables alike.  Maps fixed by their images of
+generators have one kernel too: ``_extend`` builds them along one
+spanning tree and ``_respects`` tests them on generators, with the lemma
+that makes that exact in its docstring.  ``structured_aut`` and the brace
+checks use it, and so does the brute-force search ``_hom_images``, which
+tries every tuple of generator images with matching invariants, a chunk
+of tuples at a time as rows of NumPy arrays (``_product_rows``, which
+also chunks the lift combinations of ``enumeration``).  That search
+serves the oracle ``compute_automorphisms`` and the additive
+isomorphisms of ``braces.brace_isomorphic``.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ class FiniteGroup:
             raise ValueError("table has non-invertible elements")
         self.inv = inv
         self._generators = list(map(int, generators)) if generators is not None else None
+        if generators is not None and not _generates(self, self._generators):
+            raise ValueError("generators must be elements that generate the group")
         self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
         if check and associativity_failure(self) is not None:
             raise ValueError("multiplication table is not associative")
@@ -237,9 +242,9 @@ def _first_failure(ok: np.ndarray) -> tuple[int, ...] | None:
 
 
 def _generates(group, gens) -> bool:
-    """Whether right multiplication by ``gens``, starting at the identity,
-    reaches every element of the table."""
-    return len(closure(group, gens)) == group.n
+    """Whether ``gens`` are elements of the table and right multiplication
+    by them, starting at the identity, reaches every element."""
+    return all(0 <= g < group.n for g in gens) and len(closure(group, gens)) == group.n
 
 
 def associativity_failure(group: FiniteGroup) -> tuple[int, int, int] | None:
@@ -252,15 +257,14 @@ def associativity_failure(group: FiniteGroup) -> tuple[int, int, int] | None:
     identity (which passes), the table is associative.  That costs two
     n x n gathers per generator; the n^3 scan runs only when the test does
     not pass, to name the first failing triple.  The generators are the
-    group's own when it was given some, else picked greedily in index order,
-    which needs no element orders and so works on any table with an
-    identity.
+    group's own when it was given some, which ``FiniteGroup`` checks reach
+    every element, else picked greedily in index order, which reach every
+    element by construction, need no element orders and so work on any
+    table with an identity.
     """
     t = group.mul
-    gens = group._generators
-    if gens is None:
-        gens = generating_set(group, range(group.n))
-    if _generates(group, gens) and np.array_equal(t[t[:, gens]], t[:, t[gens]]):
+    gens = group._generators or generating_set(group, range(group.n))
+    if np.array_equal(t[t[:, gens]], t[:, t[gens]]):
         return None
     return _first_failure(t[t, :] == t[:, t])
 
@@ -364,6 +368,16 @@ def _element_invariants(group: FiniteGroup) -> list[tuple[int, int]]:
 _HOM_CHUNK_CELLS = 2**16  # image cells per chunk of candidate maps: bounded temporaries
 
 
+def _product_rows(choices, step: int):
+    """The tuples of ``itertools.product(*choices)``, in that order, as the
+    rows of int arrays of ``step`` rows at a time (the last may be short)."""
+    shape = tuple(map(len, choices))
+    total = math.prod(shape)
+    for lo in range(0, total, step):
+        combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
+        yield np.column_stack([np.asarray(c)[i] for c, i in zip(choices, combo)])
+
+
 # -- maps fixed by their images of generators --------------------------------
 
 
@@ -386,7 +400,6 @@ def _spanning_levels(group: FiniteGroup) -> list[tuple[np.ndarray, np.ndarray, n
             break
         levels.append(tuple(map(np.array, zip(*level))))
         front = [x for x, _, _ in level]
-    assert len(seen) == group.n, "generators failed to close the group"
     return levels
 
 
@@ -442,15 +455,7 @@ def _hom_images(src: FiniteGroup, dst: FiniteGroup):
         return
     gens = src.generators
     cands = [np.array([y for y in range(dst.n) if inv_d[y] == inv_s[g]]) for g in gens]
-    shape = tuple(map(len, cands))
-    total, step = math.prod(shape), max(1, _HOM_CHUNK_CELLS // src.n)
-
-    def chunks():
-        for lo in range(0, total, step):
-            combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
-            yield np.column_stack([c[i] for c, i in zip(cands, combo)])
-
-    for phi in _extend(src, dst, chunks()):
+    for phi in _extend(src, dst, _product_rows(cands, max(1, _HOM_CHUNK_CELLS // src.n))):
         phi = phi[(phi == dst.identity).sum(axis=1) == 1]
         yield phi[_respects(src, dst, phi, gens)]
 
@@ -458,29 +463,38 @@ def _hom_images(src: FiniteGroup, dst: FiniteGroup):
 class AutGroup:
     """The automorphism group of a base group, stored as permutation rows.
 
-    ``perms`` has one row per automorphism (sorted lexicographically, so
-    indices are canonical).  An automorphism is fixed by its images of
-    ``base.generators``; their mixed-radix codes are its one key.
-    ``lookup`` finds whole arrays of automorphisms by a sorted search on
-    the codes, and the identity, the inverses and the scalar ``compose``
-    without a composition table all go through them.  ``compose(f, g)``
-    and ``product`` are f o g: apply g, then f.
+    The one key is ``key = generating_set(base, range(base.n))``, the base
+    elements picked greedily in index order.  An automorphism is fixed by
+    its key images, and ``perms`` has one row per automorphism, sorted by
+    the mixed-radix code of its key images with the first key element most
+    significant: an index is the rank of its code in ``codes``.
+
+    Lemma: this is the lex order of the rows.  Let phi != psi and let i be
+    the first index where their rows differ.  The elements below i generate
+    a subgroup on which phi and psi agree, so i lies outside it, and the
+    greedy pick put i in the key.  phi and psi agree on every key element
+    below i, so i is the first key element where they differ.
+
+    ``lookup`` takes images of ``base.generators``; everything else reads
+    the key directly.  ``compose(f, g)`` and ``product`` are f o g: apply
+    g, then f.
     """
 
     COMP_LIMIT = 4100
 
     def __init__(self, base: FiniteGroup, perms: np.ndarray):
-        perms = np.ascontiguousarray(np.asarray(perms, dtype=np.int32))
-        order = np.lexsort(perms.T[::-1])
-        self.base = base
-        self.perms = np.ascontiguousarray(perms[order])
-        self.k = int(perms.shape[0])
-        if (np.diff(self._codes[1]) == 0).any():
+        perms = np.asarray(perms, dtype=np.int32)
+        self.base, self.k = base, len(perms)
+        self.key = generating_set(base, range(base.n))
+        self._radix = base.n ** np.arange(len(self.key) - 1, -1, -1, dtype=np.int64)
+        codes = perms[:, self.key] @ self._radix
+        order = np.argsort(codes)
+        self.codes, self.perms = codes[order], perms[order]
+        if (np.diff(self.codes) == 0).any():
             raise ValueError("duplicate automorphisms")
-        gens = base.generators
-        self.identity = int(self.lookup(np.asarray(gens)))
+        self.identity = int(self._rank(self.key))
         # f^-1(s) is the point that f sends to s
-        self.inv = self.lookup(np.stack([np.argmax(self.perms == s, axis=1) for s in gens], axis=1))
+        self.inv = self._rank(np.stack([np.argmax(self.perms == s, axis=1) for s in self.key], axis=1))
         self._comp: np.ndarray | None = None
         self._conj_rows: dict[int, np.ndarray] = {}
         self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
@@ -500,53 +514,73 @@ class AutGroup:
             self._comp = comp
         return self._comp is not None
 
+    def _rank(self, images: np.ndarray) -> np.ndarray:
+        """Indices of the automorphisms with the key images on the last
+        axis of ``images``; KeyError if some row fits none."""
+        codes = np.asarray(images) @ self._radix
+        pos = self.codes.searchsorted(codes)
+        if (self.codes.take(pos, mode="clip") != codes).any():
+            raise KeyError("images of no automorphism")
+        return pos.astype(np.int32)
+
     @cached_property
-    def _codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # mixed-radix codes of the images of base.generators, sorted once
-        radix = self.base.n ** np.arange(len(self.base.generators), dtype=np.int64)
-        codes = self.perms[:, self.base.generators] @ radix
-        order = np.argsort(codes)
-        return radix, codes[order], order
+    def _spelling(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        # base.generators as an array, and the key spelt in them along the
+        # spanning tree of _extend: entry t holds the key positions whose
+        # words reach a letter t, and those letters
+        word = {self.base.identity: ()}
+        for level in _spanning_levels(self.base):
+            for x, u, i in zip(*(a.tolist() for a in level)):
+                word[x] = word[u] + (i,)
+        words = [word[x] for x in self.key]
+        steps = [[(j, w[t]) for j, w in enumerate(words) if t < len(w)] for t in range(max(map(len, words)))]
+        return np.asarray(self.base.generators), [np.array(step).T for step in steps]
 
     def lookup(self, images: np.ndarray) -> np.ndarray:
         """Indices of the automorphisms sending ``base.generators`` to the
         last axis of ``images``; KeyError if some row fits none."""
-        radix, sorted_codes, order = self._codes
-        codes = np.asarray(images) @ radix
-        pos = np.minimum(np.searchsorted(sorted_codes, codes), self.k - 1)
-        if not np.array_equal(sorted_codes[pos], codes):
+        images = np.asarray(images)
+        gens, ((_, first), *rest) = self._spelling
+        acc = images[..., first]
+        for js, letters in rest:
+            # mod n: an image out of range(n) reaches the check below, which
+            # no row passes, as a KeyError
+            acc[..., js] = self.base.mul[acc[..., js], images[..., letters] % self.base.n]
+        # no _rank check: a row whose generator images are ``images`` has
+        # the key images ``acc``, so a row found for codes of no automorphism
+        # fails the one check below
+        found = np.minimum(self.codes.searchsorted(acc @ self._radix), self.k - 1).astype(np.int32)
+        if (self.perms[found[..., None], gens] != images).any():
             raise KeyError("generator images of no automorphism")
-        return order[pos].astype(np.int32)
+        return found
 
     def product(self, f, g) -> np.ndarray:
         """f o g for broadcast index arrays ``f`` and ``g``: a gather from
-        the table when it exists, else a lookup by generator images."""
+        the table when it exists, else a rank of key images."""
         if self._comp is not None:
             return self._comp[f, g]
-        inner = self.perms[np.asarray(g)[..., None], self.base.generators]  # g(s)
-        return self.lookup(self.perms[np.asarray(f)[..., None], inner])  # f(g(s))
+        inner = self.perms[np.asarray(g)[..., None], self.key]  # g(s)
+        return self._rank(self.perms[np.asarray(f)[..., None], inner])  # f(g(s))
 
     def conj_row(self, h: int) -> np.ndarray:
         """The map f -> h f h^{-1} on every automorphism index (cached)."""
         if h not in self._conj_rows:
-            hi = int(self.inv[h])
-            images = self.perms[h][self.perms[:, self.perms[hi, self.base.generators]]]
-            self._conj_rows[h] = self.lookup(images)
+            images = self.perms[h][self.perms[:, self.perms[self.inv[h], self.key]]]
+            self._conj_rows[h] = self._rank(images)
         return self._conj_rows[h]
 
     @cached_property
     def _code_index(self) -> tuple[dict[int, int], list[list[int]], list[int], memoryview]:
         # for compose without a table, as Python objects: code -> index,
-        # each g's generator images, the radix, and the rows
-        radix, sorted_codes, order = self._codes
-        images = self.perms[:, self.base.generators].tolist()
-        index = dict(zip(sorted_codes.tolist(), order.tolist()))
-        return index, images, radix.tolist(), memoryview(self.perms)
+        # each g's key images, the radix, and the rows
+        index = dict(zip(self.codes.tolist(), range(self.k)))
+        images = self.perms[:, self.key].tolist()
+        return index, images, self._radix.tolist(), memoryview(self.perms)
 
     def compose(self, f: int, g: int) -> int:
         if self._comp is not None:
             return int(self._comp[f, g])
-        # the code of f o g: f's row read at g's generator images
+        # the code of f o g: f's row read at g's key images
         index, images, radix, rows = self._code_index
         code = 0
         for x, r in zip(images[g], radix):
@@ -555,8 +589,8 @@ class AutGroup:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        # f is fixed by its images of the generators
-        return _orders(self.perms, self.base.generators)
+        # f is fixed by its key images
+        return _orders(self.perms, self.key)
 
     @cached_property
     def generators(self) -> list[int]:

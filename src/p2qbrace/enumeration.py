@@ -19,12 +19,12 @@ represented by the lex-least table of its orbit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGroup, GroupLabel, _factor, generating_set, identify_p2q, subgroups_of_order
+from .core import FiniteGroup, GroupLabel, _factor, _product_rows, generating_set
+from .core import identify_p2q, subgroups_of_order
 from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
 
 __all__ = [
@@ -149,14 +149,9 @@ def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
     exactly on a pi1 collision in G: a row is returned iff G is regular.
     """
     n_gens, lifts = _lifts(hol, k_gens, kernel)
-    shape = tuple(map(len, lifts))
     g = np.array(list(k_gens) + [hol.aut.identity] * len(n_gens), dtype=np.int64)
-    total, step = math.prod(shape), max(1, _CHUNK_CELLS // hol.base.n)
     found = []
-    for lo in range(0, total, step):
-        combo = np.unravel_index(np.arange(lo, min(lo + step, total)), shape)
-        b = np.column_stack([lift[i] for lift, i in zip(lifts, combo)]
-                            + [np.full(len(combo[0]), m) for m in n_gens])
+    for b in _product_rows(lifts + [[m] for m in n_gens], max(1, _CHUNK_CELLS // hol.base.n)):
         found.extend(_regular_closures(hol, b, g))
     for lam in found:
         assert np.array_equal(np.unique(lam), k_elems)

@@ -355,10 +355,6 @@ class StructuredAut:
     coord_moduli: dict[str, int]
     images: Callable[[list[tuple[int, ...]]], np.ndarray]
 
-    @property
-    def coord_names(self) -> tuple[str, ...]:
-        return tuple(self.coord_moduli)
-
     def aut_index(self, **coords: int) -> int:
         """The index in ``aut`` of the automorphism with these coordinates.
 

@@ -428,47 +428,53 @@ def write_cache(
 def import_cache(path: str) -> dict:
     """Load and revalidate a cached orbit file.
 
-    Every stored representative must have pi1 bijective onto A, so it is a
-    lambda table, and a closed one: the circle group checks that, and a
-    closed finite non-empty subset of a group is a subgroup.  Its
-    multiplicative label is recomputed.  Any mismatch raises CacheError
-    rather than silently reusing poisoned data.
+    Every malformed field raises CacheError: the header must name ints p
+    and q, strings for the family, and a list of orbits; each orbit an
+    object whose ``rep`` is n pairs (a, f) of ints.  Every stored
+    representative must have pi1 bijective onto A, so it is a lambda
+    table, and a closed one: the circle group checks that, and a closed
+    finite non-empty subset of a group is a subgroup.  Its multiplicative
+    label is recomputed.  Any mismatch raises CacheError rather than
+    silently reusing poisoned data.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"unreadable cache file {path}: {exc}") from exc
-    for field_name in ("version", "p", "q", "additive", "choice", "params", "orbits"):
-        if field_name not in payload:
-            raise CacheError(f"cache file {path} lacks field {field_name!r}")
+    kinds = {"version": int, "p": int, "q": int, "additive": str, "choice": str,
+             "params": dict, "orbits": list}
+    for name, kind in kinds.items():
+        # type, not isinstance: bool is an int subclass, and not an int here
+        if not isinstance(payload, dict) or type(payload.get(name)) is not kind:
+            raise CacheError(f"cache file {path} lacks field {name!r} of type {kind.__name__}")
     if payload["version"] != CACHE_VERSION:
         raise CacheError(
             f"cache version {payload['version']} != expected {CACHE_VERSION}"
         )
-    p, q, key = payload["p"], payload["q"], payload["additive"]
+    p, q, key, choice = (payload[name] for name in ("p", "q", "additive", "choice"))
     try:
-        sa = family_aut(p, q, key, payload["choice"])
+        sa = family_aut(p, q, key, choice)
     except ValueError as exc:
         raise CacheError(f"cache file {path}: {exc}") from exc
     params = sa.params
     if params.as_dict() != payload["params"]:
         raise CacheError(f"cache params {payload['params']} are stale")
-    group = sa.base
-    hol = Holomorph(group, sa.aut)
+    n, hol = sa.base.n, Holomorph(sa.base, sa.aut)
 
     classes: list[OrbitClass] = []
     seen: set[HolSubgroup] = set()
     for entry in payload["orbits"]:
-        pairs = entry["rep"]
-        if len(pairs) != group.n:
-            raise CacheError(f"cached subgroup has {len(pairs)} != {group.n} elements")
-        if not all(0 <= a < group.n and 0 <= f < hol.n_aut for a, f in pairs):
+        pairs = entry.get("rep") if isinstance(entry, dict) else None
+        if not (isinstance(pairs, list) and len(pairs) == n and all(
+                isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x) for x in pairs)):
+            raise CacheError(f"cached subgroup is not a list of {n} pairs (a, f) of ints")
+        if not all(0 <= a < n and 0 <= f < hol.n_aut for a, f in pairs):
             raise CacheError("cached element out of range")
-        try:
-            sub = HolSubgroup.from_packed(hol, [hol.pack(a, f) for a, f in pairs])
-        except ValueError as exc:
-            raise CacheError(f"cached subgroup: {exc}") from exc
+        lam = dict(pairs)
+        if len(lam) != n:
+            raise CacheError("cached subgroup: not a regular subgroup: pi1 is not a bijection onto A")
+        sub = HolSubgroup(tuple(lam[a] for a in range(n)))
         if sub in seen:
             raise CacheError("cached orbit representatives are not distinct")
         seen.add(sub)
@@ -477,12 +483,12 @@ def import_cache(path: str) -> dict:
         except ValueError as exc:
             raise CacheError(f"cached element set is not a subgroup: {exc}") from exc
         mul_label = identify_p2q(circ, p, q)
-        if mul_label.key() != entry["mul_label"]:
+        if mul_label.key() != entry.get("mul_label"):
             raise CacheError(
-                f"cached label {entry['mul_label']} != recomputed {mul_label.key()}"
+                f"cached label {entry.get('mul_label')} != recomputed {mul_label.key()}"
             )
-        if sub.pi2_size != entry["pi2_size"]:
+        if sub.pi2_size != entry.get("pi2_size"):
             raise CacheError("cached pi2 size does not match")
         classes.append(OrbitClass(rep=sub, orbit_size=0, mul_label=mul_label))
-    return {"p": p, "q": q, "additive": key, "choice": payload["choice"],
+    return {"p": p, "q": q, "additive": key, "choice": choice,
             "params": params, "classes": classes}

@@ -157,6 +157,12 @@ def exponent(group):
     return int(lcm(*map(int, np.unique(group.element_orders))))
 
 
+def aut_order_oracle(rows):
+    """The permutation that sorts permutation rows lexicographically, whole
+    row by whole row: the order ``AutGroup`` gets from key-image codes."""
+    return np.lexsort(rows.T[::-1])
+
+
 def comp_table(aut):
     """The k x k composition table of Aut(A), or None until
     ``ensure_comp`` builds one."""
@@ -175,7 +181,7 @@ def coords_of(sa):
     family's coordinate factors, in the declared order."""
     factors, _ = _family_coords(sa.label, sa.params)
     for parts in itertools.product(*(vals for _, vals, _ in factors)):
-        yield dict(zip(sa.coord_names, sum(parts, ())))
+        yield dict(zip(sa.coord_moduli, sum(parts, ())))
 
 
 # a loop of order 5 (identity 0, every element its own inverse); the

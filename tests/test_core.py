@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2qbrace import core
 from p2qbrace.core import (
@@ -23,6 +25,7 @@ from helpers import (
     LOOP5,
     SMALL_PAIRS,
     are_isomorphic,
+    aut_order_oracle,
     brute_aut_of,
     comp_table,
     direct_product_table,
@@ -384,6 +387,95 @@ def test_composition_is_f_after_g(monkeypatch, source, table):
     after = aut.perms[every[:, None, None], aut.perms[None, :, :]]  # f(g(x))
     assert np.array_equal(aut.perms[prod], after)
     assert all(aut.compose(f, g) == prod[f, g] for f in range(aut.k) for g in range(aut.k))
+
+
+# ten prime pairs, 44 families, (7,2) Gk(1) with its 98 784 automorphisms
+# included; the whole check takes a few seconds
+LEMMA_PAIRS = ((2, 3), (3, 2), (2, 5), (2, 7), (3, 7), (5, 3), (5, 2), (2, 11), (3, 13), (7, 2))
+
+
+@pytest.mark.parametrize("pair", LEMMA_PAIRS)
+def test_key_code_order_is_the_lex_order_of_whole_rows(pair):
+    # the lemma in the AutGroup docstring, from rows given in a shuffled order
+    rng = np.random.default_rng(sum(pair))
+    for key in label_keys(*pair):
+        sa = family_aut(*pair, key)
+        rows = sa.aut.perms[rng.permutation(sa.aut.k)]
+        aut = AutGroup(sa.base, rows)
+        assert np.array_equal(aut.perms, rows[aut_order_oracle(rows)]), key
+        assert np.array_equal(aut.perms, sa.aut.perms), key
+
+
+RELABEL_FAMILIES = [(p, q, key) for p, q in ((2, 3), (3, 2), (2, 5), (2, 7)) for key in label_keys(p, q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RELABEL_FAMILIES), st.integers(min_value=0, max_value=2**32 - 1))
+def test_key_code_order_on_relabelled_brute_force_groups(family, seed):
+    # the identity lands anywhere and the generators are picked by element
+    # order, so the key is not among them in general and lookup spells it
+    base = group_of(*family)
+    g = relabelled(base, np.random.default_rng(seed).permutation(base.n))
+    aut = compute_automorphisms(g)
+    assert np.array_equal(aut_order_oracle(aut.perms), np.arange(aut.k))
+    assert aut.key == generating_set(g, range(g.n))
+    assert np.array_equal(aut.lookup(aut.perms[:, g.generators]), np.arange(aut.k))
+    assert np.array_equal(aut.perms[aut.identity], np.arange(g.n))
+
+
+def test_lookup_checks_the_generators_outside_the_key():
+    # GF's key is two of its three generators; images that agree with an
+    # automorphism on the key but not on the third generator fit none
+    aut = family_aut(5, 3, "GF").aut
+    gens = aut.base.generators
+    assert (aut.key, gens) == ([1, 3], [15, 3, 1])
+    images = aut.perms[7, gens].copy()
+    assert aut.lookup(images) == 7
+    images[0] = (images[0] + 1) % aut.base.n
+    with pytest.raises(KeyError):
+        aut.lookup(images)
+    with pytest.raises(KeyError):
+        aut.lookup(np.vstack([aut.perms[3, gens], images]))
+
+
+def test_lookup_refuses_images_outside_the_group():
+    # by codes alone, GF's (117, 23, 1) would alias row 7's (42, 24, 1);
+    # the relabelled group spells a key element in two letters, so an image
+    # out of range goes through the multiplication table
+    aut = family_aut(5, 3, "GF").aut
+    assert aut.perms[7, aut.base.generators].tolist() == [42, 24, 1]
+    with pytest.raises(KeyError):
+        aut.lookup(np.array([117, 23, 1]))
+    base = group_of(2, 7, "PxQbyP")
+    g = relabelled(base, np.random.default_rng(1).permutation(base.n))
+    aut = compute_automorphisms(g)
+    steps = aut._spelling[1]
+    assert len(steps) > 1
+    for bad in (g.n, -1):
+        images = aut.perms[5, g.generators].copy()
+        images[steps[1][1][0]] = bad  # a letter read after the first
+        with pytest.raises(KeyError):
+            aut.lookup(images)
+
+
+def test_rows_that_agree_on_the_key_are_duplicate_automorphisms():
+    # a second row that differs from row 7 on the third GF generator only
+    aut = family_aut(5, 3, "GF").aut
+    other = aut.perms[7].copy()
+    other[[15, 16]] = other[[16, 15]]
+    assert not np.array_equal(other[aut.base.generators], aut.perms[7, aut.base.generators])
+    with pytest.raises(ValueError, match="duplicate automorphisms"):
+        AutGroup(aut.base, np.vstack([aut.perms, other]))
+
+
+@pytest.mark.parametrize("gens", [[7], [-1], [2], [2, 4]], ids=["7", "-1", "2", "2 4"])
+@pytest.mark.parametrize("check", [True, False])
+def test_explicit_generators_must_be_elements_that_generate(gens, check):
+    # on Z6, 7 and -1 are no elements and 2 and 4 generate only {0, 2, 4}
+    table = (np.arange(6)[:, None] + np.arange(6)) % 6
+    with pytest.raises(ValueError, match="generators must be elements that generate the group"):
+        FiniteGroup(table, generators=gens, check=check)
+    assert FiniteGroup(table, generators=[2, 3], check=check).generators == [2, 3]
 
 
 def test_lookup_rejects_images_of_no_automorphism():

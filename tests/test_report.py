@@ -1,5 +1,6 @@
 """Classification reports, serialization, caching, table verification."""
 
+import hashlib
 import json
 import shutil
 
@@ -8,6 +9,7 @@ import pytest
 import p2qbrace.core as core
 import p2qbrace.families as families
 import p2qbrace.report as report_mod
+from p2qbrace.families import all_labels
 from p2qbrace.report import (
     CacheError,
     cache_path,
@@ -214,6 +216,91 @@ def test_cache_rejects_a_family_that_does_not_exist(tmp_path, field, value, mess
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CacheError, match=message):
         import_cache(path)
+
+
+def _set_rep_pair(i, value):
+    def edit(data):
+        data["orbits"][0]["rep"][i] = value
+    return edit
+
+
+def _set_element(i, j, value):
+    # ``value`` maps the stored element to its replacement
+    def edit(data):
+        pair = data["orbits"][0]["rep"][i]
+        pair[j] = value(pair[j])
+    return edit
+
+
+def _drop(name):
+    def edit(data):
+        del data["orbits"][0][name]
+    return edit
+
+
+def _set_field(name, value):
+    def edit(data):
+        data[name] = value
+    return edit
+
+
+def _set_orbit(value):
+    def edit(data):
+        data["orbits"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_rep_pair(1, [1, 0, 0]),
+        _set_rep_pair(1, [1]),
+        _set_rep_pair(1, 1),
+        _drop("rep"),
+        _drop("mul_label"),
+        _drop("pi2_size"),
+        _set_element(0, 0, str),
+        _set_element(1, 1, lambda f: f + 0.5),  # would truncate back to f
+        _set_element(1, 0, bool),  # a = 1 as true
+        _set_element(1, 0, lambda a: 10**30),
+        _set_field("p", "2"),
+        _set_field("q", 7.0),
+        _set_field("orbits", 5),
+        _set_field("params", []),
+        _set_orbit(5),
+        _set_orbit(["rep"]),
+    ],
+    ids=[
+        "3-element pair", "1-element pair", "pair not a list", "no rep",
+        "no mul_label", "no pi2_size", "element '0'", "element f + 0.5",
+        "element true", "huge element", "p '2'", "q 7.0", "orbits 5",
+        "params a list", "orbit 5", "orbit a list",
+    ],
+)
+def test_cache_refuses_every_malformed_entry(tmp_path, edit):
+    path = write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first")
+    data = json.loads(open(path).read())
+    edit(data)
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CacheError):
+        import_cache(path)
+
+
+@pytest.mark.parametrize(
+    "pair, digest",
+    [
+        ((2, 5), "7ebfcfb88132e5fc5686da4c02898ec84fd85d4086e03383c3503d707faab9c5"),
+        ((3, 7), "37de245fb5f533019f4c4d3bab0adf73f0b8edc3cd1b776d86b634ea53771c4f"),
+    ],
+)
+def test_cache_files_are_pinned_byte_for_byte(tmp_path, pair, digest):
+    # the cache files store lambda as automorphism indices, so this pins the
+    # index order of Aut(A) as well as the file layout
+    sha = hashlib.sha256()
+    for label in all_labels(*pair):
+        with open(write_cache(str(tmp_path), *pair, label.key(), "first"), "rb") as fh:
+            sha.update(fh.read())
+    assert sha.hexdigest() == digest
 
 
 def test_cache_rejects_garbage(tmp_path):
