@@ -409,12 +409,19 @@ def _extend(src: FiniteGroup, dst: FiniteGroup, blocks):
     phi(x s) = phi(x) phi(s) along one spanning tree of src.  Each is the
     only homomorphism with those images, if there is one."""
     levels = _spanning_levels(src)
+    mul = dst.mul.ravel()
     for imgs in blocks:
-        phi = np.empty((len(imgs), src.n), dtype=np.int32)
-        phi[:, src.identity] = dst.identity
+        # one map per column: each level reads and writes whole rows, and
+        # the product is one flat gather; transposed once at the end
+        phi = np.empty((src.n, len(imgs)), dtype=np.int32)
+        phi[src.identity] = dst.identity
+        imgs = imgs.T.astype(np.int32)
         for xs, par, gi in levels:
-            phi[:, xs] = dst.mul[phi[:, par], imgs[:, gi]]
-        yield phi
+            at = phi[par]
+            at *= dst.n
+            at += imgs[gi]
+            phi[xs] = mul.take(at)
+        yield np.ascontiguousarray(phi.T)
 
 
 def _respects(src: FiniteGroup, dst: FiniteGroup, phi: np.ndarray, gens) -> np.ndarray:

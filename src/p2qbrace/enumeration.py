@@ -1,11 +1,15 @@
 """Enumeration of regular subgroups of Hol(A) and their conjugacy orbits.
 
 ``stratified_orbit_classes`` fixes the image K = pi2(G) up to conjugacy and
-the kernel N = pi1(G meet A x 1) and lifts generators of K through right
-coset representatives of N.  All combinations of lifts are closed at once,
-as partial lambda tables filled in rounds until nothing changes: a table
-closed under right multiplication by the generators is the subgroup they
-generate, and two values for one cell are a pi1 collision.  The
+the kernel N = pi1(G meet A x 1), a stratum, and lifts generators of K
+through right coset representatives of N.  The lift combinations of every
+stratum form one stream of rows for the whole family, each row with its
+own generators (b, g), padded with (e, id), which writes nothing and never
+clashes.  The stream is closed a chunk of rows at a time, as partial
+lambda tables filled in rounds until nothing changes: a table closed under
+right multiplication by its row's generators is the subgroup they
+generate, and two values for one cell are a pi1 collision.  A chunk may
+hold rows of several strata and takes the rounds of its deepest row.  The
 Aut(A)-orbit of each regular hit is then walked by conjugation.
 
 Each regular subgroup is handed on as its lambda table lam (G is
@@ -79,17 +83,24 @@ class OrbitClass:
 # -- stratified search: fix pi2 up to conjugacy and the kernel ----------------
 
 
-_CHUNK_CELLS = 2**14  # lambda cells per chunk of combinations: bounded temporaries
+_CHUNK_CELLS = 2**14  # lambda cells per chunk of rows: bounded temporaries
 
 
-def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Lambda tables of the rows of generators that generate regular
-    subgroups, in row order; row r holds the generators (b[r, j], g[j]).
+def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, lambda tables) of the rows of generators that generate
+    regular subgroups, in row order; row r holds the generators
+    (b[r, j], g[r, j]).
 
     Row r starts as lam[e] = id.  Each round sends the cells (a, lam[a])
     filled in the round before through every generator (b, g), writing
     lam[a * lam[a](b)] = lam[a] o g into the empty cells; a row dies when
     a cell then disagrees with a write to it, an old value or a new one.
+    The rows run together, so the rounds are those of the deepest row.
+
+    Lemma: the generator (e, id) writes nothing and never clashes, so a
+    row of fewer generators may be padded with it.  It sends (a, lam[a])
+    to the cell a * lam[a](e) = a with the value lam[a] o id = lam[a],
+    which is that cell's own value.
     """
     base, aut = hol.base, hol.aut
     rows, n = len(b), base.n
@@ -101,14 +112,17 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> np.ndarra
     while r.size:
         f = lam[r, a]
         cell = r[:, None] * n + base.mul[a[:, None], aut.perms[f[:, None], b[r]]]
-        val = aut.product(f[:, None], g[None, :])
+        val = aut.product(f[:, None], g[r])
         empty = flat[cell] < 0
         flat[cell[empty]] = val[empty]
         alive[r[(flat[cell] != val).any(axis=1)]] = False
-        r, a = np.divmod(np.unique(cell[empty]), n)
+        # the cells written this round, once each and in order
+        new = np.sort(cell[empty])
+        r, a = np.divmod(new[np.diff(new, prepend=-1) != 0], n)
         live = alive[r]
         r, a = r[live], a[live]
-    return lam[alive & (lam >= 0).all(axis=1)]
+    keep = np.flatnonzero(alive & (lam >= 0).all(axis=1))
+    return keep, lam[keep]
 
 
 def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...]):
@@ -137,27 +151,6 @@ def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...]):
     return n_gens, per_gen
 
 
-def _lift_search(hol: Holomorph, k_elems: tuple[int, ...], k_gens: list[int],
-                 kernel: tuple[int, ...]) -> list[np.ndarray]:
-    """Lambda tables of the regular subgroups with pi2 = <k_gens> exactly
-    and kernel pi1 = kernel, in the order of the lift combinations.
-
-    Every combination of admissible lifts, with the kernel generators, is a
-    row of ``_regular_closures``, a chunk of rows at a time.  The cells of a
-    live row are closed under right multiplication by the generators, so in
-    a finite group they are the subgroup G the row generates, and a row dies
-    exactly on a pi1 collision in G: a row is returned iff G is regular.
-    """
-    n_gens, lifts = _lifts(hol, k_gens, kernel)
-    g = np.array(list(k_gens) + [hol.aut.identity] * len(n_gens), dtype=np.int64)
-    found = []
-    for b in _product_rows(lifts + [[m] for m in n_gens], max(1, _CHUNK_CELLS // hol.base.n)):
-        found.extend(_regular_closures(hol, b, g))
-    for lam in found:
-        assert np.array_equal(np.unique(lam), k_elems)
-    return found
-
-
 def _strata(hol: Holomorph):
     """(K, generators of K, kernel) for every class representative K of
     the subgroups of Aut(A) of order d > 1 dividing n, and every subgroup
@@ -172,13 +165,55 @@ def _strata(hol: Holomorph):
                 yield k_rep, k_gens, kernel
 
 
-def _stratified_reps(hol: Holomorph) -> list[np.ndarray]:
-    """Lambda tables of one member per (pi2-class, kernel) stratum; not yet
-    expanded."""
-    out = [np.full(hol.base.n, hol.aut.identity, dtype=np.int32)]
+def _stream(hol: Holomorph, step: int):
+    """The lift combinations of every stratum in order, with the kernel
+    generators, as chunks of ``step`` rows (the last may be short): the
+    K of each stratum in the chunk, the index of its row's K, and b and g,
+    padded with (e, id) to the widest row."""
+    e, one = hol.base.identity, hol.aut.identity
+    parts, size = [], 0
+
+    def chunk():
+        lens = [len(b) for _, b, _ in parts]
+        shape = (sum(lens), max(b.shape[1] for _, b, _ in parts))
+        bs, gs = np.full(shape, e, dtype=np.int64), np.full(shape, one, dtype=np.int64)
+        for lo, (_, b, g) in zip(np.cumsum([0] + lens), parts):
+            bs[lo:lo + len(b), :b.shape[1]] = b
+            gs[lo:lo + len(b), :b.shape[1]] = g
+        return [k for k, _, _ in parts], np.repeat(np.arange(len(parts)), lens), bs, gs
+
     for k_rep, k_gens, kernel in _strata(hol):
-        out.extend(_lift_search(hol, k_rep, k_gens, kernel))
-    return out
+        n_gens, lifts = _lifts(hol, k_gens, kernel)
+        g = list(k_gens) + [one] * len(n_gens)
+        for b in _product_rows(lifts + [[m] for m in n_gens], step):
+            while len(b):
+                parts.append((k_rep, b[:step - size], g))
+                b, size = b[step - size:], size + len(parts[-1][1])
+                if size == step:
+                    yield chunk()
+                    parts, size = [], 0
+    if parts:
+        yield chunk()
+
+
+def _stratified_reps(hol: Holomorph):
+    """(K, lambda table) of one member per (pi2-class, kernel) stratum, not
+    yet expanded: first A x 1, then the regular subgroups with pi2 = K
+    exactly and the stratum's kernel, stratum by stratum in the order of
+    the lift combinations.
+
+    The rows of every stratum form one stream, closed by
+    ``_regular_closures`` a chunk at a time.  The cells of a live row are
+    closed under right multiplication by its generators, so in a finite
+    group they are the subgroup G the row generates, and a row dies
+    exactly on a pi1 collision in G: a row is kept iff G is regular.
+    """
+    yield (hol.aut.identity,), np.full(hol.base.n, hol.aut.identity, dtype=np.int32)
+    for ks, part, b, g in _stream(hol, max(1, _CHUNK_CELLS // hol.base.n)):
+        keep, lams = _regular_closures(hol, b, g)
+        for i, lam in zip(part[keep].tolist(), lams):
+            assert np.array_equal(np.unique(lam), ks[i])
+            yield ks[i], lam
 
 
 def _orbit_of(hol: Holomorph, start: np.ndarray):
@@ -201,21 +236,20 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
     p, q = _pq_of(hol.base.n)
     by_min: dict[tuple[int, ...], int] = {}
     walked: set[bytes] = set()
-    pi2 = None
-    for lam in _stratified_reps(hol):
-        rep_pi2 = np.unique(lam)
-        if pi2 is None or not np.array_equal(rep_pi2, pi2):
+    k = None
+    for k_rep, lam in _stratified_reps(hol):
+        if k_rep != k:
             walked.clear()
-            pi2 = rep_pi2
+            k = k_rep
+            in_k = np.zeros(hol.aut.k, dtype=bool)
+            in_k[list(k)] = True
         elif lam.tobytes() in walked:
             continue
         best, size, members = _orbit_of(hol, lam)
         assert best not in by_min, "a walk from an unseen representative met a known orbit"
         by_min[best] = size
-        walked.update(
-            member.tobytes() for member in members
-            if np.array_equal(np.unique(member), pi2)
-        )
+        # a conjugate of K has |K| elements, so pi2 within K means pi2 = K
+        walked.update(member.tobytes() for member in members if in_k[member].all())
     classes = []
     for key in sorted(by_min):
         rep = HolSubgroup(key)

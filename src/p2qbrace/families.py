@@ -475,14 +475,18 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
         sum(parts, ()) for parts in itertools.product(*(vals for _, vals, _ in factors))
     )
     chunks = iter(lambda: list(itertools.islice(coords, 4096)), [])
-    blocks = list(_extend(base, base, map(codes, chunks)))
-    for block in blocks:
+    perms = np.empty((aut_order(label, params), base.n), dtype=np.int32)
+    lo = 0
+    for block in _extend(base, base, map(codes, chunks)):
         _assert_automorphisms(base, block)
+        perms[lo:lo + len(block)] = block
+        lo += len(block)
+    assert lo == len(perms)
     return StructuredAut(
         label=label,
         params=params,
         base=base,
-        aut=AutGroup(base, np.vstack(blocks)),
+        aut=AutGroup(base, perms),
         coord_moduli={name: mod for names, _, mod in factors for name in names},
         images=codes,
     )

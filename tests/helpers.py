@@ -16,6 +16,7 @@ from p2qbrace.core import (
     _element_invariants,
     _factor,
     _hom_images,
+    _spanning_levels,
     closure,
     compute_automorphisms,
     generating_set,
@@ -226,6 +227,17 @@ def first_associativity_failure(table):
 # ``itertools.product`` order of the candidate tuples.
 
 
+def extend_oracle(src: FiniteGroup, dst: FiniteGroup, imgs: np.ndarray) -> np.ndarray:
+    """``core._extend`` on one block of generator images, filled the first
+    way: the maps are the rows of a C-order array, and each spanning-tree
+    level is one strided gather over its columns."""
+    phi = np.empty((len(imgs), src.n), dtype=np.int32)
+    phi[:, src.identity] = dst.identity
+    for xs, par, gi in _spanning_levels(src):
+        phi[:, xs] = dst.mul[phi[:, par], imgs[:, gi]]
+    return phi
+
+
 def hom_images_oracle(src: FiniteGroup, dst: FiniteGroup):
     """Yield image tables of bijective homomorphisms src -> dst."""
     if src.n != dst.n:
@@ -341,8 +353,9 @@ def lifts_oracle(hol, k_gens, kernel):
 
 
 def lift_search_oracle(hol, k_elems, k_gens, kernel):
-    """``enumeration._lift_search`` by one scalar closure per combination of
-    the lifts of ``lifts_oracle``, taken in ``itertools.product`` order."""
+    """The regular subgroups of one stratum of ``enumeration._stratified_reps``
+    by one scalar closure per combination of the lifts of ``lifts_oracle``,
+    taken in ``itertools.product`` order."""
     n_gens, per_gen = lifts_oracle(hol, k_gens, kernel)
     kernel_packed = [hol.pack(m, hol.aut.identity) for m in n_gens]
     found = []
@@ -548,7 +561,7 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
 def enumerate_stratified(hol: Holomorph) -> list[HolSubgroup]:
     """All regular subgroups, via strata expanded by Aut(A)-conjugation."""
     all_sets: set[tuple[int, ...]] = set()
-    for lam in _stratified_reps(hol):
+    for _, lam in _stratified_reps(hol):
         if tuple(lam.tolist()) in all_sets:
             continue
         _, _, orbit = _orbit_of(hol, lam)

@@ -30,6 +30,7 @@ from helpers import (
     comp_table,
     direct_product_table,
     exponent,
+    extend_oracle,
     first_associativity_failure,
     group_of,
     hom_images_oracle,
@@ -284,6 +285,25 @@ def test_hom_images_match_the_backtracking_oracle(monkeypatch, pair):
     for key in label_keys(*pair):
         g = group_of(*pair, key)
         assert assert_hom_images_match_the_oracle(g, g) == family_aut(*pair, key).aut.k, key
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_extend_matches_the_strided_fill(pair):
+    # the structured path extends the generator images of every
+    # automorphism, the brute-force path every candidate tuple of
+    # _hom_images; both give the maps of the strided fill, values and dtype
+    for key in label_keys(*pair):
+        sa = family_aut(*pair, key)
+        base = sa.base
+        blocks = [sa.aut.perms[:, base.generators].astype(np.int64)]
+        inv = core._element_invariants(base)
+        cands = [np.array([y for y in range(base.n) if inv[y] == inv[s]]) for s in base.generators]
+        blocks += core._product_rows(cands, 4096)
+        got = list(core._extend(base, base, blocks))
+        assert np.array_equal(got[0], sa.aut.perms), key
+        for phi, imgs in zip(got, blocks, strict=True):
+            want = extend_oracle(base, base, imgs)
+            assert phi.dtype == want.dtype and np.array_equal(phi, want), key
 
 
 def test_hom_images_between_different_tables_match_the_oracle(monkeypatch):

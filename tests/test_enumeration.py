@@ -1,19 +1,23 @@
 """Regular-subgroup enumeration against the DFS oracle, orbits, determinism."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from p2qbrace import enumeration
 from p2qbrace.core import AutGroup, generating_set, identify_p2q
 from p2qbrace.enumeration import (
     circle_group,
-    _lift_search,
     _lifts,
     _orbit_of,
     _regular_closures,
     _strata,
     _stratified_reps,
+    _stream,
     stratified_orbit_classes,
 )
 from p2qbrace.families import family_aut
@@ -152,7 +156,7 @@ def test_orbit_skip_matches_the_full_list_oracle():
     # at (5,3) GF, 495 of 504 stratum representatives lie in orbits already
     # walked; skipping them must not change reps, orbit sizes or labels
     hol = hol_of(5, 3, "GF")
-    assert len(_stratified_reps(hol)) == 504
+    assert len(list(_stratified_reps(hol))) == 504
     skipped = list(classes_of(5, 3, "GF"))
     oracle = orbit_partition(hol, enumerate_stratified(hol))
     assert len(skipped) == 9
@@ -162,8 +166,15 @@ def test_orbit_skip_matches_the_full_list_oracle():
     assert sum(c.orbit_size for c in skipped) == 552
 
 
-def assert_lift_search_matches_the_oracle(hol):
-    strata = 0
+CHUNK_CELLS = enumeration._CHUNK_CELLS
+
+
+def assert_lift_search_matches_the_oracle(monkeypatch, hol):
+    """The lifts of every stratum against the scalar filter, and the
+    stratum representatives against one scalar closure per combination,
+    in order, with the default chunks and with chunks of 1, 2 and 7 rows;
+    returns how many 7-row chunks hold rows of more than one stratum."""
+    want, strata = [], 0
     for k_rep, k_gens, kernel in _strata(hol):
         # the lifts: the same kernel generators and the same arrays in order
         n_gens, per_gen = _lifts(hol, k_gens, kernel)
@@ -171,23 +182,27 @@ def assert_lift_search_matches_the_oracle(hol):
         assert n_gens == want_gens and len(per_gen) == len(want_lifts)
         for lifts, oracle in zip(per_gen, want_lifts):
             assert lifts.dtype == oracle.dtype and np.array_equal(lifts, oracle)
-        got = _lift_search(hol, k_rep, k_gens, kernel)
-        want = lift_search_oracle(hol, k_rep, k_gens, kernel)
-        assert len(got) == len(want)
-        for lam, oracle in zip(got, want):
-            assert lam.dtype == oracle.dtype and np.array_equal(lam, oracle)
+        want.extend(lift_search_oracle(hol, k_rep, k_gens, kernel))
         strata += 1
     assert strata
+    for cells in (CHUNK_CELLS, hol.base.n, 2 * hol.base.n, 7 * hol.base.n):
+        monkeypatch.setattr(enumeration, "_CHUNK_CELLS", cells)
+        got = [lam for _, lam in _stratified_reps(hol)][1:]
+        assert len(got) == len(want), cells
+        for lam, oracle in zip(got, want):
+            assert lam.dtype == oracle.dtype and np.array_equal(lam, oracle), cells
+    return sum(len(ks) > 1 for ks, _, _, _ in _stream(hol, 7))
 
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS)
-def test_lift_search_matches_the_scalar_closure_oracle(pair):
-    # the lifts are those of the scalar filter, and the fixpoint over all
-    # their combinations keeps the tables, and the order, of one scalar
-    # closure per combination; the (3,7) PxQbyP stratum of 14 175
-    # combinations spans many chunks
-    for key in label_keys(*pair):
-        assert_lift_search_matches_the_oracle(hol_of(*pair, key))
+def test_lift_search_matches_the_scalar_closure_oracle(monkeypatch, pair):
+    # the lifts are those of the scalar filter, and the closures of the
+    # stream of all their combinations keep the tables, and the order, of
+    # one scalar closure per combination; the (3,7) PxQbyP stratum of
+    # 14 175 combinations spans many chunks
+    shared = sum(assert_lift_search_matches_the_oracle(monkeypatch, hol_of(*pair, key))
+                 for key in label_keys(*pair))
+    assert shared
 
 
 @pytest.mark.parametrize("pair_key", [((2, 5), key) for key in label_keys(2, 5)]
@@ -198,11 +213,17 @@ def test_lift_search_matches_the_oracle_without_a_composition_table(monkeypatch,
     sa = family_aut(p, q, key)
     hol = Holomorph(sa.base, sa.aut)
     assert not hol.aut.ensure_comp()
-    assert_lift_search_matches_the_oracle(hol)
+    assert_lift_search_matches_the_oracle(monkeypatch, hol)
 
 
-def test_regular_closures_reject_collisions_and_proper_subgroups():
-    hol = hol_of(2, 7, "PxPQ")
+def closures_of_rows(hol, b, g):
+    """``_regular_closures`` with one g for every row of b."""
+    b = np.array(b)
+    return _regular_closures(hol, b, np.broadcast_to(g, b.shape))
+
+
+def collision_cases(hol):
+    """One-row cases (b, g, regular) of a family whose A has two generators."""
     base, aut = hol.base, hol.aut
     e, one = base.identity, aut.identity
     f = next(x for x in range(aut.k) if x != one)
@@ -210,7 +231,7 @@ def test_regular_closures_reject_collisions_and_proper_subgroups():
     gens = generating_set(base)
     assert len(gens) == 2
     t = gens[0]
-    cases = [
+    return [
         # (e, f) meets the identity (e, id) in pi1 at once
         ([[e]], [f], False),
         # (t, id) and (t, f) write one cell in the same round
@@ -220,17 +241,44 @@ def test_regular_closures_reject_collisions_and_proper_subgroups():
         # the translations A x 1 are regular
         ([gens], [one, one], True),
     ]
+
+
+def test_regular_closures_reject_collisions_and_proper_subgroups():
+    hol = hol_of(2, 7, "PxPQ")
+    one = hol.aut.identity
+    cases = collision_cases(hol)
     for b, g, regular in cases:
-        got = _regular_closures(hol, np.array(b), np.array(g))
+        keep, got = closures_of_rows(hol, b, g)
         want = regular_closure_oracle(hol, [hol.pack(u, h) for u, h in zip(b[0], g)])
-        assert len(got) == int(regular)
+        assert len(got) == int(regular) and keep.tolist() == [0] * regular
         assert (want is not None) is regular
         if regular:
             assert np.array_equal(got[0], want)
             assert (got[0] == one).all()
     # rows are closed independently: of three, only the translations survive
-    rows = _regular_closures(hol, np.array([[a, a], gens, [e, e]]), np.array([one, one]))
-    assert len(rows) == 1 and (rows[0] == one).all()
+    (proper, _, _), (translations, _, _) = cases[2], cases[3]
+    e = hol.base.identity
+    keep, rows = closures_of_rows(hol, proper + translations + [[e, e]], [one, one])
+    assert keep.tolist() == [1] and (rows[0] == one).all()
+
+
+def test_regular_closures_of_mixed_rows_are_those_of_each_case():
+    # every case in one call, each row with its own g, padded with (e, id)
+    # to the widest: the same rows survive with the same tables
+    hol = hol_of(2, 7, "PxPQ")
+    e, one = hol.base.identity, hol.aut.identity
+    cases = collision_cases(hol) * 2
+    b = np.full((len(cases), 3), e)
+    g = np.full((len(cases), 3), one)
+    want_keep, want = [], []
+    for r, (cb, cg, _) in enumerate(cases):
+        b[r, :len(cg)], g[r, :len(cg)] = cb[0], cg
+        keep, got = closures_of_rows(hol, cb, cg)
+        want_keep.extend([r] * len(keep))
+        want.extend(got)
+    keep, got = _regular_closures(hol, b, g)
+    assert keep.tolist() == want_keep == [3, 7]
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
 
 def test_regular_closures_on_every_two_generator_row_at_order12():
@@ -243,7 +291,7 @@ def test_regular_closures_on_every_two_generator_row_at_order12():
     b = np.array(list(itertools.product(range(n), repeat=2)))
     regular = 0
     for g in itertools.product(range(k), repeat=2):
-        got = _regular_closures(hol, b, np.array(g))
+        _, got = closures_of_rows(hol, b, g)
         want = [regular_closure_oracle(hol, [hol.pack(u, h) for u, h in zip(row, g)])
                 for row in b.tolist()]
         want = [lam for lam in want if lam is not None]
@@ -252,3 +300,48 @@ def test_regular_closures_on_every_two_generator_row_at_order12():
             assert np.array_equal(lam, oracle), g
         regular += len(got)
     assert regular
+
+
+PROPERTY_FAMILIES = (((2, 3), "PxPQ"), ((2, 5), "QbyP2_ordP"))
+
+
+@functools.lru_cache(maxsize=None)
+def stream_rows(pair_key):
+    """The rows of the family's stream as lists of generators (b, g),
+    without their (e, id) padding."""
+    (p, q), key = pair_key
+    hol = hol_of(p, q, key)
+    pad = (hol.base.identity, hol.aut.identity)
+    return hol, [
+        [pair for pair in zip(br, gr) if pair != pad]
+        for _, _, b, g in _stream(hol, 2**10)
+        for br, gr in zip(b.tolist(), g.tolist())
+    ]
+
+
+@st.composite
+def generator_rows(draw):
+    """A family, its rows of 1 to 3 generators (b, g) each, some of them
+    lift combinations of its stream and the rest drawn at random, and the
+    same rows padded with (e, id) to width 3 as arrays b and g."""
+    hol, pool = stream_rows(draw(st.sampled_from(PROPERTY_FAMILIES)))
+    n, k = hol.base.n, hol.n_aut
+    random_row = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
+                          min_size=1, max_size=3)
+    rows = draw(st.lists(st.one_of(st.sampled_from(pool), random_row), min_size=1, max_size=12))
+    b = np.full((len(rows), 3), hol.base.identity)
+    g = np.full((len(rows), 3), hol.aut.identity)
+    for r, row in enumerate(rows):
+        b[r, :len(row)], g[r, :len(row)] = zip(*row)
+    return hol, rows, b, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_rows())
+def test_regular_closures_of_random_padded_rows_match_the_oracle(case):
+    hol, rows, b, g = case
+    keep, got = _regular_closures(hol, b, g)
+    want = [regular_closure_oracle(hol, [hol.pack(u, h) for u, h in row]) for row in rows]
+    assert keep.tolist() == [r for r, lam in enumerate(want) if lam is not None]
+    for r, lam in zip(keep.tolist(), got):
+        assert lam.dtype == want[r].dtype and np.array_equal(lam, want[r])
