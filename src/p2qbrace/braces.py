@@ -1,11 +1,12 @@
 """Skew braces built from regular subgroups of Hol(A).
 
 A skew brace is a set with two group structures (B, +) and (B, o) tied by
-a o (b + c) = a o b - a + a o c.  A regular subgroup G <= Hol(A) induces
-one on the carrier of A: G is stored as its lambda table, each a having
-the unique lift (a, lambda_a) in G, and a o b = a + lambda_a(b) is the
-circle table of ``enumeration``.  The map a -> lambda_a is then a
-homomorphism (B, o) -> Aut(B, +) with lambda_a(b) = -a + a o b.
+a o (b + c) = a o b - a + a o c, and ``SkewBrace`` is just those two group
+tables.  Everything else is read off them: the permutation
+lambda_a(b) = -a + a o b, which is a homomorphism (B, o) -> Aut(B, +)
+when the brace law holds.  A regular subgroup G <= Hol(A) induces a skew
+brace on the carrier of A: each a has the unique lift (a, lambda_a) in G,
+and a o b = a + lambda_a(b) is the circle table of ``enumeration``.
 
 Invariants computed here: |ker lambda|, the multiplicative isomorphism
 type, ideals (lambda-stable subgroups normal for both operations), direct
@@ -21,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    AutGroup,
     FiniteGroup,
     GroupLabel,
     _first_failure,
@@ -48,12 +48,10 @@ __all__ = [
 
 @dataclass
 class SkewBrace:
-    """Two group tables on a common carrier 0..n-1 plus the lambda map."""
+    """Two group tables, + and o, on a common carrier 0..n-1."""
 
     add: FiniteGroup
     mul: FiniteGroup
-    lam: np.ndarray  # lam[a] = index of lambda_a in aut
-    aut: AutGroup
 
     def __post_init__(self):
         if self.add.n != self.mul.n:
@@ -77,8 +75,8 @@ class SkewBrace:
         (B,o).  It need not be lambda-stable or normal in (B,+) unless the
         additive group is abelian, so it is not an ideal in general.
         """
-        ident = self.aut.identity
-        return [a for a in range(self.n) if int(self.lam[a]) == ident]
+        ident = (self.lambda_perms == np.arange(self.n)).all(axis=1)
+        return np.flatnonzero(ident).tolist()
 
     def kernel_size(self) -> int:
         return len(self.kernel())
@@ -97,11 +95,10 @@ class SkewBrace:
 def brace_from_regular(hol: Holomorph, sub: HolSubgroup) -> SkewBrace:
     """The skew brace on the carrier of A induced by a regular subgroup;
     a -> (a, lambda_a) is an isomorphism (B, o) -> G."""
-    lam = sub.arr
-    mul = FiniteGroup(_circle_table(hol, lam), check=False)
-    brace = SkewBrace(add=hol.base, mul=mul, lam=lam, aut=hol.aut)
-    # lambda recovered from the tables must be the stored automorphisms
-    assert np.array_equal(brace.lambda_perms, hol.aut.perms[lam])
+    mul = FiniteGroup(_circle_table(hol, sub.arr), check=False)
+    brace = SkewBrace(add=hol.base, mul=mul)
+    # lambda recovered from the tables must be the subgroup's automorphisms
+    assert np.array_equal(brace.lambda_perms, hol.aut.perms[sub.arr])
     return brace
 
 
@@ -165,9 +162,9 @@ def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
     perms = brace.lambda_perms
     add_gens = brace.add.generators
     mul_gens = brace.mul.generators
-    subgroups_of_order(brace.add, brace.n)  # lists every order dividing n on the way
-    for d in sorted(brace.add.subgroups):
-        for cand in brace.add.subgroups[d]:
+    divisors = [d for d in range(1, brace.n + 1) if brace.n % d == 0]
+    for d in divisors:
+        for cand in subgroups_of_order(brace.add, d):
             s = set(cand)
             arr = np.array(cand)
             add_t, add_i = brace.add.mul, brace.add.inv

@@ -467,20 +467,12 @@ class LemmaReport:
         )
 
 
-def verify_lemma(
-    lemma_id: str,
-    p: int,
-    q: int,
-    choice: str = "first",
-    *,
-    ctx: FamilyContext | None = None,
-    enumerated: list[OrbitClass] | None = None,
-) -> LemmaReport:
-    """Check one lemma: witnesses regular, pairwise non-conjugate, and in
+def verify_lemma(lemma_id: str, ctx: FamilyContext, enumerated: list[OrbitClass]) -> LemmaReport:
+    """Check one lemma in the family of ``ctx``, whose orbit classes are
+    ``enumerated``: witnesses regular, pairwise non-conjugate, and in
     bijection with the enumerated orbit classes of their stratum."""
-    inst = instantiate_lemma(lemma_id, p, q, choice)
-    if ctx is None:
-        ctx = FamilyContext(inst.additive, p, q, choice)
+    p, q = ctx.p, ctx.q
+    inst = instantiate_lemma(lemma_id, p, q, ctx.choice)
     problems: list[str] = []
     canon: dict[tuple[int, ...], str] = {}
     for w in inst.witnesses:
@@ -505,8 +497,6 @@ def verify_lemma(
             problems.append(f"{w.name}: conjugate to witness {canon[key]}")
         else:
             canon[key] = w.name
-    if enumerated is None:
-        enumerated = stratified_orbit_classes(ctx.hol)
     stratum = [cl for cl in enumerated if cl.pi2_size == inst.pi2_size]
     # enumerated representatives are already their orbit's lex-least member
     enum_keys = {cl.rep.lam for cl in stratum}
@@ -553,5 +543,5 @@ def verify_catalog(
             ctx = FamilyContext(additive, p, q, choice)
             contexts[additive] = (ctx, stratified_orbit_classes(ctx.hol))
         ctx, classes = contexts[additive]
-        reports.append(verify_lemma(lid, p, q, choice, ctx=ctx, enumerated=classes))
+        reports.append(verify_lemma(lid, ctx, classes))
     return reports

@@ -484,7 +484,9 @@ class AutGroup:
 
     ``lookup`` takes images of ``base.generators``; everything else reads
     the key directly.  ``compose(f, g)`` and ``product`` are f o g: apply
-    g, then f.
+    g, then f.  They gather from the k x k composition table when k <=
+    ``COMP_LIMIT``, built on the first of them, and rank key images
+    otherwise.
     """
 
     COMP_LIMIT = 4100
@@ -502,24 +504,21 @@ class AutGroup:
         self.identity = int(self._rank(self.key))
         # f^-1(s) is the point that f sends to s
         self.inv = self._rank(np.stack([np.argmax(self.perms == s, axis=1) for s in self.key], axis=1))
-        self._comp: np.ndarray | None = None
         self._conj_rows: dict[int, np.ndarray] = {}
         self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
 
-    def ensure_comp(self) -> bool:
-        """Build the k x k composition table if the group is small enough.
-
-        Worth doing before orbit computations, which compose heavily;
-        pointless for one-off closures, hence not automatic.
-        """
-        if self._comp is None and self.k <= self.COMP_LIMIT:
-            every = np.arange(self.k)
-            comp = np.empty((self.k, self.k), dtype=np.int32)
-            step = max(1, 2**16 // self.k)  # rows per call: bounded temporaries
-            for lo in range(0, self.k, step):
-                comp[lo:lo + step] = self.product(every[lo:lo + step, None], every)
-            self._comp = comp
-        return self._comp is not None
+    @cached_property
+    def _comp(self) -> np.ndarray | None:
+        # the k x k table of f o g when k <= COMP_LIMIT, a chunk of rows at
+        # a time (bounded temporaries)
+        if self.k > self.COMP_LIMIT:
+            return None
+        every = np.arange(self.k)
+        comp = np.empty((self.k, self.k), dtype=np.int32)
+        step = max(1, 2**16 // self.k)
+        for lo in range(0, self.k, step):
+            comp[lo:lo + step] = self._ranked_product(every[lo:lo + step, None], every)
+        return comp
 
     def _rank(self, images: np.ndarray) -> np.ndarray:
         """Indices of the automorphisms with the key images on the last
@@ -561,13 +560,15 @@ class AutGroup:
             raise KeyError("generator images of no automorphism")
         return found
 
-    def product(self, f, g) -> np.ndarray:
-        """f o g for broadcast index arrays ``f`` and ``g``: a gather from
-        the table when it exists, else a rank of key images."""
-        if self._comp is not None:
-            return self._comp[f, g]
+    def _ranked_product(self, f, g) -> np.ndarray:
         inner = self.perms[np.asarray(g)[..., None], self.key]  # g(s)
         return self._rank(self.perms[np.asarray(f)[..., None], inner])  # f(g(s))
+
+    def product(self, f, g) -> np.ndarray:
+        """f o g for broadcast index arrays ``f`` and ``g``: a gather from
+        the table when there is one, else a rank of key images."""
+        comp = self._comp
+        return self._ranked_product(f, g) if comp is None else comp[f, g]
 
     def conj_row(self, h: int) -> np.ndarray:
         """The map f -> h f h^{-1} on every automorphism index (cached)."""
@@ -585,8 +586,9 @@ class AutGroup:
         return index, images, self._radix.tolist(), memoryview(self.perms)
 
     def compose(self, f: int, g: int) -> int:
-        if self._comp is not None:
-            return int(self._comp[f, g])
+        comp = self._comp
+        if comp is not None:
+            return int(comp[f, g])
         # the code of f o g: f's row read at g's key images
         index, images, radix, rows = self._code_index
         code = 0
@@ -604,17 +606,20 @@ class AutGroup:
         return generating_set(self)
 
 
-def compute_automorphisms(group: FiniteGroup, bound: int = 200) -> AutGroup:
+BRUTE_FORCE_BOUND = 200  # the largest group order compute_automorphisms takes
+
+
+def compute_automorphisms(group: FiniteGroup) -> AutGroup:
     """Aut(G) by testing every tuple of generator images (``_hom_images``).
 
-    Refuses groups larger than ``bound``: the search costs O(n |gens|) per
-    candidate tuple, the tuples number up to n^|gens|, and the rows kept
-    are all of Aut(G), so it is meant for the ambient sizes of this project
-    (order 147 takes seconds).  ValueError on the trivial group, which has
+    Refuses groups larger than ``BRUTE_FORCE_BOUND``: the search costs
+    O(n |gens|) per candidate tuple, the tuples number up to n^|gens|, and
+    the rows kept are all of Aut(G), so it is meant for the ambient sizes
+    of this project (order 147 takes seconds).  ValueError on the trivial group, which has
     no generators to map.
     """
-    if group.n > bound:
-        raise ValueError(f"group of order {group.n} exceeds the bound {bound}")
+    if group.n > BRUTE_FORCE_BOUND:
+        raise ValueError(f"group of order {group.n} exceeds the bound {BRUTE_FORCE_BOUND}")
     if group.n == 1:
         raise ValueError("the trivial group has no generators to map; its Aut is trivial")
     return AutGroup(group, np.concatenate(list(_hom_images(group, group))))

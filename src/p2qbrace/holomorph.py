@@ -130,7 +130,6 @@ def aut_subgroup_classes(aut: AutGroup, m: int) -> list[tuple[int, ...]]:
     each the lexicographically least member of its class (as a sorted
     index tuple).  AssertionError if a conjugate is not in the enumeration.
     """
-    aut.ensure_comp()
     subs = subgroups_of_order(aut, m)
     sub_set = set(subs)
     reps: list[tuple[int, ...]] = []

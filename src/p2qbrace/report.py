@@ -2,10 +2,13 @@
 
 ``classify`` runs the whole chain (group catalog -> holomorph -> regular
 subgroups -> orbits) for every additive type of order p^2*q and assembles
-a cross table of orbit counts.  ``verify_tables`` diffs that table against
-the reference data in :mod:`p2qbrace.expected`, and ``conjecture`` checks
-the closed-form counts.  Reports serialize to json/csv/md; orbit
-representatives can be cached to disk and are revalidated on load.
+a cross table of orbit counts.  One step per additive type gives its
+orbit classes: read from its cache file when that file exists, else
+enumerated (and written to the file when there is a cache directory).
+``verify_tables`` diffs that table against the reference data in
+:mod:`p2qbrace.expected`, and ``conjecture`` checks the closed-form
+counts.  Reports serialize to json/csv/md; cached orbit representatives
+are revalidated on load.
 """
 
 from __future__ import annotations
@@ -108,17 +111,31 @@ class ClassificationReport:
         }
 
 
-def _one_group(args: tuple[int, int, str, str, str | None]) -> tuple[str, list, float]:
-    """Classify a single additive type; top-level so process pools can run it."""
+def _one_group(args: tuple[int, int, str, str, str | None]) -> tuple[list, float]:
+    """The (mul key, kernel size) cells of one additive type and the
+    seconds they took: from its cache file when the file exists, else by
+    enumeration, writing the file when ``cache_dir`` is set.  Top-level so
+    process pools can run it."""
     p, q, key, choice, cache_dir = args
     t0 = time.time()
-    sa = family_aut(p, q, key, choice)
-    hol = Holomorph(sa.base, sa.aut)
-    classes = stratified_orbit_classes(hol)
+    path = None if cache_dir is None else cache_path(cache_dir, p, q, key, choice)
+    if path is not None and os.path.exists(path):
+        cached = import_cache(path)
+        found = (cached["p"], cached["q"], cached["additive"], cached["choice"])
+        if found != (p, q, key, choice):
+            raise CacheError(
+                f"cache file {path} holds (p, q, additive, choice) = {found}, "
+                f"looked up {(p, q, key, choice)}"
+            )
+        classes = cached["classes"]
+    else:
+        sa = family_aut(p, q, key, choice)
+        hol = Holomorph(sa.base, sa.aut)
+        classes = stratified_orbit_classes(hol)
+        if cache_dir is not None:
+            write_cache(cache_dir, p, q, key, choice, hol=hol, classes=classes)
     cells = [(cl.mul_label.key(), cl.kernel_size) for cl in classes]
-    if cache_dir is not None:
-        write_cache(cache_dir, p, q, key, choice, hol=hol, classes=classes)
-    return key, cells, time.time() - t0
+    return cells, time.time() - t0
 
 
 def classify(
@@ -154,45 +171,23 @@ def classify(
             raise ValueError(f"no additive type {additive!r} at ({p}, {q})")
 
     report = ClassificationReport(p=p, q=q, regime=reg, params=params.as_dict())
-    pending: list[tuple[int, int, str, str, str | None]] = []
+    kept = []
     for label in labels:
-        key = label.key()
         if budget == "normal" and p * p * q * aut_order(label, params) > NORMAL_HOL_LIMIT:
             report.complete = False
-            report.skipped.append(key)
-            continue
-        cached = None
-        if cache_dir is not None:
-            path = cache_path(cache_dir, p, q, key, choice)
-            if os.path.exists(path):
-                cached = import_cache(path)
-                found = (cached["p"], cached["q"], cached["additive"], cached["choice"])
-                if found != (p, q, key, choice):
-                    raise CacheError(
-                        f"cache file {path} holds (p, q, additive, choice) = {found}, "
-                        f"looked up {(p, q, key, choice)}"
-                    )
-        if cached is not None:
-            t0 = time.time()
-            cells = [(cl.mul_label.key(), cl.kernel_size) for cl in cached["classes"]]
-            _add_row(report, label, p, q, cells)
-            report.timings[key] = time.time() - t0
+            report.skipped.append(label.key())
         else:
-            pending.append((p, q, key, choice, cache_dir))
+            kept.append(label)
 
-    if jobs > 1 and len(pending) > 1:
+    args = [(p, q, label.key(), choice, cache_dir) for label in kept]
+    if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_group, pending))
+            results = list(pool.map(_one_group, args))
     else:
-        results = [_one_group(a) for a in pending]
-    by_key = {key: (cells, secs) for key, cells, secs in results}
-    for label in labels:
-        key = label.key()
-        if key not in by_key:
-            continue
-        cells, secs = by_key[key]
+        results = [_one_group(a) for a in args]
+    for label, (cells, secs) in zip(kept, results):
         _add_row(report, label, p, q, cells)
-        report.timings[key] = secs
+        report.timings[label.key()] = secs
 
     report.check_consistency()
     return report
@@ -389,17 +384,13 @@ def write_cache(
     key: str,
     choice: str,
     *,
-    hol: Holomorph | None = None,
-    classes: list[OrbitClass] | None = None,
+    hol: Holomorph,
+    classes: list[OrbitClass],
 ) -> str:
-    """Store one additive type's orbit classes on disk (computing if needed)."""
+    """Store the orbit classes of one additive type, enumerated in ``hol``,
+    on disk."""
     os.makedirs(cache_dir, exist_ok=True)
     params = derive_params(p, q, choice)
-    if hol is None:
-        sa = family_aut(p, q, key, choice)
-        hol = Holomorph(sa.base, sa.aut)
-    if classes is None:
-        classes = stratified_orbit_classes(hol)
     orbits = []
     for cl in classes:
         brace = brace_from_regular(hol, cl.rep)

@@ -165,14 +165,14 @@ def aut_order_oracle(rows):
 
 
 def comp_table(aut):
-    """The k x k composition table of Aut(A), or None until
-    ``ensure_comp`` builds one."""
+    """The k x k composition table of Aut(A), or None when k exceeds
+    ``COMP_LIMIT``."""
     return aut._comp
 
 
 def aut_as_group(aut):
     """The abstract group on automorphism indices (needs the comp table)."""
-    if not aut.ensure_comp():
+    if comp_table(aut) is None:
         raise ValueError("automorphism group too large for a Cayley table")
     return FiniteGroup(comp_table(aut), check=False)
 
@@ -435,7 +435,7 @@ def candidate_pool(hol: Holomorph) -> tuple[np.ndarray, np.ndarray]:
 
 def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
     """All regular subgroups of Hol(A), by canonical-chain DFS."""
-    if not hol.aut.ensure_comp():
+    if comp_table(hol.aut) is None:
         raise ValueError(
             "composition table too large for the DFS strategy; use the stratified one"
         )

@@ -14,7 +14,7 @@ from p2qbrace.braces import (
     is_bi_skew,
 )
 from p2qbrace.catalog import FamilyContext, evaluate_witness, instantiate_lemma
-from p2qbrace.core import FiniteGroup
+from p2qbrace.core import FiniteGroup, GroupLabel
 from helpers import (
     LOOP5,
     all_reps,
@@ -22,6 +22,7 @@ from helpers import (
     comp_table,
     direct_product_table,
     first_associativity_failure,
+    group_of,
     hol_of,
 )
 
@@ -45,7 +46,7 @@ def test_lambda_is_a_homomorphism_exhaustively():
     # lambda_{a o b} = lambda_a . lambda_b, checked on full tables
     for key, hol, cl in all_reps(2, 7):
         brace = brace_from_regular(hol, cl.rep)
-        lam, comp = brace.lam, comp_table(brace.aut)
+        lam, comp = cl.rep.arr, comp_table(hol.aut)
         assert comp is not None
         circ = brace.mul.mul
         assert np.array_equal(lam[circ], comp[lam[:, None], lam[None, :]])
@@ -56,7 +57,7 @@ def test_kernel_times_pi2_is_the_group_order():
         n = p * p * q
         for key, hol, cl in all_reps(p, q):
             brace = brace_from_regular(hol, cl.rep)
-            pi2 = len(set(map(int, brace.lam)))
+            pi2 = len(set(cl.rep.lam))
             assert brace.kernel_size() * pi2 == n
             assert pi2 == cl.pi2_size
             assert brace.kernel_size() == cl.kernel_size
@@ -73,11 +74,45 @@ def test_trivial_brace_properties():
     assert add_label.key() == mul_label.key() == "QbyP2_ordP"
 
 
+def test_invariants_of_braces_built_from_two_tables():
+    # no regular subgroup and no Aut(A) behind these braces: lambda and its
+    # kernel come from the two tables alone
+    g = group_of(2, 5, "QbyP2_ordP")
+    label, n = GroupLabel("QbyP2_ordP"), g.n
+    trivial = SkewBrace(add=g, mul=g)
+    assert trivial.kernel() == list(range(n))
+    inv = invariants(trivial)
+    assert (inv.kernel_size, inv.mul_label, inv.bi_skew) == (n, label, True)
+    # a o b = b a: lambda_a is conjugation by a, trivial iff a is central;
+    # the opposite group is isomorphic to g
+    almost = SkewBrace(add=g, mul=FiniteGroup(g.mul.T))
+    assert check_axioms(almost)[0]
+    assert almost.kernel() == g.center() and len(g.center()) == 2
+    inv = invariants(almost)
+    assert (inv.kernel_size, inv.mul_label, inv.bi_skew) == (2, label, True)
+    swapped = 0
+    for key, hol, cl in all_reps(2, 5):
+        brace = brace_from_regular(hol, cl.rep)
+        if not is_bi_skew(brace):
+            continue
+        swap = SkewBrace(add=brace.mul, mul=brace.add)
+        assert check_axioms(swap)[0], key
+        # lambda_a is the identity, in the brace or in its swap, iff
+        # a o b = a + b for every b
+        same = [a for a in range(n) if np.array_equal(brace.add.mul[a], brace.mul.mul[a])]
+        assert swap.kernel() == brace.kernel() == same, key
+        inv = invariants(swap)
+        assert inv.kernel_size == swap.kernel_size() == len(same) == cl.kernel_size, key
+        assert inv.mul_label == GroupLabel.from_key(key) and inv.bi_skew, key
+        swapped += 1
+    assert swapped == 28
+
+
 def test_mismatched_carriers_rejected():
     b20 = trivial_brace(2, 5, "CyclicP2Q")
     b28 = trivial_brace(2, 7, "CyclicP2Q")
     with pytest.raises(ValueError):
-        SkewBrace(add=b20.add, mul=b28.mul, lam=b20.lam, aut=b20.aut)
+        SkewBrace(add=b20.add, mul=b28.mul)
 
 
 def test_ideals_are_sub_braces():
@@ -216,9 +251,9 @@ def test_brace_laws_against_the_triple_oracle():
     for plus, circ in ((z6, s3), (s3, z6)):
         witness = first_law_failure(plus, circ)
         assert witness is not None
-        ok, msg = check_axioms(SkewBrace(add=plus, mul=circ, lam=None, aut=None))
+        ok, msg = check_axioms(SkewBrace(add=plus, mul=circ))
         assert not ok and msg == f"brace law fails at (a, b, c) = {witness}"
-        swapped = SkewBrace(add=circ, mul=plus, lam=None, aut=None)
+        swapped = SkewBrace(add=circ, mul=plus)
         assert is_bi_skew(swapped) is (first_law_failure(plus, circ) is None)
 
 
@@ -242,7 +277,7 @@ def test_corrupted_circle_tables_fail_with_the_oracle_witness():
     failed = 0
     for key, hol, cl in all_reps(2, 5):
         brace = brace_from_regular(hol, cl.rep)
-        n, lam, e = brace.n, brace.lam, brace.add.identity
+        n, lam, e = brace.n, cl.rep.arr, brace.add.identity
         xs = [x for x in range(n) if x != e]
         other = next((x for x in xs if lam[x] != lam[xs[0]]), None)
         for swap in ("automorphisms", "images"):
@@ -257,7 +292,7 @@ def test_corrupted_circle_tables_fail_with_the_oracle_witness():
                 circ = FiniteGroup(brace.add.mul[np.arange(n)[:, None], perms], check=False)
             except ValueError:
                 continue  # not even a loop
-            bad = SkewBrace(add=brace.add, mul=circ, lam=None, aut=None)
+            bad = SkewBrace(add=brace.add, mul=circ)
             expected = axioms_oracle(bad)
             assert check_axioms(bad) == (False, expected), f"{key} {swap}"
             failed += 1
@@ -271,9 +306,9 @@ def test_loops_fail_the_axioms_with_the_oracle_witness():
         loop = FiniteGroup(table, check=False)
         cyclic = FiniteGroup((np.arange(n)[:, None] + np.arange(n)) % n)
         witness = first_associativity_failure(table)
-        ok, msg = check_axioms(SkewBrace(add=cyclic, mul=loop, lam=None, aut=None))
+        ok, msg = check_axioms(SkewBrace(add=cyclic, mul=loop))
         assert not ok and msg == f"multiplicative law is not associative at {witness}"
-        ok, msg = check_axioms(SkewBrace(add=loop, mul=cyclic, lam=None, aut=None))
+        ok, msg = check_axioms(SkewBrace(add=loop, mul=cyclic))
         assert not ok and msg == f"additive law is not associative at {witness}"
 
 
@@ -289,7 +324,7 @@ def test_every_generator_is_checked():
         return FiniteGroup(direct_product_table(z2, g.mul), generators=[6] + g.generators)
 
     for plus, circ in ((z6, s3), (s3, z6)):
-        brace = SkewBrace(add=times_z2(plus), mul=times_z2(circ), lam=None, aut=None)
+        brace = SkewBrace(add=times_z2(plus), mul=times_z2(circ))
         witness = first_law_failure(brace.add, brace.mul)
         assert witness is not None
         assert check_axioms(brace) == (False, f"brace law fails at (a, b, c) = {witness}")

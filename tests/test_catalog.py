@@ -18,7 +18,6 @@ from p2qbrace.catalog import (
     lemma_entry,
     manual_notes,
     verify_catalog,
-    verify_lemma,
 )
 from p2qbrace.enumeration import circle_group
 from helpers import gf_level_subgroup, label_keys, structured_of
@@ -286,7 +285,7 @@ def test_verify_catalog_is_green(pair):
 
 
 def test_verify_single_lemma():
-    rep = verify_lemma("p2sq-stratum-q", 7, 3)
+    [rep] = verify_catalog(7, 3, lemma_id="p2sq-stratum-q")
     assert rep.ok
     assert rep.expected_count == 2  # q - 1
     assert "ok" in rep.summary()

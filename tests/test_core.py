@@ -107,7 +107,7 @@ def test_element_orders_are_the_first_powers_at_the_identity(monkeypatch, pair, 
         monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
     for key in label_keys(*pair):
         sa = family_aut(*pair, key)
-        assert sa.aut.ensure_comp() == table
+        assert (comp_table(sa.aut) is not None) == table
         for group in (sa.base, sa.aut):
             orders = group.element_orders
             assert orders.dtype == np.int64
@@ -214,7 +214,7 @@ def test_subgroups_of_order_against_closures_of_small_seeds(monkeypatch, case):
     else:
         monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
         group, n = family_aut(2, 5, "QbyP2_ordP").aut, 20
-        assert not group.ensure_comp() and group.k == 40
+        assert comp_table(group) is None and group.k == 40
     oracle = subgroups_by_subsets(group)
     for m in range(1, n + 1):
         if n % m == 0:
@@ -232,7 +232,7 @@ def test_subgroups_of_order_against_the_pairwise_oracle(monkeypatch, pair, table
         monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
     for key in label_keys(p, q):
         sa = family_aut(p, q, key)
-        assert sa.aut.ensure_comp() == table
+        assert (comp_table(sa.aut) is not None) == table
         for group in (sa.base, sa.aut):
             size = len(group.element_orders)
             for m in range(1, n + 1):
@@ -244,7 +244,7 @@ def test_subgroups_of_order_against_the_pairwise_oracle(monkeypatch, pair, table
 def test_subgroups_of_order_against_the_pairwise_oracle_at_order50():
     # (5,2) Gk(1): 12 000 automorphisms, past COMP_LIMIT, so no table
     aut = family_aut(5, 2, "Gk(1)").aut
-    assert not aut.ensure_comp()
+    assert comp_table(aut) is None
     for m in (10, 25, 50):
         assert subgroups_of_order(aut, m) == subgroups_of_order_oracle(aut, m), m
 
@@ -316,8 +316,8 @@ def test_hom_images_between_different_tables_match_the_oracle(monkeypatch):
 
 def test_automorphism_group_is_closed_and_faithful():
     aut = compute_automorphisms(cyclic(12))
-    assert aut.ensure_comp()
     comp = comp_table(aut)
+    assert comp is not None
     for f in range(aut.k):
         for g in range(aut.k):
             expect = aut.perms[f][aut.perms[g]]  # apply g then f
@@ -336,7 +336,7 @@ def test_comp_table_from_generator_codes(source):
     index = {row.tobytes(): i for i, row in enumerate(aut.perms)}
     gens = aut.base.generators
     assert np.array_equal(aut.lookup(aut.perms[:, gens]), np.arange(aut.k))
-    assert aut.ensure_comp()
+    assert comp_table(aut) is not None
     for f in range(aut.k):
         for g in range(aut.k):
             assert comp_table(aut)[f, g] == index[aut.perms[f][aut.perms[g]].tobytes()]
@@ -352,7 +352,7 @@ def test_identity_and_inverses_against_whole_rows(monkeypatch, source, table):
         aut = family_aut(3, 7, "PxQbyP").aut
     else:
         aut = compute_automorphisms(group_of(2, 7, "PxQbyP"))
-    assert aut.ensure_comp() is table
+    assert (comp_table(aut) is not None) == table
     index = {row.tobytes(): i for i, row in enumerate(aut.perms)}
     assert aut.identity == index[np.arange(aut.base.n, dtype=np.int32).tobytes()]
     inv = [index[np.argsort(row).astype(np.int32).tobytes()] for row in aut.perms]
@@ -381,6 +381,11 @@ def test_automorphism_group_orders():
     assert compute_automorphisms(sym3()).k == 6  # S3 is complete
 
 
+def test_compute_automorphisms_refuses_groups_past_the_bound():
+    with pytest.raises(ValueError, match=r"^group of order 201 exceeds the bound 200$"):
+        compute_automorphisms(cyclic(core.BRUTE_FORCE_BOUND + 1))
+
+
 def test_compute_automorphisms_names_the_trivial_group():
     with pytest.raises(ValueError, match="trivial group"):
         compute_automorphisms(FiniteGroup([[0]]))
@@ -397,7 +402,7 @@ def test_composition_is_f_after_g(monkeypatch, source, table):
         aut = family_aut(2, 5, "QbyP2_ordP").aut
     else:
         aut = compute_automorphisms(group_of(2, 7, "PxQbyP"))
-    assert aut.ensure_comp() is table
+    assert (comp_table(aut) is not None) == table
     assert len({p.tobytes() for p in aut.perms}) == aut.k
     # the generator images fix each automorphism
     assert np.array_equal(aut.lookup(aut.perms[:, aut.base.generators]), np.arange(aut.k))

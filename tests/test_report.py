@@ -20,7 +20,14 @@ from p2qbrace.report import (
     verify_tables,
     write_cache,
 )
-from helpers import report_of
+from helpers import classes_of, hol_of, report_of
+
+
+def write_family_cache(cache_dir, p, q, key):
+    """``write_cache`` for one family at the first choice, from its
+    holomorph and orbit classes."""
+    return write_cache(str(cache_dir), p, q, key, "first",
+                       hol=hol_of(p, q, key), classes=classes_of(p, q, key))
 
 
 def test_classify_order28_totals_and_consistency():
@@ -100,7 +107,11 @@ def test_pipeline_never_searches_for_automorphisms(tmp_path, monkeypatch):
     warm = classify(2, 7, cache_dir=str(tmp_path))
     assert warm.rows == cold.rows
     assert (cold.a_total, cold.b_total) == (9, 20)
-    write_cache(str(tmp_path / "direct"), 2, 7, "PxQbyP", "first")
+    direct = str(tmp_path / "direct")
+    classify(2, 7, additive="PxQbyP", cache_dir=direct)
+    with open(cache_path(direct, 2, 7, "PxQbyP", "first")) as fh:
+        with open(cache_path(str(tmp_path), 2, 7, "PxQbyP", "first")) as whole:
+            assert fh.read() == whole.read()
 
 
 def test_export_json_round_trips():
@@ -138,7 +149,7 @@ def test_export_writes_file(tmp_path):
 
 
 def test_cache_round_trip(tmp_path):
-    path = write_cache(str(tmp_path), 2, 7, "QbyP2_ordP", "first")
+    path = write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
     assert path == cache_path(str(tmp_path), 2, 7, "QbyP2_ordP", "first")
     data = import_cache(path)
     assert data["additive"] == "QbyP2_ordP"
@@ -148,7 +159,7 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_rejects_tampered_reps(tmp_path):
-    path = write_cache(str(tmp_path), 2, 7, "QbyP2_ordP", "first")
+    path = write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
     data = json.loads(open(path).read())
     # swap a stored multiplicative label: revalidation must notice
     data["orbits"][0]["mul_label"] = (
@@ -160,7 +171,7 @@ def test_cache_rejects_tampered_reps(tmp_path):
 
 
 def test_cache_rejects_edited_elements(tmp_path):
-    path = write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first")
+    path = write_family_cache(tmp_path, 2, 7, "CyclicP2Q")
     data = json.loads(open(path).read())
     data["orbits"][0]["rep"][3][0] = (data["orbits"][0]["rep"][3][0] + 1) % 28
     open(path, "w").write(json.dumps(data))
@@ -171,7 +182,7 @@ def test_cache_rejects_edited_elements(tmp_path):
 def test_cache_rejects_swapped_lambda_entries(tmp_path):
     # pi1 stays a bijection and the labels stay as written; only the closure
     # check of the circle group can notice
-    path = write_cache(str(tmp_path), 2, 7, "QbyP2_ordP", "first")
+    path = write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
     data = json.loads(open(path).read())
     rep = data["orbits"][3]["rep"]
     assert [a for a, _ in rep] == list(range(28))
@@ -192,8 +203,32 @@ def test_classify_rejects_the_cache_of_another_family(tmp_path):
         classify(2, 5, cache_dir=str(tmp_path))
 
 
+def test_parallel_jobs_read_the_cache_like_one_job(tmp_path):
+    # the workers read every family's file (a process pool runs cache hits
+    # too) and the rows come back in label order, as from one job
+    cold = classify(2, 5, cache_dir=str(tmp_path))
+    warm = classify(2, 5, cache_dir=str(tmp_path), jobs=2)
+    assert list(warm.rows) == list(cold.rows) == [lb.key() for lb in all_labels(2, 5)]
+    assert warm.rows == cold.rows == report_of(2, 5).rows
+    # a mismatched header raises the same CacheError from a worker
+    shutil.copy(
+        cache_path(str(tmp_path), 2, 5, "PxPQ", "first"),
+        cache_path(str(tmp_path), 2, 5, "QbyP2_ordP2", "first"),
+    )
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(CacheError) as err:
+            classify(2, 5, cache_dir=str(tmp_path), jobs=jobs)
+        messages.append(str(err.value))
+    path = cache_path(str(tmp_path), 2, 5, "QbyP2_ordP2", "first")
+    assert messages == [
+        f"cache file {path} holds (p, q, additive, choice) = (2, 5, 'PxPQ', 'first'), "
+        "looked up (2, 5, 'QbyP2_ordP2', 'first')"
+    ] * 2
+
+
 def test_cache_rejects_wrong_version(tmp_path):
-    path = write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first")
+    path = write_family_cache(tmp_path, 2, 7, "CyclicP2Q")
     data = json.loads(open(path).read())
     data["version"] = 999
     open(path, "w").write(json.dumps(data))
@@ -210,7 +245,7 @@ def test_cache_rejects_wrong_version(tmp_path):
     ],
 )
 def test_cache_rejects_a_family_that_does_not_exist(tmp_path, field, value, message):
-    path = write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first")
+    path = write_family_cache(tmp_path, 2, 7, "CyclicP2Q")
     data = json.loads(open(path).read())
     data[field] = value
     open(path, "w").write(json.dumps(data))
@@ -278,7 +313,7 @@ def _set_orbit(value):
     ],
 )
 def test_cache_refuses_every_malformed_entry(tmp_path, edit):
-    path = write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first")
+    path = write_family_cache(tmp_path, 2, 7, "CyclicP2Q")
     data = json.loads(open(path).read())
     edit(data)
     open(path, "w").write(json.dumps(data))
@@ -298,7 +333,7 @@ def test_cache_files_are_pinned_byte_for_byte(tmp_path, pair, digest):
     # index order of Aut(A) as well as the file layout
     sha = hashlib.sha256()
     for label in all_labels(*pair):
-        with open(write_cache(str(tmp_path), *pair, label.key(), "first"), "rb") as fh:
+        with open(write_family_cache(tmp_path, *pair, label.key()), "rb") as fh:
             sha.update(fh.read())
     assert sha.hexdigest() == digest
 

@@ -234,7 +234,7 @@ def test_solution_apply_matches_tables():
         sol = solution_from_brace(brace)
         circ, cinv = brace.mul.mul, brace.mul.inv
         for x, y in ((3, 7), (0, 11), (19, 19)):
-            s = int(hol.aut.perms[brace.lam[x], y])
+            s = int(hol.aut.perms[cl.rep.lam[x], y])
             t = int(circ[circ[cinv[s], x], y])
             assert (int(sol.sigma[x, y]), int(sol.tau[x, y])) == (s, t), key
 
