@@ -8,9 +8,13 @@ A skew brace yields one via r(a, b) = (lambda_a(b), lambda_a(b)' o a o b),
 where ' is the o-inverse; the construction goes back to Guarnieri and
 Vendramin (Math. Comp. 86, 2017).  sigma_a = lambda_a by construction.
 
-check_ybe is exact on all n^3 triples.  It evaluates the relation a block
-of x at a time through the n x n tables, so its memory stays at a few
-arrays of max(_BLOCK, n^2) int64 entries instead of n^3.
+check_ybe decides the relation exactly.  When every sigma_x is a
+permutation it decides it through the derived rack (the lemma in its
+docstring), composing each distinct pair of sigma rows or rack columns
+once instead of visiting the n^3 triples.  Only when that hypothesis
+fails or the lemma answers False does it scan the n^3 triples, a block of
+x at a time, to name the first failing one.  Every temporary stays
+within a few int64 arrays of max(_BLOCK, n^2) entries.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ __all__ = [
     "export_solution",
 ]
 
-# triples per block of x in check_ybe; at least one x (n^2 triples) a block
+# entries per block of check_ybe's temporaries; a block of the triple scan
+# holds at least one x (n^2 triples)
 _BLOCK = 1 << 15
 
 
@@ -45,8 +50,17 @@ class Solution:
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma)
         self.tau = np.asarray(self.tau)
-        if self.sigma.shape != self.tau.shape or self.sigma.shape[0] != self.sigma.shape[1]:
+        shape = self.sigma.shape
+        if shape != self.tau.shape or len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("sigma and tau must be square tables of equal size")
+        n = shape[0]
+        for name, table in (("sigma", self.sigma), ("tau", self.tau)):
+            if not np.issubdtype(table.dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, not {table.dtype}")
+            outside = (table < 0) | (table >= n)
+            if outside.any():
+                x, y = (int(v) for v in np.argwhere(outside)[0])
+                raise ValueError(f"{name}[{x}, {y}] = {table[x, y]} lies outside [0, {n})")
 
     @property
     def n(self) -> int:
@@ -71,16 +85,119 @@ def check_ybe(sol: Solution) -> tuple[bool, str]:
     """Braid relation on all n^3 triples; the message names the first
     failing (x, y, z) in C order.
 
-    The check is exact and runs a block of consecutive x at a time.
-    r12 r23 r12 sends (x, y, z) to (r(a, c), d), with (a, b) = r(x, y) and
-    (c, d) = r(b, z); r23 r12 r23 sends it to (g, r(h, f)), with
-    (e, f) = r(y, z) and (g, h) = r(x, e); c, d are row gathers of sigma,
-    tau at b and g, h gathers of the block's rows at e.  Both images are
-    compared as codes u*n^2 + v*n + w.  Every gather reads one of the n x n
-    tables sigma, tau or r_flat, and a block holds max(_BLOCK, n^2) triples,
-    so the temporaries are a few int64 arrays of that length (under 2 MiB
-    at n = 99) and no n^3 array is built.
+    Lemma (Soloviev, Math. Res. Lett. 7, 2000; Lebed and Vendramin, Adv.
+    Math. 304, 2017).  Let every sigma_x be bijective and put
+    x <| y = sigma_y tau_{sigma_x^-1(y)}(x) and psi_z(x) = x <| z.  Then r
+    satisfies the braid relation iff
+      (a) sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for all x, y;
+      (b) (x <| y) <| z = (x <| z) <| (y <| z) for all x, y, z, that is
+          psi_z psi_y = psi_{y <| z} psi_z;
+      (c) every sigma_x is an automorphism of <|:
+          sigma_x(y <| z) = sigma_x(y) <| sigma_x(z).
+    Proof.  (a) is the first component of the braid relation, so it is
+    necessary.  The guitar map J(x, y, z) = (x, sigma_x y, sigma_x sigma_y z)
+    is a bijection of X^3.  Given (a), J r12 J^-1 = r'12 with
+    r'(x, y) = (y, x <| y); and always J r23 J^-1 (x, u, v) =
+    (x, v, u <|_x v), with u <|_x v = sigma_x(sigma_x^-1(u) <| sigma_x^-1(v)).
+    Conjugating both sides of the relation by J, the two sides send
+    (x, u, v) to (v, u <| v, (x <| u) <|_u v) and to
+    (v, u <|_x v, (x <| v) <|_v (u <|_x v)).  The middle components agree
+    for all x, u, v iff (c) holds; given (c) every <|_x is <|, and the last
+    components agree iff (b) holds.  (c) cannot be dropped: on two points,
+    sigma_x = (0 1) for both x and tau = 0 satisfy (a) and (b), yet the
+    relation fails at (0, 0, 0).
+
+    All three conditions are equations f o g = h o k between the distinct
+    sigma rows and psi columns ((c) as sigma_x psi_z = psi_{sigma_x(z)}
+    sigma_x), and each side depends only on the labels of its two maps, so
+    every distinct label quadruple is composed once, n gathers a side.
+    With k distinct sigma rows and m distinct psi columns there are at
+    most min(k^4, n^2), min(m^3, n^2) and k n quadruples for (a), (b) and
+    (c), besides the O(n^2) labelling.  For a brace solution
+    sigma_x = lambda_x, so k = |im lambda|.
+
+    When some sigma_x is not bijective, or the lemma answers False, the
+    triples are scanned a block of consecutive x at a time to name the
+    witness.  r12 r23 r12 sends (x, y, z) to (r(a, c), d), with
+    (a, b) = r(x, y) and (c, d) = r(b, z); r23 r12 r23 sends it to
+    (g, r(h, f)), with (e, f) = r(y, z) and (g, h) = r(x, e); c, d are row
+    gathers of sigma, tau at b and g, h gathers of the block's rows at e.
+    Both images are compared as codes u*n^2 + v*n + w.  Every gather reads
+    one of the n x n tables, and a block holds max(_BLOCK, n^2) entries, so
+    the temporaries are a few int64 arrays of that length (under 2 MiB at
+    n = 99) and no n^3 array is built.
     """
+    if _permutation_rows(sol.sigma) and _braids_by_lemma(sol):
+        return True, "braid relation holds on all triples"
+    return _scan_triples(sol)
+
+
+def _permutation_rows(table: np.ndarray) -> bool:
+    """Whether every row of a square table of entries in [0, n) is a
+    permutation: each (row, value) pair is hit exactly once."""
+    n = table.shape[0]
+    hits = np.bincount((table + n * np.arange(n)[:, None]).ravel(), minlength=n * n)
+    return bool((hits == 1).all())
+
+
+def _braids_by_lemma(sol: Solution) -> bool:
+    """Conditions (a), (b) and (c) of check_ybe's lemma; sigma rows bijective.
+
+    Each condition is an equation maps[i] o maps[j] = maps[a] o maps[b]
+    between the distinct sigma rows and psi columns; (c) is read as
+    sigma_x psi_z = psi_{sigma_x(z)} sigma_x for each distinct sigma_x.
+    """
+    n = sol.n
+    s = sol.sigma.astype(np.intp)
+    t = sol.tau.astype(np.intp)
+    rows = np.arange(n)[:, None]
+    s_inv = np.empty_like(s)
+    s_inv[rows, s] = np.arange(n)
+    # rack[x, y] = x <| y = sigma_y(tau_{sigma_x^-1(y)}(x))
+    rack = np.take(s, np.arange(n) * n + t[rows, s_inv])
+    sig_rows, sig = _row_labels(s)
+    psi_rows, psi = _row_labels(rack.T)
+    psi += len(sig_rows)
+    maps = np.vstack((sig_rows, psi_rows))
+    sig_ids = np.arange(len(sig_rows))[:, None]
+    return (
+        _compositions_agree(maps, sig[:, None], sig[None, :], sig[s], sig[t])
+        and _compositions_agree(maps, psi[None, :], psi[:, None], psi[rack], psi[None, :])
+        and _compositions_agree(maps, sig_ids, psi[None, :], psi[sig_rows], sig_ids)
+    )
+
+
+def _row_labels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a table and each row's index among them; rows
+    are compared as raw bytes, which is exact and cheaper than axis=0."""
+    table = np.ascontiguousarray(table)
+    rows = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, labels = np.unique(rows, return_index=True, return_inverse=True)
+    return table[first], labels.reshape(-1)
+
+
+def _compositions_agree(maps: np.ndarray, i, j, a, b) -> bool:
+    """Whether maps[i] o maps[j] == maps[a] o maps[b] at every position of
+    the broadcast label arrays, composing each distinct quadruple once."""
+    m, n = maps.shape
+    codes = ((i * m + j) * m + a) * m + b
+    quads = np.unique(codes)
+    flat = maps.ravel()
+    step = max(1, max(_BLOCK, n * n) // max(n, 1))
+    for k in range(0, len(quads), step):
+        quad = quads[k:k + step]
+        quad, b_ = np.divmod(quad, m)
+        quad, a_ = np.divmod(quad, m)
+        i_, j_ = np.divmod(quad, m)
+        left = np.take(flat, (i_ * n)[:, None] + maps[j_])
+        right = np.take(flat, (a_ * n)[:, None] + maps[b_])
+        if (left != right).any():
+            return False
+    return True
+
+
+def _scan_triples(sol: Solution) -> tuple[bool, str]:
+    """check_ybe on all n^3 triples, a block of x at a time."""
     n = sol.n
     s = sol.sigma.astype(np.intp)
     t = sol.tau.astype(np.intp)
@@ -100,11 +217,7 @@ def check_ybe(sol: Solution) -> tuple[bool, str]:
 
 def check_nondegenerate(sol: Solution) -> bool:
     """All sigma_x and all tau_y must be permutations."""
-    n = sol.n
-    ref = np.arange(n)
-    rows = (np.sort(sol.sigma, axis=1) == ref[None, :]).all()
-    cols = (np.sort(sol.tau, axis=0) == ref[:, None]).all()
-    return bool(rows and cols)
+    return _permutation_rows(sol.sigma) and _permutation_rows(sol.tau.T)
 
 
 def is_involutive(sol: Solution) -> bool:

@@ -42,6 +42,16 @@ def test_solutions_past_the_brute_force_bound():
     assert result.output.count("\n") == 363
 
 
+def test_solutions_check_reports_the_passed_checks():
+    result = CliRunner().invoke(
+        main,
+        ["solutions", "--p", "2", "--q", "5", "--additive", "QbyP2_ordP", "--orbit", "1", "--check"],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "checks passed: braid relation, non-degenerate (non-involutive)\n"
+    assert result.stdout.count("\n") == 20
+
+
 def test_solutions_rejects_an_unknown_family():
     result = CliRunner().invoke(
         main, ["solutions", "--p", "2", "--q", "7", "--additive", "GF", "--orbit", "0"]

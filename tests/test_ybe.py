@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -118,8 +119,15 @@ def test_trivial_brace_gives_the_flip():
     assert np.array_equal(sol.tau, ref.tau)
 
 
+def no_scan(sol):
+    raise AssertionError("check_ybe scanned the n^3 triples of a passing solution")
+
+
 @pytest.mark.parametrize("pair", [(2, 5), (3, 7)])
-def test_every_orbit_rep_yields_a_verified_solution(pair):
+def test_every_orbit_rep_yields_a_verified_solution(pair, monkeypatch):
+    # every sigma_x = lambda_x is bijective, so the lemma decides alone: a
+    # return to the triple scan on a passing solution raises
+    monkeypatch.setattr(ybe, "_scan_triples", no_scan)
     p, q = pair
     for key, hol, cl in all_reps(p, q):
         brace = brace_from_regular(hol, cl.rep)
@@ -146,19 +154,27 @@ def test_checks_agree_with_the_broadcast_oracles():
 
 
 def corrupted(sol, table, x, y):
+    """+1 at cell (x, y) of sigma or tau; "swap" exchanges sigma[x, y] with
+    sigma[x, y - 1], so every sigma row stays a permutation."""
     sigma, tau = sol.sigma.copy(), sol.tau.copy()
+    if table == "swap":
+        sigma[x, [y, y - 1]] = sigma[x, [y - 1, y]]
+        return Solution(sigma=sigma, tau=tau)
     t = sigma if table == "sigma" else tau
     t[x, y] = (t[x, y] + 1) % sol.n
     return Solution(sigma=sigma, tau=tau)
 
 
-@pytest.mark.parametrize("table", ["sigma", "tau"])
+@pytest.mark.parametrize("table", ["sigma", "tau", "swap"])
 @pytest.mark.parametrize("pair", [(3, 7), (3, 11)])
 def test_witness_at_block_edges(pair, table, monkeypatch):
     # check_ybe runs blocks of `step` consecutive x; corrupt the last x of
     # the first block, the first x of the last block and the last entry of
     # a non-trivial PxPQ solution (n = 63 and n = 99).  The witness must not
     # depend on the block size either: one x a block down to one block.
+    # A swap keeps the sigma rows bijective, so the lemma itself must say
+    # False before the scan names the witness; +1 on sigma breaks a row and
+    # goes straight to the scan.
     pxpq = classes_of(*pair, "PxPQ")[-1]
     sol = solution_from_brace(brace_from_regular(hol_of(*pair, "PxPQ"), pxpq.rep))
     n = sol.n
@@ -168,6 +184,9 @@ def test_witness_at_block_edges(pair, table, monkeypatch):
         bad = corrupted(sol, table, x, y)
         witness = braid_oracle(bad)
         assert witness is not None
+        assert ybe._permutation_rows(bad.sigma) is (table != "sigma")
+        if table == "swap":
+            assert not ybe._braids_by_lemma(bad)
         expected = (False, f"braid relation fails at (x, y, z) = {witness}")
         assert check_ybe(bad) == check_ybe_oracle(bad) == expected
         for block in (1, 5 * n * n, n**3):
@@ -193,6 +212,76 @@ def test_braid_check_on_arbitrary_maps(sol, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ybe, "_BLOCK", block)
         assert_agrees_with_oracle(sol)
+
+
+@st.composite
+def left_nondegenerate_maps(draw):
+    # sigma rows drawn from a pool of one to three permutations and tau a
+    # random table, one permutation in every column, or the identity in
+    # every column, so that many draws are solutions
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    sigma = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    kind = draw(st.sampled_from(["arbitrary", "permutation", "identity"]))
+    if kind == "arbitrary":
+        cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+        tau = np.array(draw(cells)).reshape(n, n)
+    else:
+        column = draw(st.permutations(range(n))) if kind == "permutation" else range(n)
+        tau = np.repeat(np.array(column)[:, None], n, axis=1)
+    return Solution(sigma=sigma, tau=tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(left_nondegenerate_maps(), st.sampled_from([1, 20, ybe._BLOCK]))
+def test_lemma_on_left_nondegenerate_maps(sol, block):
+    # every sigma row is bijective, so check_ybe decides through the lemma
+    # and scans only for the witness of a failure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ybe, "_BLOCK", block)
+        assert_agrees_with_oracle(sol)
+
+
+def lemma_conditions(sol):
+    """Conditions (a), (b), (c) of check_ybe's lemma, read off the
+    definitions one point at a time."""
+    s, t, n = sol.sigma.tolist(), sol.tau.tolist(), sol.n
+    s_inv = [[row.index(y) for y in range(n)] for row in s]
+
+    def rack(x, y):
+        return s[y][t[x][s_inv[x][y]]]
+
+    pts = range(n)
+    a = all(
+        s[x][s[y][z]] == s[s[x][y]][s[t[x][y]][z]] for x in pts for y in pts for z in pts
+    )
+    b = all(
+        rack(rack(x, y), z) == rack(rack(x, z), rack(y, z)) for x in pts for y in pts for z in pts
+    )
+    c = all(s[x][rack(y, z)] == rack(s[x][y], s[x][z]) for x in pts for y in pts for z in pts)
+    return a, b, c
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, holds",
+    [
+        # sigma_0 = id, sigma_1 = (0 1), tau_y(x) = 1 - y
+        ([[0, 1], [1, 0]], [[1, 0], [1, 0]], (False, True, True)),
+        # sigma_x = id, tau_0 = (0 1), tau_1 = 0: x <| y = tau_y(x)
+        ([[0, 1], [0, 1]], [[1, 0], [0, 0]], (True, False, True)),
+        # sigma_x = (0 1), tau = 0: x <| y = 1, which no sigma_x fixes
+        ([[1, 0], [1, 0]], [[0, 0], [0, 0]], (True, True, False)),
+    ],
+    ids=["a", "b", "c"],
+)
+def test_each_lemma_condition_is_needed(sigma, tau, holds):
+    # each map breaks exactly one condition and has bijective sigma rows:
+    # the lemma says False and the scan names the oracle's witness
+    sol = Solution(sigma=np.array(sigma), tau=np.array(tau))
+    assert lemma_conditions(sol) == holds
+    assert ybe._permutation_rows(sol.sigma)
+    assert not ybe._braids_by_lemma(sol)
+    assert not assert_agrees_with_oracle(sol)
 
 
 @pytest.mark.parametrize("block", [1, ybe._BLOCK])
@@ -257,6 +346,23 @@ def test_export_round_trip():
     got_tau = np.array([[c[1] for c in row] for row in cells])
     assert np.array_equal(got_sigma, sol.sigma)
     assert np.array_equal(got_tau, sol.tau)
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, error",
+    [
+        # a float table once passed check_ybe as "braid relation holds"
+        (np.indices((3, 3))[1] * 0.5, np.zeros((3, 3), int), "sigma must hold integers, not float64"),
+        # sigma_x(y) = y - 3 once exported as "0,0 1,0 2,0", wrapped
+        (np.indices((3, 3))[1] - 3, np.zeros((3, 3), int), "sigma[0, 0] = -3 lies outside [0, 3)"),
+        # an entry past n once raised a bare IndexError
+        (np.zeros((3, 3), int), np.full((3, 3), 3), "tau[0, 0] = 3 lies outside [0, 3)"),
+    ],
+    ids=["float", "negative", "too-large"],
+)
+def test_entries_outside_the_set_rejected(sigma, tau, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        Solution(sigma=sigma, tau=tau)
 
 
 def test_rectangular_tables_rejected():
