@@ -25,12 +25,13 @@ from .core import (
     FiniteGroup,
     GroupLabel,
     _first_failure,
+    _hom_images,
     _respects,
     associativity_failure,
     identify_p2q,
     subgroups_of_order,
 )
-from .enumeration import _circle_table, _pq_of
+from .enumeration import _pq_of, circle_group
 from .holomorph import HolSubgroup, Holomorph
 
 __all__ = [
@@ -95,8 +96,7 @@ class SkewBrace:
 def brace_from_regular(hol: Holomorph, sub: HolSubgroup) -> SkewBrace:
     """The skew brace on the carrier of A induced by a regular subgroup;
     a -> (a, lambda_a) is an isomorphism (B, o) -> G."""
-    mul = FiniteGroup(_circle_table(hol, sub.arr), check=False)
-    brace = SkewBrace(add=hol.base, mul=mul)
+    brace = SkewBrace(add=hol.base, mul=circle_group(hol, sub))
     # lambda recovered from the tables must be the subgroup's automorphisms
     assert np.array_equal(brace.lambda_perms, hol.aut.perms[sub.arr])
     return brace
@@ -231,8 +231,6 @@ def brace_isomorphic(b1: SkewBrace, b2: SkewBrace) -> np.ndarray | None:
     in ``core._respects``).  The identity map is tried first, so a brace
     compared with itself gets the identity witness.
     """
-    from .core import _hom_images
-
     if b1.n != b2.n:
         return None
     gens = b1.mul.generators

@@ -100,6 +100,8 @@ def _eval_node(node, env: dict, mod: int | None):
         if isinstance(node.op, ast.Pow):
             base = _eval_node(node.left, env, mod)
             exp = _eval_node(node.right, env, None)
+            if exp < 0 and not mod:
+                raise RecipeError(f"negative exponent {exp} outside modular position")
             try:
                 return pow(base, exp, mod) if mod else base**exp
             except ValueError:

@@ -482,11 +482,11 @@ class AutGroup:
     greedy pick put i in the key.  phi and psi agree on every key element
     below i, so i is the first key element where they differ.
 
-    ``lookup`` takes images of ``base.generators``; everything else reads
-    the key directly.  ``compose(f, g)`` and ``product`` are f o g: apply
-    g, then f.  They gather from the k x k composition table when k <=
-    ``COMP_LIMIT``, built on the first of them, and rank key images
-    otherwise.
+    An index is found from the code of its key images only (``_rank``, or
+    a dict in the table-less ``compose``).  ``compose(f, g)`` and
+    ``product`` are f o g: apply g, then f.  They gather from the k x k
+    composition table when k <= ``COMP_LIMIT``, built on the first of them,
+    and rank key images otherwise.
     """
 
     COMP_LIMIT = 4100
@@ -528,37 +528,6 @@ class AutGroup:
         if (self.codes.take(pos, mode="clip") != codes).any():
             raise KeyError("images of no automorphism")
         return pos.astype(np.int32)
-
-    @cached_property
-    def _spelling(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        # base.generators as an array, and the key spelt in them along the
-        # spanning tree of _extend: entry t holds the key positions whose
-        # words reach a letter t, and those letters
-        word = {self.base.identity: ()}
-        for level in _spanning_levels(self.base):
-            for x, u, i in zip(*(a.tolist() for a in level)):
-                word[x] = word[u] + (i,)
-        words = [word[x] for x in self.key]
-        steps = [[(j, w[t]) for j, w in enumerate(words) if t < len(w)] for t in range(max(map(len, words)))]
-        return np.asarray(self.base.generators), [np.array(step).T for step in steps]
-
-    def lookup(self, images: np.ndarray) -> np.ndarray:
-        """Indices of the automorphisms sending ``base.generators`` to the
-        last axis of ``images``; KeyError if some row fits none."""
-        images = np.asarray(images)
-        gens, ((_, first), *rest) = self._spelling
-        acc = images[..., first]
-        for js, letters in rest:
-            # mod n: an image out of range(n) reaches the check below, which
-            # no row passes, as a KeyError
-            acc[..., js] = self.base.mul[acc[..., js], images[..., letters] % self.base.n]
-        # no _rank check: a row whose generator images are ``images`` has
-        # the key images ``acc``, so a row found for codes of no automorphism
-        # fails the one check below
-        found = np.minimum(self.codes.searchsorted(acc @ self._radix), self.k - 1).astype(np.int32)
-        if (self.perms[found[..., None], gens] != images).any():
-            raise KeyError("generator images of no automorphism")
-        return found
 
     def _ranked_product(self, f, g) -> np.ndarray:
         inner = self.perms[np.asarray(g)[..., None], self.key]  # g(s)

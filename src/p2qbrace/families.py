@@ -344,8 +344,8 @@ class StructuredAut:
     ``coord_moduli`` maps each coordinate name, in coordinate order, to the
     modulus its values lie below, and ``images`` maps a list of coordinate
     tuples in that order to the rows of images of ``base.generators``.  No
-    coordinates are stored per automorphism: ``aut_index`` looks the images
-    up in ``aut``.
+    coordinates are stored per automorphism: ``aut_index`` finds the row of
+    ``aut`` with those generator images.
     """
 
     label: GroupLabel
@@ -358,7 +358,10 @@ class StructuredAut:
     def aut_index(self, **coords: int) -> int:
         """The index in ``aut`` of the automorphism with these coordinates.
 
-        KeyError when a name is missing or unknown, a value lies outside
+        One scan of the generator columns of ``aut.perms``, O(k |gens|):
+        at most one row matches, since the rows are distinct automorphisms
+        and an automorphism is fixed by its images of generators.  KeyError
+        when a name is missing or unknown, a value lies outside
         range(modulus), or the coordinates name no automorphism.
         """
         if set(coords) != set(self.coord_moduli):
@@ -367,7 +370,11 @@ class StructuredAut:
         for (name, mod), v in zip(self.coord_moduli.items(), coord):
             if not 0 <= v < mod:
                 raise KeyError(f"coordinate {name} = {v} is outside range({mod})")
-        return int(self.aut.lookup(self.images([coord]))[0])
+        match = self.aut.perms[:, self.base.generators] == self.images([coord])
+        found = np.flatnonzero(match.all(axis=1))
+        if not len(found):
+            raise KeyError("generator images of no automorphism")
+        return int(found[0])
 
 
 def _residues(name: str, m: int):

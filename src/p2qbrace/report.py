@@ -117,7 +117,7 @@ def _one_group(args: tuple[int, int, str, str, str | None]) -> tuple[list, float
     enumeration, writing the file when ``cache_dir`` is set.  Top-level so
     process pools can run it."""
     p, q, key, choice, cache_dir = args
-    t0 = time.time()
+    t0 = time.perf_counter()
     path = None if cache_dir is None else cache_path(cache_dir, p, q, key, choice)
     if path is not None and os.path.exists(path):
         cached = import_cache(path)
@@ -135,7 +135,7 @@ def _one_group(args: tuple[int, int, str, str, str | None]) -> tuple[list, float
         if cache_dir is not None:
             write_cache(cache_dir, p, q, key, choice, hol=hol, classes=classes)
     cells = [(cl.mul_label.key(), cl.kernel_size) for cl in classes]
-    return cells, time.time() - t0
+    return cells, time.perf_counter() - t0
 
 
 def classify(
@@ -421,7 +421,8 @@ def import_cache(path: str) -> dict:
 
     Every malformed field raises CacheError: the header must name ints p
     and q, strings for the family, and a list of orbits; each orbit an
-    object whose ``rep`` is n pairs (a, f) of ints.  Every stored
+    object whose ``rep`` is n pairs (a, f) of ints, whose ``pi2_size`` is
+    an int and whose ``biskew`` is a bool.  Every stored
     representative must have pi1 bijective onto A, so it is a lambda
     table, and a closed one: the circle group checks that, and a closed
     finite non-empty subset of a group is a subgroup.  Its multiplicative
@@ -478,8 +479,11 @@ def import_cache(path: str) -> dict:
             raise CacheError(
                 f"cached label {entry.get('mul_label')} != recomputed {mul_label.key()}"
             )
-        if sub.pi2_size != entry.get("pi2_size"):
-            raise CacheError("cached pi2 size does not match")
+        size = entry.get("pi2_size")
+        if type(size) is not int or sub.pi2_size != size:
+            raise CacheError("cached pi2 size is not the int size of the recomputed pi2")
+        if type(entry.get("biskew")) is not bool:
+            raise CacheError("cached biskew flag is not a bool")
         classes.append(OrbitClass(rep=sub, orbit_size=0, mul_label=mul_label))
     return {"p": p, "q": q, "additive": key, "choice": choice,
             "params": params, "classes": classes}

@@ -49,6 +49,11 @@ def test_power_exponent_is_plain():
     assert eval_expr("h**(0 - 1)", {"h": 3}, mod=7) == pow(3, -1, 7)
     with pytest.raises(RecipeError):
         eval_expr("2**(0 - 1)", {}, mod=4)
+    # outside modular position a negative power has no integer value
+    for call in (lambda: eval_expr("2**-1", {}), lambda: eval_cond("2**-1 < 1", {}),
+                 lambda: eval_expr("0**-1", {})):
+        with pytest.raises(RecipeError, match="negative exponent"):
+            call()
 
 
 def test_conditions():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from p2qbrace.core import GroupLabel, _respects, identify_p2q
+from p2qbrace.core import GroupLabel, _extend, _respects, identify_p2q
 from p2qbrace.families import (
     _GL2,
     _assert_automorphisms,
@@ -228,14 +228,19 @@ def test_automorphism_check_rejects_homomorphisms_with_a_kernel():
 
 
 def test_structured_aut_coordinate_codec_round_trips():
-    # aut_index maps the coordinate tuples one-to-one onto the aut indices
+    # aut_index maps the coordinate tuples one-to-one onto the aut indices,
+    # and each index names the map that the coordinates' images extend to
     for p, q in ((2, 5), (2, 7), (3, 7), (5, 3), (5, 2)):
         for key in label_keys(p, q):
             if key == "Gk(1)":
                 continue  # 12 000 automorphisms at (5,2)
             sa = structured_of(p, q, key)
-            indices = sorted(sa.aut_index(**c) for c in coords_of(sa))
-            assert indices == list(range(sa.aut.k)), (p, q, key)
+            coords = list(coords_of(sa))
+            indices = [sa.aut_index(**c) for c in coords]
+            assert sorted(indices) == list(range(sa.aut.k)), (p, q, key)
+            tuples = [tuple(c.values()) for c in coords]
+            (built,) = _extend(sa.base, sa.base, [sa.images(tuples)])
+            assert np.array_equal(sa.aut.perms[indices], built), (p, q, key)
     # composing two automorphisms stays inside the indexed set
     sa = structured_of(5, 3, "GF")
     a, b = 1 % sa.aut.k, 7 % sa.aut.k

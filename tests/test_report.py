@@ -273,6 +273,12 @@ def _drop(name):
     return edit
 
 
+def _set_entry(name, value):
+    def edit(data):
+        data["orbits"][0][name] = value
+    return edit
+
+
 def _set_field(name, value):
     def edit(data):
         data[name] = value
@@ -294,6 +300,8 @@ def _set_orbit(value):
         _drop("rep"),
         _drop("mul_label"),
         _drop("pi2_size"),
+        _set_entry("pi2_size", True),  # orbit 0 has pi2 of size 1, and true == 1
+        _set_entry("biskew", "garbage"),
         _set_element(0, 0, str),
         _set_element(1, 1, lambda f: f + 0.5),  # would truncate back to f
         _set_element(1, 0, bool),  # a = 1 as true
@@ -307,8 +315,8 @@ def _set_orbit(value):
     ],
     ids=[
         "3-element pair", "1-element pair", "pair not a list", "no rep",
-        "no mul_label", "no pi2_size", "element '0'", "element f + 0.5",
-        "element true", "huge element", "p '2'", "q 7.0", "orbits 5",
+        "no mul_label", "no pi2_size", "pi2_size true", "biskew 'garbage'",
+        "element '0'", "element f + 0.5", "element true", "huge element", "p '2'", "q 7.0", "orbits 5",
         "params a list", "orbit 5", "orbit a list",
     ],
 )

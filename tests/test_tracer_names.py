@@ -29,3 +29,11 @@ def test_every_traced_name_resolves():
         else:
             target = getattr(home, attr, None)
         assert callable(target), f"{module}.{attr} is not a function of p2qbrace"
+
+
+def test_every_result_counter_feeds_on_a_traced_span():
+    # a counter keyed by a span name that no longer exists would read 0
+    tracer = load_tracer()
+    assert tracer.RESULT_COUNTERS
+    for name in tracer.RESULT_COUNTERS:
+        assert name in tracer.SPAN_NAMES, f"counter {name} has no traced span"
