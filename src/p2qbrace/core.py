@@ -487,6 +487,22 @@ class AutGroup:
     ``product`` are f o g: apply g, then f.  They gather from the k x k
     composition table when k <= ``COMP_LIMIT``, built on the first of them,
     and rank key images otherwise.
+
+    The table is built by right multiplication.  The identity's row is
+    0, 1, ..., k - 1.  Then the least index x not yet reached gets its row
+    ranked (``_ranked_product``), and the rows reached from the built ones
+    by right multiplication with the ranked rows are gathered, one
+    breadth-first layer at a time and a chunk of rows at a time: as
+    (f o x) o g = f o (x o g), row f o x is row f read at row x, and its
+    index is comp[f, x].  This repeats until every row is built.  The
+    ranked rows are not ``generators``, which ``generating_set`` finds
+    through this table.
+
+    Lemma: the ranked rows raise KeyError exactly when the rows are not
+    closed under composition.  If x o Aut lies in Aut for every ranked x,
+    so does w o Aut for every word w in them, and every row is the
+    identity, a ranked x or such a word.  So a row set that is not closed
+    raises on the first product.
     """
 
     COMP_LIMIT = 4100
@@ -509,15 +525,38 @@ class AutGroup:
 
     @cached_property
     def _comp(self) -> np.ndarray | None:
-        # the k x k table of f o g when k <= COMP_LIMIT, a chunk of rows at
-        # a time (bounded temporaries)
         if self.k > self.COMP_LIMIT:
             return None
         every = np.arange(self.k)
         comp = np.empty((self.k, self.k), dtype=np.int32)
+        flat = comp.ravel()
+        built = np.zeros(self.k, dtype=bool)
+        comp[self.identity], built[self.identity] = every, True
+        gens = np.empty(0, dtype=np.intp)
+        src = np.empty(self.k, dtype=np.intp)
         step = max(1, 2**16 // self.k)
-        for lo in range(0, self.k, step):
-            comp[lo:lo + step] = self._ranked_product(every[lo:lo + step, None], every)
+        left = self.k - 1
+        while left:
+            x = int(np.argmin(built))
+            comp[x], built[x] = self._ranked_product(x, every), True
+            gens, left = np.append(gens, x), left - 1
+            layer = np.flatnonzero(built)
+            while left:
+                # f o x for every f in the layer and ranked x
+                heads = comp[layer[:, None], gens].ravel()
+                at = np.flatnonzero(~built[heads])
+                if not at.size:
+                    break
+                src[heads[at]] = at  # keep one pair per new row
+                at = at[src[heads[at]] == at]
+                f, x = np.divmod(at, len(gens))
+                layer, fk, x = heads[at], (layer[f] * self.k).astype(np.int32), gens[x]
+                for lo in range(0, len(layer), step):
+                    # comp[f, y] is flat[f k + y]; "wrap" skips the bounds
+                    # check of indices that are in range
+                    rows = comp[x[lo:lo + step]] + fk[lo:lo + step, None]
+                    comp[layer[lo:lo + step]] = flat.take(rows, mode="wrap")
+                built[layer], left = True, left - len(layer)
         return comp
 
     def _rank(self, images: np.ndarray) -> np.ndarray:

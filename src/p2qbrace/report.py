@@ -422,12 +422,14 @@ def import_cache(path: str) -> dict:
     Every malformed field raises CacheError: the header must name ints p
     and q, strings for the family, and a list of orbits; each orbit an
     object whose ``rep`` is n pairs (a, f) of ints, whose ``pi2_size`` is
-    an int and whose ``biskew`` is a bool.  Every stored
-    representative must have pi1 bijective onto A, so it is a lambda
-    table, and a closed one: the circle group checks that, and a closed
-    finite non-empty subset of a group is a subgroup.  Its multiplicative
-    label is recomputed.  Any mismatch raises CacheError rather than
-    silently reusing poisoned data.
+    an int and whose ``biskew`` is a bool.  Four things are revalidated
+    per orbit.  The pairs must have pi1 bijective onto A, so they are a
+    lambda table.  The table must be closed: the circle group checks that,
+    and a closed finite non-empty subset of a group is a subgroup.  The
+    multiplicative label and the pi2 size are recomputed and compared.
+    ``biskew`` is checked for its type only: nothing reads it back, and
+    recomputing it would make an import about half again as slow.  Any
+    mismatch raises CacheError rather than silently reusing poisoned data.
     """
     try:
         with open(path) as fh:

@@ -170,6 +170,18 @@ def comp_table(aut):
     return aut._comp
 
 
+def comp_table_oracle(aut):
+    """The k x k composition table with every row ranked: each f o g found
+    from the code of its key images, a chunk of rows at a time (bounded
+    temporaries)."""
+    every = np.arange(aut.k)
+    comp = np.empty((aut.k, aut.k), dtype=np.int32)
+    step = max(1, 2**16 // aut.k)
+    for lo in range(0, aut.k, step):
+        comp[lo:lo + step] = aut._ranked_product(every[lo:lo + step, None], every)
+    return comp
+
+
 def aut_as_group(aut):
     """The abstract group on automorphism indices (needs the comp table)."""
     if comp_table(aut) is None:

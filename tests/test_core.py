@@ -28,6 +28,7 @@ from helpers import (
     aut_order_oracle,
     brute_aut_of,
     comp_table,
+    comp_table_oracle,
     direct_product_table,
     exponent,
     extend_oracle,
@@ -341,6 +342,44 @@ def test_comp_table_from_generator_codes(source):
     for f in range(aut.k):
         for g in range(aut.k):
             assert comp_table(aut)[f, g] == index[aut.perms[f][aut.perms[g]].tobytes()]
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_comp_table_equals_the_ranked_oracle(pair):
+    # the table of gathers from a few ranked rows equals the table with
+    # every row ranked, for structured and brute-force Aut(A) alike
+    for key in label_keys(*pair):
+        for aut in (family_aut(*pair, key).aut, brute_aut_of(*pair, key)):
+            comp = comp_table(aut)
+            assert comp.dtype == np.int32 and np.array_equal(comp, comp_table_oracle(aut)), key
+
+
+def test_comp_table_equals_the_ranked_oracle_at_order117():
+    aut = family_aut(3, 13, "PxQbyP").aut
+    assert aut.k == 936
+    assert np.array_equal(comp_table(aut), comp_table_oracle(aut))
+
+
+def test_comp_table_on_a_relabelled_brute_force_group():
+    # the base identity is not element 0 here; the identity automorphism is
+    # still row 0, the least permutation in the lex order of the rows
+    base = group_of(2, 7, "PxQbyP")
+    g = relabelled(base, np.random.default_rng(0).permutation(base.n))
+    aut = compute_automorphisms(g)
+    assert g.identity != 0 and aut.identity == 0
+    assert np.array_equal(comp_table(aut), comp_table_oracle(aut))
+
+
+@pytest.mark.parametrize("family", [(2, 5, "QbyP2_ordP"), (3, 7, "PxQbyP"), (5, 3, "GF")])
+def test_rows_not_closed_under_composition_fail_on_the_first_product(family):
+    # drop a self-inverse row: every other row keeps its inverse, so the
+    # constructor passes, but the rest is not closed (the AutGroup lemma)
+    aut = family_aut(*family).aut
+    every = np.arange(aut.k)
+    drop = every[(aut.inv == every) & (every != aut.identity)][0]
+    cut = AutGroup(aut.base, np.delete(aut.perms, drop, axis=0))
+    with pytest.raises(KeyError, match="images of no automorphism"):
+        cut.product(0, 0)
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["table", "no table"])
