@@ -13,6 +13,7 @@ are revalidated on load.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -363,10 +364,16 @@ def _markdown_tables(report: ClassificationReport) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file, which a failed write removes."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # -- orbit cache -----------------------------------------------------------------

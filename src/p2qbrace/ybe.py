@@ -48,8 +48,11 @@ class Solution:
     tau: np.ndarray
 
     def __post_init__(self):
-        self.sigma = np.asarray(self.sigma)
-        self.tau = np.asarray(self.tau)
+        # own read-only copies, so the range check and r_flat stay valid
+        self.sigma = np.array(self.sigma)
+        self.tau = np.array(self.tau)
+        self.sigma.setflags(write=False)
+        self.tau.setflags(write=False)
         shape = self.sigma.shape
         if shape != self.tau.shape or len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("sigma and tau must be square tables of equal size")
@@ -226,7 +229,22 @@ def is_involutive(sol: Solution) -> bool:
 
 
 def export_solution(sol: Solution) -> str:
-    """Plain-text matrix, one row per x, entries "sigma_x(y),tau_y(x)"."""
-    names = np.array([str(v) for v in range(sol.n)], dtype=object)
-    cells = names[sol.sigma] + "," + names[sol.tau]
-    return "\n".join(" ".join(row) for row in cells.tolist()) + "\n"
+    """Plain-text matrix, one row per x, entries "sigma_x(y),tau_y(x)".
+
+    One byte gather: the decimal digits of 0..n-1, NUL-padded to the width
+    w of n-1, are gathered at sigma and tau into the (n, n, 2w + 2) cells
+    "digits,digits " (the last of a row ends in a newline); the NUL bytes,
+    which no digit or separator uses, are then dropped.
+    """
+    n = sol.n
+    if n == 0:
+        return "\n"
+    w = len(str(n - 1))
+    digits = np.arange(n).astype(f"S{w}").view(np.uint8).reshape(n, w)
+    cells = np.empty((n, n, 2 * w + 2), np.uint8)
+    cells[:, :, :w] = np.take(digits, sol.sigma, axis=0)
+    cells[:, :, w] = ord(",")
+    cells[:, :, w + 1:-1] = np.take(digits, sol.tau, axis=0)
+    cells[:, :, -1] = ord(" ")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().replace(b"\0", b"").decode()

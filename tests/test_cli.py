@@ -3,9 +3,11 @@
 import pytest
 from click.testing import CliRunner
 
+from p2qbrace.braces import brace_from_regular
 from p2qbrace.cli import main
 from p2qbrace.report import export
-from helpers import report_of
+from p2qbrace.ybe import solution_from_brace
+from helpers import classes_of, export_oracle, hol_of, report_of
 
 
 def test_enumerate_prints_the_export():
@@ -34,12 +36,16 @@ def test_strategy_is_no_longer_an_option(command):
 
 
 def test_solutions_past_the_brute_force_bound():
-    # order 363 is beyond the n <= 200 bound of the brute-force Aut(A) search
+    # order 363 is beyond the n <= 200 bound of the brute-force Aut(A) search;
+    # its entries are one to three digits wide
     result = CliRunner().invoke(
         main, ["solutions", "--p", "11", "--q", "3", "--additive", "CyclicP2Q", "--orbit", "0"]
     )
     assert result.exit_code == 0, result.output
     assert result.output.count("\n") == 363
+    rep = classes_of(11, 3, "CyclicP2Q")[0].rep
+    sol = solution_from_brace(brace_from_regular(hol_of(11, 3, "CyclicP2Q"), rep))
+    assert result.stdout == export_oracle(sol)
 
 
 def test_solutions_check_reports_the_passed_checks():

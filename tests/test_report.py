@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 
 import pytest
@@ -146,6 +147,26 @@ def test_export_writes_file(tmp_path):
     out = tmp_path / "r.json"
     text = export(rep, "json", path=str(out))
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("writer", ["atomic", "export", "cache"])
+def test_a_failed_write_removes_its_temporary_file(tmp_path, writer):
+    # the target is a directory, so the write fails at os.replace, after the
+    # temporary file beside it is written; that file once stayed behind
+    if writer == "cache":
+        target = cache_path(str(tmp_path), 2, 7, "QbyP2_ordP", "first")
+    else:
+        target = str(tmp_path / "target")
+    os.mkdir(target)
+    with pytest.raises(IsADirectoryError):
+        if writer == "atomic":
+            report_mod._atomic_write(target, "x")
+        elif writer == "export":
+            export(report_of(2, 7), "json", path=target)
+        else:
+            write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
+    assert os.listdir(tmp_path) == [os.path.basename(target)]
+    assert os.listdir(target) == []
 
 
 def test_cache_round_trip(tmp_path):

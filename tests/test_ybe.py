@@ -348,6 +348,35 @@ def test_export_round_trip():
     assert np.array_equal(got_tau, sol.tau)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101])
+def test_export_at_every_digit_width_boundary(n, dtype):
+    # random tables on both sides of each change in the width of n - 1;
+    # n = 0 gives "\n", as the oracle does
+    rng = np.random.default_rng(n)
+    sigma, tau = rng.integers(0, max(n, 1), (2, n, n)).astype(dtype)
+    sol = Solution(sigma=sigma, tau=tau)
+    assert export_solution(sol) == export_oracle(sol)
+
+
+def test_solution_owns_read_only_tables():
+    # writing to the caller's arrays once changed the solution behind its
+    # range check and left r_flat stale
+    sigma = np.indices((4, 4))[1].astype(np.int32)
+    tau = np.indices((4, 4))[0].astype(np.int32)
+    sol = Solution(sigma=sigma, tau=tau)
+    text, r_flat, verdict = export_solution(sol), sol.r_flat.copy(), check_ybe(sol)
+    sigma[0, 0] = 3
+    tau[:] = 9
+    assert export_solution(sol) == text
+    assert np.array_equal(sol.r_flat, r_flat)
+    assert check_ybe(sol) == verdict == (True, "braid relation holds on all triples")
+    with pytest.raises(ValueError, match="read-only"):
+        sol.sigma[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        sol.tau[0, 0] = 1
+
+
 @pytest.mark.parametrize(
     "sigma, tau, error",
     [
