@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .braces import brace_from_regular, is_bi_skew
+from .braces import _anti_hom
 from .core import GroupLabel, identify_p2q
 from .enumeration import OrbitClass, circle_group, stratified_orbit_classes
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
@@ -395,31 +395,39 @@ def write_cache(
     classes: list[OrbitClass],
 ) -> str:
     """Store the orbit classes of one additive type, enumerated in ``hol``,
-    on disk."""
+    on disk.
+
+    The classes come from ``stratified_orbit_classes``, which already ran
+    ``circle_group`` on every representative to label it, and
+    ``import_cache`` re-checks everything on load, so this builds no brace
+    and no circle group: the bi-skew flag is read off the lambda rows
+    alone (``braces._anti_hom``).  The text is formatted directly, byte
+    for byte the layout of ``json.dumps(payload, sort_keys=True,
+    indent=1) + "\n"``: the scalar fields from ``json.dumps`` around one
+    block per orbit and one ``[a, f]`` block per pair.
+    """
     os.makedirs(cache_dir, exist_ok=True)
-    params = derive_params(p, q, choice)
-    orbits = []
-    for cl in classes:
-        brace = brace_from_regular(hol, cl.rep)
-        orbits.append(
-            {
-                "rep": [[a, f] for a, f in enumerate(cl.rep.lam)],
-                "pi2_size": int(cl.pi2_size),
-                "mul_label": cl.mul_label.key(),
-                "biskew": bool(is_bi_skew(brace)),
-            }
-        )
-    payload = {
+    header = {
         "version": CACHE_VERSION,
         "p": p,
         "q": q,
         "additive": key,
         "choice": choice,
-        "params": params.as_dict(),
-        "orbits": orbits,
+        "params": derive_params(p, q, choice).as_dict(),
+        "orbits": 0,  # the orbits text goes where this placeholder stands
     }
+    head, tail = json.dumps(header, sort_keys=True, indent=1).split('"orbits": 0', 1)
+    orbits = []
+    for cl in classes:
+        pairs = ",\n".join(f"    [\n     {a},\n     {f}\n    ]" for a, f in enumerate(cl.rep.lam))
+        biskew = "true" if _anti_hom(hol.base, hol.aut.perms[cl.rep.arr]) else "false"
+        orbits.append(
+            f'  {{\n   "biskew": {biskew},\n   "mul_label": {json.dumps(cl.mul_label.key())},\n'
+            f'   "pi2_size": {int(cl.pi2_size)},\n   "rep": [\n{pairs}\n   ]\n  }}'
+        )
+    body = "[\n" + ",\n".join(orbits) + "\n ]" if orbits else "[]"
     path = cache_path(cache_dir, p, q, key, choice)
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _atomic_write(path, f'{head}"orbits": {body}{tail}\n')
     return path
 
 
@@ -429,14 +437,14 @@ def import_cache(path: str) -> dict:
     Every malformed field raises CacheError: the header must name ints p
     and q, strings for the family, and a list of orbits; each orbit an
     object whose ``rep`` is n pairs (a, f) of ints, whose ``pi2_size`` is
-    an int and whose ``biskew`` is a bool.  Four things are revalidated
+    an int and whose ``biskew`` is a bool.  Five things are revalidated
     per orbit.  The pairs must have pi1 bijective onto A, so they are a
     lambda table.  The table must be closed: the circle group checks that,
     and a closed finite non-empty subset of a group is a subgroup.  The
-    multiplicative label and the pi2 size are recomputed and compared.
-    ``biskew`` is checked for its type only: nothing reads it back, and
-    recomputing it would make an import about half again as slow.  Any
-    mismatch raises CacheError rather than silently reusing poisoned data.
+    multiplicative label, the pi2 size and the bi-skew flag are recomputed
+    and compared, the flag by the same kernel that ``write_cache`` uses.
+    Any mismatch raises CacheError rather than silently reusing poisoned
+    data.
     """
     try:
         with open(path) as fh:
@@ -491,8 +499,9 @@ def import_cache(path: str) -> dict:
         size = entry.get("pi2_size")
         if type(size) is not int or sub.pi2_size != size:
             raise CacheError("cached pi2 size is not the int size of the recomputed pi2")
-        if type(entry.get("biskew")) is not bool:
-            raise CacheError("cached biskew flag is not a bool")
+        flag = _anti_hom(hol.base, hol.aut.perms[sub.arr])
+        if entry.get("biskew") is not flag:
+            raise CacheError(f"cached biskew flag {entry.get('biskew')!r} != recomputed {flag}")
         classes.append(OrbitClass(rep=sub, orbit_size=0, mul_label=mul_label))
     return {"p": p, "q": q, "additive": key, "choice": choice,
             "params": params, "classes": classes}

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from math import lcm
 
 import numpy as np
 
+from p2qbrace.braces import brace_from_regular
 from p2qbrace.catalog import FamilyContext, RecipeError
 from p2qbrace.core import (
     FiniteGroup,
@@ -16,6 +18,7 @@ from p2qbrace.core import (
     _element_invariants,
     _factor,
     _hom_images,
+    _respects,
     _spanning_levels,
     closure,
     compute_automorphisms,
@@ -38,7 +41,7 @@ from p2qbrace.families import (
     structured_aut,
 )
 from p2qbrace.holomorph import HolSubgroup, Holomorph, closure_packed
-from p2qbrace.report import classify
+from p2qbrace.report import CACHE_VERSION, classify
 
 # the orders every fast test may lean on; (2,13) is reserved for acceptance
 SMALL_PAIRS = ((2, 5), (2, 7), (3, 7), (5, 3))
@@ -704,3 +707,35 @@ def export_oracle(sol) -> str:
     """The export written cell by cell with f-strings."""
     rows = zip(sol.sigma.tolist(), sol.tau.tolist())
     return "\n".join(" ".join(f"{a},{b}" for a, b in zip(s, t)) for s, t in rows) + "\n"
+
+
+def bi_skew_oracle(brace) -> bool:
+    """The bi-skew law a + (b o c) = (a + b) o a' o (a + c) as the mu test:
+    after a' o on the left it says that every mu_a(b) = a' o (a + b) is an
+    endomorphism of (B, o), tested at the o-generators (``_respects``)."""
+    mu = brace.mul.mul[brace.mul.inv[:, None], brace.add.mul]
+    return len(_respects(brace.mul, brace.mul, mu, brace.mul.generators)) == brace.n
+
+
+def cache_text_oracle(p, q, key, choice, hol, classes) -> str:
+    """The cache file as ``json.dumps`` of the whole payload, each flag from
+    the mu test on the brace of its class."""
+    orbits = [
+        {
+            "rep": [[a, f] for a, f in enumerate(cl.rep.lam)],
+            "pi2_size": int(cl.pi2_size),
+            "mul_label": cl.mul_label.key(),
+            "biskew": bi_skew_oracle(brace_from_regular(hol, cl.rep)),
+        }
+        for cl in classes
+    ]
+    payload = {
+        "version": CACHE_VERSION,
+        "p": p,
+        "q": q,
+        "additive": key,
+        "choice": choice,
+        "params": derive_params(p, q, choice).as_dict(),
+        "orbits": orbits,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -17,13 +17,16 @@ from p2qbrace.catalog import FamilyContext, evaluate_witness, instantiate_lemma
 from p2qbrace.core import FiniteGroup, GroupLabel
 from helpers import (
     LOOP5,
+    SMALL_PAIRS,
     all_reps,
+    bi_skew_oracle,
     classes_of,
     comp_table,
     direct_product_table,
     first_associativity_failure,
     group_of,
     hol_of,
+    label_keys,
 )
 
 
@@ -340,6 +343,66 @@ def test_bi_skew_against_the_triple_oracle_order28():
         assert is_bi_skew(brace) is flag, key
         flags.add(flag)
     assert flags == {True, False}
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_bi_skew_is_the_mu_test_on_every_small_class(pair):
+    for key, hol, cl in all_reps(*pair):
+        brace = brace_from_regular(hol, cl.rep)
+        assert is_bi_skew(brace) is bi_skew_oracle(brace), (key, cl.rep.lam)
+
+
+def test_bi_skew_is_the_mu_test_on_random_table_pairs():
+    # the anti-homomorphism lemma needs only two group tables with a common
+    # identity, not the brace law: draw pairs among the five groups of order
+    # 20 and the 43 circle groups of (2,5), relabelled by one permutation
+    # (so some pairs are braces) or by two (mostly not), both fixing 0
+    rng = np.random.default_rng(25)
+    tables = [group_of(2, 5, key).mul for key in label_keys(2, 5)]
+    tables += [brace_from_regular(hol, cl.rep).mul.mul for _, hol, cl in all_reps(2, 5)]
+    assert all((t[0] == np.arange(20)).all() for t in tables)  # identity 0
+
+    def relabelling():
+        return np.concatenate(([0], 1 + rng.permutation(19)))
+
+    def relabelled(table, s):
+        out = np.empty_like(table)
+        out[s[:, None], s[None, :]] = s[table]
+        return FiniteGroup(out, check=False)
+
+    kinds = set()
+    for _ in range(1000):
+        i, j = rng.integers(len(tables), size=2)
+        s = relabelling()
+        t = s if rng.random() < 0.5 else relabelling()
+        brace = SkewBrace(add=relabelled(tables[i], s), mul=relabelled(tables[j], t))
+        flag = is_bi_skew(brace)
+        assert flag is bi_skew_oracle(brace), (i, j, s, t)
+        kinds.add((flag, check_axioms(brace)[0]))
+    # bi-skew braces, braces that are not, pairs where only the swapped pair
+    # is a brace, and pairs where neither is
+    assert kinds == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_bi_skew_composes_lambda_g_after_lambda_a():
+    # lambda is an anti-homomorphism of (B, +), lambda_{a+b} = lambda_b lambda_a;
+    # in these families some classes satisfy that and not the homomorphism
+    # law lambda_{a+b} = lambda_a lambda_b, so composing the other way fails
+    pts = np.arange(20)
+    for key in ("QbyP2_ordP", "QbyP2_ordP2", "PxQbyP"):
+        hol = hol_of(2, 5, key)
+        anti_only = []
+        for cl in classes_of(2, 5, key):
+            lam = hol.aut.perms[cl.rep.arr]
+            at_sums = lam[hol.base.mul]  # [a, b, c] -> lambda_{a+b}(c)
+            hom = np.array_equal(at_sums, lam[pts[:, None, None], lam[None, :, :]])
+            anti = np.array_equal(at_sums, lam[pts[None, :, None], lam[:, None, :]])
+            if anti and not hom:
+                anti_only.append(cl)
+        assert anti_only, key
+        for cl in anti_only:
+            brace = brace_from_regular(hol, cl.rep)
+            assert is_bi_skew(brace) and bi_skew_oracle(brace), (key, cl.rep.lam)
 
 
 def test_invariants_and_isomorphism_separation():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from p2qbrace.report import (
     verify_tables,
     write_cache,
 )
-from helpers import classes_of, hol_of, report_of
+from helpers import SMALL_PAIRS, cache_text_oracle, classes_of, hol_of, label_keys, report_of
 
 
 def write_family_cache(cache_dir, p, q, key):
@@ -212,6 +213,55 @@ def test_cache_rejects_swapped_lambda_entries(tmp_path):
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CacheError, match="lambda table is not closed"):
         import_cache(path)
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_cache_rejects_a_flipped_biskew_flag(tmp_path, index):
+    path = write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
+    data = json.loads(open(path).read())
+    assert len(data["orbits"]) == 10
+    flag = data["orbits"][index]["biskew"]
+    data["orbits"][index]["biskew"] = not flag
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CacheError, match=f"cached biskew flag {not flag} != recomputed {flag}"):
+        import_cache(path)
+
+
+@pytest.mark.parametrize(
+    "pair, keys",
+    [(pair, label_keys(*pair)) for pair in SMALL_PAIRS]
+    # (5,2) has label keys with parentheses; Gk(1) needs the large budget
+    + [((5, 2), [key for key in label_keys(5, 2) if key != "Gk(1)"])],
+    ids=[f"{p}x{q}" for p, q in SMALL_PAIRS + ((5, 2),)],
+)
+def test_cache_text_is_the_json_dump(tmp_path, pair, keys):
+    for key in keys:
+        hol, classes = hol_of(*pair, key), classes_of(*pair, key)
+        with open(write_family_cache(tmp_path, *pair, key)) as fh:
+            assert fh.read() == cache_text_oracle(*pair, key, "first", hol, classes), key
+
+
+def test_cache_text_without_classes_is_the_json_dump(tmp_path):
+    hol = hol_of(2, 7, "CyclicP2Q")
+    with open(write_cache(str(tmp_path), 2, 7, "CyclicP2Q", "first", hol=hol, classes=[])) as fh:
+        assert fh.read() == cache_text_oracle(2, 7, "CyclicP2Q", "first", hol, [])
+
+
+def test_write_cache_builds_no_brace_and_no_circle_group(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_cache rebuilt what the enumeration had")
+
+    keys = label_keys(3, 7)
+    expected = [cache_text_oracle(3, 7, key, "first", hol_of(3, 7, key), classes_of(3, 7, key))
+                for key in keys]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "p2qbrace":
+            for attr in ("circle_group", "brace_from_regular", "is_bi_skew"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for key, text in zip(keys, expected):
+        with open(write_family_cache(tmp_path, 3, 7, key)) as fh:
+            assert fh.read() == text, key
 
 
 def test_classify_rejects_the_cache_of_another_family(tmp_path):
