@@ -4,7 +4,8 @@ Every orbit class of regular subgroups has a closed-form representative:
 a short list of generators, each a word in the presentation generators of
 the additive group paired with an automorphism given by its structured
 coordinates.  The recipes live in ``data/catalog_data.json``; this module
-evaluates them inside the holomorph and checks them against the enumeration.
+closes each witness inside the holomorph as one row of the enumeration's
+``_regular_closures`` and checks the witnesses against the enumeration.
 
 Data file schema (``version`` 1):
 
@@ -22,9 +23,10 @@ Data file schema (``version`` 1):
         - ``generators``: list of ``{"word": [[atom, expr], ...], "aut": coords}``.
           An atom is a presentation letter (``s``, ``t``, ``e``), with the
           expression evaluated modulo that letter's order, or the literal
-          ``vec`` whose "expression" names a built-in vector recipe (the
-          matrix arithmetic of the irreducible-action family).  ``aut`` is
-          either null (identity) or a map of structured coordinates.
+          ``vec`` whose "expression" names a built-in vector recipe
+          (arithmetic in the field F_p[F], the plane of the
+          irreducible-action family).  ``aut`` is either null (identity)
+          or a map of structured coordinates.
         - ``classes``: ordered rules ``{"when": predicate, "is": family key}``;
           the first matching rule names the expected multiplicative class.
 * ``manual``: strata excluded from the recipe language, with the reason.
@@ -46,11 +48,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 from .core import FiniteGroup, identify_p2q
-from .enumeration import OrbitClass, _orbit_of, circle_group, stratified_orbit_classes
+from .enumeration import OrbitClass, _orbit_of, _regular_closures, circle_group
+from .enumeration import stratified_orbit_classes
 from .families import FamilyParams, derive_params, family_aut, generator_letters
-from .families import _mat_add, _mat_apply, _mat_inv, _mat_mul, _mat_pow, _mat_scalar
-from .holomorph import Holomorph, HolSubgroup, closure_packed
+from .families import _gf_inv, _gf_mul, _gf_pow
+from .holomorph import Holomorph, HolSubgroup
 
 DATA_VERSION = 1
 
@@ -181,7 +186,10 @@ def gf_psi(x: int, y: int, p: int, xi: int) -> int:
 
 
 def gf_vector(name: str, env: dict, params: FamilyParams) -> tuple[int, int]:
-    """Built-in vector recipes for the irreducible-action additive family.
+    """Built-in vector recipes for the irreducible-action additive family,
+    computed in the field F_p[F] (see ``families``): the vector (x, y) is
+    x + yF, so a plane map applied to the first basis vector is the map
+    itself and the second basis vector is F.
 
     ``ws``/``wt``: (F-1)^{-1} applied to the first/second basis vector.
     ``uc``: H(F^{c+1})^{-1}(F-1)^{-1}(F^c-1)(F^{c+2}-1) applied to the first
@@ -193,31 +201,35 @@ def gf_vector(name: str, env: dict, params: FamilyParams) -> tuple[int, int]:
     p, xi = params.p, params.xi
     if xi is None:
         raise RecipeError("vector recipes need the irreducible-action parameters")
-    F = params.companion()
+    F = (0, 1)
 
-    def char_poly(M):  # M^2 + xi M + 1
-        return _mat_add(_mat_mul(_mat_add(M, _mat_scalar(xi, p), p), M, p), _mat_scalar(1, p), p)
+    def mul(*zs):
+        out = (1, 0)
+        for z in zs:
+            out = _gf_mul(out, z, p, xi)
+        return out
 
-    def minus_I(M):
-        return _mat_add(M, _mat_scalar(-1, p), p)
+    def plus(z, k):  # z + k for an integer k
+        return ((z[0] + k) % p, z[1])
 
-    def inv(M):
+    def inv(z):
         try:
-            return _mat_inv(M, p)
+            return _gf_inv(z, p, xi)
         except ValueError:
             raise RecipeError("singular matrix in a vector recipe") from None
 
     if name in ("ws", "wt"):
-        basis = (1, 0) if name == "ws" else (0, 1)
-        return _mat_apply(inv(minus_I(F)), basis, p)
+        return mul(inv(plus(F, -1)), F if name == "wt" else (1, 0))
     if name in ("uc", "Fuc"):
         c = int(env["c"])
-        M = inv(char_poly(_mat_pow(F, c + 1, p)))
-        M = _mat_mul(M, inv(minus_I(F)), p)
-        M = _mat_mul(M, minus_I(_mat_pow(F, c, p)), p)
-        M = _mat_mul(M, minus_I(_mat_pow(F, c + 2, p)), p)
-        u = _mat_apply(M, (1, 0), p)
-        return _mat_apply(F, u, p) if name == "Fuc" else u
+        z = _gf_pow(F, c + 1, p, xi)
+        u = mul(
+            inv(plus(mul(z, plus(z, xi)), 1)),  # H(z) = z^2 + xi z + 1
+            inv(plus(F, -1)),
+            plus(_gf_pow(F, c, p, xi), -1),
+            plus(_gf_pow(F, c + 2, p, xi), -1),
+        )
+        return mul(F, u) if name == "Fuc" else u
     if name in ("va", "vta"):
         a = int(env["a"]) % p
         v = next(
@@ -411,10 +423,11 @@ def instantiate_lemma(
 
 
 def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
-    """Close the witness generators inside the holomorph.
+    """Close the witness generators inside the holomorph, as one row of
+    ``enumeration._regular_closures``.
 
-    Raises RecipeError when the arithmetic is undefined or the closure is
-    not a regular subgroup.
+    Raises RecipeError when the arithmetic is undefined or the generators
+    do not generate a regular subgroup.
     """
     if witness.additive != ctx.label.key():
         raise ValueError(
@@ -423,22 +436,16 @@ def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
         )
     env = dict(ctx.env)
     env.update(witness.binding)
-    packed = []
+    b, g = [], []
     for word, coords in witness.generators:
-        a = ctx.element_of_word(word, env)
-        f = ctx.aut_of(None if coords is None else dict(coords), env)
-        packed.append(ctx.hol.pack(a, f))
-    n = ctx.group.n
-    elems = closure_packed(ctx.hol, packed, limit=n)
-    if elems is None or len(elems) != n:
-        size = "more than n" if elems is None else str(len(elems))
-        raise RecipeError(
-            f"{witness.name}: generated subgroup has order {size}, expected {n}"
-        )
-    try:
-        return HolSubgroup.from_packed(ctx.hol, elems)
-    except ValueError as exc:
-        raise RecipeError(f"{witness.name}: {exc}") from exc
+        b.append(ctx.element_of_word(word, env))
+        g.append(ctx.aut_of(None if coords is None else dict(coords), env))
+    keep, lams = _regular_closures(
+        ctx.hol, np.array([b], dtype=np.int64), np.array([g], dtype=np.int64)
+    )
+    if not len(keep):
+        raise RecipeError(f"{witness.name}: the generators do not generate a regular subgroup")
+    return HolSubgroup(tuple(lams[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ _PQ = [
     click.option("--p", "p", type=int, required=True, help="prime p (additive order p²q)"),
     click.option("--q", "q", type=int, required=True, help="prime q, distinct from p"),
 ]
+_CHOICE = click.option("--choice", type=click.Choice(["first", "second"]), default="first",
+                       show_default=True, help="derived parameter choice")
+_BUDGET = click.option("--budget", type=click.Choice(["normal", "large"]), default="normal",
+                       show_default=True, help="large lifts the normal limit on holomorph size")
 
 
 def _with_pq(fn):
@@ -46,8 +50,8 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write instead of printing")
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None, help="orbit cache directory")
 @click.option("--jobs", type=int, default=1, show_default=True, help="parallel per-family workers")
-@click.option("--budget", type=click.Choice(["normal", "large"]), default="normal", show_default=True)
-@click.option("--choice", type=click.Choice(["first", "second"]), default="first", show_default=True, help="derived parameter choice")
+@_BUDGET
+@_CHOICE
 def enumerate_cmd(p, q, additive, fmt, out, cache_dir, jobs, budget, choice):
     """Classify braces at (p, q) and print or write the count tables."""
     try:
@@ -79,7 +83,7 @@ def enumerate_cmd(p, q, additive, fmt, out, cache_dir, jobs, budget, choice):
 
 @main.command("verify-tables")
 @_with_pq
-@click.option("--choice", type=click.Choice(["first", "second"]), default="first", show_default=True)
+@_CHOICE
 def verify_tables_cmd(p, q, choice):
     """Diff the computed classification against the reference tables."""
     try:
@@ -94,7 +98,7 @@ def verify_tables_cmd(p, q, choice):
 
 @main.command("conjecture")
 @_with_pq
-@click.option("--budget", type=click.Choice(["normal", "large"]), default="normal", show_default=True)
+@_BUDGET
 def conjecture_cmd(p, q, budget):
     """Compare computed totals with the closed-form counts."""
     try:
@@ -119,7 +123,7 @@ def conjecture_cmd(p, q, budget):
 @click.option("--additive", required=True, help="additive family (label key)")
 @click.option("--orbit", "orbit_index", type=int, required=True, help="orbit class index (0-based, canonical order)")
 @click.option("--check", is_flag=True, help="verify the braid relation and non-degeneracy")
-@click.option("--choice", type=click.Choice(["first", "second"]), default="first", show_default=True)
+@_CHOICE
 def solutions_cmd(p, q, additive, orbit_index, check, choice):
     """Emit the Yang-Baxter solution of one orbit class (text matrix)."""
     try:
@@ -149,7 +153,7 @@ def solutions_cmd(p, q, additive, orbit_index, check, choice):
 @main.command("catalog")
 @_with_pq
 @click.option("--lemma", "lemma_id", default=None, help="verify a single lemma id")
-@click.option("--choice", type=click.Choice(["first", "second"]), default="first", show_default=True)
+@_CHOICE
 def catalog_cmd(p, q, lemma_id, choice):
     """Check the closed-form witnesses against the enumeration."""
     try:

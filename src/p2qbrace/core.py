@@ -161,21 +161,15 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy_class_sizes(self) -> np.ndarray:
-        n = self.n
-        size = np.zeros(n, dtype=np.int32)
-        idx = np.arange(n)
-        for x in range(n):
-            if size[x]:
-                continue
-            cls = np.unique(self.mul[self.mul[:, x], self.inv[idx]])
-            size[cls] = len(cls)
-        return size
+        # column x holds y x y^-1 for every y: the class of x
+        conj = np.sort(self.mul[self.mul, self.inv[:, None]], axis=0)
+        return (1 + (conj[1:] != conj[:-1]).sum(axis=0)).astype(np.int32)
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.mul, self.mul.T)
 
     def center(self) -> list[int]:
-        return [x for x in range(self.n) if np.array_equal(self.mul[x], self.mul[:, x])]
+        return np.flatnonzero((self.mul == self.mul.T).all(axis=1)).tolist()
 
     @property
     def generators(self) -> list[int]:

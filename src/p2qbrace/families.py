@@ -22,7 +22,8 @@ one rule, (v, c)(v', c') = (v + A^c v', c + c'), to all pairs at once:
 
 t and g have order q mod p^2 and mod p, r and h order p and p^2 mod q, and
 F is the companion matrix of x^2 + xi*x + 1, irreducible over F_p, of
-order q.  k is canonical (k ~ k^{-1} mod q), with 0, 1 and -1 special.
+order q, so the (x, y) plane is the field F_p[F] with x + yF standing for
+(x, y).  k is canonical (k ~ k^{-1} mod q), with 0, 1 and -1 special.
 
 Aut(A) is parametrised by coordinates, declared once in ``_family_coords``
 as an ordered list of factors (names, values, modulus) with the map from
@@ -133,42 +134,30 @@ class FamilyParams:
         return out
 
 
-# 2x2 matrices over F_p are row pairs ((a, b), (c, d)), acting on column
-# vectors (x, y).
+# For q | p+1 the companion matrix F has no eigenvalue in F_p, so the plane
+# F_p^2 is the field F_p[F], F^2 = -xi F - 1.  The pair (a, b) = a + bF is
+# both the vector (a + bF)e_1 = a e_1 + b e_2 (F e_1 = e_2) and the plane map
+# aI + bF, so applying a map to a vector is a product in the field.
 
 
-def _mat_mul(a, b, p):
-    return (
-        ((a[0][0] * b[0][0] + a[0][1] * b[1][0]) % p, (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % p),
-        ((a[1][0] * b[0][0] + a[1][1] * b[1][0]) % p, (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % p),
-    )
+def _gf_mul(u, v, p, xi):
+    (a, b), (c, d) = u, v
+    return ((a * c - b * d) % p, (a * d + b * c - xi * b * d) % p)
 
 
-def _mat_add(a, b, p):
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scalar(k, p):
-    return ((k % p, 0), (0, k % p))
-
-
-def _mat_pow(m, k, p):
-    out = _mat_scalar(1, p)
+def _gf_pow(u, k, p, xi):
+    out = (1, 0)
     for _ in range(k):
-        out = _mat_mul(out, m, p)
+        out = _gf_mul(out, u, p, xi)
     return out
 
 
-def _mat_inv(m, p):
-    """The inverse of m; ValueError if m is singular."""
-    (a, b), (c, d) = m
-    di = pow((a * d - b * c) % p, -1, p)
-    return ((d * di % p, -b * di % p), (-c * di % p, a * di % p))
-
-
-def _mat_apply(m, v, p):
-    (a, b), (c, d) = m
-    return ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
+def _gf_inv(u, p, xi):
+    """1/u, the conjugate a + bF' = (a - xi b) - bF over the norm
+    a^2 - xi ab + b^2 (F' = -xi - F is the other root); ValueError at 0."""
+    a, b = u
+    ni = pow((a * a - xi * a * b + b * b) % p, -1, p)
+    return ((a - xi * b) * ni % p, -b * ni % p)
 
 
 def _valid_xis(p: int, q: int) -> list[int]:
@@ -177,7 +166,7 @@ def _valid_xis(p: int, q: int) -> list[int]:
         if any((x * x + xi * x + 1) % p == 0 for x in range(p)):
             continue  # reducible
         # F is not I, so F^q = I says that F has the prime order q
-        if _mat_pow(((0, (-1) % p), (1, (-xi) % p)), q, p) == ((1, 0), (0, 1)):
+        if _gf_pow((0, 1), q, p, xi) == (1, 0):
             out.append(xi)
     return out
 

@@ -13,7 +13,9 @@ packed elements of G are a * |Aut| + lam[a] for a = 0, 1, ..., so the lex
 order on lambda tables is the lex order on sorted element tuples.
 Conjugating G by (1, h) sends (a, lam[a]) to (h(a), h lam[a] h^-1): one
 scatter of the table, no sort.  ``closure_packed`` is ``core.closure``
-on packed generators, for the witness catalog.
+on packed generators; no production path calls it: the tests use it as
+the oracle of the lambda-table closures, and ``perfbench/tracer.py`` wraps
+it by name.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class Holomorph:
         self.base = base
         self.aut = aut
         self.n_aut = aut.k
-        self.size = base.n * aut.k
         self.identity = self.pack(base.identity, aut.identity)
 
     def pack(self, a: int, f: int) -> int:

@@ -11,7 +11,7 @@ from math import lcm
 import numpy as np
 
 from p2qbrace.braces import brace_from_regular
-from p2qbrace.catalog import FamilyContext, RecipeError
+from p2qbrace.catalog import FamilyContext, RecipeError, Witness
 from p2qbrace.core import (
     FiniteGroup,
     GroupLabel,
@@ -316,6 +316,23 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Morphism | None:
             return Morphism(g, h, chunk[0])
     return None
 
+
+def class_sizes_oracle(group: FiniteGroup) -> np.ndarray:
+    """``FiniteGroup.conjugacy_class_sizes`` class by class: the distinct
+    y x y^-1 over every y, written to each member of the class of x."""
+    size = np.zeros(group.n, dtype=np.int32)
+    idx = np.arange(group.n)
+    for x in range(group.n):
+        if size[x]:
+            continue
+        cls = np.unique(group.mul[group.mul[:, x], group.inv[idx]])
+        size[cls] = len(cls)
+    return size
+
+
+def center_oracle(group: FiniteGroup) -> list[int]:
+    """``FiniteGroup.center`` element by element: row x equals column x."""
+    return [x for x in range(group.n) if np.array_equal(group.mul[x], group.mul[:, x])]
 
 def regular_closure_oracle(hol, generators):
     """The lambda table of the subgroup that packed ``generators`` generate,
@@ -739,3 +756,103 @@ def cache_text_oracle(p, q, key, choice, hol, classes) -> str:
         "orbits": orbits,
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def witness_oracle(witness: Witness, ctx: FamilyContext) -> HolSubgroup | None:
+    """The witness closed as packed holomorph elements (``closure_packed``)
+    and read back by ``HolSubgroup.from_packed``; None unless the closure
+    is a regular subgroup."""
+    env = {**ctx.env, **dict(witness.binding)}
+    gens = [
+        ctx.hol.pack(ctx.element_of_word(w, env), ctx.aut_of(None if c is None else dict(c), env))
+        for w, c in witness.generators
+    ]
+    elems = closure_packed(ctx.hol, gens, limit=ctx.group.n)
+    if elems is None or len(elems) != ctx.group.n:
+        return None
+    try:
+        return HolSubgroup.from_packed(ctx.hol, elems)
+    except ValueError:
+        return None
+
+
+# 2x2 matrices over F_p are row pairs ((a, b), (c, d)), acting on column
+# vectors (x, y): the plane arithmetic of ``families`` and ``catalog`` done
+# with matrices instead of in the field F_p[F].
+
+
+def _mat_mul(a, b, p):
+    return (
+        ((a[0][0] * b[0][0] + a[0][1] * b[1][0]) % p, (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % p),
+        ((a[1][0] * b[0][0] + a[1][1] * b[1][0]) % p, (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % p),
+    )
+
+
+def _mat_add(a, b, p):
+    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mat_scalar(k, p):
+    return ((k % p, 0), (0, k % p))
+
+
+def _mat_pow(m, k, p):
+    out = _mat_scalar(1, p)
+    for _ in range(k):
+        out = _mat_mul(out, m, p)
+    return out
+
+
+def _mat_inv(m, p):
+    """The inverse of m; ValueError if m is singular."""
+    (a, b), (c, d) = m
+    di = pow((a * d - b * c) % p, -1, p)
+    return ((d * di % p, -b * di % p), (-c * di % p, a * di % p))
+
+
+def _mat_apply(m, v, p):
+    (a, b), (c, d) = m
+    return ((a * v[0] + b * v[1]) % p, (c * v[0] + d * v[1]) % p)
+
+
+def valid_xis_oracle(p: int, q: int) -> list[int]:
+    """``families._valid_xis`` with F^q = I tested on the companion matrix."""
+    out = []
+    for xi in range(1, p):
+        if any((x * x + xi * x + 1) % p == 0 for x in range(p)):
+            continue  # reducible
+        if _mat_pow(((0, (-1) % p), (1, (-xi) % p)), q, p) == ((1, 0), (0, 1)):
+            out.append(xi)
+    return out
+
+
+def gf_vector_oracle(name: str, env: dict, params) -> tuple[int, int]:
+    """The recipes ``ws``, ``wt``, ``uc`` and ``Fuc`` of
+    ``catalog.gf_vector`` by 2x2 matrix arithmetic."""
+    p, xi = params.p, params.xi
+    F = params.companion()
+
+    def char_poly(M):  # M^2 + xi M + 1
+        return _mat_add(_mat_mul(_mat_add(M, _mat_scalar(xi, p), p), M, p), _mat_scalar(1, p), p)
+
+    def minus_I(M):
+        return _mat_add(M, _mat_scalar(-1, p), p)
+
+    def inv(M):
+        try:
+            return _mat_inv(M, p)
+        except ValueError:
+            raise RecipeError("singular matrix in a vector recipe") from None
+
+    if name in ("ws", "wt"):
+        basis = (1, 0) if name == "ws" else (0, 1)
+        return _mat_apply(inv(minus_I(F)), basis, p)
+    if name in ("uc", "Fuc"):
+        c = int(env["c"])
+        M = inv(char_poly(_mat_pow(F, c + 1, p)))
+        M = _mat_mul(M, inv(minus_I(F)), p)
+        M = _mat_mul(M, minus_I(_mat_pow(F, c, p)), p)
+        M = _mat_mul(M, minus_I(_mat_pow(F, c + 2, p)), p)
+        u = _mat_apply(M, (1, 0), p)
+        return _mat_apply(F, u, p) if name == "Fuc" else u
+    raise RecipeError(f"unknown vector recipe {name!r}")

@@ -20,7 +20,15 @@ from p2qbrace.catalog import (
     verify_catalog,
 )
 from p2qbrace.enumeration import circle_group
-from helpers import gf_level_subgroup, label_keys, structured_of
+from p2qbrace.families import _valid_xis, derive_params, is_prime
+from helpers import (
+    gf_level_subgroup,
+    gf_vector_oracle,
+    label_keys,
+    structured_of,
+    valid_xis_oracle,
+    witness_oracle,
+)
 
 
 # -- expression language ------------------------------------------------------
@@ -148,17 +156,40 @@ def test_witness_family_mismatch_rejected():
 
 def test_wrong_closure_order_is_a_recipe_error():
     ctx = FamilyContext("QbyP2_ordP", 2, 7)
-    bad = Witness(
-        lemma_id="x",
-        additive="QbyP2_ordP",
-        name="too-small",
-        pi2_size=1,
-        binding=(),
-        generators=(((("s", "2"),), None),),  # <sigma^2> alone has order 2
-        expected_class="CyclicP2Q",
-    )
-    with pytest.raises(RecipeError):
-        evaluate_witness(bad, ctx)
+    for name, generators in (
+        # (e, f) with f of order 6: a subgroup of order 6 that fixes e
+        ("fixes-e", (((("s", "0"),), (("c", "3"), ("k", "1"), ("u", "5"))),)),
+        # <sigma^2> alone has order 2
+        ("too-small", (((("s", "2"),), None),)),
+    ):
+        bad = Witness(
+            lemma_id="x",
+            additive="QbyP2_ordP",
+            name=name,
+            pi2_size=1,
+            binding=(),
+            generators=generators,
+            expected_class="CyclicP2Q",
+        )
+        assert witness_oracle(bad, ctx) is None
+        with pytest.raises(
+            RecipeError, match=f"^{name}: the generators do not generate a regular subgroup$"
+        ):
+            evaluate_witness(bad, ctx)
+
+
+@pytest.mark.parametrize(
+    "pair", [(2, 5), (2, 7), (3, 7), (5, 3), (2, 13), (3, 13), (7, 3), (2, 11), (3, 19), (11, 3)]
+)
+def test_witness_tables_are_the_packed_closures(pair):
+    contexts = {}
+    for lid in applicable_lemma_ids(*pair):
+        inst = instantiate_lemma(lid, *pair)
+        if inst.additive not in contexts:
+            contexts[inst.additive] = FamilyContext(inst.additive, *pair)
+        ctx = contexts[inst.additive]
+        for w in inst.witnesses:
+            assert evaluate_witness(w, ctx) == witness_oracle(w, ctx), (lid, w.name)
 
 
 def test_aut_of_rejects_wrong_coordinates():
@@ -267,6 +298,31 @@ def test_unknown_vector_name_rejected():
     ctx = FamilyContext("GF", 5, 3)
     with pytest.raises(RecipeError):
         gf_vector("nope", dict(ctx.env), ctx.params)
+
+
+def test_gf_vectors_in_the_field_are_the_matrix_products():
+    # every prime p < 120 with a prime q > 2 dividing p + 1, both choices
+    # of xi, and c < 3q: 6 744 recipe inputs, singular ones included
+    def outcome(fn, name, env, params):
+        try:
+            return fn(name, env, params)
+        except RecipeError as exc:
+            return str(exc)
+
+    outcomes = []
+    for p in filter(is_prime, range(2, 120)):
+        for q in (q for q in range(3, p + 2) if is_prime(q) and (p + 1) % q == 0):
+            assert _valid_xis(p, q) == valid_xis_oracle(p, q)
+            for choice in ("first", "second"):
+                params = derive_params(p, q, choice)
+                for name in ("ws", "wt", "uc", "Fuc"):
+                    for c in range(3 * q):
+                        env = {"c": c}
+                        got = outcome(gf_vector, name, env, params)
+                        assert got == outcome(gf_vector_oracle, name, env, params), (p, q, name, c)
+                        outcomes.append(got)
+    assert len(outcomes) == 6744
+    assert 0 < outcomes.count("singular matrix in a vector recipe") < len(outcomes)
 
 
 def test_gf_level_subgroup_is_a_plane():

@@ -35,6 +35,24 @@ def test_strategy_is_no_longer_an_option(command):
     assert "No such option" in result.output and "--strategy" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("enumerate", "--choice"),
+        ("verify-tables", "--choice"),
+        ("solutions", "--choice"),
+        ("catalog", "--choice"),
+        ("enumerate", "--budget"),
+        ("conjecture", "--budget"),
+    ],
+)
+def test_help_lists_the_shared_options(command, option):
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    [line] = [ln for ln in result.output.splitlines() if ln.lstrip().startswith(option)]
+    choices = "[first|second]" if option == "--choice" else "[normal|large]"
+    assert choices in line
+
 def test_solutions_past_the_brute_force_bound():
     # order 363 is beyond the n <= 200 bound of the brute-force Aut(A) search;
     # its entries are one to three digits wide

@@ -20,6 +20,7 @@ from p2qbrace.core import (
     identify_p2q,
     subgroups_of_order,
 )
+from p2qbrace.enumeration import circle_group
 from p2qbrace.families import family_aut
 from helpers import (
     LOOP5,
@@ -27,6 +28,9 @@ from helpers import (
     are_isomorphic,
     aut_order_oracle,
     brute_aut_of,
+    center_oracle,
+    class_sizes_oracle,
+    classes_of,
     comp_table,
     comp_table_oracle,
     direct_product_table,
@@ -34,6 +38,7 @@ from helpers import (
     extend_oracle,
     first_associativity_failure,
     group_of,
+    hol_of,
     hom_images_oracle,
     label_keys,
     params_of,
@@ -164,6 +169,20 @@ def test_sym3_structure():
     assert sorted(g.conjugacy_class_sizes) == [1, 2, 2, 3, 3, 3]
     assert g.center() == [g.identity]
 
+
+@pytest.mark.parametrize("pair", ((2, 3),) + SMALL_PAIRS)
+def test_center_and_class_sizes_match_the_loops(pair):
+    # every family at the pair and the circle groups of its orbit classes
+    groups = []
+    for key in label_keys(*pair):
+        groups.append(group_of(*pair, key))
+        groups.extend(circle_group(hol_of(*pair, key), cl.rep) for cl in classes_of(*pair, key))
+    for g in groups:
+        sizes = g.conjugacy_class_sizes
+        assert sizes.dtype == np.int32
+        assert sizes.tolist() == class_sizes_oracle(g).tolist()
+        assert g.center() == center_oracle(g)
+        assert all(type(x) is int for x in g.center())
 
 def test_closure_and_generating_set():
     g = cyclic(20)
