@@ -44,6 +44,7 @@ from __future__ import annotations
 import ast
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -68,8 +69,11 @@ class RecipeError(ValueError):
 # expression language
 
 
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Mod, ast.Pow)
-_CMPOPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_COMPARE = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+            ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
+_LOGIC = {ast.UnaryOp: "'not' is", ast.Compare: "comparisons are",
+          ast.BoolOp: "boolean operators are"}
 
 
 @lru_cache(maxsize=None)
@@ -81,87 +85,69 @@ def _parsed(expr: str) -> ast.Expression:
 
 
 def _eval_node(node, env: dict, mod: int | None):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env, mod)
-    if isinstance(node, ast.Constant):
-        if not isinstance(node.value, int) or isinstance(node.value, bool):
-            raise RecipeError(f"non-integer literal {node.value!r}")
-        return node.value % mod if mod else node.value
-    if isinstance(node, ast.Name):
-        if node.id not in env:
-            raise RecipeError(f"unknown name {node.id!r}")
-        v = int(env[node.id])
-        return v % mod if mod else v
-    if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.USub):
-            v = -_eval_node(node.operand, env, mod)
+    match node:
+        case ast.Expression(body=body):
+            return _eval_node(body, env, mod)
+        case ast.Constant(value=value):
+            if type(value) is not int:
+                raise RecipeError(f"non-integer literal {value!r}")
+            return value % mod if mod else value
+        case ast.Name(id=name):
+            if name not in env:
+                raise RecipeError(f"unknown name {name!r}")
+            v = int(env[name])
             return v % mod if mod else v
-        if isinstance(node.op, ast.Not):
-            if mod:
-                raise RecipeError("'not' is not defined in modular position")
-            return not _eval_node(node.operand, env, mod)
-        raise RecipeError(f"unsupported unary operator {ast.dump(node.op)}")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        if isinstance(node.op, ast.Pow):
-            base = _eval_node(node.left, env, mod)
-            exp = _eval_node(node.right, env, None)
+        case ast.UnaryOp(op=ast.Not()) | ast.Compare() | ast.BoolOp() if mod:
+            raise RecipeError(f"{_LOGIC[type(node)]} not defined in modular position")
+        case ast.Compare(left=left, ops=ops, comparators=rights):
+            a = _eval_node(left, env, mod)
+            for op, right in zip(ops, rights):
+                if type(op) not in _COMPARE:
+                    raise RecipeError(f"unsupported comparison {ast.dump(op)}")
+                b = _eval_node(right, env, mod)
+                if not _COMPARE[type(op)](a, b):
+                    return False
+                a = b
+            return True
+        case ast.BoolOp(op=op, values=values):
+            vals = (_eval_node(v, env, mod) for v in values)
+            return all(vals) if isinstance(op, ast.And) else any(vals)
+        case ast.BinOp(op=ast.Pow(), left=left, right=right):
+            base, exp = _eval_node(left, env, mod), _eval_node(right, env, None)
             if exp < 0 and not mod:
                 raise RecipeError(f"negative exponent {exp} outside modular position")
             try:
                 return pow(base, exp, mod) if mod else base**exp
             except ValueError:
                 raise RecipeError(
-                    f"base not invertible modulo {mod} for a negative power"
-                ) from None
-        a = _eval_node(node.left, env, mod)
-        b = _eval_node(node.right, env, mod)
-        if isinstance(node.op, ast.Add):
-            v = a + b
-        elif isinstance(node.op, ast.Sub):
-            v = a - b
-        elif isinstance(node.op, ast.Mult):
-            v = a * b
-        elif isinstance(node.op, ast.Mod):
+                    f"base not invertible modulo {mod} for a negative power") from None
+        case ast.BinOp(op=ast.Mod(), left=left, right=right):
+            a, b = _eval_node(left, env, mod), _eval_node(right, env, mod)
             if mod:
                 raise RecipeError("'%' is not defined in modular position")
             if b == 0:
                 raise RecipeError("modulus zero in '%'")
             return a % b
-        else:  # Div
-            if mod is None:
+        case ast.BinOp(op=ast.Div(), left=left, right=right):
+            a, b = _eval_node(left, env, mod), _eval_node(right, env, mod)
+            if not mod:
                 if b == 0 or a % b:
                     raise RecipeError(f"{a}/{b} is not an integer")
                 return a // b
             try:
-                v = a * pow(b, -1, mod)
+                return a * pow(b, -1, mod) % mod
             except ValueError:
                 raise RecipeError(f"{b} is not invertible modulo {mod}") from None
-        return v % mod if mod else v
-    if isinstance(node, ast.Compare):
-        if mod:
-            raise RecipeError("comparisons are not defined in modular position")
-        left = _eval_node(node.left, env, None)
-        for op, rhs in zip(node.ops, node.comparators):
-            if not isinstance(op, _CMPOPS):
-                raise RecipeError(f"unsupported comparison {ast.dump(op)}")
-            right = _eval_node(rhs, env, None)
-            ok = {
-                ast.Eq: left == right,
-                ast.NotEq: left != right,
-                ast.Lt: left < right,
-                ast.LtE: left <= right,
-                ast.Gt: left > right,
-                ast.GtE: left >= right,
-            }[type(op)]
-            if not ok:
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.BoolOp):
-        if mod:
-            raise RecipeError("boolean operators are not defined in modular position")
-        vals = (_eval_node(v, env, None) for v in node.values)
-        return all(vals) if isinstance(node.op, ast.And) else any(vals)
+        case ast.BinOp(op=op, left=left, right=right) if type(op) in _ARITH:
+            v = _ARITH[type(op)](_eval_node(left, env, mod), _eval_node(right, env, mod))
+            return v % mod if mod else v
+        case ast.UnaryOp(op=ast.USub(), operand=operand):
+            v = -_eval_node(operand, env, mod)
+            return v % mod if mod else v
+        case ast.UnaryOp(op=ast.Not(), operand=operand):
+            return not _eval_node(operand, env, mod)
+        case ast.UnaryOp(op=op):
+            raise RecipeError(f"unsupported unary operator {ast.dump(op)}")
     raise RecipeError(f"unsupported expression node {ast.dump(node)}")
 
 

@@ -65,10 +65,13 @@ def circle_group(hol: Holomorph, sub: HolSubgroup) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """One conjugacy orbit of regular subgroups: one isomorphism class."""
+    """One conjugacy orbit of regular subgroups: one isomorphism class.
+
+    ``orbit_size`` is the number of members, or None for a class read from
+    a cache file, which stores representatives only."""
 
     rep: HolSubgroup
-    orbit_size: int
+    orbit_size: int | None
     mul_label: GroupLabel
 
     @property
@@ -96,6 +99,11 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.
     lam[a * lam[a](b)] = lam[a] o g into the empty cells; a row dies when
     a cell then disagrees with a write to it, an old value or a new one.
     The rows run together, so the rounds are those of the deepest row.
+    One re-read after the scatter tests both kinds of value.  No input is
+    known on which a clash of two new values decides the outcome (the row
+    then always meets an old-value clash later or keeps an empty cell),
+    and no proof of that either; the tests keep the old-value rule alone
+    as ``old_value_closures``.
 
     Lemma: the generator (e, id) writes nothing and never clashes, so a
     row of fewer generators may be padded with it.  It sends (a, lam[a])

@@ -74,6 +74,16 @@ _PXQBYP_P_ODD = {
     "p*p*q": {"PxQbyP": "1"},
 }
 
+# QbyP2_ordP2 by kernel, shared by the q1_modp2 and 4q_1mod4 regimes
+_QBYP2_ORDP2 = {
+    "1": {"QbyP2_ordP2": "p*(p-1)"},
+    "p": {"QbyP2_ordP": "p-1"},
+    "q": {"CyclicP2Q": "1", "QbyP2_ordP": "p-1", "QbyP2_ordP2": "p*(p-2)"},
+    "p*p": {"CyclicP2Q": "1"},
+    "p*q": {"QbyP2_ordP2": "p-1"},
+    "p*p*q": {"QbyP2_ordP2": "1"},
+}
+
 _TABLES: dict[str, dict[str, dict]] = {
     "q1_modp": {
         "QbyP2_ordP": {
@@ -107,14 +117,7 @@ _TABLES: dict[str, dict[str, dict]] = {
                 "QbyP2_ordP": "2*(p-1)",
                 "QbyP2_ordP2": "2*p*(p-1)",
             },
-            "by_kernel": {
-                "1": {"QbyP2_ordP2": "p*(p-1)"},
-                "p": {"QbyP2_ordP": "p-1"},
-                "q": {"CyclicP2Q": "1", "QbyP2_ordP": "p-1", "QbyP2_ordP2": "p*(p-2)"},
-                "p*p": {"CyclicP2Q": "1"},
-                "p*q": {"QbyP2_ordP2": "p-1"},
-                "p*p*q": {"QbyP2_ordP2": "1"},
-            },
+            "by_kernel": _QBYP2_ORDP2,
         },
         "PxQbyP": {
             "cross": {"PxPQ": "4", "PxQbyP": "6*p-4"},
@@ -177,14 +180,7 @@ _TABLES: dict[str, dict[str, dict]] = {
                 "QbyP2_ordP": "2",
                 "QbyP2_ordP2": "4",
             },
-            "by_kernel": {
-                "1": {"QbyP2_ordP2": "p*(p-1)"},
-                "p": {"QbyP2_ordP": "p-1"},
-                "q": {"CyclicP2Q": "1", "QbyP2_ordP": "p-1", "QbyP2_ordP2": "p*(p-2)"},
-                "p*p": {"CyclicP2Q": "1"},
-                "p*q": {"QbyP2_ordP2": "p-1"},
-                "p*p*q": {"QbyP2_ordP2": "1"},
-            },
+            "by_kernel": _QBYP2_ORDP2,
         },
         "PxQbyP": {
             "cross": {

@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,6 +51,9 @@ class CacheError(ValueError):
 
 @dataclass
 class ClassificationReport:
+    """Orbit counts per additive type.  Each row holds its cells and their
+    sum; the totals A, B and s are sums over the rows, never stored."""
+
     p: int
     q: int
     regime: str
@@ -57,8 +61,6 @@ class ClassificationReport:
     # label key -> {"display": str, "abelian": bool, "total": int,
     #               "cells": {(mul key, kernel size): count}}
     rows: dict[str, dict] = field(default_factory=dict)
-    a_total: int = 0
-    b_total: int = 0
     timings: dict[str, float] = field(default_factory=dict)
     complete: bool = True
     skipped: list[str] = field(default_factory=list)
@@ -68,21 +70,16 @@ class ClassificationReport:
         return self.p * self.p * self.q
 
     @property
+    def a_total(self) -> int:
+        return sum(row["total"] for row in self.rows.values() if row["abelian"])
+
+    @property
+    def b_total(self) -> int:
+        return sum(row["total"] for row in self.rows.values() if not row["abelian"])
+
+    @property
     def s_total(self) -> int:
         return self.a_total + self.b_total
-
-    def check_consistency(self) -> None:
-        a = b = 0
-        for row in self.rows.values():
-            cells = sum(row["cells"].values())
-            if cells != row["total"]:
-                raise AssertionError(f"row total mismatch in {row['display']}")
-            if row["abelian"]:
-                a += cells
-            else:
-                b += cells
-        if (a, b) != (self.a_total, self.b_total):
-            raise AssertionError("report totals do not match rows")
 
     def as_dict(self) -> dict:
         rows = {}
@@ -187,28 +184,14 @@ def classify(
     else:
         results = [_one_group(a) for a in args]
     for label, (cells, secs) in zip(kept, results):
-        _add_row(report, label, p, q, cells)
+        report.rows[label.key()] = {
+            "display": label.display(p, q),
+            "abelian": label.family in ("CyclicP2Q", "PxPQ"),
+            "total": len(cells),
+            "cells": dict(Counter(cells)),
+        }
         report.timings[label.key()] = secs
-
-    report.check_consistency()
     return report
-
-
-def _add_row(report, label, p, q, cells: list[tuple[str, int]]) -> None:
-    counts: dict[tuple[str, int], int] = {}
-    for mk in cells:
-        counts[mk] = counts.get(mk, 0) + 1
-    group_is_abelian = label.family in ("CyclicP2Q", "PxPQ")
-    report.rows[label.key()] = {
-        "display": label.display(p, q),
-        "abelian": group_is_abelian,
-        "total": len(cells),
-        "cells": counts,
-    }
-    if group_is_abelian:
-        report.a_total += len(cells)
-    else:
-        report.b_total += len(cells)
 
 
 # -- reference-table comparison ------------------------------------------------
@@ -235,34 +218,31 @@ def verify_tables(p: int, q: int, *, choice: str = "first") -> tuple[bool, list[
             diffs.append(f"{add_key}: additive type missing from computation")
             continue
         e, row = exp[add_key], nonabelian[add_key]
-        cross: dict[str, int] = {}
-        for (m, _), c in row["cells"].items():
-            cross[m] = cross.get(m, 0) + c
-        for m in sorted(set(e.cross) | set(cross)):
-            if e.cross.get(m, 0) != cross.get(m, 0):
-                diffs.append(
-                    f"{add_key} x {m}: expected {e.cross.get(m, 0)}, "
-                    f"got {cross.get(m, 0)}"
-                )
-        if e.by_kernel is None:
-            continue
-        got_bk = {(m, k): c for (m, k), c in row["cells"].items()}
-        exp_bk = {(m, k): c for (k, m), c in e.by_kernel.items()}
-        for cell in sorted(set(exp_bk) | set(got_bk)):
-            if exp_bk.get(cell, 0) != got_bk.get(cell, 0):
-                m, k = cell
-                diffs.append(
-                    f"{add_key} x {m} | ker {k}: expected {exp_bk.get(cell, 0)}, "
-                    f"got {got_bk.get(cell, 0)}"
-                )
-
-    if report.b_total != totals["B"]:
-        diffs.append(f"B({report.n}): expected {totals['B']}, got {report.b_total}")
-    if totals["A"] is not None and report.a_total != totals["A"]:
-        diffs.append(f"A({report.n}): expected {totals['A']}, got {report.a_total}")
-    if totals["s"] is not None and report.s_total != totals["s"]:
-        diffs.append(f"s({report.n}): expected {totals['s']}, got {report.s_total}")
+        cross, cells = _cross(row), row["cells"]
+        for m in sorted(e.cross.keys() | cross.keys()):
+            diffs += _diff(e.cross.get(m, 0), cross[m], f"{add_key} x {m}")
+        if e.by_kernel is not None:
+            exp_bk = {(m, k): c for (k, m), c in e.by_kernel.items()}
+            for m, k in sorted(exp_bk.keys() | cells.keys()):
+                diffs += _diff(exp_bk.get((m, k), 0), cells.get((m, k), 0),
+                               f"{add_key} x {m} | ker {k}")
+    got = {"B": report.b_total, "A": report.a_total, "s": report.s_total}
+    for name, value in got.items():
+        if totals[name] is not None:
+            diffs += _diff(totals[name], value, f"{name}({report.n})")
     return not diffs, diffs
+
+
+def _cross(row: dict) -> Counter:
+    """A row's counts per multiplicative type, summed over kernel sizes."""
+    cross: Counter = Counter()
+    for (m, _), c in row["cells"].items():
+        cross[m] += c
+    return cross
+
+
+def _diff(expected: int, got: int, name: str) -> list[str]:
+    return [] if expected == got else [f"{name}: expected {expected}, got {got}"]
 
 
 def conjecture(p: int, q: int, *, budget: str = "normal") -> dict:
@@ -291,14 +271,8 @@ def conjecture(p: int, q: int, *, budget: str = "normal") -> dict:
         formulas = conjecture_counts(p, q)
     except ValueError:
         return out
-    out["s_formula"] = formulas["s"]
-    out["A_formula"] = formulas["A"]
-    out["B_formula"] = formulas["B"]
-    out["match"] = (
-        report.s_total == formulas["s"]
-        and report.a_total == formulas["A"]
-        and report.b_total == formulas["B"]
-    )
+    out.update({f"{key}_formula": value for key, value in formulas.items()})
+    out["match"] = all(out[f"{key}_computed"] == value for key, value in formulas.items())
     return out
 
 
@@ -327,38 +301,26 @@ def export(report: ClassificationReport, fmt: str, path: str | None = None) -> s
 
 def _markdown_tables(report: ClassificationReport) -> str:
     p, q = report.p, report.q
-    labels = [lb for lb in all_labels(p, q) if lb.key() in report.rows]
-    out = [
-        f"# Skew braces of size {report.n} (p={p}, q={q})",
-        "",
-        f"s = {report.s_total}, abelian additive type A = {report.a_total}, "
-        f"nonabelian additive type B = {report.b_total}.",
-        "",
-    ]
+    keys = [lb.key() for lb in all_labels(p, q)]
+    summary = (f"s = {report.s_total}, abelian additive type A = {report.a_total}, "
+               f"nonabelian additive type B = {report.b_total}")
     if not report.complete:
-        out[2] = out[2][:-1] + f" (incomplete; skipped: {', '.join(report.skipped)})."
-    abelian = [lb for lb in labels if report.rows[lb.key()]["abelian"]]
-    nonab = [lb for lb in labels if not report.rows[lb.key()]["abelian"]]
-
-    for title, rows_lb in (("abelian", abelian), ("nonabelian", nonab)):
-        if not rows_lb:
+        summary += f" (incomplete; skipped: {', '.join(report.skipped)})"
+    out = [f"# Skew braces of size {report.n} (p={p}, q={q})", "", summary + ".", ""]
+    for title, abelian in (("abelian", True), ("nonabelian", False)):
+        rows = [report.rows[k] for k in keys
+                if k in report.rows and report.rows[k]["abelian"] == abelian]
+        if not rows:
             continue
-        used = {m for rl in rows_lb for (m, _) in report.rows[rl.key()]["cells"]}
-        mul_keys = [lb.key() for lb in all_labels(p, q) if lb.key() in used]
-        out.append(f"## Additive type {title}")
-        out.append("")
+        crosses = [_cross(row) for row in rows]
+        mul_keys = [k for k in keys if any(k in cross for cross in crosses)]
         disp = [GroupLabel.from_key(mk).display(p, q) for mk in mul_keys]
-        out.append("| additive \\ multiplicative | " + " | ".join(disp) + " | total |")
-        out.append("|---" * (len(mul_keys) + 2) + "|")
-        for lb in rows_lb:
-            row = report.rows[lb.key()]
-            cross: dict[str, int] = {}
-            for (m, k), c in row["cells"].items():
-                cross[m] = cross.get(m, 0) + c
-            cells = [str(cross.get(m, 0)) if cross.get(m, 0) else "-" for m in mul_keys]
-            out.append(
-                f"| {row['display']} | " + " | ".join(cells) + f" | {row['total']} |"
-            )
+        out += [f"## Additive type {title}", "",
+                "| additive \\ multiplicative | " + " | ".join(disp) + " | total |",
+                "|---" * (len(mul_keys) + 2) + "|"]
+        for row, cross in zip(rows, crosses):
+            cells = " | ".join(str(cross[m] or "-") for m in mul_keys)
+            out.append(f"| {row['display']} | {cells} | {row['total']} |")
         out.append("")
     return "\n".join(out)
 
@@ -502,6 +464,6 @@ def import_cache(path: str) -> dict:
         flag = _anti_hom(hol.base, hol.aut.perms[sub.arr])
         if entry.get("biskew") is not flag:
             raise CacheError(f"cached biskew flag {entry.get('biskew')!r} != recomputed {flag}")
-        classes.append(OrbitClass(rep=sub, orbit_size=0, mul_label=mul_label))
+        classes.append(OrbitClass(rep=sub, orbit_size=None, mul_label=mul_label))
     return {"p": p, "q": q, "additive": key, "choice": choice,
             "params": params, "classes": classes}

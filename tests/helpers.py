@@ -80,9 +80,7 @@ def classes_of(p, q, key, choice="first"):
 
 @functools.lru_cache(maxsize=None)
 def report_of(p, q, choice="first", budget="normal"):
-    rep = classify(p, q, choice=choice, budget=budget)
-    rep.check_consistency()
-    return rep
+    return classify(p, q, choice=choice, budget=budget)
 
 
 def label_keys(p, q):
@@ -346,6 +344,37 @@ def regular_closure_oracle(hol, generators):
     if len(np.unique(a)) != n:
         return None
     return f.astype(np.int32)  # sorted, so a = 0, 1, ..., n - 1
+
+
+def old_value_closures(hol, b, g):
+    """``enumeration._regular_closures`` with half of its clash rule: a row
+    dies only when a write meets a cell filled in an earlier round with
+    another value, and two writes of one round into an empty cell are not
+    compared.  Returns (indices, lambda tables, met): ``met`` flags the rows
+    in which two such writes of one round disagreed."""
+    base, aut = hol.base, hol.aut
+    rows, n = len(b), base.n
+    lam = np.full((rows, n), -1, dtype=np.int32)
+    lam[:, base.identity] = aut.identity
+    flat = lam.reshape(-1)
+    alive = np.ones(rows, dtype=bool)
+    met = np.zeros(rows, dtype=bool)
+    r, a = np.arange(rows), np.full(rows, base.identity)
+    while r.size:
+        f = lam[r, a]
+        cell = r[:, None] * n + base.mul[a[:, None], aut.perms[f[:, None], b[r]]]
+        val = aut.product(f[:, None], g[r])
+        old = flat[cell]
+        empty = old < 0
+        alive[r[(~empty & (old != val)).any(axis=1)]] = False
+        flat[cell[empty]] = val[empty]
+        met[r[(empty & (flat[cell] != val)).any(axis=1)]] = True
+        new = np.sort(cell[empty])
+        r, a = np.divmod(new[np.diff(new, prepend=-1) != 0], n)
+        live = alive[r]
+        r, a = r[live], a[live]
+    keep = np.flatnonzero(alive & (lam >= 0).all(axis=1))
+    return keep, lam[keep], met
 
 
 def lifts_oracle(hol, k_gens, kernel):

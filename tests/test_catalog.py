@@ -34,6 +34,69 @@ from helpers import (
 # -- expression language ------------------------------------------------------
 
 
+class Err(str):
+    """The exact RecipeError text an expression must raise."""
+
+
+# the value or the exact RecipeError text of each case, at p = 3, q = 7, h = 2
+EVAL_CASES = [
+    ('1.5', None, Err('non-integer literal 1.5')),
+    ('True', None, Err('non-integer literal True')),
+    ('nope', None, Err("unknown name 'nope'")),
+    ('~1', None, Err('unsupported unary operator Invert()')),
+    ('+1', None, Err('unsupported unary operator UAdd()')),
+    ('not 1', 5, Err("'not' is not defined in modular position")),
+    ('1 < 2', 5, Err('comparisons are not defined in modular position')),
+    ('1 and 2', 5, Err('boolean operators are not defined in modular position')),
+    ('5 % 0', None, Err("modulus zero in '%'")),
+    ('5 % 2', 7, Err("'%' is not defined in modular position")),
+    ('5/2', None, Err('5/2 is not an integer')),
+    ('1/0', None, Err('1/0 is not an integer')),
+    ('1/2', 4, Err('2 is not invertible modulo 4')),
+    ('2**-1', None, Err('negative exponent -1 outside modular position')),
+    ('2**(0-1)', 4, Err('base not invertible modulo 4 for a negative power')),
+    ('1 is 1', None, Err('unsupported comparison Is()')),
+    ('1 in 2', None, Err('unsupported comparison In()')),
+    ('[1]', None, Err('unsupported expression node List(elts=[Constant(value=1)], ctx=Load())')),
+    ('1 << 2', None, Err('unsupported expression node BinOp(left=Constant(value=1), op=LShift(), right=Constant(value=2))')),
+    ('1 //2', None, Err('unsupported expression node BinOp(left=Constant(value=1), op=FloorDiv(), right=Constant(value=2))')),
+    ('(', None, Err("bad expression '(': '(' was never closed (<unknown>, line 1)")),
+    ('p+q', 0, Err('bad modulus 0')),
+    ('not 1', None, False),
+    ('1 < 2', None, True),
+    ('1 and 2', None, True),
+    ('0 or 0', None, False),
+    ('5 % 2', None, 1),
+    ('-7 % 3', None, 2),
+    ('6/3', None, 2),
+    ('1/2', 7, 4),
+    ('0/3', 5, 0),
+    ('2**-1', 5, 3),
+    ('2**3', None, 8),
+    ('h**p', 5, 3),
+    ('-p', 5, 2),
+    ('p*q - 1', 4, 0),
+    ('2 > 1 >= 1 != 0', None, True),
+    ('3 < 2 is 1', None, False),
+    ('1 < 2 is 1', None, Err('unsupported comparison Is()')),
+    ('not nope', 5, Err("'not' is not defined in modular position")),
+    ('nope % 2', 5, Err("unknown name 'nope'")),
+    ('x if 1 else 2', None, Err("unsupported expression node IfExp(test=Constant(value=1), body=Name(id='x', ctx=Load()), orelse=Constant(value=2))")),
+]
+
+
+@pytest.mark.parametrize("expr, mod, want", EVAL_CASES, ids=[f"{e} | {m}" for e, m, _ in EVAL_CASES])
+def test_evaluator_values_and_error_texts(expr, mod, want):
+    env = {"p": 3, "q": 7, "h": 2}
+    if isinstance(want, Err):
+        with pytest.raises(RecipeError) as info:
+            eval_expr(expr, env, mod)
+        assert str(info.value) == want
+    else:
+        got = eval_expr(expr, env, mod)
+        assert (type(got), got) == (type(want), want)
+
+
 def test_modular_inverse_division():
     assert eval_expr("1/(r - 1)", {"r": 4}, mod=7) == pow(3, -1, 7)
     assert eval_expr("-1/2", {}, mod=7) == (-pow(2, -1, 7)) % 7

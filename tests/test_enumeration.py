@@ -33,6 +33,7 @@ from helpers import (
     label_keys,
     lift_search_oracle,
     lifts_oracle,
+    old_value_closures,
     orbit_partition,
     packed_elements,
     regular_closure_oracle,
@@ -346,3 +347,30 @@ def test_regular_closures_of_random_padded_rows_match_the_oracle(case):
     assert keep.tolist() == [r for r, lam in enumerate(want) if lam is not None]
     for r, lam in zip(keep.tolist(), got):
         assert lam.dtype == want[r].dtype and np.array_equal(lam, want[r])
+
+
+def assert_old_value_rule_keeps_the_same_rows(hol, b, g):
+    keep, got = _regular_closures(hol, b, g)
+    old_keep, old_got, met = old_value_closures(hol, b, g)
+    assert keep.tolist() == old_keep.tolist()
+    assert all(map(np.array_equal, got, old_got))
+    return met
+
+
+def test_old_value_rule_on_every_two_generator_row_at_order12():
+    # (2,3) PxPQ: every row of two generators, so every pair of writes that
+    # can meet in one round; the rows that the same-round half of the clash
+    # rule kills are killed by the other half or left with an empty cell
+    hol = hol_of(2, 3, "PxPQ")
+    n, k = hol.base.n, hol.n_aut
+    x = np.array(list(itertools.product(range(n * k), repeat=2)))
+    b, g = np.divmod(x, k)
+    met = assert_old_value_rule_keeps_the_same_rows(hol, b, g)
+    assert met.sum() > len(x) // 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_rows())
+def test_old_value_rule_on_random_padded_rows(case):
+    hol, _, b, g = case
+    assert_old_value_rule_keeps_the_same_rows(hol, b, g)

@@ -11,6 +11,7 @@ import pytest
 import p2qbrace.core as core
 import p2qbrace.families as families
 import p2qbrace.report as report_mod
+from p2qbrace.expected import ExpectedType, expected_tables, expected_totals
 from p2qbrace.families import all_labels
 from p2qbrace.report import (
     CacheError,
@@ -22,7 +23,15 @@ from p2qbrace.report import (
     verify_tables,
     write_cache,
 )
-from helpers import SMALL_PAIRS, cache_text_oracle, classes_of, hol_of, label_keys, report_of
+from helpers import (
+    SMALL_PAIRS,
+    cache_text_oracle,
+    classes_of,
+    enumerate_stratified,
+    hol_of,
+    label_keys,
+    report_of,
+)
 
 
 def write_family_cache(cache_dir, p, q, key):
@@ -40,7 +49,9 @@ def test_classify_order28_totals_and_consistency():
     assert set(rep.rows) == {"CyclicP2Q", "PxPQ", "QbyP2_ordP", "PxQbyP"}
     assert rep.rows["CyclicP2Q"]["abelian"]
     assert not rep.rows["QbyP2_ordP"]["abelian"]
-    rep.check_consistency()
+    # the totals are sums over the rows; check each row against the classes
+    for key, row in rep.rows.items():
+        assert row["total"] == sum(row["cells"].values()) == len(classes_of(2, 7, key))
 
 
 def test_classify_rejects_bad_arguments():
@@ -178,6 +189,17 @@ def test_cache_round_trip(tmp_path):
     assert len(data["classes"]) == 10
     labels = sorted(c.mul_label.key() for c in data["classes"])
     assert labels.count("PxQbyP") == 4
+
+
+def test_cached_classes_carry_no_orbit_size(tmp_path):
+    # a cache file stores representatives only; the enumerated classes of
+    # the same family still add up to every regular subgroup
+    key = "QbyP2_ordP"
+    classes = import_cache(write_family_cache(tmp_path, 2, 7, key))["classes"]
+    assert [c.rep for c in classes] == [c.rep for c in classes_of(2, 7, key)]
+    assert all(c.orbit_size is None for c in classes)
+    enumerated = sum(c.orbit_size for c in classes_of(2, 7, key))
+    assert enumerated == len(enumerate_stratified(hol_of(2, 7, key)))
 
 
 def test_cache_rejects_tampered_reps(tmp_path):
@@ -435,6 +457,46 @@ def test_verify_tables_order28():
     ok, diffs = verify_tables(2, 7)
     assert ok, diffs
     assert diffs == []
+
+
+def test_verify_tables_order363_gf():
+    # the second prime pair of the gf regime, (5, 3) being the first
+    assert verify_tables(11, 3) == (True, [])
+
+
+def test_verify_tables_names_every_corrupted_cell(monkeypatch):
+    exp, totals = expected_tables(2, 5), dict(expected_totals(2, 5))
+    first = min(exp)
+    cross, by_kernel = dict(exp[first].cross), dict(exp[first].by_kernel)
+    cross[min(cross)] += 1
+    del by_kernel[min(by_kernel)]
+    exp[first] = ExpectedType(cross=cross, by_kernel=by_kernel)
+    exp["Bogus"] = ExpectedType(cross={"PxPQ": 1}, by_kernel=None)
+    totals["B"] += 1
+    totals["s"] = 7
+    monkeypatch.setattr(report_mod, "expected_tables", lambda p, q: exp)
+    monkeypatch.setattr(report_mod, "expected_totals", lambda p, q: totals)
+    assert verify_tables(2, 5) == (False, [
+        "Bogus: additive type missing from computation",
+        "PxQbyP x CyclicP2Q: expected 3, got 2",
+        "PxQbyP x QbyP2_ordP2 | ker 1: expected 0, got 1",
+        "B(20): expected 33, got 32",
+        "s(20): expected 7, got 43",
+    ])
+
+
+@pytest.mark.parametrize(
+    "pair, digest",
+    [
+        ((2, 5), "a0c2ab7ab6af15971fe5d6f2494f4799e209da433b0b164f4f14d4117dfbcf1b"),
+        ((3, 7), "2196ca5b652e8c5f8dab9e108ca836153e391d782116f6e64526e36650797c04"),
+    ],
+)
+def test_exports_are_pinned_byte_for_byte(pair, digest):
+    rep = classify(*pair)
+    rep.timings = dict.fromkeys(rep.timings, 0.0)
+    text = "".join(export(rep, fmt) for fmt in ("json", "csv", "md"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_tables_rejects_order12():
