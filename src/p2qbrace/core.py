@@ -21,6 +21,16 @@ of tuples at a time as rows of NumPy arrays (``_product_rows``, which
 also chunks the lift combinations of ``enumeration``).  That search
 serves the oracle ``compute_automorphisms`` and the additive
 isomorphisms of ``braces.brace_isomorphic``.
+
+Each group picks its generators once, by one of two rules, and keeps
+them; ``generating_set`` itself picks greedily in whatever order it is
+given.  A ``FiniteGroup`` uses the generators it was built with, else the
+elements picked in index order, which every check of its table shares.
+An ``AutGroup`` picks by descending element order, which gives fewer
+generators for its orbit walks.  Every batched kernel, here and in
+``families``, ``enumeration`` and ``ybe``, bounds its temporaries by the
+one ``CHUNK_CELLS``, read at call time: a chunk holds as many rows as fit
+at the kernel's row width.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ FAMILIES = (
     "QbyP2_ordP2",    # Z_q x| Z_{p^2}, faithful action     (q = 1 mod p^2)
     "PxQbyP",         # Z_p x (Z_q x| Z_p)                  (q = 1 mod p)
 )
+
+# cells per chunk of every batched kernel (candidate maps, composition-table
+# rows, automorphism rows, lift closures, Yang-Baxter checks): each reads it
+# at call time and takes as many rows as fit, so temporaries stay bounded
+CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True, order=True)
@@ -119,9 +134,10 @@ class FiniteGroup:
         if (inv < 0).any() or not (mul[inv, np.arange(self.n)] == self.identity).all():
             raise ValueError("table has non-invertible elements")
         self.inv = inv
-        self._generators = list(map(int, generators)) if generators is not None else None
-        if generators is not None and not _generates(self, self._generators):
-            raise ValueError("generators must be elements that generate the group")
+        if generators is not None:
+            self.generators = list(map(int, generators))
+            if not _generates(self, self.generators):
+                raise ValueError("generators must be elements that generate the group")
         self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
         if check and associativity_failure(self) is not None:
             raise ValueError("multiplication table is not associative")
@@ -171,11 +187,11 @@ class FiniteGroup:
     def center(self) -> list[int]:
         return np.flatnonzero((self.mul == self.mul.T).all(axis=1)).tolist()
 
-    @property
+    @cached_property
     def generators(self) -> list[int]:
-        if self._generators is None:
-            self._generators = generating_set(self)
-        return self._generators
+        """The generators given, else the elements picked greedily in index
+        order, picked once."""
+        return generating_set(self, range(self.n))
 
 
 # -- closure and subgroups ---------------------------------------------------
@@ -250,25 +266,22 @@ def associativity_failure(group: FiniteGroup) -> tuple[int, int, int] | None:
     multiplication by the generators reaches all n elements from the
     identity (which passes), the table is associative.  That costs two
     n x n gathers per generator; the n^3 scan runs only when the test does
-    not pass, to name the first failing triple.  The generators are the
-    group's own when it was given some, which ``FiniteGroup`` checks reach
-    every element, else picked greedily in index order, which reach every
-    element by construction, need no element orders and so work on any
-    table with an identity.
+    not pass, to name the first failing triple.  The generators are
+    ``group.generators``: the group's own when it was given some, which
+    ``FiniteGroup`` checks reach every element, else picked greedily in
+    index order, which reach every element by construction, need no
+    element orders and so work on any table with an identity.
     """
     t = group.mul
-    gens = group._generators or generating_set(group, range(group.n))
+    gens = group.generators
     if np.array_equal(t[t[:, gens]], t[:, t[gens]]):
         return None
     return _first_failure(t[t, :] == t[:, t])
 
 
-def generating_set(group, elements=None) -> list[int]:
+def generating_set(group, elements) -> list[int]:
     """A small generating set of the subgroup ``elements``, picked greedily
-    in the given order; by default the whole group by descending element
-    order."""
-    if elements is None:
-        elements = np.argsort(-np.asarray(group.element_orders), kind="stable").tolist()
+    in the order given: each element not yet reached joins the set."""
     gens: list[int] = []
     have = {group.identity}
     for x in elements:
@@ -357,9 +370,6 @@ def _element_invariants(group: FiniteGroup) -> list[tuple[int, int]]:
     orders = group.element_orders
     sizes = group.conjugacy_class_sizes
     return [(int(orders[x]), int(sizes[x])) for x in range(group.n)]
-
-
-_HOM_CHUNK_CELLS = 2**16  # image cells per chunk of candidate maps: bounded temporaries
 
 
 def _product_rows(choices, step: int):
@@ -456,7 +466,7 @@ def _hom_images(src: FiniteGroup, dst: FiniteGroup):
         return
     gens = src.generators
     cands = [np.array([y for y in range(dst.n) if inv_d[y] == inv_s[g]]) for g in gens]
-    for phi in _extend(src, dst, _product_rows(cands, max(1, _HOM_CHUNK_CELLS // src.n))):
+    for phi in _extend(src, dst, _product_rows(cands, max(1, CHUNK_CELLS // src.n))):
         phi = phi[(phi == dst.identity).sum(axis=1) == 1]
         yield phi[_respects(src, dst, phi, gens)]
 
@@ -489,8 +499,8 @@ class AutGroup:
     breadth-first layer at a time and a chunk of rows at a time: as
     (f o x) o g = f o (x o g), row f o x is row f read at row x, and its
     index is comp[f, x].  This repeats until every row is built.  The
-    ranked rows are not ``generators``, which ``generating_set`` finds
-    through this table.
+    ranked rows are not ``generators``, which are picked through this
+    table by descending element order.
 
     Lemma: the ranked rows raise KeyError exactly when the rows are not
     closed under composition.  If x o Aut lies in Aut for every ranked x,
@@ -528,7 +538,7 @@ class AutGroup:
         comp[self.identity], built[self.identity] = every, True
         gens = np.empty(0, dtype=np.intp)
         src = np.empty(self.k, dtype=np.intp)
-        step = max(1, 2**16 // self.k)
+        step = max(1, CHUNK_CELLS // self.k)
         left = self.k - 1
         while left:
             x = int(np.argmin(built))
@@ -605,7 +615,10 @@ class AutGroup:
 
     @cached_property
     def generators(self) -> list[int]:
-        return generating_set(self)
+        # by descending element order: on the benchmark families that picks
+        # at most 3 generators where index order picks up to 6, and an orbit
+        # walk (``holomorph.orbit``) acts by every generator on every member
+        return generating_set(self, np.argsort(-self.element_orders, kind="stable").tolist())
 
 
 BRUTE_FORCE_BOUND = 200  # the largest group order compute_automorphisms takes

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import FiniteGroup, GroupLabel, _factor, _product_rows, generating_set
-from .core import identify_p2q, subgroups_of_order
 from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
 
 __all__ = [
@@ -86,9 +86,6 @@ class OrbitClass:
 # -- stratified search: fix pi2 up to conjugacy and the kernel ----------------
 
 
-_CHUNK_CELLS = 2**14  # lambda cells per chunk of rows: bounded temporaries
-
-
 def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indices, lambda tables) of the rows of generators that generate
     regular subgroups, in row order; row r holds the generators
@@ -133,18 +130,17 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.
     return keep, lam[keep]
 
 
-def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...]):
-    """Generators of the kernel N, and for each generator alpha of K, in
-    ascending order, the right coset representatives u of N (the least
-    element of N u) for which (u, alpha) normalises N x 1 and has its o-th
-    power, o = ord(alpha), in N x 1, as in any regular subgroup with kernel
-    N.  That power is (u alpha(u) ... alpha^(o-1)(u), alpha^o), and alpha^o
+def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...], n_gens: list[int]):
+    """For each generator alpha of K, in ascending order, the right coset
+    representatives u of the kernel N (the least element of N u) for which
+    (u, alpha) normalises N x 1 and has its o-th power, o = ord(alpha), in
+    N x 1, as in any regular subgroup with kernel N; ``n_gens`` generate N.
+    That power is (u alpha(u) ... alpha^(o-1)(u), alpha^o), and alpha^o
     is the identity, so only its first coordinate is tested.
     """
     base, aut = hol.base, hol.aut
     n_mask = np.zeros(base.n, dtype=bool)
     n_mask[list(kernel)] = True
-    n_gens = generating_set(base, kernel)
     reps = np.nonzero(base.mul[list(kernel)].min(axis=0) == np.arange(base.n))[0]
     inv = base.inv[reps][:, None]
     per_gen: list[np.ndarray] = []
@@ -156,21 +152,23 @@ def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...]):
             image = row[image]
             power = base.mul[power, image]
         per_gen.append(reps[normal & n_mask[power]])
-    return n_gens, per_gen
+    return per_gen
 
 
 def _strata(hol: Holomorph):
-    """(K, generators of K, kernel) for every class representative K of
-    the subgroups of Aut(A) of order d > 1 dividing n, and every subgroup
-    of A of order n / d."""
-    n = hol.base.n
+    """(K, generators of K, kernel, generators of the kernel) for every
+    class representative K of the subgroups of Aut(A) of order d > 1
+    dividing n, and every subgroup of A of order n / d; each group's
+    generators are picked once."""
+    base, n = hol.base, hol.base.n
     for d in range(2, n + 1):
-        if n % d or hol.aut.k % d:
+        if n % d or hol.aut.k % d or not (k_reps := aut_subgroup_classes(hol.aut, d)):
             continue
-        for k_rep in aut_subgroup_classes(hol.aut, d):
+        kernels = [(m, generating_set(base, m)) for m in core.subgroups_of_order(base, n // d)]
+        for k_rep in k_reps:
             k_gens = generating_set(hol.aut, k_rep)
-            for kernel in subgroups_of_order(hol.base, n // d):
-                yield k_rep, k_gens, kernel
+            for kernel, n_gens in kernels:
+                yield k_rep, k_gens, kernel, n_gens
 
 
 def _stream(hol: Holomorph, step: int):
@@ -190,8 +188,8 @@ def _stream(hol: Holomorph, step: int):
             gs[lo:lo + len(b), :b.shape[1]] = g
         return [k for k, _, _ in parts], np.repeat(np.arange(len(parts)), lens), bs, gs
 
-    for k_rep, k_gens, kernel in _strata(hol):
-        n_gens, lifts = _lifts(hol, k_gens, kernel)
+    for k_rep, k_gens, kernel, n_gens in _strata(hol):
+        lifts = _lifts(hol, k_gens, kernel, n_gens)
         g = list(k_gens) + [one] * len(n_gens)
         for b in _product_rows(lifts + [[m] for m in n_gens], step):
             while len(b):
@@ -217,7 +215,7 @@ def _stratified_reps(hol: Holomorph):
     exactly on a pi1 collision in G: a row is kept iff G is regular.
     """
     yield (hol.aut.identity,), np.full(hol.base.n, hol.aut.identity, dtype=np.int32)
-    for ks, part, b, g in _stream(hol, max(1, _CHUNK_CELLS // hol.base.n)):
+    for ks, part, b, g in _stream(hol, max(1, core.CHUNK_CELLS // hol.base.n)):
         keep, lams = _regular_closures(hol, b, g)
         for i, lam in zip(part[keep].tolist(), lams):
             assert np.array_equal(np.unique(lam), ks[i])
@@ -261,6 +259,6 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
     classes = []
     for key in sorted(by_min):
         rep = HolSubgroup(key)
-        label = identify_p2q(circle_group(hol, rep), p, q)
+        label = core.identify_p2q(circle_group(hol, rep), p, q)
         classes.append(OrbitClass(rep=rep, orbit_size=by_min[key], mul_label=label))
     return classes

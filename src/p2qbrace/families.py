@@ -59,6 +59,7 @@ from math import gcd, prod
 
 import numpy as np
 
+from . import core
 from .core import AutGroup, FiniteGroup, GroupLabel, _extend, _factor, _respects
 
 __all__ = [
@@ -470,7 +471,7 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
     coords = (
         sum(parts, ()) for parts in itertools.product(*(vals for _, vals, _ in factors))
     )
-    chunks = iter(lambda: list(itertools.islice(coords, 4096)), [])
+    chunks = iter(lambda: list(itertools.islice(coords, max(1, core.CHUNK_CELLS // base.n))), [])
     perms = np.empty((aut_order(label, params), base.n), dtype=np.int32)
     lo = 0
     for block in _extend(base, base, map(codes, chunks)):

@@ -151,12 +151,15 @@ def classify(
     ``additive`` restricts to one additive label key.  Groups whose
     holomorph exceeds the normal budget are skipped (report flagged
     incomplete) unless ``budget="large"``; the gate reads |Hol(A)| =
-    p^2 q |Aut(A)| off the family's closed form and builds nothing.  With
-    ``cache_dir`` set, orbit representatives are loaded from (or saved to)
-    validated cache files.
+    p^2 q |Aut(A)| off the family's closed form and builds nothing.
+    ``jobs`` > 1 classifies the families in that many worker processes;
+    ValueError below 1.  With ``cache_dir`` set, orbit representatives are
+    loaded from (or saved to) validated cache files.
     """
     if budget not in ("normal", "large"):
         raise ValueError(f"budget must be 'normal' or 'large', got {budget!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     params = derive_params(p, q, choice)
     try:
         reg = regime(p, q)

@@ -13,8 +13,8 @@ permutation it decides it through the derived rack (the lemma in its
 docstring), composing each distinct pair of sigma rows or rack columns
 once instead of visiting the n^3 triples.  Only when that hypothesis
 fails or the lemma answers False does it scan the n^3 triples, a block of
-x at a time, to name the first failing one.  Every temporary stays
-within a few int64 arrays of max(_BLOCK, n^2) entries.
+x at a time, to name the first failing one.  Every temporary is an int64
+array of at most max(core.CHUNK_CELLS, n^2) entries: 512 KiB for n <= 256.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .braces import SkewBrace
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
     "is_involutive",
     "export_solution",
 ]
-
-# entries per block of check_ybe's temporaries; a block of the triple scan
-# holds at least one x (n^2 triples)
-_BLOCK = 1 << 15
-
 
 @dataclass
 class Solution:
@@ -126,9 +122,10 @@ def check_ybe(sol: Solution) -> tuple[bool, str]:
     (g, r(h, f)), with (e, f) = r(y, z) and (g, h) = r(x, e); c, d are row
     gathers of sigma, tau at b and g, h gathers of the block's rows at e.
     Both images are compared as codes u*n^2 + v*n + w.  Every gather reads
-    one of the n x n tables, and a block holds max(_BLOCK, n^2) entries, so
-    the temporaries are a few int64 arrays of that length (under 2 MiB at
-    n = 99) and no n^3 array is built.
+    one of the n x n tables, and a block holds at least one x (n^2 triples)
+    and at most max(core.CHUNK_CELLS, n^2) entries, so each temporary is an
+    int64 array of that length (512 KiB for n <= 256) and no n^3 array is
+    built.
     """
     if _permutation_rows(sol.sigma) and _braids_by_lemma(sol):
         return True, "braid relation holds on all triples"
@@ -186,7 +183,7 @@ def _compositions_agree(maps: np.ndarray, i, j, a, b) -> bool:
     codes = ((i * m + j) * m + a) * m + b
     quads = np.unique(codes)
     flat = maps.ravel()
-    step = max(1, max(_BLOCK, n * n) // max(n, 1))
+    step = max(1, max(core.CHUNK_CELLS, n * n) // max(n, 1))
     for k in range(0, len(quads), step):
         quad = quads[k:k + step]
         quad, b_ = np.divmod(quad, m)
@@ -206,7 +203,7 @@ def _scan_triples(sol: Solution) -> tuple[bool, str]:
     t = sol.tau.astype(np.intp)
     r = sol.r_flat
     rn = r * n
-    step = max(1, _BLOCK // max(n * n, 1))
+    step = max(1, core.CHUNK_CELLS // max(n * n, 1))
     for x0 in range(0, n, step):
         sx, tx = s[x0:x0 + step], t[x0:x0 + step]
         left = np.take(rn, (sx * n)[:, :, None] + np.take(s, tx, axis=0)) + np.take(t, tx, axis=0)

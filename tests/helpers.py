@@ -83,6 +83,12 @@ def report_of(p, q, choice="first", budget="normal"):
     return classify(p, q, choice=choice, budget=budget)
 
 
+def by_descending_order(group) -> list[int]:
+    """The elements of ``group`` by descending element order, ties in index
+    order: the order ``AutGroup.generators`` picks in."""
+    return np.argsort(-np.asarray(group.element_orders), kind="stable").tolist()
+
+
 def label_keys(p, q):
     return [lab.key() for lab in all_labels(p, q)]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from p2qbrace import core
 from p2qbrace.braces import (
     SkewBrace,
     brace_from_regular,
@@ -426,6 +427,24 @@ def test_invariants_and_isomorphism_separation():
             phi = iso
             assert np.array_equal(phi[b1.add.mul], b2.add.mul[phi[:, None], phi[None, :]])
             assert np.array_equal(phi[b1.mul.mul], b2.mul.mul[phi[:, None], phi[None, :]])
+
+
+def test_a_circle_group_picks_its_generators_once(monkeypatch):
+    # Light's test, the brace law and the ideals all read the one pick
+    calls = []
+    pick = core.generating_set
+
+    def counted(group, elements):
+        calls.append(group)
+        return pick(group, elements)
+
+    monkeypatch.setattr(core, "generating_set", counted)
+    hol = hol_of(3, 7, "PxQbyP")
+    brace = brace_from_regular(hol, classes_of(3, 7, "PxQbyP")[-1].rep)
+    assert check_axioms(brace) == (True, "all axioms hold")
+    invariants(brace)
+    assert sum(group is brace.mul for group in calls) == 1
+    assert brace.mul.generators == pick(brace.mul, range(brace.n))
 
 
 def test_brace_isomorphic_to_itself():

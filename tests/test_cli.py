@@ -35,6 +35,13 @@ def test_strategy_is_no_longer_an_option(command):
     assert "No such option" in result.output and "--strategy" in result.output
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_refuses_fewer_than_one_job(jobs):
+    result = CliRunner().invoke(main, ["enumerate", "--p", "2", "--q", "5", "--jobs", jobs])
+    assert result.exit_code == 2
+    assert f"jobs must be at least 1, got {jobs}" in result.output
+
+
 @pytest.mark.parametrize(
     "command, option",
     [

@@ -28,6 +28,7 @@ from helpers import (
     are_isomorphic,
     aut_order_oracle,
     brute_aut_of,
+    by_descending_order,
     center_oracle,
     class_sizes_oracle,
     classes_of,
@@ -188,10 +189,20 @@ def test_closure_and_generating_set():
     g = cyclic(20)
     assert closure(g, [4]) == [0, 4, 8, 12, 16]
     assert closure(g, [4], limit=3) is None
-    gens = generating_set(g)
+    # greedy in the order given, with no default order
+    with pytest.raises(TypeError):
+        generating_set(g)
+    gens = generating_set(g, by_descending_order(g))
+    assert gens == [1]
     assert closure(g, gens) == list(range(20))
+    assert generating_set(g, [4, 5, 1]) == [4, 5]
     s3 = sym3()
-    assert len(generating_set(s3)) <= 2
+    assert len(generating_set(s3, by_descending_order(s3))) <= 2
+    # a table given no generators takes the index-order pick, once
+    for h in (g, s3, group_of(3, 7, "PxQbyP")):
+        fresh = FiniteGroup(h.mul)
+        assert fresh.generators == generating_set(h, range(h.n))
+        assert fresh.generators is fresh.generators
 
 
 def test_subgroups_of_order_against_hand_counts():
@@ -301,7 +312,7 @@ SMALL_CHUNK = 2**10
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS)
 def test_hom_images_match_the_backtracking_oracle(monkeypatch, pair):
-    monkeypatch.setattr(core, "_HOM_CHUNK_CELLS", SMALL_CHUNK)
+    monkeypatch.setattr(core, "CHUNK_CELLS", SMALL_CHUNK)
     for key in label_keys(*pair):
         g = group_of(*pair, key)
         assert assert_hom_images_match_the_oracle(g, g) == family_aut(*pair, key).aut.k, key
@@ -327,7 +338,7 @@ def test_extend_matches_the_strided_fill(pair):
 
 
 def test_hom_images_between_different_tables_match_the_oracle(monkeypatch):
-    monkeypatch.setattr(core, "_HOM_CHUNK_CELLS", SMALL_CHUNK)
+    monkeypatch.setattr(core, "CHUNK_CELLS", SMALL_CHUNK)
     g = group_of(3, 7, "PxQbyP")  # non-abelian, 504 candidate tuples
     h = relabelled(g, np.random.default_rng(0).permutation(g.n))
     assert assert_hom_images_match_the_oracle(g, h) == 252

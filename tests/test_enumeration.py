@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2qbrace import enumeration
+from p2qbrace import core
 from p2qbrace.core import AutGroup, generating_set, identify_p2q
 from p2qbrace.enumeration import (
     circle_group,
@@ -24,6 +24,7 @@ from p2qbrace.families import family_aut
 from p2qbrace.holomorph import HolSubgroup, Holomorph
 from helpers import (
     SMALL_PAIRS,
+    by_descending_order,
     classes_of,
     comp_table,
     enumerate_dfs,
@@ -168,7 +169,7 @@ def test_orbit_skip_matches_the_full_list_oracle():
     assert sum(c.orbit_size for c in skipped) == 552
 
 
-CHUNK_CELLS = enumeration._CHUNK_CELLS
+CHUNK_CELLS = core.CHUNK_CELLS
 
 
 def assert_lift_search_matches_the_oracle(monkeypatch, hol):
@@ -177,9 +178,9 @@ def assert_lift_search_matches_the_oracle(monkeypatch, hol):
     in order, with the default chunks and with chunks of 1, 2 and 7 rows;
     returns how many 7-row chunks hold rows of more than one stratum."""
     want, strata = [], 0
-    for k_rep, k_gens, kernel in _strata(hol):
+    for k_rep, k_gens, kernel, n_gens in _strata(hol):
         # the lifts: the same kernel generators and the same arrays in order
-        n_gens, per_gen = _lifts(hol, k_gens, kernel)
+        per_gen = _lifts(hol, k_gens, kernel, n_gens)
         want_gens, want_lifts = lifts_oracle(hol, k_gens, kernel)
         assert n_gens == want_gens and len(per_gen) == len(want_lifts)
         for lifts, oracle in zip(per_gen, want_lifts):
@@ -188,7 +189,7 @@ def assert_lift_search_matches_the_oracle(monkeypatch, hol):
         strata += 1
     assert strata
     for cells in (CHUNK_CELLS, hol.base.n, 2 * hol.base.n, 7 * hol.base.n):
-        monkeypatch.setattr(enumeration, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(core, "CHUNK_CELLS", cells)
         got = [lam for _, lam in _stratified_reps(hol)][1:]
         assert len(got) == len(want), cells
         for lam, oracle in zip(got, want):
@@ -230,7 +231,7 @@ def collision_cases(hol):
     e, one = base.identity, aut.identity
     f = next(x for x in range(aut.k) if x != one)
     a = int(np.nonzero(np.asarray(base.element_orders) == 2)[0][0])
-    gens = generating_set(base)
+    gens = generating_set(base, by_descending_order(base))
     assert len(gens) == 2
     t = gens[0]
     return [

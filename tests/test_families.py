@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from p2qbrace import core
 from p2qbrace.core import GroupLabel, _extend, _respects, identify_p2q
 from p2qbrace.families import (
     _GL2,
@@ -14,6 +15,7 @@ from p2qbrace.families import (
     aut_order,
     build_group,
     derive_params,
+    family_aut,
     generator_letters,
     gk_values,
     is_prime,
@@ -199,6 +201,24 @@ def test_structured_aut_equals_brute_force(pair):
         brute = brute_aut_of(p, q, key)
         assert sa.aut.k == brute.k, key
         assert np.array_equal(sa.aut.perms, brute.perms), key
+
+
+DEFAULT_CELLS = core.CHUNK_CELLS
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_structured_aut_rows_do_not_depend_on_the_chunk_bound(monkeypatch, pair):
+    # one automorphism a chunk, seven a chunk and the default, which puts
+    # the 1 200 automorphisms of (5,3) GF in two chunks of at most 873: the
+    # same rows, so every chunk boundary and the short last chunk land where
+    # they belong
+    for key in label_keys(*pair):
+        n = group_of(*pair, key).n
+        got = []
+        for cells in (DEFAULT_CELLS, n, 7 * n):
+            monkeypatch.setattr(core, "CHUNK_CELLS", cells)
+            got.append(family_aut(*pair, key).aut.perms)
+        assert all(np.array_equal(perms, got[0]) for perms in got[1:]), key
 
 
 def test_automorphism_check_catches_one_corrupted_row():

@@ -65,6 +65,13 @@ def test_classify_rejects_bad_arguments():
         classify(2, 7, budget="huge")
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_classify_rejects_fewer_than_one_job(jobs):
+    # checked like the budget, before any family is built
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        classify(2, 7, jobs=jobs)
+
+
 def test_classify_single_family():
     rep = classify(2, 7, additive="QbyP2_ordP")
     assert list(rep.rows) == ["QbyP2_ordP"]

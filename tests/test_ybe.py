@@ -18,7 +18,7 @@ from p2qbrace.ybe import (
     is_involutive,
     solution_from_brace,
 )
-from p2qbrace import ybe
+from p2qbrace import core, ybe
 from helpers import all_reps, check_ybe_oracle, classes_of, export_oracle, hol_of
 
 
@@ -178,7 +178,7 @@ def test_witness_at_block_edges(pair, table, monkeypatch):
     pxpq = classes_of(*pair, "PxPQ")[-1]
     sol = solution_from_brace(brace_from_regular(hol_of(*pair, "PxPQ"), pxpq.rep))
     n = sol.n
-    step = max(1, ybe._BLOCK // (n * n))
+    step = max(1, core.CHUNK_CELLS // (n * n))
     assert 1 < step < n
     for x, y in ((step - 1, n // 2), ((n - 1) // step * step, n // 2), (n - 1, n - 1)):
         bad = corrupted(sol, table, x, y)
@@ -190,7 +190,7 @@ def test_witness_at_block_edges(pair, table, monkeypatch):
         expected = (False, f"braid relation fails at (x, y, z) = {witness}")
         assert check_ybe(bad) == check_ybe_oracle(bad) == expected
         for block in (1, 5 * n * n, n**3):
-            monkeypatch.setattr(ybe, "_BLOCK", block)
+            monkeypatch.setattr(core, "CHUNK_CELLS", block)
             assert check_ybe(bad) == expected
         monkeypatch.undo()
 
@@ -205,12 +205,12 @@ def maps(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(maps(), st.sampled_from([1, 20, ybe._BLOCK]))
+@given(maps(), st.sampled_from([1, 20, core.CHUNK_CELLS]))
 def test_braid_check_on_arbitrary_maps(sol, block):
     # degenerate maps included: the check never assumes bijective rows;
     # blocks of one x, of a few x and of every x
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ybe, "_BLOCK", block)
+        mp.setattr(core, "CHUNK_CELLS", block)
         assert_agrees_with_oracle(sol)
 
 
@@ -233,12 +233,12 @@ def left_nondegenerate_maps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(left_nondegenerate_maps(), st.sampled_from([1, 20, ybe._BLOCK]))
+@given(left_nondegenerate_maps(), st.sampled_from([1, 20, core.CHUNK_CELLS]))
 def test_lemma_on_left_nondegenerate_maps(sol, block):
     # every sigma row is bijective, so check_ybe decides through the lemma
     # and scans only for the witness of a failure
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ybe, "_BLOCK", block)
+        mp.setattr(core, "CHUNK_CELLS", block)
         assert_agrees_with_oracle(sol)
 
 
@@ -284,11 +284,11 @@ def test_each_lemma_condition_is_needed(sigma, tau, holds):
     assert not assert_agrees_with_oracle(sol)
 
 
-@pytest.mark.parametrize("block", [1, ybe._BLOCK])
+@pytest.mark.parametrize("block", [1, core.CHUNK_CELLS])
 def test_every_map_on_two_points(block, monkeypatch):
     # all 256 maps on {0, 1}; 21 of them fail first at x = 1, so a check
     # that skips the last block is caught
-    monkeypatch.setattr(ybe, "_BLOCK", block)
+    monkeypatch.setattr(core, "CHUNK_CELLS", block)
     for cells in itertools.product((0, 1), repeat=8):
         sigma, tau = np.array(cells).reshape(2, 2, 2)
         assert_agrees_with_oracle(Solution(sigma=sigma, tau=tau))
