@@ -143,10 +143,11 @@ def check_axioms(brace: SkewBrace) -> tuple[bool, str]:
     return True, "all axioms hold"
 
 
-def _anti_hom(add: FiniteGroup, lam: np.ndarray) -> bool:
+def _anti_hom(add: FiniteGroup, lam: np.ndarray) -> np.ndarray:
     """Whether lambda_{a+g} = lambda_g o lambda_a for every a and every
-    generator g of (B, +), two n x n gathers per generator; row a of
-    ``lam`` is the permutation lambda_a.
+    generator g of (B, +), two gathers of the whole stack per generator;
+    row a of each n x n table of the stack ``lam`` (R, n, n) is the
+    permutation lambda_a, and there is one flag per table.
 
     Lemma (Childs, Bi-skew braces and Hopf Galois structures, New York J.
     Math. 25, 2019): for any two group tables + and o on one carrier with
@@ -163,7 +164,14 @@ def _anti_hom(add: FiniteGroup, lam: np.ndarray) -> bool:
     lambda_{a+b+c} = lambda_c lambda_b lambda_a = lambda_{b+c} lambda_a.
     So checking the generators is enough.
     """
-    return all(np.array_equal(lam[add.mul[:, g]], lam[g][lam]) for g in add.generators)
+    rows, n = len(lam), add.n
+    at = lam + (np.arange(rows) * n)[:, None, None]
+    ok = np.ones(rows, dtype=bool)
+    for g in add.generators:
+        # lambda_g o lambda_a: row g of each table read at that table's rows
+        after = lam[:, g].ravel().take(at)
+        ok &= (lam[:, add.mul[:, g]] == after).all(axis=(1, 2))
+    return ok
 
 
 def is_bi_skew(brace: SkewBrace) -> bool:
@@ -172,7 +180,7 @@ def is_bi_skew(brace: SkewBrace) -> bool:
     lemma in ``_anti_hom``, exactly when lambda is an anti-homomorphism of
     (B, +), tested at the additive generators.
     """
-    return _anti_hom(brace.add, brace.lambda_perms)
+    return bool(_anti_hom(brace.add, brace.lambda_perms[None])[0])
 
 
 def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:

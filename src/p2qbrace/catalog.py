@@ -51,8 +51,8 @@ from importlib import resources
 
 import numpy as np
 
-from .core import FiniteGroup, identify_p2q
-from .enumeration import OrbitClass, _orbit_of, _regular_closures, circle_group
+from .core import FiniteGroup
+from .enumeration import OrbitClass, _orbit_of, _regular_closures, circle_labels
 from .enumeration import stratified_orbit_classes
 from .families import FamilyParams, derive_params, family_aut, generator_letters
 from .families import _gf_inv, _gf_mul, _gf_pow
@@ -408,13 +408,10 @@ def instantiate_lemma(
     )
 
 
-def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
-    """Close the witness generators inside the holomorph, as one row of
-    ``enumeration._regular_closures``.
-
-    Raises RecipeError when the arithmetic is undefined or the generators
-    do not generate a regular subgroup.
-    """
+def _generators(witness: Witness, ctx: FamilyContext) -> tuple[list[int], list[int]]:
+    """The witness generators (b, g) as the list of their elements of A
+    and the list of their automorphism indices; RecipeError when the
+    arithmetic is undefined."""
     if witness.additive != ctx.label.key():
         raise ValueError(
             f"witness {witness.name} is for {witness.additive}, context is "
@@ -426,12 +423,49 @@ def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
     for word, coords in witness.generators:
         b.append(ctx.element_of_word(word, env))
         g.append(ctx.aut_of(None if coords is None else dict(coords), env))
-    keep, lams = _regular_closures(
-        ctx.hol, np.array([b], dtype=np.int64), np.array([g], dtype=np.int64)
-    )
-    if not len(keep):
-        raise RecipeError(f"{witness.name}: the generators do not generate a regular subgroup")
-    return HolSubgroup(tuple(lams[0].tolist()))
+    return b, g
+
+
+def _close(witnesses, ctx: FamilyContext) -> list[HolSubgroup | RecipeError]:
+    """Each witness closed inside the holomorph, or the RecipeError it
+    meets: undefined arithmetic, or generators that do not generate a
+    regular subgroup.  The witnesses are the rows of one
+    ``enumeration._regular_closures`` call, padded with (e, id) to the
+    widest row (the lemma there)."""
+    out: list[HolSubgroup | RecipeError] = []
+    at, b, g = [], [], []  # the rows: witness index and generators
+    for i, w in enumerate(witnesses):
+        try:
+            bs, gs = _generators(w, ctx)
+        except RecipeError as exc:
+            out.append(exc)
+            continue
+        out.append(RecipeError(f"{w.name}: the generators do not generate a regular subgroup"))
+        at.append(i)
+        b.append(bs)
+        g.append(gs)
+    shape = (len(b), max(map(len, b), default=0))
+    bs = np.full(shape, ctx.group.identity, dtype=np.int64)
+    gs = np.full(shape, ctx.hol.aut.identity, dtype=np.int64)
+    for r, (x, y) in enumerate(zip(b, g)):
+        bs[r, :len(x)], gs[r, :len(y)] = x, y
+    keep, lams = _regular_closures(ctx.hol, bs, gs)
+    for r, lam in zip(keep.tolist(), lams):
+        out[at[r]] = HolSubgroup(tuple(lam.tolist()))
+    return out
+
+
+def evaluate_witness(witness: Witness, ctx: FamilyContext) -> HolSubgroup:
+    """Close the witness generators inside the holomorph, as one row of
+    ``enumeration._regular_closures``.
+
+    Raises RecipeError when the arithmetic is undefined or the generators
+    do not generate a regular subgroup.
+    """
+    (sub,) = _close([witness], ctx)
+    if isinstance(sub, RecipeError):
+        raise sub
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +499,29 @@ class LemmaReport:
 def verify_lemma(lemma_id: str, ctx: FamilyContext, enumerated: list[OrbitClass]) -> LemmaReport:
     """Check one lemma in the family of ``ctx``, whose orbit classes are
     ``enumerated``: witnesses regular, pairwise non-conjugate, and in
-    bijection with the enumerated orbit classes of their stratum."""
+    bijection with the enumerated orbit classes of their stratum.
+
+    The witnesses are closed as the rows of one ``_regular_closures`` call
+    and the regular ones labelled as one stack (``circle_labels``); the
+    problems are then listed witness by witness, in order."""
     p, q = ctx.p, ctx.q
     inst = instantiate_lemma(lemma_id, p, q, ctx.choice)
     problems: list[str] = []
+    subs = _close(inst.witnesses, ctx)
+    closed = np.array([sub.lam for sub in subs if isinstance(sub, HolSubgroup)], dtype=np.int32)
+    labels = iter(circle_labels(ctx.hol, closed))
     canon: dict[tuple[int, ...], str] = {}
-    for w in inst.witnesses:
-        try:
-            sub = evaluate_witness(w, ctx)
-        except RecipeError as exc:
-            problems.append(f"{w.name}: {exc}")
+    for w, sub in zip(inst.witnesses, subs):
+        if isinstance(sub, RecipeError):
+            problems.append(f"{w.name}: {sub}")
             continue
+        got = next(labels).key()
         if sub.pi2_size != inst.pi2_size:
             problems.append(
                 f"{w.name}: automorphism image has size {sub.pi2_size}, "
                 f"stratum is {inst.pi2_size}"
             )
             continue
-        got = identify_p2q(circle_group(ctx.hol, sub), p, q).key()
         if got != w.expected_class:
             problems.append(
                 f"{w.name}: multiplicative class {got}, recipe says {w.expected_class}"

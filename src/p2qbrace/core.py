@@ -27,10 +27,13 @@ them; ``generating_set`` itself picks greedily in whatever order it is
 given.  A ``FiniteGroup`` uses the generators it was built with, else the
 elements picked in index order, which every check of its table shares.
 An ``AutGroup`` picks by descending element order, which gives fewer
-generators for its orbit walks.  Every batched kernel, here and in
+generators for its orbit walks.  The generators of each subgroup that
+``subgroups_of_order`` lists are picked once too and kept beside the
+lists (``subgroup_generators``).  Every batched kernel, here and in
 ``families``, ``enumeration`` and ``ybe``, bounds its temporaries by the
 one ``CHUNK_CELLS``, read at call time: a chunk holds as many rows as fit
-at the kernel's row width.
+at the kernel's row width.  ``identify_stack`` labels a stack of group
+tables of order p^2 q at once, and ``identify_p2q`` is it on one group.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
     "subgroups_of_order",
     "compute_automorphisms",
     "identify_p2q",
+    "identify_stack",
+    "subgroup_generators",
 ]
 
 FAMILIES = (
@@ -139,6 +144,7 @@ class FiniteGroup:
             if not _generates(self, self.generators):
                 raise ValueError("generators must be elements that generate the group")
         self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
+        self.subgroup_gens: dict[tuple[int, ...], list[int]] = {}  # see subgroup_generators
         if check and associativity_failure(self) is not None:
             raise ValueError("multiplication table is not associative")
 
@@ -165,10 +171,6 @@ class FiniteGroup:
     def product(self, a, b) -> np.ndarray:
         """a b for broadcast index arrays ``a`` and ``b``."""
         return self.mul[a, b]
-
-    def conj(self, a: int, x: int) -> int:
-        """a x a^{-1}"""
-        return int(self.mul[self.mul[a, x], self.inv[a]])
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -294,6 +296,16 @@ def generating_set(group, elements) -> list[int]:
     return gens
 
 
+def subgroup_generators(group, sub: tuple[int, ...]) -> list[int]:
+    """``generating_set(group, sub)`` for a subgroup listed by
+    ``subgroups_of_order``, picked once and kept on the group
+    (``group.subgroup_gens``)."""
+    gens = group.subgroup_gens.get(sub)
+    if gens is None:
+        gens = group.subgroup_gens[sub] = generating_set(group, sub)
+    return gens
+
+
 def _factor(m: int) -> list[tuple[int, int]]:
     out = []
     d = 2
@@ -324,7 +336,8 @@ def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
     N (x g x^-1 in N) and on x^r in N, all at once, and each H is built
     from its cosets; the elements of H are marked so that H is built once
     per N.  The lists are kept on the group by order (``group.subgroups``),
-    so the smaller ones are built once.  ValueError if m has more than two
+    so the smaller ones are built once, and so are the generators of each N
+    (``subgroup_generators``).  ValueError if m has more than two
     distinct prime factors.
     """
     if m in group.subgroups:
@@ -343,7 +356,7 @@ def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
             in_sub = np.zeros(size, dtype=bool)
             in_sub[list(sub)] = True
             x = pool[~in_sub[pool]]
-            for g in generating_set(group, sub):
+            for g in subgroup_generators(group, sub):
                 x = x[in_sub[group.product(group.product(x, g), group.inv[x])]]
             power = x
             for _ in range(r - 1):
@@ -526,6 +539,7 @@ class AutGroup:
         self.inv = self._rank(np.stack([np.argmax(self.perms == s, axis=1) for s in self.key], axis=1))
         self._conj_rows: dict[int, np.ndarray] = {}
         self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
+        self.subgroup_gens: dict[tuple[int, ...], list[int]] = {}  # see subgroup_generators
 
     @cached_property
     def _comp(self) -> np.ndarray | None:
@@ -653,46 +667,80 @@ def _dlog(base: int, target: int, p: int, max_exp: int) -> int:
 
 
 def identify_p2q(group: FiniteGroup, p: int, q: int) -> GroupLabel:
-    """Isomorphism type of a group of order p^2*q.
-
-    Decision tree: abelian -> exponent; Sylow-p normal + cyclic -> the
-    Z_{p^2} x| Z_q type; Sylow-p normal + elementary -> eigenvalues of the
-    order-q action over F_p (irreducible -> GF, split -> Gk with canonical
-    k); Sylow-p non-normal -> one of the three types with normal Sylow-q,
-    told apart by exponent and centre size.
-    """
+    """Isomorphism type of a group of order p^2*q: ``identify_stack`` on a
+    stack of one, with the group's cached element orders."""
     n = p * p * q
     if group.n != n:
         raise ValueError(f"group has order {group.n}, expected {n}")
-    orders = group.element_orders
-    if group.is_abelian():
-        return GroupLabel("CyclicP2Q" if orders.max() == n else "PxPQ")
-    has_p2 = bool((orders == p * p).any())
-    p_elems = [x for x in range(n) if (p * p) % orders[x] == 0]
-    if len(p_elems) != p * p:
-        # Sylow-p is not normal, so Sylow-q is
-        if not has_p2:
-            return GroupLabel("PxQbyP")
-        zsize = len(group.center())
-        return GroupLabel("QbyP2_ordP" if zsize == p else "QbyP2_ordP2")
-    if has_p2:
-        return GroupLabel("P2SemidirectQ")
-    # elementary abelian Sylow-p; diagonalise the conjugation action of an
-    # order-q element over F_p
+    return identify_stack(group.mul[None], p, q, group.identity, group.element_orders[None])[0]
+
+
+def identify_stack(tables: np.ndarray, p: int, q: int, identity: int, orders=None) -> list[GroupLabel]:
+    """Isomorphism types of the groups of order n = p^2*q whose tables are
+    the (R, n, n) stack ``tables``, all with the identity ``identity``;
+    ``orders`` (R, n) are their element orders, walked here when None.
+
+    For the whole stack at once: the element orders (one power walk of
+    every column, as in ``FiniteGroup.element_orders``), the centre sizes,
+    the number of elements whose order divides p^2 and whether one has
+    order p^2.  Then the decision tree: abelian -> exponent; Sylow-p not
+    normal (fewer or more than p^2 such elements) -> one of the three
+    types with normal Sylow-q, told apart by an element of order p^2 and
+    the centre size; Sylow-p normal and cyclic -> the Z_{p^2} x| Z_q type;
+    Sylow-p normal and elementary -> the eigenvalues of the order-q action
+    over F_p (``_plane_label``), the only branch that runs per table.
+    """
+    tables = np.asarray(tables)
+    rows, n = tables.shape[:2]
+    if orders is None:
+        orders = _orders(tables.transpose(0, 2, 1).reshape(-1, n), [identity]).reshape(rows, n)
+    centre = (tables == tables.transpose(0, 2, 1)).all(axis=2).sum(axis=1)
+    p_count = ((p * p) % orders == 0).sum(axis=1)
+    has_p2 = (orders == p * p).any(axis=1)
+    cyclic = orders.max(axis=1) == n
+    out = []
+    for r, (z, count, p2, cyc) in enumerate(zip(centre.tolist(), p_count.tolist(),
+                                                has_p2.tolist(), cyclic.tolist())):
+        if z == n:
+            out.append(GroupLabel("CyclicP2Q" if cyc else "PxPQ"))
+        elif count != p * p:  # Sylow-p is not normal, so Sylow-q is
+            out.append(GroupLabel("QbyP2_ordP" if z == p else "QbyP2_ordP2") if p2
+                       else GroupLabel("PxQbyP"))
+        elif p2:
+            out.append(GroupLabel("P2SemidirectQ"))
+        else:
+            out.append(_plane_label(tables[r], identity, orders[r], p, q))
+    return out
+
+
+def _plane_label(table: np.ndarray, identity: int, orders: np.ndarray, p: int, q: int) -> GroupLabel:
+    """GF or Gk with canonical k for a group table with an elementary
+    abelian normal Sylow-p: diagonalise over F_p the conjugation action of
+    an order-q element on the plane of the elements of order 1 or p."""
+    orders = orders.tolist()
+    p_elems = [x for x, o in enumerate(orders) if p % o == 0]
     e1 = next(x for x in p_elems if orders[x] == p)
-    c1 = set(closure(group, [e1]))
+    # columns: right multiplication by e1, by e2 and by eps^-1
+    by_e1 = table[:, e1].tolist()
+    c1, x = {identity}, e1
+    while x != identity:
+        c1.add(x)
+        x = by_e1[x]
     e2 = next(x for x in p_elems if x not in c1)
+    by_e2 = table[:, e2].tolist()
     coord: dict[int, tuple[int, int]] = {}
-    xi = group.identity
+    xi = identity
     for i in range(p):
         xj = xi
         for j in range(p):
             coord[xj] = (i, j)
-            xj = int(group.mul[xj, e2])
-        xi = int(group.mul[xi, e1])
-    eps = next(x for x in range(n) if orders[x] == q)
-    a, c = coord[group.conj(eps, e1)]
-    b, d = coord[group.conj(eps, e2)]
+            xj = by_e2[xj]
+        xi = by_e1[xi]
+    eps = orders.index(q)
+    eps_row = table[eps].tolist()
+    by_inv = table[:, eps_row.index(identity)].tolist()
+    a, c = coord[by_inv[eps_row[e1]]]
+    b, d = coord[by_inv[eps_row[e2]]]
     tr, det = (a + d) % p, (a * d - b * c) % p
     roots = [x for x in range(1, p) if (x * x - tr * x + det) % p == 0]
     if not roots:

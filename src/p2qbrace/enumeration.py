@@ -16,9 +16,11 @@ Each regular subgroup is handed on as its lambda table lam (G is
 {(a, lam[a])}), and everything after the closures works on those tables:
 an orbit walk conjugates a table by one scatter and keys it by its bytes,
 pi2 is the set of its values, and the circle group a o b = a * lam[a](b)
-is read off it.  Orbits under conjugation by 1 x Aut(A) correspond to
-isomorphism classes of the attached algebraic structures; each class is
-represented by the lex-least table of its orbit.
+is read off it; the classes of a family are labelled by the types of
+their circle groups all at once (``circle_labels``).  Orbits under
+conjugation by 1 x Aut(A) correspond to isomorphism classes of the
+attached algebraic structures; each class is represented by the lex-least
+table of its orbit.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import FiniteGroup, GroupLabel, _factor, _product_rows, generating_set
+from .core import FiniteGroup, GroupLabel, _factor, _product_rows, subgroup_generators
 from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
 
 __all__ = [
     "OrbitClass",
     "stratified_orbit_classes",
     "circle_group",
+    "circle_labels",
 ]
 
 
@@ -47,20 +50,43 @@ def _pq_of(n: int) -> tuple[int, int]:
     return ps[0], qs[0]
 
 
-def _circle_table(hol: Holomorph, lam: np.ndarray) -> np.ndarray:
-    """a o b = a * lam[a](b), the product of (a, lam[a]) and (b, lam[b])
-    read in pi1; ValueError unless the lambda of a o b is lam[a] o lam[b],
-    that is unless {(a, lam[a])} is closed, hence a subgroup."""
-    circ = hol.base.mul[np.arange(hol.base.n)[:, None], hol.aut.perms[lam]]
-    if not np.array_equal(lam[circ], hol.aut.product(lam[:, None], lam[None, :])):
-        raise ValueError("lambda table is not closed under multiplication")
-    return circ
+def _circle_tables(hol: Holomorph, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The circle tables a o b = a * lam[a](b) of the (R, n) stack of
+    lambda tables ``lams``, the products of (a, lam[a]) and (b, lam[b]) read
+    in pi1, as one (R, n, n) gather; and for each table whether the lambda
+    of a o b is lam[a] o lam[b] throughout, that is whether {(a, lam[a])}
+    is closed, hence a subgroup."""
+    base, aut = hol.base, hol.aut
+    circ = base.mul[np.arange(base.n)[:, None], aut.perms[lams]]
+    at = circ + (np.arange(len(lams)) * base.n)[:, None, None]
+    lhs = lams.ravel().take(at)  # lam[a o b], each table read at its own cells
+    closed = (lhs == aut.product(lams[:, :, None], lams[:, None, :])).all(axis=(1, 2))
+    return circ, closed
 
 
 def circle_group(hol: Holomorph, sub: HolSubgroup) -> FiniteGroup:
     """The subgroup itself as an abstract group, element a standing for
-    (a, lam[a])."""
-    return FiniteGroup(_circle_table(hol, sub.arr), check=False)
+    (a, lam[a]); ValueError unless the lambda table is closed."""
+    (circ,), (closed,) = _circle_tables(hol, sub.arr[None])
+    if not closed:
+        raise ValueError("lambda table is not closed under multiplication")
+    return FiniteGroup(circ, check=False)
+
+
+def circle_labels(hol: Holomorph, lams: np.ndarray) -> list[GroupLabel | None]:
+    """The isomorphism type of the circle group of each lambda table of the
+    (R, n) stack ``lams``, None for a table that is not closed: the circle
+    tables (``_circle_tables``) and their labels (``core.identify_stack``)
+    a chunk of max(1, ``core.CHUNK_CELLS`` // n^2) tables at a time."""
+    n = hol.base.n
+    p, q = _pq_of(n)
+    step = max(1, core.CHUNK_CELLS // (n * n))
+    out: list[GroupLabel | None] = []
+    for lo in range(0, len(lams), step):
+        circ, closed = _circle_tables(hol, lams[lo:lo + step])
+        labels = iter(core.identify_stack(circ[closed], p, q, hol.base.identity))
+        out += [next(labels) if c else None for c in closed.tolist()]
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,15 +184,15 @@ def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...], n_gens: l
 def _strata(hol: Holomorph):
     """(K, generators of K, kernel, generators of the kernel) for every
     class representative K of the subgroups of Aut(A) of order d > 1
-    dividing n, and every subgroup of A of order n / d; each group's
-    generators are picked once."""
+    dividing n, and every subgroup of A of order n / d; the generators are
+    ``core.subgroup_generators``, picked once per group and subgroup."""
     base, n = hol.base, hol.base.n
     for d in range(2, n + 1):
         if n % d or hol.aut.k % d or not (k_reps := aut_subgroup_classes(hol.aut, d)):
             continue
-        kernels = [(m, generating_set(base, m)) for m in core.subgroups_of_order(base, n // d)]
+        kernels = [(m, subgroup_generators(base, m)) for m in core.subgroups_of_order(base, n // d)]
         for k_rep in k_reps:
-            k_gens = generating_set(hol.aut, k_rep)
+            k_gens = subgroup_generators(hol.aut, k_rep)
             for kernel, n_gens in kernels:
                 yield k_rep, k_gens, kernel, n_gens
 
@@ -239,7 +265,6 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
     The representatives of one K come consecutively, so the slices are
     dropped when K changes.
     """
-    p, q = _pq_of(hol.base.n)
     by_min: dict[tuple[int, ...], int] = {}
     walked: set[bytes] = set()
     k = None
@@ -256,9 +281,7 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
         by_min[best] = size
         # a conjugate of K has |K| elements, so pi2 within K means pi2 = K
         walked.update(member.tobytes() for member in members if in_k[member].all())
-    classes = []
-    for key in sorted(by_min):
-        rep = HolSubgroup(key)
-        label = core.identify_p2q(circle_group(hol, rep), p, q)
-        classes.append(OrbitClass(rep=rep, orbit_size=by_min[key], mul_label=label))
-    return classes
+    keys = sorted(by_min)
+    labels = circle_labels(hol, np.array(keys, dtype=np.int32))
+    return [OrbitClass(rep=HolSubgroup(key), orbit_size=by_min[key], mul_label=label)
+            for key, label in zip(keys, labels)]

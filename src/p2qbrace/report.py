@@ -20,10 +20,14 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
+import numpy as np
+
+from . import core
 from .braces import _anti_hom
-from .core import GroupLabel, identify_p2q
-from .enumeration import OrbitClass, circle_group, stratified_orbit_classes
+from .core import GroupLabel
+from .enumeration import OrbitClass, circle_labels, stratified_orbit_classes
 from .expected import conjecture_counts, expected_tables, expected_totals, regime
 from .families import all_labels, aut_order, derive_params, family_aut
 from .holomorph import Holomorph, HolSubgroup
@@ -362,14 +366,15 @@ def write_cache(
     """Store the orbit classes of one additive type, enumerated in ``hol``,
     on disk.
 
-    The classes come from ``stratified_orbit_classes``, which already ran
-    ``circle_group`` on every representative to label it, and
-    ``import_cache`` re-checks everything on load, so this builds no brace
-    and no circle group: the bi-skew flag is read off the lambda rows
-    alone (``braces._anti_hom``).  The text is formatted directly, byte
-    for byte the layout of ``json.dumps(payload, sort_keys=True,
-    indent=1) + "\n"``: the scalar fields from ``json.dumps`` around one
-    block per orbit and one ``[a, f]`` block per pair.
+    The classes come from ``stratified_orbit_classes``, which already built
+    the circle table of every representative to label it
+    (``enumeration.circle_labels``), and ``import_cache`` re-checks
+    everything on load, so this builds no brace and no circle group: the
+    bi-skew flags are read off the lambda rows alone, all classes as one
+    stack (``_biskew_flags``).  The text is formatted directly, byte for
+    byte the layout of ``json.dumps(payload, sort_keys=True, indent=1) +
+    "\n"``: the scalar fields from ``json.dumps`` around one block per
+    orbit and one ``[a, f]`` block per pair.
     """
     os.makedirs(cache_dir, exist_ok=True)
     header = {
@@ -382,10 +387,11 @@ def write_cache(
         "orbits": 0,  # the orbits text goes where this placeholder stands
     }
     head, tail = json.dumps(header, sort_keys=True, indent=1).split('"orbits": 0', 1)
+    flags = _biskew_flags(hol, np.array([cl.rep.lam for cl in classes], dtype=np.int32))
     orbits = []
-    for cl in classes:
+    for cl, flag in zip(classes, flags):
         pairs = ",\n".join(f"    [\n     {a},\n     {f}\n    ]" for a, f in enumerate(cl.rep.lam))
-        biskew = "true" if _anti_hom(hol.base, hol.aut.perms[cl.rep.arr]) else "false"
+        biskew = "true" if flag else "false"
         orbits.append(
             f'  {{\n   "biskew": {biskew},\n   "mul_label": {json.dumps(cl.mul_label.key())},\n'
             f'   "pi2_size": {int(cl.pi2_size)},\n   "rep": [\n{pairs}\n   ]\n  }}'
@@ -396,20 +402,33 @@ def write_cache(
     return path
 
 
-def import_cache(path: str) -> dict:
-    """Load and revalidate a cached orbit file.
+def _biskew_flags(hol: Holomorph, lams: np.ndarray) -> list[bool]:
+    """The bi-skew flag of each lambda table of the (R, n) stack ``lams``:
+    ``braces._anti_hom`` on its automorphism rows, a chunk of
+    max(1, ``core.CHUNK_CELLS`` // n^2) tables at a time."""
+    n = hol.base.n
+    step = max(1, core.CHUNK_CELLS // (n * n))
+    return [flag for lo in range(0, len(lams), step)
+            for flag in _anti_hom(hol.base, hol.aut.perms[lams[lo:lo + step]]).tolist()]
 
-    Every malformed field raises CacheError: the header must name ints p
-    and q, strings for the family, and a list of orbits; each orbit an
-    object whose ``rep`` is n pairs (a, f) of ints, whose ``pi2_size`` is
-    an int and whose ``biskew`` is a bool.  Five things are revalidated
-    per orbit.  The pairs must have pi1 bijective onto A, so they are a
-    lambda table.  The table must be closed: the circle group checks that,
-    and a closed finite non-empty subset of a group is a subgroup.  The
-    multiplicative label, the pi2 size and the bi-skew flag are recomputed
-    and compared, the flag by the same kernel that ``write_cache`` uses.
-    Any mismatch raises CacheError rather than silently reusing poisoned
-    data.
+
+def import_cache(path: str) -> dict:
+    """Load and revalidate a cached orbit file, in two phases.
+
+    The header must name ints p and q, strings for the family, and a list
+    of orbits, for a family that exists with the stored params; each fault
+    raises CacheError.  Phase one checks the structure of every orbit, in
+    file order: an object whose ``rep`` is n pairs (a, f) of ints, each
+    in range, with pi1 bijective onto A, so that the pairs are a lambda
+    table, and no table met before.  Phase two recomputes, over the stack
+    of all tables a chunk at a time (``enumeration.circle_labels`` and
+    ``braces._anti_hom``), whether each table is closed (a closed finite
+    non-empty subset of a group is a subgroup), its multiplicative label
+    and its bi-skew flag, the flag by the same kernel that ``write_cache``
+    uses.  Then, orbit by orbit in file order, it compares the closure,
+    the label, the pi2 size (an int) and the flag, in that order.  So the
+    first fault of phase one is raised if there is one, else the first
+    fault of phase two, rather than silently reusing poisoned data.
     """
     try:
         with open(path) as fh:
@@ -436,27 +455,36 @@ def import_cache(path: str) -> dict:
         raise CacheError(f"cache params {payload['params']} are stale")
     n, hol = sa.base.n, Holomorph(sa.base, sa.aut)
 
-    classes: list[OrbitClass] = []
+    subs: list[HolSubgroup] = []
     seen: set[HolSubgroup] = set()
     for entry in payload["orbits"]:
         pairs = entry.get("rep") if isinstance(entry, dict) else None
-        if not (isinstance(pairs, list) and len(pairs) == n and all(
-                isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x) for x in pairs)):
+        if not (isinstance(pairs, list) and len(pairs) == n and set(map(type, pairs)) == {list}
+                and set(map(len, pairs)) == {2}):
             raise CacheError(f"cached subgroup is not a list of {n} pairs (a, f) of ints")
-        if not all(0 <= a < n and 0 <= f < hol.n_aut for a, f in pairs):
+        flat = list(chain.from_iterable(pairs))
+        # type, not isinstance, as above: true is not the element 1
+        if set(map(type, flat)) != {int}:
+            raise CacheError(f"cached subgroup is not a list of {n} pairs (a, f) of ints")
+        a, f = flat[0::2], flat[1::2]
+        if min(a) < 0 or max(a) >= n or min(f) < 0 or max(f) >= hol.n_aut:
             raise CacheError("cached element out of range")
         lam = dict(pairs)
         if len(lam) != n:
             raise CacheError("cached subgroup: not a regular subgroup: pi1 is not a bijection onto A")
-        sub = HolSubgroup(tuple(lam[a] for a in range(n)))
+        sub = HolSubgroup(tuple(map(lam.__getitem__, range(n))))
         if sub in seen:
             raise CacheError("cached orbit representatives are not distinct")
         seen.add(sub)
-        try:
-            circ = circle_group(hol, sub)
-        except ValueError as exc:
-            raise CacheError(f"cached element set is not a subgroup: {exc}") from exc
-        mul_label = identify_p2q(circ, p, q)
+        subs.append(sub)
+
+    lams = np.array([sub.lam for sub in subs], dtype=np.int32).reshape(len(subs), n)
+    labels, flags = circle_labels(hol, lams), _biskew_flags(hol, lams)
+    classes: list[OrbitClass] = []
+    for entry, sub, mul_label, flag in zip(payload["orbits"], subs, labels, flags):
+        if mul_label is None:
+            raise CacheError("cached element set is not a subgroup: "
+                             "lambda table is not closed under multiplication")
         if mul_label.key() != entry.get("mul_label"):
             raise CacheError(
                 f"cached label {entry.get('mul_label')} != recomputed {mul_label.key()}"
@@ -464,7 +492,6 @@ def import_cache(path: str) -> dict:
         size = entry.get("pi2_size")
         if type(size) is not int or sub.pi2_size != size:
             raise CacheError("cached pi2 size is not the int size of the recomputed pi2")
-        flag = _anti_hom(hol.base, hol.aut.perms[sub.arr])
         if entry.get("biskew") is not flag:
             raise CacheError(f"cached biskew flag {entry.get('biskew')!r} != recomputed {flag}")
         classes.append(OrbitClass(rep=sub, orbit_size=None, mul_label=mul_label))

@@ -15,6 +15,7 @@ from p2qbrace.catalog import FamilyContext, RecipeError, Witness
 from p2qbrace.core import (
     FiniteGroup,
     GroupLabel,
+    _dlog,
     _element_invariants,
     _factor,
     _hom_images,
@@ -23,7 +24,6 @@ from p2qbrace.core import (
     closure,
     compute_automorphisms,
     generating_set,
-    identify_p2q,
 )
 from p2qbrace.enumeration import (
     OrbitClass,
@@ -337,6 +337,56 @@ def class_sizes_oracle(group: FiniteGroup) -> np.ndarray:
 def center_oracle(group: FiniteGroup) -> list[int]:
     """``FiniteGroup.center`` element by element: row x equals column x."""
     return [x for x in range(group.n) if np.array_equal(group.mul[x], group.mul[:, x])]
+
+
+def identify_p2q_oracle(group: FiniteGroup, p: int, q: int) -> GroupLabel:
+    """``core.identify_p2q`` one group at a time, the decision tree as it
+    stood before the stack kernel: abelian -> exponent; Sylow-p normal +
+    cyclic -> the Z_{p^2} x| Z_q type; Sylow-p normal + elementary ->
+    eigenvalues of the order-q action over F_p (irreducible -> GF, split ->
+    Gk with canonical k); Sylow-p non-normal -> one of the three types with
+    normal Sylow-q, told apart by exponent and centre size."""
+    n = p * p * q
+    assert group.n == n
+    orders = group.element_orders
+    if group.is_abelian():
+        return GroupLabel("CyclicP2Q" if orders.max() == n else "PxPQ")
+    has_p2 = bool((orders == p * p).any())
+    p_elems = [x for x in range(n) if (p * p) % orders[x] == 0]
+    if len(p_elems) != p * p:
+        if not has_p2:
+            return GroupLabel("PxQbyP")
+        zsize = len(center_oracle(group))
+        return GroupLabel("QbyP2_ordP" if zsize == p else "QbyP2_ordP2")
+    if has_p2:
+        return GroupLabel("P2SemidirectQ")
+    e1 = next(x for x in p_elems if orders[x] == p)
+    c1 = set(closure(group, [e1]))
+    e2 = next(x for x in p_elems if x not in c1)
+    coord: dict[int, tuple[int, int]] = {}
+    xi = group.identity
+    for i in range(p):
+        xj = xi
+        for j in range(p):
+            coord[xj] = (i, j)
+            xj = int(group.mul[xj, e2])
+        xi = int(group.mul[xi, e1])
+    eps = next(x for x in range(n) if orders[x] == q)
+    # eps x eps^-1 for x = e1, e2
+    a, c = coord[int(group.mul[group.mul[eps, e1], group.inv[eps]])]
+    b, d = coord[int(group.mul[group.mul[eps, e2], group.inv[eps]])]
+    tr, det = (a + d) % p, (a * d - b * c) % p
+    roots = [x for x in range(1, p) if (x * x - tr * x + det) % p == 0]
+    if not roots:
+        return GroupLabel("GF")
+    if len(roots) == 1:
+        return GroupLabel("Gk", 1)
+    lam, mu = roots
+    if lam == 1 or mu == 1:
+        return GroupLabel("Gk", 0)
+    k = min(_dlog(lam, mu, p, q), _dlog(mu, lam, p, q))
+    return GroupLabel("Gk", -1 if k == q - 1 else k)
+
 
 def regular_closure_oracle(hol, generators):
     """The lambda table of the subgroup that packed ``generators`` generate,
@@ -653,7 +703,7 @@ def orbit_partition(hol: Holomorph, subs: list[HolSubgroup]) -> list[OrbitClass]
             )
         remaining -= keys
         rep = HolSubgroup(best)
-        label = identify_p2q(circle_group(hol, rep), p, q)
+        label = identify_p2q_oracle(circle_group(hol, rep), p, q)
         classes.append(OrbitClass(rep=rep, orbit_size=size, mul_label=label))
     return sorted(classes, key=lambda cl: cl.rep)
 

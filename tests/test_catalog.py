@@ -1,8 +1,11 @@
 """Witness recipes: expression language, vectors, lemma verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from p2qbrace import catalog
 from p2qbrace.catalog import (
     FamilyContext,
     RecipeError,
@@ -22,6 +25,7 @@ from p2qbrace.catalog import (
 from p2qbrace.enumeration import circle_group
 from p2qbrace.families import _valid_xis, derive_params, is_prime
 from helpers import (
+    classes_of,
     gf_level_subgroup,
     gf_vector_oracle,
     label_keys,
@@ -239,6 +243,46 @@ def test_wrong_closure_order_is_a_recipe_error():
             RecipeError, match=f"^{name}: the generators do not generate a regular subgroup$"
         ):
             evaluate_witness(bad, ctx)
+
+
+def test_broken_witnesses_keep_their_problem_texts_and_order(monkeypatch):
+    # a lemma's witnesses are closed as the rows of one call and labelled as
+    # one stack; a row that dies, a recipe error, a row of no generators and
+    # a wrong class still read as they did when each witness was closed on
+    # its own, witness by witness (the texts were recorded then)
+    real = instantiate_lemma
+
+    def with_broken(lemma_id, p, q, choice="first"):
+        inst = real(lemma_id, p, q, choice)
+        first = inst.witnesses[0]
+
+        def bad(name, generators, expected="CyclicP2Q", like=None):
+            return Witness(lemma_id=lemma_id, additive=inst.additive, name=name,
+                           pi2_size=1 if like is None else like.pi2_size,
+                           binding=() if like is None else like.binding,
+                           generators=generators, expected_class=expected)
+
+        broken = (
+            bad("too-small", (((("s", "2"),), None),)),
+            bad("nogens", ()),
+            bad("unknown", (((("zz", "2"),), None),)),
+            bad("wrongclass", first.generators, "PxPQ", first),
+        )
+        return dataclasses.replace(inst, witnesses=inst.witnesses[:1] + broken + inst.witnesses[1:])
+
+    monkeypatch.setattr(catalog, "instantiate_lemma", with_broken)
+    ctx = FamilyContext("QbyP2_ordP", 2, 7)
+    report = catalog.verify_lemma("qbyp2-ordp-stratum-p", ctx, list(classes_of(2, 7, "QbyP2_ordP")))
+    assert report.summary() == (
+        "qbyp2-ordp-stratum-p at (2, 7): FAIL [7 witnesses, 3 orbit classes, expected 3]"
+    )
+    assert report.problems == [
+        "too-small: too-small: the generators do not generate a regular subgroup",
+        "nogens: nogens: the generators do not generate a regular subgroup",
+        "unknown: unknown letter 'zz' for QbyP2_ordP",
+        "wrongclass: multiplicative class PxQbyP, recipe says PxPQ",
+        "wrongclass: conjugate to witness G(a=1)",
+    ]
 
 
 @pytest.mark.parametrize(

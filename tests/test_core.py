@@ -41,6 +41,7 @@ from helpers import (
     group_of,
     hol_of,
     hom_images_oracle,
+    identify_p2q_oracle,
     label_keys,
     params_of,
     subgroups_of_order_oracle,
@@ -560,6 +561,20 @@ def test_identify_round_trips_every_family(pair):
     for key in label_keys(p, q):
         g = group_of(p, q, key)
         assert identify_p2q(g, p, q).key() == key
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2), (7, 3), (13, 3), (11, 5)))
+def test_stack_labels_match_the_oracle_on_every_base_group(pair):
+    # the family groups share the identity 0, so they stack as they are; the
+    # kernel walks their orders itself, while identify_p2q passes the cached
+    p, q = pair
+    keys = label_keys(p, q)
+    groups = [group_of(p, q, key) for key in keys]
+    want = [identify_p2q_oracle(g, p, q) for g in groups]
+    assert want == [GroupLabel.from_key(key) for key in keys]
+    assert [identify_p2q(g, p, q) for g in groups] == want
+    assert {g.identity for g in groups} == {0}
+    assert core.identify_stack(np.stack([g.mul for g in groups]), p, q, 0) == want
 
 
 def test_identify_is_presentation_independent():

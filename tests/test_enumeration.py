@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2qbrace import core
-from p2qbrace.core import AutGroup, generating_set, identify_p2q
+from p2qbrace.braces import _anti_hom, brace_from_regular
+from p2qbrace.core import AutGroup, GroupLabel, generating_set, identify_p2q
 from p2qbrace.enumeration import (
     circle_group,
+    circle_labels,
     _lifts,
     _orbit_of,
     _regular_closures,
@@ -20,10 +22,13 @@ from p2qbrace.enumeration import (
     _stream,
     stratified_orbit_classes,
 )
-from p2qbrace.families import family_aut
+from p2qbrace.families import aut_order, derive_params, family_aut
+from p2qbrace.report import NORMAL_HOL_LIMIT, _biskew_flags
 from p2qbrace.holomorph import HolSubgroup, Holomorph
 from helpers import (
     SMALL_PAIRS,
+    all_reps,
+    bi_skew_oracle,
     by_descending_order,
     classes_of,
     comp_table,
@@ -31,6 +36,7 @@ from helpers import (
     enumerate_stratified,
     hol_inv,
     hol_of,
+    identify_p2q_oracle,
     label_keys,
     lift_search_oracle,
     lifts_oracle,
@@ -109,6 +115,70 @@ def test_circle_group_is_the_multiplicative_group():
         circ = circle_group(hol, cl.rep)
         assert circ.n == 20
         assert identify_p2q(circ, 2, 5).key() == cl.mul_label.key()
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_class_labels_match_the_oracle(pair):
+    for key, hol, cl in all_reps(*pair):
+        assert identify_p2q_oracle(circle_group(hol, cl.rep), *pair) == cl.mul_label, key
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_circle_kernels_do_not_depend_on_the_chunk_bound(monkeypatch, pair):
+    # each representative, then a copy with lam[1] and lam[2] swapped, which
+    # is a lambda table still but mostly not closed
+    n = pair[0] ** 2 * pair[1]
+    open_tables = 0
+    for key in label_keys(*pair):
+        hol = hol_of(*pair, key)
+        reps = np.array([cl.rep.lam for cl in classes_of(*pair, key)], dtype=np.int32)
+        swapped = reps.copy()
+        swapped[:, [1, 2]] = swapped[:, [2, 1]]
+        lams = np.stack([reps, swapped], axis=1).reshape(-1, n)
+        got = []
+        for cells in (n * n, core.CHUNK_CELLS):
+            monkeypatch.setattr(core, "CHUNK_CELLS", cells)
+            got.append((circle_labels(hol, lams), _biskew_flags(hol, lams)))
+        assert got[0] == got[1], key
+        labels, flags = got[0]
+        assert labels[::2] == [cl.mul_label for cl in classes_of(*pair, key)], key
+        # closed iff lambda_{a o b} = lambda_a lambda_b as permutations of A
+        for lam, label in zip(lams, labels):
+            perm = hol.aut.perms[lam]
+            circ = hol.base.mul[np.arange(n)[:, None], perm]
+            closed = np.array_equal(perm[circ], perm[np.arange(n)[:, None, None], perm])
+            assert (label is not None) == closed, key
+        open_tables += labels.count(None)
+        # the bi-skew flags of a stack are those of its tables one at a time
+        assert flags == [_anti_hom(hol.base, hol.aut.perms[lam][None])[0] for lam in lams], key
+        assert flags[::2] == [bi_skew_oracle(brace_from_regular(hol, cl.rep))
+                              for cl in classes_of(*pair, key)], key
+    assert open_tables
+
+
+def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
+    # one classify_cold pass, on fresh groups: before the picks were kept on
+    # the group, A paid 440 generating_set calls, most of them repeats
+    picks = []
+    real = core.generating_set
+
+    def counted(group, elements):
+        if any(group is base for base in bases):
+            picks.append((id(group), tuple(elements)))
+        return real(group, elements)
+
+    monkeypatch.setattr(core, "generating_set", counted)
+    bases, classes = [], []
+    for p, q in ((2, 5), (2, 7), (3, 7), (5, 2)):
+        params = derive_params(p, q, "first")
+        for key in label_keys(p, q):
+            if p * p * q * aut_order(GroupLabel.from_key(key), params) > NORMAL_HOL_LIMIT:
+                continue  # refused by the normal budget, as classify does
+            sa = family_aut(p, q, key)
+            bases.append(sa.base)
+            classes += stratified_orbit_classes(Holomorph(sa.base, sa.aut))
+    assert len(picks) == len(set(picks)) == 237
+    assert (len(classes), sum(cl.orbit_size for cl in classes)) == (145, 1348)
 
 
 def test_orbit_class_totals_order20():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import sys
 
@@ -253,6 +254,68 @@ def test_cache_rejects_a_flipped_biskew_flag(tmp_path, index):
     data["orbits"][index]["biskew"] = not flag
     open(path, "w").write(json.dumps(data))
     with pytest.raises(CacheError, match=f"cached biskew flag {not flag} != recomputed {flag}"):
+        import_cache(path)
+
+
+def _swap_lambda(orbit):
+    # pi1 stays a bijection and the label stays as written
+    rep = orbit["rep"]
+    assert rep[4][1] != rep[5][1]
+    rep[4][1], rep[5][1] = rep[5][1], rep[4][1]
+    return "cached element set is not a subgroup: lambda table is not closed under multiplication"
+
+
+def _relabel(orbit):
+    good = orbit["mul_label"]
+    orbit["mul_label"] = bad = "PxPQ" if good != "PxPQ" else "CyclicP2Q"
+    return f"cached label {bad} != recomputed {good}"
+
+
+def _flip_biskew(orbit):
+    flag = orbit["biskew"]
+    orbit["biskew"] = not flag
+    return f"cached biskew flag {not flag} != recomputed {flag}"
+
+
+def _out_of_range(orbit):
+    orbit["rep"][3][1] = 10**6
+    return "cached element out of range"
+
+
+@pytest.mark.parametrize("index", [3, 6, 9])
+@pytest.mark.parametrize("corrupt", [_swap_lambda, _relabel, _flip_biskew])
+def test_cache_names_a_fault_past_the_first_entry(tmp_path, index, corrupt):
+    # the tables are checked as one stack; a fault in a later entry still
+    # raises its own message
+    path = write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
+    data = json.loads(open(path).read())
+    assert len(data["orbits"]) == 10
+    message = corrupt(data["orbits"][index])
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+        import_cache(path)
+
+
+@pytest.mark.parametrize(
+    "faults, raised",
+    [
+        # phase one, the structure of every entry, comes before phase two
+        (((2, _swap_lambda), (7, _out_of_range)), 1),
+        (((1, _relabel), (8, _out_of_range)), 1),
+        # within phase two, the first fault in file order
+        (((1, _relabel), (5, _swap_lambda)), 0),
+        (((2, _swap_lambda), (4, _relabel)), 0),
+        (((3, _flip_biskew), (6, _swap_lambda)), 0),
+    ],
+    ids=["closure then range", "label then range", "label then closure",
+         "closure then label", "biskew then closure"],
+)
+def test_cache_faults_are_raised_in_the_documented_order(tmp_path, faults, raised):
+    path = write_family_cache(tmp_path, 2, 7, "QbyP2_ordP")
+    data = json.loads(open(path).read())
+    messages = [corrupt(data["orbits"][index]) for index, corrupt in faults]
+    open(path, "w").write(json.dumps(data))
+    with pytest.raises(CacheError, match=f"^{re.escape(messages[raised])}$"):
         import_cache(path)
 
 
