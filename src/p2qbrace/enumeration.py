@@ -2,7 +2,13 @@
 
 ``stratified_orbit_classes`` fixes the image K = pi2(G) up to conjugacy and
 the kernel N = pi1(G meet A x 1), a stratum, and lifts generators of K
-through right coset representatives of N.  The lift combinations of every
+through right coset representatives of N.  Any generating set of K finds
+every regular subgroup of a stratum exactly once (Lemma 1, ``_strata``),
+so K gets one generator, or two where it is 2-generated, and a row is one
+lift per generator of K beside the generators of N x 1.  A lift
+(u, alpha) with a power (u, alpha)^d, 0 < d < ord(alpha), in N x 1 lies
+in no regular subgroup with kernel N (Lemma 2, ``_lifts``) and joins no
+row.  The lift combinations of every
 stratum form one stream of rows for the whole family, each row with its
 own generators (b, g), padded with (e, id), which writes nothing and never
 clashes.  The stream is closed a chunk of rows at a time, as partial
@@ -26,11 +32,21 @@ table of its orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import core
-from .core import FiniteGroup, GroupLabel, _factor, _product_rows, subgroup_generators
+from .core import (
+    AutGroup,
+    FiniteGroup,
+    GroupLabel,
+    _factor,
+    _product_rows,
+    closure,
+    generating_set,
+    subgroup_generators,
+)
 from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
 
 __all__ = [
@@ -156,45 +172,92 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.
     return keep, lam[keep]
 
 
-def _lifts(hol: Holomorph, k_gens: list[int], kernel: tuple[int, ...], n_gens: list[int]):
-    """For each generator alpha of K, in ascending order, the right coset
-    representatives u of the kernel N (the least element of N u) for which
-    (u, alpha) normalises N x 1 and has its o-th power, o = ord(alpha), in
-    N x 1, as in any regular subgroup with kernel N; ``n_gens`` generate N.
-    That power is (u alpha(u) ... alpha^(o-1)(u), alpha^o), and alpha^o
-    is the identity, so only its first coordinate is tested.
+class _Kernel(NamedTuple):
+    """A subgroup N of A as ``_lifts`` reads it, built once per kernel: its
+    elements, its generators (``core.subgroup_generators``), its membership
+    mask, and the right coset representatives u (the least element of N u)
+    with their inverses."""
+
+    elements: tuple[int, ...]
+    gens: list[int]
+    mask: np.ndarray
+    reps: np.ndarray
+    reps_inv: np.ndarray
+
+
+def _kernel(base: FiniteGroup, elements: tuple[int, ...]) -> _Kernel:
+    mask = np.zeros(base.n, dtype=bool)
+    mask[list(elements)] = True
+    reps = np.flatnonzero(base.mul[list(elements)].min(axis=0) == np.arange(base.n))
+    return _Kernel(elements, subgroup_generators(base, elements), mask, reps, base.inv[reps])
+
+
+def _lifts(hol: Holomorph, k_gens: list[int], kernel: _Kernel) -> list[np.ndarray]:
+    """For each generator alpha of K, in the order given, the right coset
+    representatives u of the kernel N for which (u, alpha) normalises
+    N x 1, has its o-th power, o = ord(alpha), in N x 1 and no lower
+    power in N x 1, as in any regular subgroup with kernel N.  The d-th
+    power is (u alpha(u) ... alpha^(d-1)(u), alpha^d); one walk over d
+    tests its first coordinate.
+
+    Lemma 2: if (u, alpha)^d = (w, alpha^d) with w in N and
+    0 < d < ord(alpha), no regular G with kernel N holds (u, alpha).  G
+    would hold (w, 1), hence (w, 1)^-1 (u, alpha)^d = (e, alpha^d) with
+    alpha^d != id beside (e, id), and pi1 would not be injective on G.
     """
     base, aut = hol.base, hol.aut
-    n_mask = np.zeros(base.n, dtype=bool)
-    n_mask[list(kernel)] = True
-    reps = np.nonzero(base.mul[list(kernel)].min(axis=0) == np.arange(base.n))[0]
-    inv = base.inv[reps][:, None]
+    reps, mask = kernel.reps, kernel.mask
     per_gen: list[np.ndarray] = []
     for alpha in k_gens:
         row = aut.perms[alpha]
-        normal = n_mask[base.mul[base.mul[reps[:, None], row[n_gens]], inv]].all(axis=1)
+        conj = base.mul[base.mul[reps[:, None], row[kernel.gens]], kernel.reps_inv[:, None]]
+        keep = mask[conj].all(axis=1)
         power = image = reps
         for _ in range(int(aut.element_orders[alpha]) - 1):
+            keep &= ~mask[power]  # Lemma 2
             image = row[image]
             power = base.mul[power, image]
-        per_gen.append(reps[normal & n_mask[power]])
+        per_gen.append(reps[keep & mask[power]])
     return per_gen
 
 
+def _k_generators(aut: AutGroup, k_rep: tuple[int, ...]) -> list[int]:
+    """One or two generators of K where K has such: the first element x of
+    largest order, alone when it generates K, else with the first element,
+    in descending element order, that generates K with x.  Where no
+    partner exists (K is not 2-generated, as a generalised dihedral
+    (Z_p)^2 : Z_2) the greedy ``generating_set`` over that order."""
+    by_order = sorted(k_rep, key=lambda f: -aut.element_orders[f])
+    x = by_order[0]
+    if aut.element_orders[x] == len(k_rep):
+        return [x]
+    for y in by_order[1:]:
+        if len(closure(aut, [x, y])) == len(k_rep):
+            return [x, y]
+    return generating_set(aut, by_order)
+
+
 def _strata(hol: Holomorph):
-    """(K, generators of K, kernel, generators of the kernel) for every
-    class representative K of the subgroups of Aut(A) of order d > 1
-    dividing n, and every subgroup of A of order n / d; the generators are
-    ``core.subgroup_generators``, picked once per group and subgroup."""
+    """(K, generators of K, kernel) for every class representative K of the
+    subgroups of Aut(A) of order d > 1 dividing n, and every subgroup of A
+    of order n / d; K's generators are picked once per K
+    (``_k_generators``), and each kernel is built once per d (``_kernel``).
+
+    Lemma 1: any generating set of K gives a complete stream.  A regular G
+    with pi2(G) = K and kernel N holds, for each alpha in K, exactly one
+    lift (u, alpha) with u the least element of its coset N u.  As
+    G / (N x 1) is K, the lifts of K's generators and N x 1 generate G.
+    So fewer generators of K mean fewer rows for the same subgroups.
+    """
     base, n = hol.base, hol.base.n
     for d in range(2, n + 1):
         if n % d or hol.aut.k % d or not (k_reps := aut_subgroup_classes(hol.aut, d)):
             continue
-        kernels = [(m, subgroup_generators(base, m)) for m in core.subgroups_of_order(base, n // d)]
+        kernels = [_kernel(base, m) for m in core.subgroups_of_order(base, n // d)]
         for k_rep in k_reps:
-            k_gens = subgroup_generators(hol.aut, k_rep)
-            for kernel, n_gens in kernels:
-                yield k_rep, k_gens, kernel, n_gens
+            k_gens = _k_generators(hol.aut, k_rep)
+            for kernel in kernels:
+                yield k_rep, k_gens, kernel
 
 
 def _stream(hol: Holomorph, step: int):
@@ -214,10 +277,10 @@ def _stream(hol: Holomorph, step: int):
             gs[lo:lo + len(b), :b.shape[1]] = g
         return [k for k, _, _ in parts], np.repeat(np.arange(len(parts)), lens), bs, gs
 
-    for k_rep, k_gens, kernel, n_gens in _strata(hol):
-        lifts = _lifts(hol, k_gens, kernel, n_gens)
-        g = list(k_gens) + [one] * len(n_gens)
-        for b in _product_rows(lifts + [[m] for m in n_gens], step):
+    for k_rep, k_gens, kernel in _strata(hol):
+        lifts = _lifts(hol, k_gens, kernel)
+        g = list(k_gens) + [one] * len(kernel.gens)
+        for b in _product_rows(lifts + [[m] for m in kernel.gens], step):
             while len(b):
                 parts.append((k_rep, b[:step - size], g))
                 b, size = b[step - size:], size + len(parts[-1][1])

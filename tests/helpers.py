@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from p2qbrace.core import (
 from p2qbrace.enumeration import (
     OrbitClass,
     _orbit_of,
+    _lifts,
     _pq_of,
+    _strata,
     _stratified_reps,
     circle_group,
     stratified_orbit_classes,
@@ -433,10 +436,13 @@ def old_value_closures(hol, b, g):
     return keep, lam[keep], met
 
 
-def lifts_oracle(hol, k_gens, kernel):
+def lifts_oracle(hol, k_gens, kernel, drop_lower_powers=True):
     """``enumeration._lifts`` element by element: the right coset
     representatives found by a scan in index order, and for each of them
-    the normaliser test and the ord(alpha)-th power by scalar products."""
+    the normaliser test, the ord(alpha)-th power and, unless
+    ``drop_lower_powers`` is off, the lower powers (Lemma 2 of ``_lifts``),
+    the powers (u, alpha)^d for d = 1 ... ord(alpha) taken by scalar
+    products."""
     base, aut = hol.base, hol.aut
     n = base.n
     n_arr = np.array(kernel, dtype=np.int64)
@@ -460,13 +466,29 @@ def lifts_oracle(hol, k_gens, kernel):
                 for m in n_gens
             ):
                 continue
-            # ... and its ord(alpha)-th power must fall into kernel x 1
-            wa, wf = unpack(hol, hol_power(hol, hol.pack(u, alpha), o))
+            # ... and its ord(alpha)-th power must fall into kernel x 1 ...
+            powers = list(itertools.accumulate(itertools.repeat(hol.pack(u, alpha), o), hol.compose))
+            wa, wf = unpack(hol, powers[-1])
             if wf != aut.identity or not n_mask[wa]:
+                continue
+            # ... and no lower power may
+            if drop_lower_powers and any(n_mask[unpack(hol, w)[0]] for w in powers[:-1]):
                 continue
             good.append(u)
         per_gen.append(np.array(good, dtype=np.int64))
     return n_gens, per_gen
+
+
+def stream_rows(hol):
+    """The rows of the family's lift stream: over the strata, the product
+    of the lift counts of K's generators."""
+    return sum(prod(map(len, _lifts(hol, k_gens, kernel))) for _, k_gens, kernel in _strata(hol))
+
+
+def classes_digest(classes):
+    """SHA-256 of the (rep, orbit size, label) of each orbit class."""
+    rows = [[list(c.rep.lam), c.orbit_size, c.mul_label.key()] for c in classes]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def lift_search_oracle(hol, k_elems, k_gens, kernel):

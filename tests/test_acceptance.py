@@ -2,8 +2,9 @@
 
 Criteria 9 (order 147), 10 (order 171) and 11 (order 333) are stretch
 goals; they run only when the P2QBRACE_STRETCH environment variable is set
-to 1, since the largest holomorph at order 147 has 14.5 million elements,
-order 171 takes about a minute and order 333 more than two.
+to 1, since the largest holomorph at order 147 has 14.5 million elements.
+Orders 171 and 333 take seconds, and tier-1 runs the same table check on
+them (``test_report.py::test_verify_tables_q1_modp2``).
 """
 
 import os

@@ -1,5 +1,6 @@
 """Regular-subgroup enumeration against the DFS oracle, orbits, determinism."""
 
+import collections
 import functools
 import itertools
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from p2qbrace import core
 from p2qbrace.braces import _anti_hom, brace_from_regular
-from p2qbrace.core import AutGroup, GroupLabel, generating_set, identify_p2q
+from p2qbrace.catalog import applicable_lemma_ids, lemma_entry
+from p2qbrace.core import AutGroup, GroupLabel, closure, generating_set, identify_p2q
 from p2qbrace.enumeration import (
     circle_group,
     circle_labels,
@@ -30,6 +32,7 @@ from helpers import (
     all_reps,
     bi_skew_oracle,
     by_descending_order,
+    classes_digest,
     classes_of,
     comp_table,
     enumerate_dfs,
@@ -44,6 +47,7 @@ from helpers import (
     orbit_partition,
     packed_elements,
     regular_closure_oracle,
+    stream_rows,
 )
 
 
@@ -248,14 +252,14 @@ def assert_lift_search_matches_the_oracle(monkeypatch, hol):
     in order, with the default chunks and with chunks of 1, 2 and 7 rows;
     returns how many 7-row chunks hold rows of more than one stratum."""
     want, strata = [], 0
-    for k_rep, k_gens, kernel, n_gens in _strata(hol):
+    for k_rep, k_gens, kernel in _strata(hol):
         # the lifts: the same kernel generators and the same arrays in order
-        per_gen = _lifts(hol, k_gens, kernel, n_gens)
-        want_gens, want_lifts = lifts_oracle(hol, k_gens, kernel)
-        assert n_gens == want_gens and len(per_gen) == len(want_lifts)
+        per_gen = _lifts(hol, k_gens, kernel)
+        want_gens, want_lifts = lifts_oracle(hol, k_gens, kernel.elements)
+        assert kernel.gens == want_gens and len(per_gen) == len(want_lifts)
         for lifts, oracle in zip(per_gen, want_lifts):
             assert lifts.dtype == oracle.dtype and np.array_equal(lifts, oracle)
-        want.extend(lift_search_oracle(hol, k_rep, k_gens, kernel))
+        want.extend(lift_search_oracle(hol, k_rep, k_gens, kernel.elements))
         strata += 1
     assert strata
     for cells in (CHUNK_CELLS, hol.base.n, 2 * hol.base.n, 7 * hol.base.n):
@@ -272,7 +276,7 @@ def test_lift_search_matches_the_scalar_closure_oracle(monkeypatch, pair):
     # the lifts are those of the scalar filter, and the closures of the
     # stream of all their combinations keep the tables, and the order, of
     # one scalar closure per combination; the (3,7) PxQbyP stratum of
-    # 14 175 combinations spans many chunks
+    # 2 376 combinations spans three chunks of the default bound
     shared = sum(assert_lift_search_matches_the_oracle(monkeypatch, hol_of(*pair, key))
                  for key in label_keys(*pair))
     assert shared
@@ -375,11 +379,111 @@ def test_regular_closures_on_every_two_generator_row_at_order12():
     assert regular
 
 
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
+def test_each_k_gets_one_generator_if_cyclic_else_two_where_two_suffice(pair):
+    # the pick generates K; one element exactly when K is cyclic, and more
+    # than two only when no pair of K's elements generates K (brute force)
+    sizes = collections.Counter()
+    for key in label_keys(*pair):
+        hol = hol_of(*pair, key)
+        aut = hol.aut
+        for k_rep, k_gens in {k_rep: k_gens for k_rep, k_gens, _ in _strata(hol)}.items():
+            assert closure(aut, k_gens) == list(k_rep), key
+            cyclic = bool((aut.element_orders[list(k_rep)] == len(k_rep)).any())
+            assert (len(k_gens) == 1) == cyclic, key
+            if len(k_gens) > 2:
+                assert all(len(closure(aut, xy)) < len(k_rep)
+                           for xy in itertools.combinations(k_rep, 2)), key
+            sizes[len(k_gens)] += 1
+    # only (5,2) Gk(1) has K that no two of its elements generate (two of
+    # order 50)
+    assert sizes[1] and sizes[2] and bool(sizes[3]) == (pair == (5, 2))
+
+
+def rows_of(hol, k_gens, lifts, kernel):
+    """Every combination of ``lifts`` beside the kernel generators, as
+    arrays b and g for ``closures_of_rows``, a few thousand rows at a time."""
+    g = np.array(list(k_gens) + [hol.aut.identity] * len(kernel.gens))
+    for b in core._product_rows(list(lifts) + [[m] for m in kernel.gens], 2**12):
+        yield b, g
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_rows_with_a_lower_power_lift_close_to_no_regular_subgroup(pair):
+    # Lemma 2 of _lifts: each lift the lower-power test drops makes every
+    # row of the lift sets without that test that holds it die
+    dead = 0
+    for key in label_keys(*pair):
+        hol = hol_of(*pair, key)
+        for _, k_gens, kernel in _strata(hol):
+            _, old = lifts_oracle(hol, k_gens, kernel.elements, drop_lower_powers=False)
+            new = _lifts(hol, k_gens, kernel)
+            for b, g in rows_of(hol, k_gens, old, kernel):
+                kept = np.all([np.isin(b[:, i], lifts) for i, lifts in enumerate(new)], axis=0)
+                if not kept.all():
+                    assert not len(closures_of_rows(hol, b[~kept], g)[0]), key
+                    dead += int((~kept).sum())
+    assert dead
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_stratified_reps_are_those_of_index_order_generators_and_every_lift(pair):
+    # Lemmas 1 and 2: per family, the tables are those that the index-order
+    # generators of K (``generating_set``) and the lifts without the
+    # lower-power test close to; only their order differs
+    for key in label_keys(*pair):
+        hol = hol_of(*pair, key)
+        want = set()
+        for k_rep, _, kernel in _strata(hol):
+            k_gens = generating_set(hol.aut, k_rep)
+            _, old = lifts_oracle(hol, k_gens, kernel.elements, drop_lower_powers=False)
+            for b, g in rows_of(hol, k_gens, old, kernel):
+                want.update(lam.tobytes() for lam in closures_of_rows(hol, b, g)[1])
+        got = [lam.tobytes() for _, lam in _stratified_reps(hol)][1:]
+        assert len(got) == len(set(got)) and set(got) == want, key
+
+
+def cold_families():
+    """The holomorphs one ``classify_cold`` pass of the benchmark enumerates:
+    (2,5), (2,7), (3,7) and (5,2), less what the normal budget refuses."""
+    for p, q in ((2, 5), (2, 7), (3, 7), (5, 2)):
+        params = derive_params(p, q, "first")
+        for key in label_keys(p, q):
+            if p * p * q * aut_order(GroupLabel.from_key(key), params) <= NORMAL_HOL_LIMIT:
+                yield hol_of(p, q, key)
+
+
+def catalog_families():
+    """The holomorphs one ``catalog`` pass of the benchmark enumerates."""
+    for p, q in ((2, 5), (2, 7), (3, 7), (5, 3)):
+        for key in sorted({lemma_entry(lid)["additive"] for lid in applicable_lemma_ids(p, q)}):
+            yield hol_of(p, q, key)
+
+
+def test_stream_rows_on_the_benchmark_families():
+    # the rows closed per pass: 22 948 and 22 548 with the index-order
+    # generators of K and without the lower-power test
+    assert sum(map(stream_rows, cold_families())) == 6002
+    assert sum(map(stream_rows, catalog_families())) == 5690
+
+
+@pytest.mark.parametrize("key, rows, digest", [
+    ("QbyP2_ordP", 51_693, "c45790cd7822987322a3e3bad3e8571898fef45e4997b5fbd74063e4b38989d4"),
+    ("PxQbyP", 95_029, "188d9d8c14c68a4ea2505b1e3c89b967a35b6dec76f2cc8b1ca876c3770c743c"),
+])
+def test_order333_stream_rows_and_classes_are_pinned(key, rows, digest):
+    # (3,37): 2 771 125 and 4 666 555 rows with the index-order generators
+    # of K and without the lower-power test, and the same classes (the
+    # digests were taken from that enumeration)
+    assert stream_rows(hol_of(3, 37, key)) == rows
+    assert classes_digest(classes_of(3, 37, key)) == digest
+
+
 PROPERTY_FAMILIES = (((2, 3), "PxPQ"), ((2, 5), "QbyP2_ordP"))
 
 
 @functools.lru_cache(maxsize=None)
-def stream_rows(pair_key):
+def stream_generator_rows(pair_key):
     """The rows of the family's stream as lists of generators (b, g),
     without their (e, id) padding."""
     (p, q), key = pair_key
@@ -397,7 +501,7 @@ def generator_rows(draw):
     """A family, its rows of 1 to 3 generators (b, g) each, some of them
     lift combinations of its stream and the rest drawn at random, and the
     same rows padded with (e, id) to width 3 as arrays b and g."""
-    hol, pool = stream_rows(draw(st.sampled_from(PROPERTY_FAMILIES)))
+    hol, pool = stream_generator_rows(draw(st.sampled_from(PROPERTY_FAMILIES)))
     n, k = hol.base.n, hol.n_aut
     random_row = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
                           min_size=1, max_size=3)

@@ -534,6 +534,13 @@ def test_verify_tables_order363_gf():
     assert verify_tables(11, 3) == (True, [])
 
 
+@pytest.mark.parametrize("pair", [(3, 19), (3, 37)])
+def test_verify_tables_q1_modp2(pair):
+    # orders 171 and 333, the q = 1 mod p^2 regime at both of its encoded
+    # prime pairs; stretch criteria 10 and 11 run the same check
+    assert verify_tables(*pair) == (True, [])
+
+
 def test_verify_tables_names_every_corrupted_cell(monkeypatch):
     exp, totals = expected_tables(2, 5), dict(expected_totals(2, 5))
     first = min(exp)
