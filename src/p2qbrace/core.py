@@ -27,13 +27,14 @@ them; ``generating_set`` itself picks greedily in whatever order it is
 given.  A ``FiniteGroup`` uses the generators it was built with, else the
 elements picked in index order, which every check of its table shares.
 An ``AutGroup`` picks by descending element order, which gives fewer
-generators for its orbit walks.  The generators of each subgroup that
-``subgroups_of_order`` lists are picked once too and kept beside the
-lists (``subgroup_generators``).  Every batched kernel, here and in
-``families``, ``enumeration`` and ``ybe``, bounds its temporaries by the
-one ``CHUNK_CELLS``, read at call time: a chunk holds as many rows as fit
-at the kernel's row width.  ``identify_stack`` labels a stack of group
-tables of order p^2 q at once, and ``identify_p2q`` is it on one group.
+generators for its orbit walks.  Each subgroup that ``subgroups_of_order``
+lists keeps the generators it was built from, with no pick at all.  One
+breadth-first search (``_bfs``) gives both the closures and the spanning
+trees.  Every batched kernel, here and in ``families``, ``enumeration``
+and ``ybe``, bounds its temporaries by the one ``CHUNK_CELLS``, read at
+call time: a chunk holds as many rows as fit at the kernel's row width.
+``identify_stack`` labels a stack of group tables of order p^2 q at once,
+and ``identify_p2q`` is it on one group.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "compute_automorphisms",
     "identify_p2q",
     "identify_stack",
-    "subgroup_generators",
 ]
 
 FAMILIES = (
@@ -140,11 +140,11 @@ class FiniteGroup:
             raise ValueError("table has non-invertible elements")
         self.inv = inv
         if generators is not None:
-            self.generators = list(map(int, generators))
-            if not _generates(self, self.generators):
+            self.generators = gens = list(map(int, generators))
+            # from the identity, right multiplication by them reaches all
+            if not all(0 <= g < self.n for g in gens) or len(closure(self, gens)) != self.n:
                 raise ValueError("generators must be elements that generate the group")
-        self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
-        self.subgroup_gens: dict[tuple[int, ...], list[int]] = {}  # see subgroup_generators
+        self.subgroups: dict[int, dict[tuple[int, ...], list[int]]] = {}  # see subgroups_of_order
         if check and associativity_failure(self) is not None:
             raise ValueError("multiplication table is not associative")
 
@@ -225,38 +225,40 @@ def _orders(rows: np.ndarray, points) -> np.ndarray:
     return out
 
 
-def closure(group, seed, limit: int | None = None) -> list[int] | None:
-    """Subgroup generated by ``seed``, as a sorted list of element indices.
-
-    BFS over right-multiplication by the generators; in a finite group the
-    word closure under products already contains inverses.  With ``limit``
-    set, returns None as soon as the partial closure exceeds it.
-    """
+def _bfs(group, gens, limit: int | None = None) -> dict[int, int | None] | None:
+    """The breadth-first search from the identity under right multiplication
+    by ``gens``: every element reached, in the order reached, mapped to its
+    parent u in the search tree, x = u g for some g in ``gens`` (None for
+    the identity).  In a finite group the words in ``gens`` already hold
+    their inverses, so the elements reached are the subgroup they
+    generate.  With ``limit`` set, None as soon as they exceed it.  A map
+    and a queue of ints, not a tuple per element: the tuples made every
+    closure about twice as slow."""
     compose = group.compose
-    gens = sorted({int(g) for g in seed})
-    out = {group.identity}
+    parent: dict[int, int | None] = {group.identity: None}
     queue = [group.identity]
     for u in queue:
         for g in gens:
-            v = compose(u, g)
-            if v not in out:
-                out.add(v)
-                if limit is not None and len(out) > limit:
+            x = compose(u, g)
+            if x not in parent:
+                parent[x] = u
+                if limit is not None and len(parent) > limit:
                     return None
-                queue.append(v)
-    return sorted(out)
+                queue.append(x)
+    return parent
+
+
+def closure(group, seed, limit: int | None = None) -> list[int] | None:
+    """Subgroup generated by ``seed``, as a sorted list of element indices,
+    or None as soon as it exceeds ``limit`` (``_bfs``)."""
+    reached = _bfs(group, sorted({int(g) for g in seed}), limit)
+    return None if reached is None else sorted(reached)
 
 
 def _first_failure(ok: np.ndarray) -> tuple[int, ...] | None:
     """The index of the first False entry of ``ok`` in C order, or None."""
     bad = np.argwhere(~ok)
     return tuple(int(x) for x in bad[0]) if len(bad) else None
-
-
-def _generates(group, gens) -> bool:
-    """Whether ``gens`` are elements of the table and right multiplication
-    by them, starting at the identity, reaches every element."""
-    return all(0 <= g < group.n for g in gens) and len(closure(group, gens)) == group.n
 
 
 def associativity_failure(group: FiniteGroup) -> tuple[int, int, int] | None:
@@ -296,16 +298,6 @@ def generating_set(group, elements) -> list[int]:
     return gens
 
 
-def subgroup_generators(group, sub: tuple[int, ...]) -> list[int]:
-    """``generating_set(group, sub)`` for a subgroup listed by
-    ``subgroups_of_order``, picked once and kept on the group
-    (``group.subgroup_gens``)."""
-    gens = group.subgroup_gens.get(sub)
-    if gens is None:
-        gens = group.subgroup_gens[sub] = generating_set(group, sub)
-    return gens
-
-
 def _factor(m: int) -> list[tuple[int, int]]:
     out = []
     d = 2
@@ -328,20 +320,30 @@ def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
 
     A group whose order has at most two prime factors is solvable
     (Burnside), so a subgroup H of order m > 1 has a normal subgroup N of
-    some prime index r, and H = N u xN u ... u x^(r-1)N for any x in H
-    outside N.  Conversely, if N has order m/r and x lies outside N,
-    normalises N and has x^r in N, that union of cosets is a subgroup of
+    some prime index r, and H = N u yN u ... u y^(r-1)N for any y in H
+    outside N.  Conversely, if N has order m/r and y lies outside N,
+    normalises N and has y^r in N, that union of cosets is a subgroup of
     order m.  So for each prime r | m and each N of order m/r, the
-    candidates x of order dividing m are tested against the generators of
-    N (x g x^-1 in N) and on x^r in N, all at once, and each H is built
+    candidates y of order dividing m are tested against the generators of
+    N (y g y^-1 in N) and on y^r in N, all at once, and each H is built
     from its cosets; the elements of H are marked so that H is built once
-    per N.  The lists are kept on the group by order (``group.subgroups``),
-    so the smaller ones are built once, and so are the generators of each N
-    (``subgroup_generators``).  ValueError if m has more than two
+    per N, and the first (r, N, y) that builds H gives its generators.
+
+    Lemma: they are [y] when ord(y) = m, else y followed by N's
+    generators.  H is the union of the cosets y^i N, so <N, y> = H; when
+    ord(y) = m = |H|, <y> = H.  So no H has more generators than m has
+    prime factors counted with multiplicity.  y comes first because the
+    normaliser test of the next order filters by the first generator on
+    every candidate: at (7,3) Gk(1) that order does fewer products than
+    N's generators first, or the greedy pick in index order.
+
+    The lists are kept on the group by order, each as one map, in sorted
+    order, from every subgroup to its generators (``group.subgroups``), so
+    the smaller ones are built once.  ValueError if m has more than two
     distinct prime factors.
     """
     if m in group.subgroups:
-        return group.subgroups[m]
+        return list(group.subgroups[m])
     orders = np.asarray(group.element_orders)
     size = len(orders)
     if m <= 0 or size % m:
@@ -349,21 +351,22 @@ def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
     fac = _factor(m)
     if len(fac) > 2:
         raise ValueError(f"subgroup order {m} has more than two prime factors")
-    found = {(group.identity,)} if m == 1 else set()
+    found: dict[tuple[int, ...], list[int]] = {(group.identity,): []} if m == 1 else {}
     pool = np.nonzero(m % orders == 0)[0]
     for r, _ in fac:
-        for sub in subgroups_of_order(group, m // r):
+        subgroups_of_order(group, m // r)
+        for sub, gens in group.subgroups[m // r].items():
             in_sub = np.zeros(size, dtype=bool)
             in_sub[list(sub)] = True
             x = pool[~in_sub[pool]]
-            for g in subgroup_generators(group, sub):
+            for g in gens:
                 x = x[in_sub[group.product(group.product(x, g), group.inv[x])]]
             power = x
             for _ in range(r - 1):
                 power = group.product(power, x)
             done = in_sub.copy()
             coset = np.asarray(sub)
-            for y in x[in_sub[power]]:
+            for y in x[in_sub[power]].tolist():
                 if done[y]:
                     continue
                 cosets = [coset]
@@ -371,9 +374,9 @@ def subgroups_of_order(group, m: int) -> list[tuple[int, ...]]:
                     cosets.append(group.product(y, cosets[-1]))
                 h = np.sort(np.concatenate(cosets))
                 done[h] = True
-                found.add(tuple(h.tolist()))
-    group.subgroups[m] = sorted(found)
-    return group.subgroups[m]
+                found.setdefault(tuple(h.tolist()), [y] if orders[y] == m else [y, *gens])
+    group.subgroups[m] = dict(sorted(found.items()))
+    return list(group.subgroups[m])
 
 
 # -- automorphisms and isomorphism -------------------------------------------
@@ -399,25 +402,19 @@ def _product_rows(choices, step: int):
 
 
 def _spanning_levels(group: FiniteGroup) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A BFS spanning tree of ``group`` from the identity under right
-    multiplication by its generators, level by level: arrays (x, parent,
-    generator index) with x = parent * generators[index]."""
+    """The tree of ``_bfs`` over ``group.generators``, a spanning tree of
+    ``group``, level by level: arrays (x, parent, generator index) with x =
+    parent * generators[index], the first such index."""
     rows, gens = group._rows, group.generators
-    seen = {group.identity}
-    front, levels = [group.identity], []
-    while True:
-        level = []
-        for u in front:
-            for i, g in enumerate(gens):
-                x = rows[u][g]
-                if x not in seen:
-                    seen.add(x)
-                    level.append((x, u, i))
-        if not level:
-            break
-        levels.append(tuple(map(np.array, zip(*level))))
-        front = [x for x, _, _ in level]
-    return levels
+    depth, levels = {group.identity: 0}, []
+    for x, u in _bfs(group, gens).items():
+        if u is None:
+            continue
+        d = depth[x] = depth[u] + 1
+        if d > len(levels):  # the search reaches the levels in order
+            levels.append([])
+        levels[-1].append((x, u, next(i for i, g in enumerate(gens) if rows[u][g] == x)))
+    return [tuple(map(np.array, zip(*level))) for level in levels]
 
 
 def _extend(src: FiniteGroup, dst: FiniteGroup, blocks):
@@ -538,8 +535,7 @@ class AutGroup:
         # f^-1(s) is the point that f sends to s
         self.inv = self._rank(np.stack([np.argmax(self.perms == s, axis=1) for s in self.key], axis=1))
         self._conj_rows: dict[int, np.ndarray] = {}
-        self.subgroups: dict[int, list[tuple[int, ...]]] = {}  # see subgroups_of_order
-        self.subgroup_gens: dict[tuple[int, ...], list[int]] = {}  # see subgroup_generators
+        self.subgroups: dict[int, dict[tuple[int, ...], list[int]]] = {}  # see subgroups_of_order
 
     @cached_property
     def _comp(self) -> np.ndarray | None:

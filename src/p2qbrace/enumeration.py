@@ -45,7 +45,6 @@ from .core import (
     _product_rows,
     closure,
     generating_set,
-    subgroup_generators,
 )
 from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
 
@@ -174,9 +173,9 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.
 
 class _Kernel(NamedTuple):
     """A subgroup N of A as ``_lifts`` reads it, built once per kernel: its
-    elements, its generators (``core.subgroup_generators``), its membership
-    mask, and the right coset representatives u (the least element of N u)
-    with their inverses."""
+    elements, the generators it was built from (kept by
+    ``core.subgroups_of_order``), its membership mask, and the right coset
+    representatives u (the least element of N u) with their inverses."""
 
     elements: tuple[int, ...]
     gens: list[int]
@@ -189,7 +188,7 @@ def _kernel(base: FiniteGroup, elements: tuple[int, ...]) -> _Kernel:
     mask = np.zeros(base.n, dtype=bool)
     mask[list(elements)] = True
     reps = np.flatnonzero(base.mul[list(elements)].min(axis=0) == np.arange(base.n))
-    return _Kernel(elements, subgroup_generators(base, elements), mask, reps, base.inv[reps])
+    return _Kernel(elements, base.subgroups[len(elements)][elements], mask, reps, base.inv[reps])
 
 
 def _lifts(hol: Holomorph, k_gens: list[int], kernel: _Kernel) -> list[np.ndarray]:

@@ -35,6 +35,7 @@ REGIME_NAMES = {
     "gf": "q | p + 1, q > 2",
     "3p2": "q = 3, p = 1 mod 3",
     "p1_modq": "p = 1 mod q, q > 3",
+    "2p2": "q = 2, p odd (Crespo's order 2p^2)",
 }
 
 
@@ -51,7 +52,7 @@ def regime(p: int, q: int) -> str:
     if (p + 1) % q == 0 and q > 2:
         return "gf"
     if p % q == 1:
-        return "3p2" if q == 3 else "p1_modq"
+        return {2: "2p2", 3: "3p2"}.get(q, "p1_modq")
     return "independent"
 
 
@@ -255,6 +256,8 @@ def expected_tables(p: int, q: int) -> dict[str, ExpectedType]:
             "tables for p = 1 mod q with q > 3 are not encoded; "
             "only row data for q = 3 is available"
         )
+    if reg == "2p2":
+        raise ValueError("tables for q = 2 (order 2p^2, Crespo's case) are not encoded")
     env = {"p": p, "q": q}
     out: dict[str, ExpectedType] = {}
     for add_key, spec_ in _TABLES[reg].items():

@@ -794,6 +794,20 @@ def subgroups_of_order_oracle(group, m: int) -> list[tuple[int, ...]]:
     return sorted(subs)
 
 
+def kept_generators_failure(group):
+    """The first (order, subgroup, generators) among the lists kept on
+    ``group`` by ``core.subgroups_of_order`` whose generators do not
+    generate exactly that subgroup, or number more than Omega(order), the
+    prime factors of the order counted with multiplicity; None if every
+    subgroup passes."""
+    for m, subs in sorted(group.subgroups.items()):
+        omega = sum(e for _, e in _factor(m))
+        for sub, gens in subs.items():
+            if len(gens) > omega or closure(group, gens) != list(sub):
+                return m, sub, gens
+    return None
+
+
 def gf_level_subgroup(ctx: FamilyContext, x: int, y: int) -> tuple[int, ...]:
     """The plane subgroup attached to a vector v = (x, y): generated by the
     two translation-automorphism pairs whose invariant is psi(x, y)."""

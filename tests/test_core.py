@@ -42,6 +42,7 @@ from helpers import (
     hol_of,
     hom_images_oracle,
     identify_p2q_oracle,
+    kept_generators_failure,
     label_keys,
     params_of,
     subgroups_of_order_oracle,
@@ -279,6 +280,49 @@ def test_subgroups_of_order_against_the_pairwise_oracle_at_order50():
     assert comp_table(aut) is None
     for m in (10, 25, 50):
         assert subgroups_of_order(aut, m) == subgroups_of_order_oracle(aut, m), m
+
+
+def list_every_order(group, n):
+    """``core.subgroups_of_order`` at every order dividing n and the group
+    order, as the module holds it at call time."""
+    size = len(group.element_orders)
+    for m in range(1, n + 1):
+        if n % m == 0 and size % m == 0:
+            core.subgroups_of_order(group, m)
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
+def test_kept_generators_generate_their_subgroups(pair):
+    # A and Aut(A) of every family: each listed subgroup keeps generators
+    # that generate it, at most Omega(|H|) of them; (5,2) Gk(1) has 12 000
+    # automorphisms and no composition table
+    p, q = pair
+    for key in label_keys(p, q):
+        sa = family_aut(p, q, key)
+        for group in (sa.base, sa.aut):
+            list_every_order(group, p * p * q)
+            assert len(group.subgroups) > 1, key
+            assert kept_generators_failure(group) is None, key
+
+
+def test_kept_generators_without_the_coset_step_fail_with_a_witness(monkeypatch):
+    # the wrong rule: keep N's generators and drop y, the step from N to H
+    # (kept first), wherever H was not built from one generator
+    real = core.subgroups_of_order
+
+    def drop_y(group, m):
+        fresh = m not in group.subgroups
+        subs = real(group, m)
+        if fresh and m in group.subgroups:
+            group.subgroups[m] = {h: gens[1:] or gens for h, gens in group.subgroups[m].items()}
+        return subs
+
+    monkeypatch.setattr(core, "subgroups_of_order", drop_y)
+    sa = family_aut(3, 7, "PxQbyP")
+    for group in (sa.base, sa.aut):
+        list_every_order(group, 63)
+        m, sub, gens = kept_generators_failure(group)
+        assert gens and len(closure(group, gens)) < len(sub) == m
 
 
 def relabelled(g, perm):

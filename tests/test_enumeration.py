@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2qbrace import core
+from p2qbrace import core, enumeration
 from p2qbrace.braces import _anti_hom, brace_from_regular
 from p2qbrace.catalog import applicable_lemma_ids, lemma_entry
 from p2qbrace.core import AutGroup, GroupLabel, closure, generating_set, identify_p2q
@@ -161,17 +161,25 @@ def test_circle_kernels_do_not_depend_on_the_chunk_bound(monkeypatch, pair):
 
 
 def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
-    # one classify_cold pass, on fresh groups: before the picks were kept on
-    # the group, A paid 440 generating_set calls, most of them repeats
-    picks = []
-    real = core.generating_set
+    # one classify_cold pass, on fresh groups: every listed subgroup keeps
+    # the generators it was built from, so A pays one generating_set call,
+    # the key of its Aut(A), and the whole pass 34 picks and 330 closures;
+    # when each subgroup of A was picked once greedily, the pass paid 635
+    # picks (237 of them on A, besides the keys) and 1 062 closures
+    picks, closures = [], []
+    pick, close = core.generating_set, core.closure
 
-    def counted(group, elements):
-        if any(group is base for base in bases):
-            picks.append((id(group), tuple(elements)))
-        return real(group, elements)
+    def counted_pick(group, elements):
+        picks.append(group)
+        return pick(group, elements)
 
-    monkeypatch.setattr(core, "generating_set", counted)
+    def counted_closure(*args, **kwargs):
+        closures.append(args[0])
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(core, "generating_set", counted_pick)
+    for module in (core, enumeration):
+        monkeypatch.setattr(module, "closure", counted_closure)
     bases, classes = [], []
     for p, q in ((2, 5), (2, 7), (3, 7), (5, 2)):
         params = derive_params(p, q, "first")
@@ -181,7 +189,8 @@ def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
             sa = family_aut(p, q, key)
             bases.append(sa.base)
             classes += stratified_orbit_classes(Holomorph(sa.base, sa.aut))
-    assert len(picks) == len(set(picks)) == 237
+    assert [sum(group is base for group in picks) for base in bases] == [1] * len(bases)
+    assert (len(picks), len(closures)) == (34, 330)
     assert (len(classes), sum(cl.orbit_size for cl in classes)) == (145, 1348)
 
 
@@ -253,10 +262,12 @@ def assert_lift_search_matches_the_oracle(monkeypatch, hol):
     returns how many 7-row chunks hold rows of more than one stratum."""
     want, strata = [], 0
     for k_rep, k_gens, kernel in _strata(hol):
-        # the lifts: the same kernel generators and the same arrays in order
+        # the lifts: kernel generators that generate the kernel, and the
+        # same arrays in order as the oracle's greedy pick gives
         per_gen = _lifts(hol, k_gens, kernel)
-        want_gens, want_lifts = lifts_oracle(hol, k_gens, kernel.elements)
-        assert kernel.gens == want_gens and len(per_gen) == len(want_lifts)
+        _, want_lifts = lifts_oracle(hol, k_gens, kernel.elements)
+        assert closure(hol.base, kernel.gens) == list(kernel.elements)
+        assert len(per_gen) == len(want_lifts)
         for lifts, oracle in zip(per_gen, want_lifts):
             assert lifts.dtype == oracle.dtype and np.array_equal(lifts, oracle)
         want.extend(lift_search_oracle(hol, k_rep, k_gens, kernel.elements))

@@ -24,6 +24,9 @@ def test_regime_dispatch():
     assert regime(7, 3) == "3p2"         # 7 = 1 mod 3
     assert regime(3, 5) == "independent"
     assert regime(89, 11) == "p1_modq"   # 89 = 1 mod 11
+    # every odd p is 1 mod 2, and q = 2 has its own regime
+    assert [regime(p, 2) for p in (3, 5, 7, 11)] == ["2p2"] * 4
+    assert all(regime(p, q) in REGIME_NAMES for p, q in ((89, 11), (5, 2)))
     with pytest.raises(ValueError):
         regime(2, 3)  # order 12 mixes regimes
     with pytest.raises(ValueError):
@@ -33,8 +36,10 @@ def test_regime_dispatch():
 
 
 def test_tables_reject_the_unencoded_regime():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p = 1 mod q with q > 3"):
         expected_tables(89, 11)
+    with pytest.raises(ValueError, match=r"q = 2 \(order 2p\^2"):
+        expected_tables(5, 2)
 
 
 def test_internal_consistency_at_many_orders():
