@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import (
     FiniteGroup,
     GroupLabel,
@@ -184,26 +185,29 @@ def is_bi_skew(brace: SkewBrace) -> bool:
 
 
 def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
-    """All ideals: lambda-stable subgroups normal in (B,+) and in (B,o)."""
-    out = []
-    perms = brace.lambda_perms
-    add_gens = brace.add.generators
-    mul_gens = brace.mul.generators
-    divisors = [d for d in range(1, brace.n + 1) if brace.n % d == 0]
-    for d in divisors:
-        for cand in subgroups_of_order(brace.add, d):
-            s = set(cand)
-            arr = np.array(cand)
-            add_t, add_i = brace.add.mul, brace.add.inv
-            mul_t, mul_i = brace.mul.mul, brace.mul.inv
-            if any(set(map(int, perms[g][arr])) != s for g in mul_gens):
-                continue
-            if any(set(map(int, add_t[add_t[g, arr], add_i[g]])) != s for g in add_gens):
-                continue
-            if any(set(map(int, mul_t[mul_t[g, arr], mul_i[g]])) != s for g in mul_gens):
-                continue
-            out.append(cand)
-    return out
+    """All ideals: lambda-stable subgroups normal in (B,+) and in (B,o),
+    by order, each order as ``subgroups_of_order`` lists it.
+
+    One boolean test of every subgroup H of (B, +) against every map f an
+    ideal is stable under: lambda_g and x -> g o x o g^-1 for the
+    generators g of (B, o), x -> g + x - g for those of (B, +).  Stability
+    under the generators gives it under each group, and each f is a
+    bijection, so f(H) = H iff f(x) lies in H for every x in H.
+    """
+    n, add, mul = brace.n, brace.add, brace.mul
+    a, m = np.array(add.generators), np.array(mul.generators)
+    maps = np.vstack((
+        brace.lambda_perms[m],
+        add.mul[add.mul[a], add.inv[a, None]],
+        mul.mul[mul.mul[m], mul.inv[m, None]],
+    ))
+    subs = [h for d in range(1, n + 1) if n % d == 0 for h in subgroups_of_order(add, d)]
+    masks = np.zeros((len(subs), n), dtype=bool)
+    masks[np.repeat(np.arange(len(subs)), [len(h) for h in subs]), np.concatenate(subs)] = True
+    step = max(1, core.CHUNK_CELLS // maps.size)
+    ok = np.concatenate([(chunk[:, maps] | ~chunk[:, None]).all(axis=(1, 2))
+                         for chunk in np.split(masks, range(step, len(subs), step))])
+    return [h for h, keep in zip(subs, ok) if keep]
 
 
 def direct_product_pairs(brace: SkewBrace) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

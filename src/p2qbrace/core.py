@@ -30,11 +30,13 @@ An ``AutGroup`` picks by descending element order, which gives fewer
 generators for its orbit walks.  Each subgroup that ``subgroups_of_order``
 lists keeps the generators it was built from, with no pick at all.  One
 breadth-first search (``_bfs``) gives both the closures and the spanning
-trees.  Every batched kernel, here and in ``families``, ``enumeration``
-and ``ybe``, bounds its temporaries by the one ``CHUNK_CELLS``, read at
-call time: a chunk holds as many rows as fit at the kernel's row width.
-``identify_stack`` labels a stack of group tables of order p^2 q at once,
-and ``identify_p2q`` is it on one group.
+trees; ``generating_set`` extends the subgroup it has reached instead.
+Every batched kernel, here and in ``families``, ``enumeration``,
+``braces`` and ``ybe``, bounds its temporaries by the one ``CHUNK_CELLS``,
+read at call time: a chunk holds as many rows as fit at the kernel's row
+width.  ``identify_stack`` labels a stack of group tables of order p^2 q
+at once from their power maps x -> x^p and x -> x^q, with no element
+order walked, and ``identify_p2q`` is it on one group.
 """
 
 from __future__ import annotations
@@ -201,7 +203,8 @@ class FiniteGroup:
 # One kernel for Cayley-table groups and automorphism groups alike: it needs
 # only ``identity``, a scalar ``compose(a, b)``, a vectorized ``product(a, b)``,
 # the ``inv`` array and ``element_orders``, whose length is the group order.
-# Both kinds of group take their element orders from ``_orders``.
+# Both kinds of group take their element orders from ``_orders``, the one
+# element-order walk; ``identify_stack`` reads power maps instead.
 
 
 def _orders(rows: np.ndarray, points) -> np.ndarray:
@@ -285,14 +288,27 @@ def associativity_failure(group: FiniteGroup) -> tuple[int, int, int] | None:
 
 def generating_set(group, elements) -> list[int]:
     """A small generating set of the subgroup ``elements``, picked greedily
-    in the order given: each element not yet reached joins the set."""
+    in the order given: each element not yet reached joins the set.
+
+    The subgroup H reached so far is closed under right multiplication by
+    the earlier picks.  So when g joins, <H, g> is H together with all that
+    right multiplication by every pick reaches from the products H g, and
+    the search runs on the new elements only."""
+    compose = group.compose
     gens: list[int] = []
-    have = {group.identity}
+    reached = [group.identity]
+    have = set(reached)
     for x in elements:
         if x in have:
             continue
-        gens.append(int(x))
-        have = set(closure(group, gens))
+        g, old = int(x), len(reached)
+        gens.append(g)
+        for i, u in enumerate(reached):  # the loop sees what it appends
+            for s in gens if i >= old else (g,):
+                y = compose(u, s)
+                if y not in have:
+                    have.add(y)
+                    reached.append(y)
         if len(have) == len(elements):
             break
     return gens
@@ -664,36 +680,61 @@ def _dlog(base: int, target: int, p: int, max_exp: int) -> int:
 
 def identify_p2q(group: FiniteGroup, p: int, q: int) -> GroupLabel:
     """Isomorphism type of a group of order p^2*q: ``identify_stack`` on a
-    stack of one, with the group's cached element orders."""
+    stack of one."""
     n = p * p * q
     if group.n != n:
         raise ValueError(f"group has order {group.n}, expected {n}")
-    return identify_stack(group.mul[None], p, q, group.identity, group.element_orders[None])[0]
+    return identify_stack(group.mul[None], p, q, group.identity)[0]
 
 
-def identify_stack(tables: np.ndarray, p: int, q: int, identity: int, orders=None) -> list[GroupLabel]:
+def _power_map(tables: np.ndarray, k: int) -> np.ndarray:
+    """x -> x^k on every table of the (R, n, n) stack, as an (R, n) array,
+    by repeated squaring: one gather of the stack per product."""
+    rows, n = tables.shape[:2]
+    flat = tables.reshape(-1)
+    at = (np.arange(rows, dtype=np.int64) * n * n)[:, None]
+    acc, base = None, np.broadcast_to(np.arange(n), (rows, n))
+    while True:
+        if k & 1:
+            acc = base if acc is None else flat.take(at + acc * n + base)
+        k >>= 1
+        if not k:
+            return acc
+        base = flat.take(at + base * n + base)
+
+
+def identify_stack(tables: np.ndarray, p: int, q: int, identity: int) -> list[GroupLabel]:
     """Isomorphism types of the groups of order n = p^2*q whose tables are
-    the (R, n, n) stack ``tables``, all with the identity ``identity``;
-    ``orders`` (R, n) are their element orders, walked here when None.
+    the (R, n, n) stack ``tables``, all with the identity ``identity``.
 
-    For the whole stack at once: the element orders (one power walk of
-    every column, as in ``FiniteGroup.element_orders``), the centre sizes,
-    the number of elements whose order divides p^2 and whether one has
-    order p^2.  Then the decision tree: abelian -> exponent; Sylow-p not
-    normal (fewer or more than p^2 such elements) -> one of the three
+    For the whole stack at once: the power maps x -> x^p and x -> x^q
+    (``_power_map``), then x^(p^2) = (x^p)^p and x^(pq) = (x^p)^q by one
+    gather each, and the centre sizes.  No element order is walked.
+
+    Lemma: ord(x) divides d iff x^d = e, and ord(x) divides n.  So the
+    elements whose order divides p^2 are those with x^(p^2) = e; x has
+    order p^2 iff x^(p^2) = e and x^p != e; and x has order n iff x^(pq)
+    != e and x^(p^2) != e, since pq and p^2 are the maximal proper
+    divisors of n.  Likewise the elements of order p are the x != e with
+    x^p = e, and those of order q the x != e with x^q = e.
+
+    Then the decision tree: abelian -> exponent; Sylow-p not normal (fewer
+    or more than p^2 elements of order dividing p^2) -> one of the three
     types with normal Sylow-q, told apart by an element of order p^2 and
     the centre size; Sylow-p normal and cyclic -> the Z_{p^2} x| Z_q type;
     Sylow-p normal and elementary -> the eigenvalues of the order-q action
     over F_p (``_plane_label``), the only branch that runs per table.
     """
-    tables = np.asarray(tables)
-    rows, n = tables.shape[:2]
-    if orders is None:
-        orders = _orders(tables.transpose(0, 2, 1).reshape(-1, n), [identity]).reshape(rows, n)
+    tables = np.ascontiguousarray(tables)
+    n = tables.shape[1]
+    pow_p, pow_q = _power_map(tables, p), _power_map(tables, q)
+    one_p2 = np.take_along_axis(pow_p, pow_p, axis=1) == identity
+    one_pq = np.take_along_axis(pow_q, pow_p, axis=1) == identity
+    one_p, one_q = pow_p == identity, pow_q == identity
     centre = (tables == tables.transpose(0, 2, 1)).all(axis=2).sum(axis=1)
-    p_count = ((p * p) % orders == 0).sum(axis=1)
-    has_p2 = (orders == p * p).any(axis=1)
-    cyclic = orders.max(axis=1) == n
+    p_count = one_p2.sum(axis=1)
+    has_p2 = (one_p2 & ~one_p).any(axis=1)
+    cyclic = ~(one_pq | one_p2).all(axis=1)
     out = []
     for r, (z, count, p2, cyc) in enumerate(zip(centre.tolist(), p_count.tolist(),
                                                 has_p2.tolist(), cyclic.tolist())):
@@ -705,17 +746,18 @@ def identify_stack(tables: np.ndarray, p: int, q: int, identity: int, orders=Non
         elif p2:
             out.append(GroupLabel("P2SemidirectQ"))
         else:
-            out.append(_plane_label(tables[r], identity, orders[r], p, q))
+            out.append(_plane_label(tables[r], identity, one_p[r], one_q[r], p, q))
     return out
 
 
-def _plane_label(table: np.ndarray, identity: int, orders: np.ndarray, p: int, q: int) -> GroupLabel:
+def _plane_label(table: np.ndarray, identity: int, one_p: np.ndarray, one_q: np.ndarray,
+                 p: int, q: int) -> GroupLabel:
     """GF or Gk with canonical k for a group table with an elementary
     abelian normal Sylow-p: diagonalise over F_p the conjugation action of
-    an order-q element on the plane of the elements of order 1 or p."""
-    orders = orders.tolist()
-    p_elems = [x for x, o in enumerate(orders) if p % o == 0]
-    e1 = next(x for x in p_elems if orders[x] == p)
+    an order-q element on the plane of the elements of order 1 or p, the x
+    with x^p = e (``one_p``; ``one_q`` flags the x with x^q = e)."""
+    p_elems = np.flatnonzero(one_p).tolist()
+    e1 = next(x for x in p_elems if x != identity)
     # columns: right multiplication by e1, by e2 and by eps^-1
     by_e1 = table[:, e1].tolist()
     c1, x = {identity}, e1
@@ -732,7 +774,7 @@ def _plane_label(table: np.ndarray, identity: int, orders: np.ndarray, p: int, q
             coord[xj] = (i, j)
             xj = by_e2[xj]
         xi = by_e1[xi]
-    eps = orders.index(q)
+    eps = next(x for x in np.flatnonzero(one_q).tolist() if x != identity)
     eps_row = table[eps].tolist()
     by_inv = table[:, eps_row.index(identity)].tolist()
     a, c = coord[by_inv[eps_row[e1]]]

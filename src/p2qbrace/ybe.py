@@ -44,7 +44,8 @@ class Solution:
     tau: np.ndarray
 
     def __post_init__(self):
-        # own read-only copies, so the range check and r_flat stay valid
+        # own read-only copies, so the range check and the cached
+        # properties stay valid
         self.sigma = np.array(self.sigma)
         self.tau = np.array(self.tau)
         self.sigma.setflags(write=False)
@@ -70,6 +71,11 @@ class Solution:
         """Pair table: r_flat[x*n + y] = sigma[x,y]*n + tau[x,y]."""
         n = self.n
         return (self.sigma.astype(np.int64) * n + self.tau).reshape(n * n)
+
+    @cached_property
+    def sigma_bijective(self) -> bool:
+        """Whether every sigma_x is a permutation, tested once per solution."""
+        return _permutation_rows(self.sigma)
 
 
 def solution_from_brace(brace: SkewBrace) -> Solution:
@@ -127,7 +133,7 @@ def check_ybe(sol: Solution) -> tuple[bool, str]:
     int64 array of that length (512 KiB for n <= 256) and no n^3 array is
     built.
     """
-    if _permutation_rows(sol.sigma) and _braids_by_lemma(sol):
+    if sol.sigma_bijective and _braids_by_lemma(sol):
         return True, "braid relation holds on all triples"
     return _scan_triples(sol)
 
@@ -217,7 +223,7 @@ def _scan_triples(sol: Solution) -> tuple[bool, str]:
 
 def check_nondegenerate(sol: Solution) -> bool:
     """All sigma_x and all tau_y must be permutations."""
-    return _permutation_rows(sol.sigma) and _permutation_rows(sol.tau.T)
+    return sol.sigma_bijective and _permutation_rows(sol.tau.T)
 
 
 def is_involutive(sol: Solution) -> bool:

@@ -8,9 +8,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import lcm, prod
+from pathlib import Path
 
 import numpy as np
 
+from p2qbrace import braces, core
 from p2qbrace.braces import brace_from_regular
 from p2qbrace.catalog import FamilyContext, RecipeError, Witness
 from p2qbrace.core import (
@@ -25,6 +27,7 @@ from p2qbrace.core import (
     closure,
     compute_automorphisms,
     generating_set,
+    subgroups_of_order,
 )
 from p2qbrace.enumeration import (
     OrbitClass,
@@ -48,6 +51,13 @@ from p2qbrace.report import CACHE_VERSION, classify
 
 # the orders every fast test may lean on; (2,13) is reserved for acceptance
 SMALL_PAIRS = ((2, 5), (2, 7), (3, 7), (5, 3))
+
+# the (p, q, family key) whose classes the benchmark's brace_ybe workload queries
+BRACE_YBE_FAMILIES = tuple(
+    (p, q, key) for p, q, key, _ in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+    )["brace_ybe_classes"]
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -389,6 +399,97 @@ def identify_p2q_oracle(group: FiniteGroup, p: int, q: int) -> GroupLabel:
         return GroupLabel("Gk", 0)
     k = min(_dlog(lam, mu, p, q), _dlog(mu, lam, p, q))
     return GroupLabel("Gk", -1 if k == q - 1 else k)
+
+
+def ideals_oracle(brace) -> list[tuple[int, ...]]:
+    """``braces.ideals`` as it stood before the mask test: every subgroup
+    of (B, +), in order of size, kept when each generator map sends its
+    element set onto itself, compared as Python sets."""
+    out = []
+    perms = brace.lambda_perms
+    add_gens = brace.add.generators
+    mul_gens = brace.mul.generators
+    divisors = [d for d in range(1, brace.n + 1) if brace.n % d == 0]
+    for d in divisors:
+        for cand in subgroups_of_order(brace.add, d):
+            s = set(cand)
+            arr = np.array(cand)
+            add_t, add_i = brace.add.mul, brace.add.inv
+            mul_t, mul_i = brace.mul.mul, brace.mul.inv
+            if any(set(map(int, perms[g][arr])) != s for g in mul_gens):
+                continue
+            if any(set(map(int, add_t[add_t[g, arr], add_i[g]])) != s for g in add_gens):
+                continue
+            if any(set(map(int, mul_t[mul_t[g, arr], mul_i[g]])) != s for g in mul_gens):
+                continue
+            out.append(cand)
+    return out
+
+
+def generating_set_oracle(group, elements) -> list[int]:
+    """``core.generating_set`` as it stood before it extended the subgroup
+    reached: each pick closes the whole set from the identity again."""
+    gens: list[int] = []
+    have = {group.identity}
+    for x in elements:
+        if x in have:
+            continue
+        gens.append(int(x))
+        have = set(closure(group, gens))
+        if len(have) == len(elements):
+            break
+    return gens
+
+
+def ideals_mismatch(p, q, keys=None):
+    """The first (family key, class index, ideals, oracle ideals) at
+    order p^2 q where ``braces.ideals`` differs from ``ideals_oracle``,
+    over the families ``keys`` (all by default), or None."""
+    for key in keys or label_keys(p, q):
+        hol = hol_of(p, q, key)
+        for i, cl in enumerate(classes_of(p, q, key)):
+            brace = brace_from_regular(hol, cl.rep)
+            got, want = braces.ideals(brace), ideals_oracle(brace)
+            if got != want:
+                return key, i, got, want
+    return None
+
+
+def generating_set_mismatch(p, q):
+    """The first (what, picks, oracle picks) at order p^2 q where
+    ``core.generating_set`` differs from ``generating_set_oracle``: on A and
+    on Aut(A) in index order, on Aut(A) by descending element order, and
+    on every circle group in index order; or None."""
+    for key in label_keys(p, q):
+        hol = hol_of(p, q, key)
+        aut = hol.aut
+        groups = [("A", hol.base, range(hol.base.n)), ("Aut(A)", aut, range(aut.k)),
+                  ("Aut(A) by order", aut, by_descending_order(aut))]
+        groups += [(f"circle group {i}", circle_group(hol, cl.rep), range(hol.base.n))
+                   for i, cl in enumerate(classes_of(p, q, key))]
+        for what, group, elements in groups:
+            got = core.generating_set(group, elements)
+            want = generating_set_oracle(group, elements)
+            if got != want:
+                return f"{key} {what}", got, want
+    return None
+
+
+def circle_labels_mismatch(p, q):
+    """Where ``core.identify_stack`` on one stack of every circle table at
+    order p^2 q differs from ``identify_p2q_oracle`` table by table, as
+    (family key, class index, label, oracle label), or None.  The family
+    groups share the identity 0, and so do their circle groups."""
+    reps = [(key, i, circle_group(hol_of(p, q, key), cl.rep))
+            for key in label_keys(p, q)
+            for i, cl in enumerate(classes_of(p, q, key))]
+    assert {circ.identity for _, _, circ in reps} == {0}
+    got = core.identify_stack(np.stack([circ.mul for _, _, circ in reps]), p, q, 0)
+    for (key, i, circ), label in zip(reps, got):
+        want = identify_p2q_oracle(circ, p, q)
+        if label != want:
+            return key, i, label, want
+    return None
 
 
 def regular_closure_oracle(hol, generators):

@@ -17,6 +17,7 @@ from p2qbrace.braces import (
 from p2qbrace.catalog import FamilyContext, evaluate_witness, instantiate_lemma
 from p2qbrace.core import FiniteGroup, GroupLabel
 from helpers import (
+    BRACE_YBE_FAMILIES,
     LOOP5,
     SMALL_PAIRS,
     all_reps,
@@ -27,6 +28,7 @@ from helpers import (
     first_associativity_failure,
     group_of,
     hol_of,
+    ideals_mismatch,
     label_keys,
 )
 
@@ -131,6 +133,17 @@ def test_ideals_are_sub_braces():
             assert all(int(brace.add.mul[a, b]) in els for a in ideal for b in ideal)
             assert all(int(brace.mul.mul[a, b]) in els for a in ideal for b in ideal)
             assert all(int(brace.lambda_perms[a, x]) in els for a in range(brace.n) for x in ideal)
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_ideals_match_the_oracle(pair):
+    assert ideals_mismatch(*pair) is None
+
+
+@pytest.mark.parametrize("family", BRACE_YBE_FAMILIES, ids=lambda f: "{}-{}-{}".format(*f))
+def test_ideals_match_the_oracle_on_the_brace_ybe_families(family):
+    p, q, key = family
+    assert ideals_mismatch(p, q, [key]) is None
 
 
 def test_kernel_is_a_circle_normal_subgroup():

@@ -30,6 +30,7 @@ from helpers import (
     brute_aut_of,
     by_descending_order,
     center_oracle,
+    circle_labels_mismatch,
     class_sizes_oracle,
     classes_of,
     comp_table,
@@ -38,6 +39,7 @@ from helpers import (
     exponent,
     extend_oracle,
     first_associativity_failure,
+    generating_set_mismatch,
     group_of,
     hol_of,
     hom_images_oracle,
@@ -205,6 +207,11 @@ def test_closure_and_generating_set():
         fresh = FiniteGroup(h.mul)
         assert fresh.generators == generating_set(h, range(h.n))
         assert fresh.generators is fresh.generators
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_generating_set_matches_the_oracle(pair):
+    assert generating_set_mismatch(*pair) is None
 
 
 def test_subgroups_of_order_against_hand_counts():
@@ -619,6 +626,11 @@ def test_stack_labels_match_the_oracle_on_every_base_group(pair):
     assert [identify_p2q(g, p, q) for g in groups] == want
     assert {g.identity for g in groups} == {0}
     assert core.identify_stack(np.stack([g.mul for g in groups]), p, q, 0) == want
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
+def test_stack_labels_match_the_oracle_on_every_circle_table(pair):
+    assert circle_labels_mismatch(*pair) is None
 
 
 def test_identify_is_presentation_independent():

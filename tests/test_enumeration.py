@@ -163,9 +163,11 @@ def test_circle_kernels_do_not_depend_on_the_chunk_bound(monkeypatch, pair):
 def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
     # one classify_cold pass, on fresh groups: every listed subgroup keeps
     # the generators it was built from, so A pays one generating_set call,
-    # the key of its Aut(A), and the whole pass 34 picks and 330 closures;
-    # when each subgroup of A was picked once greedily, the pass paid 635
-    # picks (237 of them on A, besides the keys) and 1 062 closures
+    # the key of its Aut(A), and the whole pass 34 picks and 255 closures
+    # (a pick extends the subgroup it has reached and closes nothing; 330
+    # when each pick re-closed from the identity); when each subgroup of A
+    # was picked once greedily, the pass paid 635 picks (237 of them on A,
+    # besides the keys) and 1 062 closures
     picks, closures = [], []
     pick, close = core.generating_set, core.closure
 
@@ -190,7 +192,7 @@ def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
             bases.append(sa.base)
             classes += stratified_orbit_classes(Holomorph(sa.base, sa.aut))
     assert [sum(group is base for group in picks) for base in bases] == [1] * len(bases)
-    assert (len(picks), len(closures)) == (34, 330)
+    assert (len(picks), len(closures)) == (34, 255)
     assert (len(classes), sum(cl.orbit_size for cl in classes)) == (145, 1348)
 
 

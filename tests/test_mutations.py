@@ -1,0 +1,48 @@
+"""Planted faults in oracle-checked kernels must fail their oracle comparison.
+
+Each case monkeypatches a kernel with a copy of its source in which one
+line is known to be wrong, then runs the comparison that the kernel's
+equality test runs, at the smallest order that shows the fault, and asserts
+that the comparison names a mismatch.  A comparison that a wrong kernel
+passes checks nothing.
+"""
+
+import inspect
+import textwrap
+
+from p2qbrace import braces, core
+from helpers import circle_labels_mismatch, generating_set_mismatch, ideals_mismatch
+
+
+def plant(monkeypatch, module, name, old, new):
+    """Replace ``module.name`` by its source with the one text ``old`` read
+    as ``new``, compiled in a copy of the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} is not in {name} exactly once"
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def test_ideals_without_the_circle_conjugations_fail(monkeypatch):
+    # the subgroups of (B, +) that are lambda-stable and normal in (B, +)
+    # but not normal in (B, o) pass as ideals; order 20 already has them
+    plant(monkeypatch, braces, "ideals", "        mul.mul[mul.mul[m], mul.inv[m, None]],\n", "")
+    assert ideals_mismatch(2, 5) is not None
+
+
+def test_labels_counting_p_th_roots_of_unity_fail(monkeypatch):
+    # p_count from x^p = e counts p elements, not p^2, in the normal cyclic
+    # Sylow-p of Z_{p^2} x| Z_q, which needs p = 1 mod q: (5,2) is the
+    # first such pair of the oracle test
+    plant(monkeypatch, core, "identify_stack", "p_count = one_p2.sum(axis=1)", "p_count = one_p.sum(axis=1)")
+    assert all(circle_labels_mismatch(*pair) is None for pair in ((2, 5), (2, 7), (3, 7), (5, 3)))
+    assert circle_labels_mismatch(5, 2) is not None
+
+
+def test_generating_set_without_the_products_h_g_fails(monkeypatch):
+    # a new pick reaches nothing, not even itself, so every element but
+    # the identity is picked; order 20 shows it on A = Z20 already
+    plant(monkeypatch, core, "generating_set", "for s in gens if i >= old else (g,):",
+          "for s in gens if i >= old else ():")
+    assert generating_set_mismatch(2, 5) is not None
