@@ -301,12 +301,22 @@ def _stratified_reps(hol: Holomorph):
     closed under right multiplication by its generators, so in a finite
     group they are the subgroup G the row generates, and a row dies
     exactly on a pi1 collision in G: a row is kept iff G is regular.
+
+    pi2 = K is checked once per chunk: every value of a kept table lies in
+    its K, and the table holds |K| distinct values.
     """
     yield (hol.aut.identity,), np.full(hol.base.n, hol.aut.identity, dtype=np.int32)
     for ks, part, b, g in _stream(hol, max(1, core.CHUNK_CELLS // hol.base.n)):
         keep, lams = _regular_closures(hol, b, g)
-        for i, lam in zip(part[keep].tolist(), lams):
-            assert np.array_equal(np.unique(lam), ks[i])
+        kept = part[keep]
+        in_k = np.zeros((len(ks), hol.aut.k), dtype=bool)
+        for r, k in enumerate(ks):
+            in_k[r, list(k)] = True
+        assert in_k[kept[:, None], lams].all()
+        sorted_lams = np.sort(lams, axis=1)
+        distinct = 1 + (sorted_lams[:, 1:] != sorted_lams[:, :-1]).sum(axis=1)
+        assert (distinct == np.array([len(k) for k in ks])[kept]).all()
+        for i, lam in zip(kept.tolist(), lams):
             yield ks[i], lam
 
 

@@ -10,11 +10,14 @@ Vendramin (Math. Comp. 86, 2017).  sigma_a = lambda_a by construction.
 
 check_ybe decides the relation exactly.  When every sigma_x is a
 permutation it decides it through the derived rack (the lemma in its
-docstring), composing each distinct pair of sigma rows or rack columns
-once instead of visiting the n^3 triples.  Only when that hypothesis
-fails or the lemma answers False does it scan the n^3 triples, a block of
-x at a time, to name the first failing one.  Every temporary is an int64
-array of at most max(core.CHUNK_CELLS, n^2) entries: 512 KiB for n <= 256.
+docstring), composing each distinct quadruple of sigma rows or rack
+columns once instead of visiting the n^3 triples; each condition of the
+lemma is coded on its own labels, and its quadruples are deduplicated by
+a sort.  Only when that hypothesis fails or the lemma answers False does
+it scan the n^3 triples, a block of x at a time, to name the first
+failing one.  Every temporary is an array of at most
+max(core.CHUNK_CELLS, n^2) entries of at most 8 bytes: 512 KiB for
+n <= 256.
 """
 
 from __future__ import annotations
@@ -117,9 +120,10 @@ def check_ybe(sol: Solution) -> tuple[bool, str]:
     sigma_x), and each side depends only on the labels of its two maps, so
     every distinct label quadruple is composed once, n gathers a side.
     With k distinct sigma rows and m distinct psi columns there are at
-    most min(k^4, n^2), min(m^3, n^2) and k n quadruples for (a), (b) and
-    (c), besides the O(n^2) labelling.  For a brace solution
-    sigma_x = lambda_x, so k = |im lambda|.
+    most min(k^4, n^2), min(m^3, n m) and k n quadruples for (a), (b) and
+    (c), besides the O(n^2) labelling; (b) needs one z per psi label
+    (``_braids_by_lemma``).  For a brace solution sigma_x = lambda_x, so
+    k = |im lambda|.
 
     When some sigma_x is not bijective, or the lemma answers False, the
     triples are scanned a block of consecutive x at a time to name the
@@ -150,8 +154,14 @@ def _braids_by_lemma(sol: Solution) -> bool:
     """Conditions (a), (b) and (c) of check_ybe's lemma; sigma rows bijective.
 
     Each condition is an equation maps[i] o maps[j] = maps[a] o maps[b]
-    between the distinct sigma rows and psi columns; (c) is read as
+    decided on its own labels: (a) between the distinct sigma rows, (b)
+    between the distinct psi columns and (c) between both, read as
     sigma_x psi_z = psi_{sigma_x(z)} sigma_x for each distinct sigma_x.
+
+    Lemma.  (b) needs one z per psi label.  For a fixed z, y <| z =
+    psi_z(y), so z enters psi_z psi_y = psi_{y <| z} psi_z only through
+    psi_z: if row l of the distinct psi columns is psi_z, the quadruples of
+    z are (l, psi[y], psi[psi_l(y)], l) for y < n, n m_psi in all.
     """
     n = sol.n
     s = sol.sigma.astype(np.intp)
@@ -163,13 +173,13 @@ def _braids_by_lemma(sol: Solution) -> bool:
     rack = np.take(s, np.arange(n) * n + t[rows, s_inv])
     sig_rows, sig = _row_labels(s)
     psi_rows, psi = _row_labels(rack.T)
-    psi += len(sig_rows)
-    maps = np.vstack((sig_rows, psi_rows))
-    sig_ids = np.arange(len(sig_rows))[:, None]
+    k = len(sig_rows)
+    sig_ids, psi_ids = np.arange(k)[:, None], np.arange(len(psi_rows))[:, None]
     return (
-        _compositions_agree(maps, sig[:, None], sig[None, :], sig[s], sig[t])
-        and _compositions_agree(maps, psi[None, :], psi[:, None], psi[rack], psi[None, :])
-        and _compositions_agree(maps, sig_ids, psi[None, :], psi[sig_rows], sig_ids)
+        _compositions_agree(sig_rows, sig[:, None], sig[None, :], sig[s], sig[t])
+        and _compositions_agree(psi_rows, psi_ids, psi[None, :], psi[psi_rows], psi_ids)
+        and _compositions_agree(np.vstack((sig_rows, psi_rows)), sig_ids, psi[None, :] + k,
+                                psi[sig_rows] + k, sig_ids)
     )
 
 
@@ -184,10 +194,17 @@ def _row_labels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _compositions_agree(maps: np.ndarray, i, j, a, b) -> bool:
     """Whether maps[i] o maps[j] == maps[a] o maps[b] at every position of
-    the broadcast label arrays, composing each distinct quadruple once."""
+    the broadcast label arrays, composing each distinct quadruple once.
+
+    The quadruples are coded as ((i m + j) m + a) m + b for m maps, in
+    int32 when m^4 < 2^31 and in int64 otherwise, and deduplicated by one
+    sort in place and a compare of each code with the one before it."""
     m, n = maps.shape
-    codes = ((i * m + j) * m + a) * m + b
-    quads = np.unique(codes)
+    width = np.int32 if m**4 < 2**31 else np.int64
+    i, j, a, b = (np.asarray(v, dtype=width) for v in (i, j, a, b))
+    codes = (((i * m + j) * m + a) * m + b).ravel()
+    codes.sort()
+    quads = codes[np.diff(codes, prepend=-1) != 0]
     flat = maps.ravel()
     step = max(1, max(core.CHUNK_CELLS, n * n) // max(n, 1))
     for k in range(0, len(quads), step):

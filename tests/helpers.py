@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from p2qbrace import braces, core
+from p2qbrace import braces, core, ybe
 from p2qbrace.braces import brace_from_regular
 from p2qbrace.catalog import FamilyContext, RecipeError, Witness
 from p2qbrace.core import (
@@ -940,6 +940,93 @@ def check_ybe_oracle(sol) -> tuple[bool, str]:
         return True, "braid relation holds on all triples"
     w = tuple(int(v) for v in np.unravel_index(int(np.argmax(bad)), (n, n, n)))
     return False, f"braid relation fails at (x, y, z) = {w}"
+
+
+def braids_by_lemma_oracle(sol) -> bool:
+    """Conditions (a), (b) and (c) of ``ybe.check_ybe``'s lemma, the
+    reference for ``ybe._braids_by_lemma``: all three on the stacked sigma
+    rows and psi columns, (b) on all n^2 pairs (y, z), each set of label
+    quadruple codes deduplicated by ``np.unique``."""
+    n = sol.n
+    s = sol.sigma.astype(np.intp)
+    t = sol.tau.astype(np.intp)
+    rows = np.arange(n)[:, None]
+    s_inv = np.empty_like(s)
+    s_inv[rows, s] = np.arange(n)
+    # rack[x, y] = x <| y = sigma_y(tau_{sigma_x^-1(y)}(x))
+    rack = np.take(s, np.arange(n) * n + t[rows, s_inv])
+    sig_rows, sig = ybe._row_labels(s)
+    psi_rows, psi = ybe._row_labels(rack.T)
+    psi += len(sig_rows)
+    maps = np.vstack((sig_rows, psi_rows))
+    sig_ids = np.arange(len(sig_rows))[:, None]
+    return (
+        compositions_agree_oracle(maps, sig[:, None], sig[None, :], sig[s], sig[t])
+        and compositions_agree_oracle(maps, psi[None, :], psi[:, None], psi[rack], psi[None, :])
+        and compositions_agree_oracle(maps, sig_ids, psi[None, :], psi[sig_rows], sig_ids)
+    )
+
+
+def compositions_agree_oracle(maps: np.ndarray, i, j, a, b) -> bool:
+    """Whether maps[i] o maps[j] == maps[a] o maps[b] at every position of
+    the broadcast label arrays, composing each distinct quadruple once."""
+    m, n = maps.shape
+    codes = ((i * m + j) * m + a) * m + b
+    quads = np.unique(codes)
+    flat = maps.ravel()
+    step = max(1, max(core.CHUNK_CELLS, n * n) // max(n, 1))
+    for k in range(0, len(quads), step):
+        quad = quads[k:k + step]
+        quad, b_ = np.divmod(quad, m)
+        quad, a_ = np.divmod(quad, m)
+        i_, j_ = np.divmod(quad, m)
+        left = np.take(flat, (i_ * n)[:, None] + maps[j_])
+        right = np.take(flat, (a_ * n)[:, None] + maps[b_])
+        if (left != right).any():
+            return False
+    return True
+
+
+def lemma_mismatch(sols):
+    """The first solution with bijective sigma rows on which
+    ``ybe._braids_by_lemma`` and ``braids_by_lemma_oracle`` disagree, or
+    None; the lemma presupposes bijective rows, so others are passed over."""
+    for sol in sols:
+        if sol.sigma_bijective and ybe._braids_by_lemma(sol) != braids_by_lemma_oracle(sol):
+            return sol
+    return None
+
+
+def rep_solutions(p, q, keys=None):
+    """The solution of every orbit representative of the families ``keys``
+    at (p, q), all families by default."""
+    for key in keys or label_keys(p, q):
+        hol = hol_of(p, q, key)
+        for cl in classes_of(p, q, key):
+            yield ybe.solution_from_brace(brace_from_regular(hol, cl.rep))
+
+
+def compositions_width_mismatch(m: int, n: int = 7):
+    """``ybe._compositions_agree`` against direct composition on m rotations
+    x -> x + l mod n, or None when they agree.
+
+    2000 random quadruples with i < m - 1 that agree, each twice, close with
+    (m-1, m-1, m-1, m-1), the largest code m^4 - 1, so the set holds; the
+    same set closed with (m-1, m-1, m-1, m-2) instead, the last distinct
+    quadruple, fails there alone.  Returns the case that disagrees."""
+    rng = np.random.default_rng(m)
+    maps = (np.arange(n)[None, :] + np.arange(m)[:, None]) % n
+    i, j, a = rng.integers(0, m - 1, (3, 2000))
+    b0 = (i + j - a) % n
+    b = b0 + n * rng.integers(0, (m - 1 - b0) // n + 1)
+    quads = np.tile(np.stack((i, j, a, b)), 2)
+    for last, want in (((m - 1,) * 4, True), ((m - 1, m - 1, m - 1, m - 2), False)):
+        i_, j_, a_, b_ = np.column_stack((quads, last))
+        direct = bool((maps[i_[:, None], maps[j_]] == maps[a_[:, None], maps[b_]]).all())
+        assert direct is want
+        if ybe._compositions_agree(maps, i_, j_, a_, b_) is not want:
+            return last
+    return None
 
 
 def export_oracle(sol) -> str:

@@ -616,8 +616,8 @@ def test_identify_round_trips_every_family(pair):
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2), (7, 3), (13, 3), (11, 5)))
 def test_stack_labels_match_the_oracle_on_every_base_group(pair):
-    # the family groups share the identity 0, so they stack as they are; the
-    # kernel walks their orders itself, while identify_p2q passes the cached
+    # the family groups share the identity 0, so they stack as they are;
+    # identify_p2q labels each group as a stack of one through the same kernel
     p, q = pair
     keys = label_keys(p, q)
     groups = [group_of(p, q, key) for key in keys]

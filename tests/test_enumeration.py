@@ -456,6 +456,32 @@ def test_stratified_reps_are_those_of_index_order_generators_and_every_lift(pair
         assert len(got) == len(set(got)) and set(got) == want, key
 
 
+@pytest.mark.parametrize("fault", ["outside", "missing"])
+def test_stratified_reps_refuse_a_table_whose_pi2_is_not_k(fault, monkeypatch):
+    # the first kept table with |K| >= 2 has every entry of its largest
+    # value v other than the identity moved off K ("outside": still |K|
+    # distinct values) or onto the identity ("missing": every value in K,
+    # one fewer distinct)
+    hol, real = hol_of(2, 5, "CyclicP2Q"), enumeration._regular_closures
+    planted = []
+
+    def corrupt(hol, b, g):
+        keep, lams = real(hol, b, g)
+        for lam in lams if not planted else ():
+            values = set(lam.tolist())
+            if len(values) >= 2:
+                v = max(values - {hol.aut.identity})
+                lam[lam == v] = min(set(range(hol.aut.k)) - values) if fault == "outside" else hol.aut.identity
+                planted.append(v)
+                break
+        return keep, lams
+
+    monkeypatch.setattr(enumeration, "_regular_closures", corrupt)
+    with pytest.raises(AssertionError):
+        list(_stratified_reps(hol))
+    assert planted
+
+
 def cold_families():
     """The holomorphs one ``classify_cold`` pass of the benchmark enumerates:
     (2,5), (2,7), (3,7) and (5,2), less what the normal budget refuses."""

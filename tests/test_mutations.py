@@ -10,8 +10,15 @@ passes checks nothing.
 import inspect
 import textwrap
 
-from p2qbrace import braces, core
-from helpers import circle_labels_mismatch, generating_set_mismatch, ideals_mismatch
+from p2qbrace import braces, core, ybe
+from helpers import (
+    circle_labels_mismatch,
+    compositions_width_mismatch,
+    generating_set_mismatch,
+    ideals_mismatch,
+    lemma_mismatch,
+    rep_solutions,
+)
 
 
 def plant(monkeypatch, module, name, old, new):
@@ -46,3 +53,18 @@ def test_generating_set_without_the_products_h_g_fails(monkeypatch):
     plant(monkeypatch, core, "generating_set", "for s in gens if i >= old else (g,):",
           "for s in gens if i >= old else ():")
     assert generating_set_mismatch(2, 5) is not None
+
+
+def test_a_dedupe_dropping_the_last_distinct_code_fails(monkeypatch):
+    # the planted disagreement sits in the last distinct quadruple, which
+    # the faulty dedupe never composes; the agreeing sets still pass
+    plant(monkeypatch, ybe, "_compositions_agree", "quads = codes[np.diff(codes, prepend=-1) != 0]",
+          "quads = codes[np.diff(codes, prepend=-1) != 0][:-1]")
+    assert compositions_width_mismatch(215) == (214, 214, 214, 213)
+
+
+def test_the_rack_condition_on_the_wrong_label_fails(monkeypatch):
+    # (b) reading y <| z from another psi label's row breaks the
+    # self-distributivity of the racks at order 20 already
+    plant(monkeypatch, ybe, "_braids_by_lemma", "psi[psi_rows]", "psi[psi_rows[::-1]]")
+    assert lemma_mismatch(rep_solutions(2, 5)) is not None

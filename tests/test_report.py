@@ -541,6 +541,16 @@ def test_verify_tables_q1_modp2(pair):
     assert verify_tables(*pair) == (True, [])
 
 
+@pytest.mark.parametrize("pair", [
+    (2, 11), (3, 5), (2, 17), (2, 19), (2, 23), (3, 11), (2, 29), (3, 13), (2, 31), (3, 17), (5, 7),
+    (5, 11), (2, 37), (2, 41), (2, 43), (3, 23), (2, 47), (2, 53), (3, 29), (5, 13), (7, 5), (7, 11),
+], ids=lambda pair: "{}x{}".format(*pair))
+def test_verify_tables_sweep(pair):
+    # orders 44-539 in four regimes, among them the only pairs of the
+    # independent regime that any test reaches
+    assert verify_tables(*pair) == (True, [])
+
+
 def test_verify_tables_names_every_corrupted_cell(monkeypatch):
     exp, totals = expected_tables(2, 5), dict(expected_totals(2, 5))
     first = min(exp)

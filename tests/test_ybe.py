@@ -19,7 +19,18 @@ from p2qbrace.ybe import (
     solution_from_brace,
 )
 from p2qbrace import core, ybe
-from helpers import all_reps, check_ybe_oracle, classes_of, export_oracle, hol_of
+from helpers import (
+    BRACE_YBE_FAMILIES,
+    SMALL_PAIRS,
+    all_reps,
+    check_ybe_oracle,
+    classes_of,
+    compositions_width_mismatch,
+    export_oracle,
+    hol_of,
+    lemma_mismatch,
+    rep_solutions,
+)
 
 
 def braid_oracle(sol):
@@ -61,6 +72,7 @@ def assert_agrees_with_oracle(sol):
     if witness is not None:
         assert msg == f"braid relation fails at (x, y, z) = {witness}"
     assert (ok, msg) == check_ybe_oracle(sol)
+    assert lemma_mismatch([sol]) is None
     assert is_involutive(sol) is involutive_oracle(sol)
     return ok
 
@@ -187,12 +199,38 @@ def test_witness_at_block_edges(pair, table, monkeypatch):
         assert ybe._permutation_rows(bad.sigma) is (table != "sigma")
         if table == "swap":
             assert not ybe._braids_by_lemma(bad)
+        assert lemma_mismatch([bad]) is None
         expected = (False, f"braid relation fails at (x, y, z) = {witness}")
         assert check_ybe(bad) == check_ybe_oracle(bad) == expected
         for block in (1, 5 * n * n, n**3):
             monkeypatch.setattr(core, "CHUNK_CELLS", block)
             assert check_ybe(bad) == expected
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_lemma_matches_the_oracle_on_every_orbit_rep(pair):
+    # each condition on its own labels, (b) on one z per psi label, gives
+    # the verdict of all three on the stacked labels and all n^2 pairs
+    assert lemma_mismatch(rep_solutions(*pair)) is None
+
+
+@pytest.mark.parametrize("family", BRACE_YBE_FAMILIES, ids=lambda f: "{}-{}-{}".format(*f))
+def test_lemma_matches_the_oracle_on_the_brace_ybe_families(family):
+    p, q, key = family
+    assert lemma_mismatch(rep_solutions(p, q, [key])) is None
+
+
+@pytest.mark.parametrize("block", ["n", "default"])
+@pytest.mark.parametrize("m", [215, 216])
+def test_compositions_at_the_edge_of_the_code_width(m, block, monkeypatch):
+    # 215^4 < 2^31 <= 216^4: the codes are int32 at m = 215 and int64 at
+    # m = 216, whose largest code m^4 - 1 would wrap in int32; a planted
+    # disagreement in the last distinct quadruple must be found, in chunks
+    # of n quadruples and in one chunk
+    if block == "n":
+        monkeypatch.setattr(core, "CHUNK_CELLS", 7)
+    assert compositions_width_mismatch(m, 7) is None
 
 
 @st.composite
