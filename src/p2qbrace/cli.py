@@ -13,9 +13,10 @@ import click
 from .braces import brace_from_regular
 from .catalog import manual_notes, verify_catalog
 from .enumeration import stratified_orbit_classes
-from .families import family_aut
+from .core import GroupLabel
+from .families import derive_params, family_aut
 from .holomorph import Holomorph
-from .report import classify, conjecture, export, verify_tables
+from .report import NORMAL_HOL_LIMIT, _hol_order, classify, conjecture, export, verify_tables
 from .ybe import check_nondegenerate, check_ybe, export_solution, is_involutive, solution_from_brace
 
 _PQ = [
@@ -72,10 +73,13 @@ def enumerate_cmd(p, q, additive, fmt, out, cache_dir, jobs, budget, choice):
     else:
         click.echo(f"wrote {out}")
     if not report.complete:
+        params = derive_params(p, q, choice)
+        skipped = ", ".join(
+            f"{key} (|Hol| = {_hol_order(GroupLabel.from_key(key), params)} > {NORMAL_HOL_LIMIT})"
+            for key in report.skipped
+        )
         click.echo(
-            "incomplete under the normal budget, skipped: "
-            + ", ".join(report.skipped)
-            + " (rerun with --budget large)",
+            f"incomplete under the normal budget, skipped: {skipped} (rerun with --budget large)",
             err=True,
         )
         sys.exit(2)

@@ -8,19 +8,23 @@ so K gets one generator, or two where it is 2-generated, and a row is one
 lift per generator of K beside the generators of N x 1.  A lift
 (u, alpha) with a power (u, alpha)^d, 0 < d < ord(alpha), in N x 1 lies
 in no regular subgroup with kernel N (Lemma 2, ``_lifts``) and joins no
-row.  The lift combinations of every
-stratum form one stream of rows for the whole family, each row with its
-own generators (b, g), padded with (e, id), which writes nothing and never
-clashes.  The stream is closed a chunk of rows at a time, as partial
-lambda tables filled in rounds until nothing changes: a table closed under
-right multiplication by its row's generators is the subgroup they
-generate, and two values for one cell are a pi1 collision.  A chunk may
-hold rows of several strata and takes the rounds of its deepest row.  The
-Aut(A)-orbit of each regular hit is then walked by conjugation.
+row.  The kernels of one order are stacked, and the lifts of each
+generator of K are filtered on every kernel of the stack by one pass of
+gathers.  The lift combinations of every stratum form one stream of rows
+for the whole family, each row with its own generators (b, g), padded
+with (e, id), which writes nothing and never clashes.  The stream is
+closed a chunk of rows at a time, as partial lambda tables filled in
+rounds until nothing changes: a table closed under right multiplication
+by its row's generators is the subgroup they generate, and two values for
+one cell are a pi1 collision.  A chunk may hold rows of several strata
+and takes the rounds of its deepest row.  The Aut(A)-orbit of each
+regular hit is then walked by conjugation, one breadth-first layer at a
+time (``holomorph.orbit``).
 
 Each regular subgroup is handed on as its lambda table lam (G is
 {(a, lam[a])}), and everything after the closures works on those tables:
-an orbit walk conjugates a table by one scatter and keys it by its bytes,
+an orbit walk conjugates a whole layer of tables by one scatter per
+generator and keys each table by its bytes,
 pi2 is the set of its values, and the circle group a o b = a * lam[a](b)
 is read off it; the classes of a family are labelled by the types of
 their circle groups all at once (``circle_labels``).  Orbits under
@@ -171,33 +175,45 @@ def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.
     return keep, lam[keep]
 
 
-class _Kernel(NamedTuple):
-    """A subgroup N of A as ``_lifts`` reads it, built once per kernel: its
-    elements, the generators it was built from (kept by
-    ``core.subgroups_of_order``), its membership mask, and the right coset
-    representatives u (the least element of N u) with their inverses."""
+class _Kernels(NamedTuple):
+    """The subgroups N of A of one order, stacked as ``_lifts`` reads them
+    and built once per order: the generators each was built from (kept by
+    ``core.subgroups_of_order``) padded with e to the widest (no kept
+    generator is e), their membership masks (kernels x n), and the right
+    coset representatives u, the least element of N u, with their inverses
+    (kernels x d each, d = n / |N|; the lemma of ``_strata``)."""
 
-    elements: tuple[int, ...]
-    gens: list[int]
+    gens: np.ndarray
     mask: np.ndarray
     reps: np.ndarray
     reps_inv: np.ndarray
 
 
-def _kernel(base: FiniteGroup, elements: tuple[int, ...]) -> _Kernel:
-    mask = np.zeros(base.n, dtype=bool)
-    mask[list(elements)] = True
-    reps = np.flatnonzero(base.mul[list(elements)].min(axis=0) == np.arange(base.n))
-    return _Kernel(elements, base.subgroups[len(elements)][elements], mask, reps, base.inv[reps])
+def _kernels(base: FiniteGroup, m: int) -> _Kernels:
+    elements = core.subgroups_of_order(base, m)
+    kept = base.subgroups[m]
+    gens = np.full((len(elements), max(map(len, kept.values()), default=0)), base.identity)
+    for row, el in zip(gens, elements):
+        row[:len(kept[el])] = kept[el]
+    arr = np.array(elements, dtype=np.int64).reshape(len(elements), m)
+    mask = np.zeros((len(elements), base.n), dtype=bool)
+    mask[np.arange(len(elements))[:, None], arr] = True
+    least = base.mul[arr].min(axis=1) == np.arange(base.n)
+    reps = np.nonzero(least)[1].reshape(len(elements), base.n // m)
+    return _Kernels(gens, mask, reps, base.inv[reps])
 
 
-def _lifts(hol: Holomorph, k_gens: list[int], kernel: _Kernel) -> list[np.ndarray]:
-    """For each generator alpha of K, in the order given, the right coset
-    representatives u of the kernel N for which (u, alpha) normalises
-    N x 1, has its o-th power, o = ord(alpha), in N x 1 and no lower
-    power in N x 1, as in any regular subgroup with kernel N.  The d-th
-    power is (u alpha(u) ... alpha^(d-1)(u), alpha^d); one walk over d
-    tests its first coordinate.
+def _lifts(hol: Holomorph, k_gens: list[int], kernels: _Kernels) -> list[np.ndarray]:
+    """For each generator alpha of K, in the order given, a (kernels x d)
+    mask over the right coset representatives u of each kernel N: those
+    for which (u, alpha) normalises N x 1, has its o-th power,
+    o = ord(alpha), in N x 1 and no lower power in N x 1, as in any
+    regular subgroup with kernel N.  The d-th power is
+    (u alpha(u) ... alpha^(d-1)(u), alpha^d); one walk over d tests its
+    first coordinate.  Every kernel of the stack goes through the same
+    gathers, ``core.CHUNK_CELLS`` cells of conjugates at a time; a padding
+    generator e passes the normaliser test, as u alpha(e) u^-1 = e lies in
+    every N.
 
     Lemma 2: if (u, alpha)^d = (w, alpha^d) with w in N and
     0 < d < ord(alpha), no regular G with kernel N holds (u, alpha).  G
@@ -205,19 +221,27 @@ def _lifts(hol: Holomorph, k_gens: list[int], kernel: _Kernel) -> list[np.ndarra
     alpha^d != id beside (e, id), and pi1 would not be injective on G.
     """
     base, aut = hol.base, hol.aut
-    reps, mask = kernel.reps, kernel.mask
-    per_gen: list[np.ndarray] = []
-    for alpha in k_gens:
-        row = aut.perms[alpha]
-        conj = base.mul[base.mul[reps[:, None], row[kernel.gens]], kernel.reps_inv[:, None]]
-        keep = mask[conj].all(axis=1)
-        power = image = reps
-        for _ in range(int(aut.element_orders[alpha]) - 1):
-            keep &= ~mask[power]  # Lemma 2
-            image = row[image]
-            power = base.mul[power, image]
-        per_gen.append(reps[keep & mask[power]])
-    return per_gen
+    count, d = kernels.reps.shape
+    step = max(1, core.CHUNK_CELLS // (d * max(1, kernels.gens.shape[1])))
+    masks = [np.empty((count, d), dtype=bool) for _ in k_gens]
+    for lo in range(0, count, step):
+        at = slice(lo, lo + step)
+        reps, reps_inv = kernels.reps[at], kernels.reps_inv[at]
+        # x lies in kernel i of the chunk iff mask[i n + x]
+        offset = np.arange(len(reps))[:, None] * base.n
+        mask = kernels.mask[at].ravel()
+        for out, alpha in zip(masks, k_gens):
+            row = aut.perms[alpha]
+            moved = row[kernels.gens[at]][:, None, :]  # alpha(m), m generating N
+            conj = base.mul[base.mul[reps[:, :, None], moved], reps_inv[:, :, None]]
+            keep = mask[conj + offset[:, :, None]].all(axis=2)
+            power = image = reps
+            for _ in range(int(aut.element_orders[alpha]) - 1):
+                keep &= ~mask[power + offset]  # Lemma 2
+                image = row[image]
+                power = base.mul[power, image]
+            out[at] = keep & mask[power + offset]
+    return masks
 
 
 def _k_generators(aut: AutGroup, k_rep: tuple[int, ...]) -> list[int]:
@@ -237,26 +261,30 @@ def _k_generators(aut: AutGroup, k_rep: tuple[int, ...]) -> list[int]:
 
 
 def _strata(hol: Holomorph):
-    """(K, generators of K, kernel) for every class representative K of the
-    subgroups of Aut(A) of order d > 1 dividing n, and every subgroup of A
-    of order n / d; K's generators are picked once per K
-    (``_k_generators``), and each kernel is built once per d (``_kernel``).
+    """(K, generators of K, kernels) for every class representative K of
+    the subgroups of Aut(A) of order d > 1 dividing n, with the subgroups
+    of A of order n / d as one stack; K's generators are picked once per K
+    (``_k_generators``), and the stack is built once per d (``_kernels``).
+    The strata of K are (K, N) for each kernel N of the stack, in order.
 
     Lemma 1: any generating set of K gives a complete stream.  A regular G
     with pi2(G) = K and kernel N holds, for each alpha in K, exactly one
     lift (u, alpha) with u the least element of its coset N u.  As
     G / (N x 1) is K, the lifts of K's generators and N x 1 generate G.
     So fewer generators of K mean fewer rows for the same subgroups.
+
+    Lemma: the coset representatives of the stack form a rectangular
+    (kernels x d) array.  Each kernel N has order n / d, so A is the
+    disjoint union of exactly d right cosets N u, each with one least
+    element.
     """
     base, n = hol.base, hol.base.n
     for d in range(2, n + 1):
         if n % d or hol.aut.k % d or not (k_reps := aut_subgroup_classes(hol.aut, d)):
             continue
-        kernels = [_kernel(base, m) for m in core.subgroups_of_order(base, n // d)]
+        kernels = _kernels(base, n // d)
         for k_rep in k_reps:
-            k_gens = _k_generators(hol.aut, k_rep)
-            for kernel in kernels:
-                yield k_rep, k_gens, kernel
+            yield k_rep, _k_generators(hol.aut, k_rep), kernels
 
 
 def _stream(hol: Holomorph, step: int):
@@ -276,16 +304,19 @@ def _stream(hol: Holomorph, step: int):
             gs[lo:lo + len(b), :b.shape[1]] = g
         return [k for k, _, _ in parts], np.repeat(np.arange(len(parts)), lens), bs, gs
 
-    for k_rep, k_gens, kernel in _strata(hol):
-        lifts = _lifts(hol, k_gens, kernel)
-        g = list(k_gens) + [one] * len(kernel.gens)
-        for b in _product_rows(lifts + [[m] for m in kernel.gens], step):
-            while len(b):
-                parts.append((k_rep, b[:step - size], g))
-                b, size = b[step - size:], size + len(parts[-1][1])
-                if size == step:
-                    yield chunk()
-                    parts, size = [], 0
+    for k_rep, k_gens, kernels in _strata(hol):
+        masks = _lifts(hol, k_gens, kernels)
+        for i, (reps, gens) in enumerate(zip(kernels.reps, kernels.gens)):
+            gens = gens[gens != e].tolist()  # no kernel generator is e
+            lifts = [reps[mask[i]] for mask in masks]
+            g = list(k_gens) + [one] * len(gens)
+            for b in _product_rows(lifts + [[m] for m in gens], step):
+                while len(b):
+                    parts.append((k_rep, b[:step - size], g))
+                    b, size = b[step - size:], size + len(parts[-1][1])
+                    if size == step:
+                        yield chunk()
+                        parts, size = [], 0
     if parts:
         yield chunk()
 
@@ -322,9 +353,9 @@ def _stratified_reps(hol: Holomorph):
 
 def _orbit_of(hol: Holomorph, start: np.ndarray):
     """Conjugation orbit of a lambda table; returns (lex-min tuple, orbit
-    size, member tables)."""
+    size, member tables as one stack)."""
     members = orbit(start, hol.aut.generators, hol.conjugate_subgroup)
-    return tuple(min(member.tolist() for member in members)), len(members), members
+    return tuple(min(members.tolist())), len(members), members
 
 
 def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
@@ -352,7 +383,7 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
         assert best not in by_min, "a walk from an unseen representative met a known orbit"
         by_min[best] = size
         # a conjugate of K has |K| elements, so pi2 within K means pi2 = K
-        walked.update(member.tobytes() for member in members if in_k[member].all())
+        walked.update(map(bytes, members[in_k[members].all(axis=1)]))
     keys = sorted(by_min)
     labels = circle_labels(hol, np.array(keys, dtype=np.int32))
     return [OrbitClass(rep=HolSubgroup(key), orbit_size=by_min[key], mul_label=label)

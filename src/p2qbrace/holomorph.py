@@ -56,10 +56,11 @@ class Holomorph:
         return int(self.base.mul[a, self.aut.perms[f, b]]) * self.n_aut + self.aut.compose(f, g)
 
     def conjugate_subgroup(self, lam: np.ndarray, h: int) -> np.ndarray:
-        """The lambda table of (1,h) G (1,h)^{-1}, G having the table ``lam``:
+        """The lambda tables of (1,h) G (1,h)^{-1}, G having the table ``lam``
+        or each of the tables on the last axis of a stack ``lam``:
         (a, lam[a]) goes to (h(a), h lam[a] h^{-1})."""
         out = np.empty_like(lam)
-        out[self.aut.perms[h]] = self.aut.conj_row(h)[lam]
+        out[..., self.aut.perms[h]] = self.aut.conj_row(h)[lam]
         return out
 
 
@@ -111,19 +112,23 @@ def closure_packed(
 # -- orbits -------------------------------------------------------------------
 
 
-def orbit(start: np.ndarray, gens, act) -> list[np.ndarray]:
-    """The orbit of the array ``start`` under <gens>, h sending x to
-    ``act(x, h)``: its members breadth first, told apart by their bytes."""
+def orbit(start: np.ndarray, gens, act) -> np.ndarray:
+    """The orbit of the array ``start`` under <gens>, as one stack of its
+    members breadth first, told apart by their bytes.  h sends a stack of
+    arrays x to ``act(x, h)``, row by row, so each breadth-first layer goes
+    through each generator in one call, and its images are deduplicated in
+    one pass."""
     seen = {start.tobytes()}
-    members = [start]
-    for x in members:
-        for h in gens:
-            y = act(x, h)
-            key = y.tobytes()
+    layers = [start[None]]
+    while len(layers[-1]):
+        images = np.concatenate([act(layers[-1], h) for h in gens])
+        fresh = []
+        for i, key in enumerate(map(bytes, images)):
             if key not in seen:
                 seen.add(key)
-                members.append(y)
-    return members
+                fresh.append(i)
+        layers.append(images[fresh])
+    return np.concatenate(layers)
 
 
 def aut_subgroup_classes(aut: AutGroup, m: int) -> list[tuple[int, ...]]:
@@ -139,8 +144,8 @@ def aut_subgroup_classes(aut: AutGroup, m: int) -> list[tuple[int, ...]]:
         if s in visited:
             continue
         members = orbit(np.array(s, dtype=np.int32), aut.generators,
-                        lambda t, h: np.sort(aut.conj_row(h)[t]))
-        conjugates = {tuple(t.tolist()) for t in members}
+                        lambda t, h: np.sort(aut.conj_row(h)[t], axis=-1))
+        conjugates = set(map(tuple, members.tolist()))
         if not conjugates <= sub_set:
             raise AssertionError("conjugate of a subgroup not in the enumeration")
         visited |= conjugates

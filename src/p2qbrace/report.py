@@ -140,6 +140,11 @@ def _one_group(args: tuple[int, int, str, str, str | None]) -> tuple[list, float
     return cells, time.perf_counter() - t0
 
 
+def _hol_order(label: GroupLabel, params) -> int:
+    """|Hol(A)| = p^2 q |Aut(A)|, read off the family's closed form."""
+    return params.p ** 2 * params.q * aut_order(label, params)
+
+
 def classify(
     p: int,
     q: int,
@@ -178,7 +183,7 @@ def classify(
     report = ClassificationReport(p=p, q=q, regime=reg, params=params.as_dict())
     kept = []
     for label in labels:
-        if budget == "normal" and p * p * q * aut_order(label, params) > NORMAL_HOL_LIMIT:
+        if budget == "normal" and _hol_order(label, params) > NORMAL_HOL_LIMIT:
             report.complete = False
             report.skipped.append(label.key())
         else:

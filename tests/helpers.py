@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from p2qbrace import braces, core, ybe
+from p2qbrace import braces, core, enumeration, holomorph, ybe
 from p2qbrace.braces import brace_from_regular
 from p2qbrace.catalog import FamilyContext, RecipeError, Witness
 from p2qbrace.core import (
@@ -32,9 +32,7 @@ from p2qbrace.core import (
 from p2qbrace.enumeration import (
     OrbitClass,
     _orbit_of,
-    _lifts,
     _pq_of,
-    _strata,
     _stratified_reps,
     circle_group,
     stratified_orbit_classes,
@@ -46,7 +44,7 @@ from p2qbrace.families import (
     derive_params,
     structured_aut,
 )
-from p2qbrace.holomorph import HolSubgroup, Holomorph, closure_packed
+from p2qbrace.holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, closure_packed
 from p2qbrace.report import CACHE_VERSION, classify
 
 # the orders every fast test may lean on; (2,13) is reserved for acceptance
@@ -580,10 +578,35 @@ def lifts_oracle(hol, k_gens, kernel, drop_lower_powers=True):
     return n_gens, per_gen
 
 
+def kernel_strata(hol):
+    """The strata of ``enumeration._strata`` one kernel at a time, with one
+    ``enumeration._lifts`` call per stack of kernels: (K, generators of K,
+    the kernel's elements, its generators without the padding e, and the
+    lifts of each generator of K)."""
+    e = hol.base.identity
+    for k_rep, k_gens, kernels in enumeration._strata(hol):
+        masks = enumeration._lifts(hol, k_gens, kernels)
+        for i, (mask, gens, reps) in enumerate(zip(kernels.mask, kernels.gens, kernels.reps)):
+            elements = tuple(np.flatnonzero(mask).tolist())
+            yield k_rep, k_gens, elements, gens[gens != e].tolist(), [reps[m[i]] for m in masks]
+
+
+def lifts_mismatch(p, q):
+    """The first (family key, K, kernel) at order p^2 q whose lifts
+    (``kernel_strata``) differ from those of ``lifts_oracle``, or None."""
+    for key in label_keys(p, q):
+        hol = hol_of(p, q, key)
+        for k_rep, k_gens, elements, _, lifts in kernel_strata(hol):
+            want = lifts_oracle(hol, k_gens, elements)[1]
+            if len(lifts) != len(want) or not all(map(np.array_equal, lifts, want)):
+                return key, k_rep, elements
+    return None
+
+
 def stream_rows(hol):
     """The rows of the family's lift stream: over the strata, the product
     of the lift counts of K's generators."""
-    return sum(prod(map(len, _lifts(hol, k_gens, kernel))) for _, k_gens, kernel in _strata(hol))
+    return sum(prod(map(len, lifts)) for *_, lifts in kernel_strata(hol))
 
 
 def classes_digest(classes):
@@ -796,6 +819,79 @@ def enumerate_dfs(hol: Holomorph) -> list[HolSubgroup]:
 
     assert len(set(results)) == len(results), "canonical-chain DFS produced a duplicate"
     return sorted(HolSubgroup.from_packed(hol, t) for t in results)
+
+
+def orbit_oracle(start: np.ndarray, gens, act) -> list[np.ndarray]:
+    """The orbit of the array ``start`` under <gens>, h sending x to
+    ``act(x, h)``: its members breadth first, told apart by their bytes."""
+    seen = {start.tobytes()}
+    members = [start]
+    for x in members:
+        for h in gens:
+            y = act(x, h)
+            key = y.tobytes()
+            if key not in seen:
+                seen.add(key)
+                members.append(y)
+    return members
+
+
+def conjugation_oracle(hol, lam, h):
+    """The lambda table of (1,h) G (1,h)^-1, G having the table ``lam``, by
+    its definition: (a, lam[a]) goes to (h(a), h lam[a] h^-1), composed by
+    ``aut.product`` rather than read off ``aut.conj_row``."""
+    aut = hol.aut
+    out = np.empty_like(lam)
+    out[aut.perms[h]] = aut.product(aut.product(h, lam), aut.inv[h])
+    return out
+
+
+def walk_mismatch(starts, gens, act, oracle_act):
+    """The first of ``starts`` whose orbit by ``holomorph.orbit`` under
+    ``act`` differs from that of ``orbit_oracle`` under ``oracle_act`` in
+    its member set, its size or its lex-least member, or None."""
+    for start in starts:
+        got = holomorph.orbit(start, gens, act)
+        want = orbit_oracle(start, gens, oracle_act)
+        if (len(got) != len(want) or set(map(bytes, got)) != {w.tobytes() for w in want}
+                or min(got.tolist()) != min(w.tolist() for w in want)):
+            return start
+    return None
+
+
+def table_orbit_mismatch(p, q):
+    """The first (family key, table) of ``_stratified_reps`` at order
+    p^2 q whose conjugation orbit (``Holomorph.conjugate_subgroup``) differs
+    from the oracle's (``conjugation_oracle``), or None."""
+    for key in label_keys(p, q):
+        hol = hol_of(p, q, key)
+        tables = [lam for _, lam in _stratified_reps(hol)]
+        bad = walk_mismatch(tables, hol.aut.generators, hol.conjugate_subgroup,
+                            functools.partial(conjugation_oracle, hol))
+        if bad is not None:
+            return key, bad
+    return None
+
+
+def subgroup_orbit_mismatch(p, q):
+    """The first (family key, subgroup) at order p^2 q whose walk in
+    ``aut_subgroup_classes``, from each class representative of each order
+    d > 1 that divides |A| and |Aut(A)|, differs from the oracle's (each
+    conjugate composed by ``aut.product``), or None."""
+    n = p * p * q
+    for key in label_keys(p, q):
+        aut = hol_of(p, q, key).aut
+        for d in range(2, n + 1):
+            if n % d or aut.k % d:
+                continue
+            starts = [np.array(s, dtype=np.int32) for s in aut_subgroup_classes(aut, d)]
+            bad = walk_mismatch(
+                starts, aut.generators,
+                lambda t, h: np.sort(aut.conj_row(h)[t], axis=-1),
+                lambda t, h: np.sort(aut.product(aut.product(h, t), aut.inv[h])))
+            if bad is not None:
+                return key, bad
+    return None
 
 
 def enumerate_stratified(hol: Holomorph) -> list[HolSubgroup]:

@@ -16,6 +16,17 @@ def test_enumerate_prints_the_export():
     assert result.output == export(report_of(2, 5), "csv")
 
 
+def test_enumerate_refusal_names_the_predicted_holomorph_order():
+    # (5,2): Gk(1) has 12 000 automorphisms, so |Hol| = 50 * 12 000; the
+    # export and the exit code are those of the refused report
+    result = CliRunner().invoke(main, ["enumerate", "--p", "5", "--q", "2", "--format", "csv"])
+    assert result.exit_code == 2
+    assert result.stderr == ("incomplete under the normal budget, skipped: "
+                             "Gk(1) (|Hol| = 600000 > 150000) (rerun with --budget large)\n")
+    assert report_of(5, 2).skipped == ["Gk(1)"]
+    assert result.stdout == export(report_of(5, 2), "csv")
+
+
 def test_verify_tables_matches_at_order28():
     result = CliRunner().invoke(main, ["verify-tables", "--p", "2", "--q", "7"])
     assert result.exit_code == 0, result.output

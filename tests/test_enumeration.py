@@ -16,7 +16,6 @@ from p2qbrace.core import AutGroup, GroupLabel, closure, generating_set, identif
 from p2qbrace.enumeration import (
     circle_group,
     circle_labels,
-    _lifts,
     _orbit_of,
     _regular_closures,
     _strata,
@@ -40,6 +39,7 @@ from helpers import (
     hol_inv,
     hol_of,
     identify_p2q_oracle,
+    kernel_strata,
     label_keys,
     lift_search_oracle,
     lifts_oracle,
@@ -258,30 +258,37 @@ CHUNK_CELLS = core.CHUNK_CELLS
 
 
 def assert_lift_search_matches_the_oracle(monkeypatch, hol):
-    """The lifts of every stratum against the scalar filter, and the
-    stratum representatives against one scalar closure per combination,
-    in order, with the default chunks and with chunks of 1, 2 and 7 rows;
-    returns how many 7-row chunks hold rows of more than one stratum."""
-    want, strata = [], 0
-    for k_rep, k_gens, kernel in _strata(hol):
-        # the lifts: kernel generators that generate the kernel, and the
-        # same arrays in order as the oracle's greedy pick gives
-        per_gen = _lifts(hol, k_gens, kernel)
-        _, want_lifts = lifts_oracle(hol, k_gens, kernel.elements)
-        assert closure(hol.base, kernel.gens) == list(kernel.elements)
-        assert len(per_gen) == len(want_lifts)
-        for lifts, oracle in zip(per_gen, want_lifts):
-            assert lifts.dtype == oracle.dtype and np.array_equal(lifts, oracle)
-        want.extend(lift_search_oracle(hol, k_rep, k_gens, kernel.elements))
-        strata += 1
-    assert strata
+    """The lifts of every stratum against the scalar filter, with the
+    default chunks of kernels and with chunks of one kernel and of n cells,
+    and the stratum representatives against one scalar closure per
+    combination, in order, with the default chunks and with chunks of 1, 2
+    and 7 rows; returns how many 7-row chunks hold rows of more than one
+    stratum, and how many stacks hold more than one kernel (1 cell splits
+    them into chunks of one kernel)."""
+    want_lifts, want = [], []
+    for k_rep, k_gens, elements, gens, _ in kernel_strata(hol):
+        # kernel generators that generate the kernel, and the lifts of the
+        # oracle's greedy pick
+        assert closure(hol.base, gens) == list(elements)
+        want_lifts.append(lifts_oracle(hol, k_gens, elements)[1])
+        want.extend(lift_search_oracle(hol, k_rep, k_gens, elements))
+    assert want_lifts
+    for cells in (CHUNK_CELLS, 1, hol.base.n):
+        monkeypatch.setattr(core, "CHUNK_CELLS", cells)
+        got = [lifts for *_, lifts in kernel_strata(hol)]
+        assert len(got) == len(want_lifts), cells
+        for per_gen, oracle in zip(got, want_lifts):
+            assert len(per_gen) == len(oracle), cells
+            for lifts, lifts_want in zip(per_gen, oracle):
+                assert lifts.dtype == lifts_want.dtype and np.array_equal(lifts, lifts_want), cells
+    split = sum(len(kernels.reps) > 1 for _, _, kernels in _strata(hol))
     for cells in (CHUNK_CELLS, hol.base.n, 2 * hol.base.n, 7 * hol.base.n):
         monkeypatch.setattr(core, "CHUNK_CELLS", cells)
         got = [lam for _, lam in _stratified_reps(hol)][1:]
         assert len(got) == len(want), cells
         for lam, oracle in zip(got, want):
             assert lam.dtype == oracle.dtype and np.array_equal(lam, oracle), cells
-    return sum(len(ks) > 1 for ks, _, _, _ in _stream(hol, 7))
+    return sum(len(ks) > 1 for ks, _, _, _ in _stream(hol, 7)), split
 
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS)
@@ -290,9 +297,9 @@ def test_lift_search_matches_the_scalar_closure_oracle(monkeypatch, pair):
     # stream of all their combinations keep the tables, and the order, of
     # one scalar closure per combination; the (3,7) PxQbyP stratum of
     # 2 376 combinations spans three chunks of the default bound
-    shared = sum(assert_lift_search_matches_the_oracle(monkeypatch, hol_of(*pair, key))
-                 for key in label_keys(*pair))
-    assert shared
+    shared, split = np.sum([assert_lift_search_matches_the_oracle(monkeypatch, hol_of(*pair, key))
+                            for key in label_keys(*pair)], axis=0)
+    assert shared and split
 
 
 @pytest.mark.parametrize("pair_key", [((2, 5), key) for key in label_keys(2, 5)]
@@ -413,11 +420,11 @@ def test_each_k_gets_one_generator_if_cyclic_else_two_where_two_suffice(pair):
     assert sizes[1] and sizes[2] and bool(sizes[3]) == (pair == (5, 2))
 
 
-def rows_of(hol, k_gens, lifts, kernel):
+def rows_of(hol, k_gens, lifts, kernel_gens):
     """Every combination of ``lifts`` beside the kernel generators, as
     arrays b and g for ``closures_of_rows``, a few thousand rows at a time."""
-    g = np.array(list(k_gens) + [hol.aut.identity] * len(kernel.gens))
-    for b in core._product_rows(list(lifts) + [[m] for m in kernel.gens], 2**12):
+    g = np.array(list(k_gens) + [hol.aut.identity] * len(kernel_gens))
+    for b in core._product_rows(list(lifts) + [[m] for m in kernel_gens], 2**12):
         yield b, g
 
 
@@ -428,10 +435,9 @@ def test_rows_with_a_lower_power_lift_close_to_no_regular_subgroup(pair):
     dead = 0
     for key in label_keys(*pair):
         hol = hol_of(*pair, key)
-        for _, k_gens, kernel in _strata(hol):
-            _, old = lifts_oracle(hol, k_gens, kernel.elements, drop_lower_powers=False)
-            new = _lifts(hol, k_gens, kernel)
-            for b, g in rows_of(hol, k_gens, old, kernel):
+        for _, k_gens, elements, gens, new in kernel_strata(hol):
+            _, old = lifts_oracle(hol, k_gens, elements, drop_lower_powers=False)
+            for b, g in rows_of(hol, k_gens, old, gens):
                 kept = np.all([np.isin(b[:, i], lifts) for i, lifts in enumerate(new)], axis=0)
                 if not kept.all():
                     assert not len(closures_of_rows(hol, b[~kept], g)[0]), key
@@ -447,10 +453,10 @@ def test_stratified_reps_are_those_of_index_order_generators_and_every_lift(pair
     for key in label_keys(*pair):
         hol = hol_of(*pair, key)
         want = set()
-        for k_rep, _, kernel in _strata(hol):
+        for k_rep, _, elements, gens, _ in kernel_strata(hol):
             k_gens = generating_set(hol.aut, k_rep)
-            _, old = lifts_oracle(hol, k_gens, kernel.elements, drop_lower_powers=False)
-            for b, g in rows_of(hol, k_gens, old, kernel):
+            _, old = lifts_oracle(hol, k_gens, elements, drop_lower_powers=False)
+            for b, g in rows_of(hol, k_gens, old, gens):
                 want.update(lam.tobytes() for lam in closures_of_rows(hol, b, g)[1])
         got = [lam.tobytes() for _, lam in _stratified_reps(hol)][1:]
         assert len(got) == len(set(got)) and set(got) == want, key

@@ -22,6 +22,8 @@ from helpers import (
     packed_elements,
     pi1_closure_bound,
     structured_of,
+    subgroup_orbit_mismatch,
+    table_orbit_mismatch,
     unpack,
 )
 
@@ -219,7 +221,8 @@ def test_subgroup_pi2_and_kernel_size():
 def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
     # the scatter of a lambda table through a conjugation row equals
     # (1,h) x (1,h)^-1 computed element by element with hol.compose and hol_inv,
-    # with the composition table and without it
+    # with the composition table and without it; a stack of every
+    # representative gives, row by row, the one-table calls
     if not table:
         monkeypatch.setattr(AutGroup, "COMP_LIMIT", 0)
     sa = family_aut(2, 5, "QbyP2_ordP")
@@ -236,7 +239,27 @@ def test_conjugate_subgroup_matches_its_definition(monkeypatch, table):
             got = hol.conjugate_subgroup(cl.rep.arr, h)
             assert got.dtype == cl.rep.arr.dtype
             assert tuple(got.tolist()) == HolSubgroup.from_packed(hol, conj).lam
+    stack = np.array([cl.rep.lam for cl in classes], dtype=np.int32)
+    for h in hs:
+        got = hol.conjugate_subgroup(stack, h)
+        assert got.shape == stack.shape and got.dtype == stack.dtype
+        for row, lam in zip(got, stack):
+            assert np.array_equal(row, hol.conjugate_subgroup(lam, h))
     cached = classes_of(2, 5, "QbyP2_ordP")
     assert [(c.rep, c.orbit_size, c.mul_label) for c in classes] == [
         (c.rep, c.orbit_size, c.mul_label) for c in cached
     ]
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS)
+def test_layered_orbits_match_the_member_by_member_oracle(pair):
+    # the orbit of every stratum representative, by layers of stacked
+    # conjugations, against the member-by-member walk over the definition;
+    # and every walk of aut_subgroup_classes
+    assert table_orbit_mismatch(*pair) is None
+    assert subgroup_orbit_mismatch(*pair) is None
+
+
+def test_layered_subgroup_orbits_match_the_oracle_at_order50():
+    # (5,2): Gk(1) has 12 000 automorphisms and no composition table
+    assert subgroup_orbit_mismatch(5, 2) is None

@@ -10,25 +10,29 @@ passes checks nothing.
 import inspect
 import textwrap
 
-from p2qbrace import braces, core, ybe
+from p2qbrace import braces, core, enumeration, holomorph, ybe
+from p2qbrace.holomorph import Holomorph
 from helpers import (
     circle_labels_mismatch,
     compositions_width_mismatch,
     generating_set_mismatch,
     ideals_mismatch,
     lemma_mismatch,
+    lifts_mismatch,
     rep_solutions,
+    table_orbit_mismatch,
 )
 
 
-def plant(monkeypatch, module, name, old, new):
-    """Replace ``module.name`` by its source with the one text ``old`` read
-    as ``new``, compiled in a copy of the module's namespace."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def plant(monkeypatch, owner, name, old, new):
+    """Replace ``owner.name``, a function of a module or a method of a
+    class, by its source with the one text ``old`` read as ``new``,
+    compiled in a copy of the namespace of the owner's module."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1, f"{old!r} is not in {name} exactly once"
-    namespace = dict(vars(module))
+    namespace = dict(vars(inspect.getmodule(owner)))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def test_ideals_without_the_circle_conjugations_fail(monkeypatch):
@@ -68,3 +72,27 @@ def test_the_rack_condition_on_the_wrong_label_fails(monkeypatch):
     # self-distributivity of the racks at order 20 already
     plant(monkeypatch, ybe, "_braids_by_lemma", "psi[psi_rows]", "psi[psi_rows[::-1]]")
     assert lemma_mismatch(rep_solutions(2, 5)) is not None
+
+
+def test_a_lift_walk_one_power_short_fails(monkeypatch):
+    # the walk stops at (u, alpha)^(o-1): the o-th power test reads the
+    # wrong power and Lemma 2 skips the (o-2)-th; order 20 shows it
+    assert lifts_mismatch(2, 5) is None
+    plant(monkeypatch, enumeration, "_lifts", "range(int(aut.element_orders[alpha]) - 1)",
+          "range(int(aut.element_orders[alpha]) - 2)")
+    assert lifts_mismatch(2, 5) is not None
+
+
+def test_a_layered_walk_by_the_first_generator_only_fails(monkeypatch):
+    # every family at order 20 whose Aut(A) needs two generators has an
+    # orbit that the first one alone does not reach
+    assert table_orbit_mismatch(2, 5) is None
+    plant(monkeypatch, holomorph, "orbit", "for h in gens])", "for h in gens[:1]])")
+    assert table_orbit_mismatch(2, 5) is not None
+
+
+def test_a_conjugation_without_the_position_scatter_fails(monkeypatch):
+    # h lam[a] h^-1 left at a instead of h(a)
+    assert table_orbit_mismatch(2, 5) is None
+    plant(monkeypatch, Holomorph, "conjugate_subgroup", "out[..., self.aut.perms[h]] =", "out[...] =")
+    assert table_orbit_mismatch(2, 5) is not None
