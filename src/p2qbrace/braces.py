@@ -99,7 +99,8 @@ def brace_from_regular(hol: Holomorph, sub: HolSubgroup) -> SkewBrace:
     a -> (a, lambda_a) is an isomorphism (B, o) -> G."""
     brace = SkewBrace(add=hol.base, mul=circle_group(hol, sub))
     # lambda recovered from the tables must be the subgroup's automorphisms
-    assert np.array_equal(brace.lambda_perms, hol.aut.perms[sub.arr])
+    if not np.array_equal(brace.lambda_perms, hol.aut.perms[sub.arr]):
+        raise AssertionError("lambda read off the circle group differs from the subgroup's")
     return brace
 
 

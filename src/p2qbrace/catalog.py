@@ -429,27 +429,22 @@ def _generators(witness: Witness, ctx: FamilyContext) -> tuple[list[int], list[i
 def _close(witnesses, ctx: FamilyContext) -> list[HolSubgroup | RecipeError]:
     """Each witness closed inside the holomorph, or the RecipeError it
     meets: undefined arithmetic, or generators that do not generate a
-    regular subgroup.  The witnesses are the rows of one
-    ``enumeration._regular_closures`` call, padded with (e, id) to the
-    widest row (the lemma there)."""
+    regular subgroup.  The witnesses are the parts of one
+    ``enumeration._regular_closures`` call, one row each, started from
+    {e}."""
     out: list[HolSubgroup | RecipeError] = []
-    at, b, g = [], [], []  # the rows: witness index and generators
+    at, parts = [], []  # the rows: witness index, and (start, b, g)
+    start = np.arange(ctx.group.n) == ctx.group.identity
     for i, w in enumerate(witnesses):
         try:
-            bs, gs = _generators(w, ctx)
+            b, g = _generators(w, ctx)
         except RecipeError as exc:
             out.append(exc)
             continue
         out.append(RecipeError(f"{w.name}: the generators do not generate a regular subgroup"))
         at.append(i)
-        b.append(bs)
-        g.append(gs)
-    shape = (len(b), max(map(len, b), default=0))
-    bs = np.full(shape, ctx.group.identity, dtype=np.int64)
-    gs = np.full(shape, ctx.hol.aut.identity, dtype=np.int64)
-    for r, (x, y) in enumerate(zip(b, g)):
-        bs[r, :len(x)], gs[r, :len(y)] = x, y
-    keep, lams = _regular_closures(ctx.hol, bs, gs)
+        parts.append((start, np.array([b], dtype=np.int64), g))
+    keep, lams = _regular_closures(ctx.hol, parts)
     for r, lam in zip(keep.tolist(), lams):
         out[at[r]] = HolSubgroup(tuple(lam.tolist()))
     return out

@@ -5,21 +5,21 @@ the kernel N = pi1(G meet A x 1), a stratum, and lifts generators of K
 through right coset representatives of N.  Any generating set of K finds
 every regular subgroup of a stratum exactly once (Lemma 1, ``_strata``),
 so K gets one generator, or two where it is 2-generated, and a row is one
-lift per generator of K beside the generators of N x 1.  A lift
-(u, alpha) with a power (u, alpha)^d, 0 < d < ord(alpha), in N x 1 lies
-in no regular subgroup with kernel N (Lemma 2, ``_lifts``) and joins no
-row.  The kernels of one order are stacked, and the lifts of each
-generator of K are filtered on every kernel of the stack by one pass of
-gathers.  The lift combinations of every stratum form one stream of rows
-for the whole family, each row with its own generators (b, g), padded
-with (e, id), which writes nothing and never clashes.  The stream is
+lift per generator of K.  A lift (u, alpha) with a power (u, alpha)^d,
+0 < d < ord(alpha), in N x 1 lies in no regular subgroup with kernel N
+(Lemma 2, ``_lifts``) and joins no row.  The kernels of one order are
+stacked, and the lifts of each generator of K are filtered on every
+kernel of the stack by one pass of gathers.  The lift combinations of
+every stratum form one stream of rows for the whole family, and each row
+starts from its kernel's N x 1, which its lifts normalise.  The stream is
 closed a chunk of rows at a time, as partial lambda tables filled in
-rounds until nothing changes: a table closed under right multiplication
-by its row's generators is the subgroup they generate, and two values for
-one cell are a pi1 collision.  A chunk may hold rows of several strata
-and takes the rounds of its deepest row.  The Aut(A)-orbit of each
-regular hit is then walked by conjugation, one breadth-first layer at a
-time (``holomorph.orbit``).
+rounds until nothing changes: a table started from N x 1 and closed under
+right multiplication by its row's lifts is the subgroup <N x 1, lifts>,
+and two values for one cell are a pi1 collision (``_regular_closures``,
+which pads the narrower rows of a chunk with (e, id)).  A chunk may hold
+rows of several strata and takes the rounds of its deepest row.  The
+Aut(A)-orbit of each regular hit is then walked by conjugation, one
+breadth-first layer at a time (``holomorph.orbit``).
 
 Each regular subgroup is handed on as its lambda table lam (G is
 {(a, lam[a])}), and everything after the closures works on those tables:
@@ -131,34 +131,49 @@ class OrbitClass:
 # -- stratified search: fix pi2 up to conjugacy and the kernel ----------------
 
 
-def _regular_closures(hol: Holomorph, b: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, lambda tables) of the rows of generators that generate
-    regular subgroups, in row order; row r holds the generators
-    (b[r, j], g[r, j]).
+def _regular_closures(hol: Holomorph, parts) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, lambda tables) of the rows that close to regular
+    subgroups, the indices running over the rows of all the ``parts`` in
+    order.  A part (start, b, g) is an n-mask of a subgroup S of A, an
+    (r, w) array b of elements of A and the w automorphisms g of its rows:
+    row i holds the generators (b[i, j], g[j]).
 
-    Row r starts as lam[e] = id.  Each round sends the cells (a, lam[a])
-    filled in the round before through every generator (b, g), writing
-    lam[a * lam[a](b)] = lam[a] o g into the empty cells; a row dies when
-    a cell then disagrees with a write to it, an old value or a new one.
-    The rows run together, so the rounds are those of the deepest row.
-    One re-read after the scatter tests both kinds of value.  No input is
-    known on which a clash of two new values decides the outcome (the row
-    then always meets an old-value clash later or keeps an empty cell),
-    and no proof of that either; the tests keep the old-value rule alone
-    as ``old_value_closures``.
+    Each row starts with the cells of S x 1, lam[s] = id.  Each round sends
+    the cells (a, lam[a]) filled in the round before through every
+    generator (b, g), writing lam[a * lam[a](b)] = lam[a] o g into the
+    empty cells; a row dies when a cell then disagrees with a write to it,
+    an old value or a new one.  The rows run together, so the rounds are
+    those of the deepest row.  One re-read after the scatter tests both
+    kinds of value.  No input is known on which a clash of two new values
+    decides the outcome (the row then always meets an old-value clash
+    later or keeps an empty cell), and no proof of that either; the tests
+    keep the old-value rule alone as ``old_value_closures``.
 
-    Lemma: the generator (e, id) writes nothing and never clashes, so a
-    row of fewer generators may be padded with it.  It sends (a, lam[a])
-    to the cell a * lam[a](e) = a with the value lam[a] o id = lam[a],
-    which is that cell's own value.
+    Lemma (start): if every generator of a row normalises S x 1, the
+    cells a row reaches are those of <S x 1, gens>, and the row is kept
+    iff that subgroup is regular.  Right multiplication by the generators
+    fills (S x 1) <gens>, which is a subgroup when <gens> normalises
+    S x 1, and then equals <S x 1, gens>; two values for one cell are a
+    pi1 collision in it.  Every generator normalises {e} x 1, and the
+    lifts of ``_lifts`` normalise their kernel's N x 1.
+
+    Lemma (padding): the generator (e, id) writes nothing and never
+    clashes, so the rows of narrower parts are padded with it.  It sends
+    (a, lam[a]) to the cell a * lam[a](e) = a with the value
+    lam[a] o id = lam[a], which is that cell's own value.
     """
     base, aut = hol.base, hol.aut
-    rows, n = len(b), base.n
-    lam = np.full((rows, n), -1, dtype=np.int32)
-    lam[:, base.identity] = aut.identity
+    lens, n = [len(b) for _, b, _ in parts], base.n
+    shape = (sum(lens), max((b.shape[1] for _, b, _ in parts), default=0))
+    b, g = np.full(shape, base.identity, dtype=np.int64), np.full(shape, aut.identity, dtype=np.int64)
+    lam = np.full((shape[0], n), -1, dtype=np.int32)
+    for lo, (start, bs, gs) in zip(np.cumsum([0] + lens).tolist(), parts):
+        at = slice(lo, lo + len(bs))
+        b[at, :bs.shape[1]], g[at, :bs.shape[1]] = bs, gs
+        lam[at, start] = aut.identity
     flat = lam.reshape(-1)
-    alive = np.ones(rows, dtype=bool)
-    r, a = np.arange(rows), np.full(rows, base.identity)
+    alive = np.ones(shape[0], dtype=bool)
+    r, a = np.nonzero(lam >= 0)
     while r.size:
         f = lam[r, a]
         cell = r[:, None] * n + base.mul[a[:, None], aut.perms[f[:, None], b[r]]]
@@ -270,8 +285,9 @@ def _strata(hol: Holomorph):
     Lemma 1: any generating set of K gives a complete stream.  A regular G
     with pi2(G) = K and kernel N holds, for each alpha in K, exactly one
     lift (u, alpha) with u the least element of its coset N u.  As
-    G / (N x 1) is K, the lifts of K's generators and N x 1 generate G.
-    So fewer generators of K mean fewer rows for the same subgroups.
+    G / (N x 1) is K, the lifts of K's generators and N x 1 generate G, so
+    a row of those lifts started from N x 1 closes to G.  Fewer
+    generators of K mean fewer rows for the same subgroups.
 
     Lemma: the coset representatives of the stack form a rectangular
     (kernels x d) array.  Each kernel N has order n / d, so A is the
@@ -288,37 +304,24 @@ def _strata(hol: Holomorph):
 
 
 def _stream(hol: Holomorph, step: int):
-    """The lift combinations of every stratum in order, with the kernel
-    generators, as chunks of ``step`` rows (the last may be short): the
-    K of each stratum in the chunk, the index of its row's K, and b and g,
-    padded with (e, id) to the widest row."""
-    e, one = hol.base.identity, hol.aut.identity
-    parts, size = [], 0
-
-    def chunk():
-        lens = [len(b) for _, b, _ in parts]
-        shape = (sum(lens), max(b.shape[1] for _, b, _ in parts))
-        bs, gs = np.full(shape, e, dtype=np.int64), np.full(shape, one, dtype=np.int64)
-        for lo, (_, b, g) in zip(np.cumsum([0] + lens), parts):
-            bs[lo:lo + len(b), :b.shape[1]] = b
-            gs[lo:lo + len(b), :b.shape[1]] = g
-        return [k for k, _, _ in parts], np.repeat(np.arange(len(parts)), lens), bs, gs
-
+    """The lift combinations of every stratum in order, as chunks of
+    ``step`` rows (the last may be short): the K of each part of the chunk
+    and the parts (start, b, g) for ``_regular_closures``, each row of b
+    one lift of each generator g of K, started from the stratum's N x 1."""
+    ks, parts, size = [], [], 0
     for k_rep, k_gens, kernels in _strata(hol):
         masks = _lifts(hol, k_gens, kernels)
-        for i, (reps, gens) in enumerate(zip(kernels.reps, kernels.gens)):
-            gens = gens[gens != e].tolist()  # no kernel generator is e
-            lifts = [reps[mask[i]] for mask in masks]
-            g = list(k_gens) + [one] * len(gens)
-            for b in _product_rows(lifts + [[m] for m in gens], step):
+        for i, (start, reps) in enumerate(zip(kernels.mask, kernels.reps)):
+            for b in _product_rows([reps[mask[i]] for mask in masks], step):
                 while len(b):
-                    parts.append((k_rep, b[:step - size], g))
+                    ks.append(k_rep)
+                    parts.append((start, b[:step - size], k_gens))
                     b, size = b[step - size:], size + len(parts[-1][1])
                     if size == step:
-                        yield chunk()
-                        parts, size = [], 0
+                        yield ks, parts
+                        ks, parts, size = [], [], 0
     if parts:
-        yield chunk()
+        yield ks, parts
 
 
 def _stratified_reps(hol: Holomorph):
@@ -328,25 +331,26 @@ def _stratified_reps(hol: Holomorph):
     the lift combinations.
 
     The rows of every stratum form one stream, closed by
-    ``_regular_closures`` a chunk at a time.  The cells of a live row are
-    closed under right multiplication by its generators, so in a finite
-    group they are the subgroup G the row generates, and a row dies
-    exactly on a pi1 collision in G: a row is kept iff G is regular.
+    ``_regular_closures`` a chunk at a time, each row from its kernel's
+    N x 1, which its lifts normalise: a row is kept iff the subgroup
+    G = <N x 1, lifts> of Lemma 1 (``_strata``) is regular.
 
     pi2 = K is checked once per chunk: every value of a kept table lies in
     its K, and the table holds |K| distinct values.
     """
     yield (hol.aut.identity,), np.full(hol.base.n, hol.aut.identity, dtype=np.int32)
-    for ks, part, b, g in _stream(hol, max(1, core.CHUNK_CELLS // hol.base.n)):
-        keep, lams = _regular_closures(hol, b, g)
-        kept = part[keep]
+    for ks, parts in _stream(hol, max(1, core.CHUNK_CELLS // hol.base.n)):
+        keep, lams = _regular_closures(hol, parts)
+        kept = np.repeat(np.arange(len(parts)), [len(b) for _, b, _ in parts])[keep]
         in_k = np.zeros((len(ks), hol.aut.k), dtype=bool)
         for r, k in enumerate(ks):
             in_k[r, list(k)] = True
-        assert in_k[kept[:, None], lams].all()
+        if not in_k[kept[:, None], lams].all():
+            raise AssertionError("a kept table has a value outside its K")
         sorted_lams = np.sort(lams, axis=1)
         distinct = 1 + (sorted_lams[:, 1:] != sorted_lams[:, :-1]).sum(axis=1)
-        assert (distinct == np.array([len(k) for k in ks])[kept]).all()
+        if (distinct != np.array([len(k) for k in ks])[kept]).any():
+            raise AssertionError("a kept table has fewer than |K| distinct values")
         for i, lam in zip(kept.tolist(), lams):
             yield ks[i], lam
 
@@ -380,7 +384,8 @@ def stratified_orbit_classes(hol: Holomorph) -> list[OrbitClass]:
         elif lam.tobytes() in walked:
             continue
         best, size, members = _orbit_of(hol, lam)
-        assert best not in by_min, "a walk from an unseen representative met a known orbit"
+        if best in by_min:
+            raise AssertionError("a walk from an unseen representative met a known orbit")
         by_min[best] = size
         # a conjugate of K has |K| elements, so pi2 within K means pi2 = K
         walked.update(map(bytes, members[in_k[members].all(axis=1)]))

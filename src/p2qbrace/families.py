@@ -478,7 +478,8 @@ def structured_aut(label: GroupLabel, params: FamilyParams) -> StructuredAut:
         _assert_automorphisms(base, block)
         perms[lo:lo + len(block)] = block
         lo += len(block)
-    assert lo == len(perms)
+    if lo != len(perms):
+        raise AssertionError(f"{lo} automorphisms built where |Aut| = {len(perms)}")
     return StructuredAut(
         label=label,
         params=params,

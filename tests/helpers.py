@@ -535,6 +535,30 @@ def old_value_closures(hol, b, g):
     return keep, lam[keep], met
 
 
+def identity_parts(hol, rows):
+    """Rows of generators, each a list of pairs (b, g), as the one-row
+    parts (start, b, g) of ``enumeration._regular_closures``, each started
+    from {e} and left unpadded."""
+    start = np.arange(hol.base.n) == hol.base.identity
+    return [(start, np.array([[u for u, _ in row]], dtype=np.int64), [h for _, h in row])
+            for row in rows]
+
+
+def regular_closure_mismatch(hol, rows):
+    """The first of ``rows`` (lists of pairs (b, g)) that
+    ``enumeration._regular_closures``, all of them in one call from {e},
+    keeps or drops unlike ``regular_closure_oracle``, or keeps with another
+    table; or None."""
+    keep, got = enumeration._regular_closures(hol, identity_parts(hol, rows))
+    tables = dict(zip(keep.tolist(), got))
+    for r, row in enumerate(rows):
+        want = regular_closure_oracle(hol, [hol.pack(u, h) for u, h in row])
+        lam = tables.get(r)
+        if (lam is None) != (want is None) or (lam is not None and not np.array_equal(lam, want)):
+            return row
+    return None
+
+
 def lifts_oracle(hol, k_gens, kernel, drop_lower_powers=True):
     """``enumeration._lifts`` element by element: the right coset
     representatives found by a scan in index order, and for each of them
@@ -589,6 +613,58 @@ def kernel_strata(hol):
         for i, (mask, gens, reps) in enumerate(zip(kernels.mask, kernels.gens, kernels.reps)):
             elements = tuple(np.flatnonzero(mask).tolist())
             yield k_rep, k_gens, elements, gens[gens != e].tolist(), [reps[m[i]] for m in masks]
+
+
+def kernel_rows(hol, k_gens, lifts, kernel_gens):
+    """The rows of a stratum with its kernel written out as generators:
+    every combination of ``lifts`` beside the kernel generators, with
+    g = id, as arrays b and g, a few thousand rows at a time.  From {e}
+    they close to the subgroups that the lifts alone close to from N x 1."""
+    g = np.array(list(k_gens) + [hol.aut.identity] * len(kernel_gens))
+    for b in core._product_rows(list(lifts) + [[m] for m in kernel_gens], 2**12):
+        yield b, g
+
+
+def stream_start_mismatch(hol):
+    """Where the family's stream, each chunk of ``enumeration._stream``
+    closed from its kernels' N x 1, and the same lifts beside N's kept
+    generators closed from {e} (``kernel_rows``) first differ, as the pair
+    of their first differing (row index, table bytes): a row kept by one
+    and not the other, or kept with two tables; or None."""
+    n = hol.base.n
+    got, lo = [], 0
+    for _, parts in enumeration._stream(hol, max(1, core.CHUNK_CELLS // n)):
+        keep, lams = enumeration._regular_closures(hol, parts)
+        got += zip((keep + lo).tolist(), map(bytes, lams))
+        lo += sum(len(b) for _, b, _ in parts)
+    start = np.arange(n) == hol.base.identity
+    want, lo = [], 0
+    for _, k_gens, _, gens, lifts in kernel_strata(hol):
+        for b, g in kernel_rows(hol, k_gens, lifts, gens):
+            keep, lams = enumeration._regular_closures(hol, [(start, b, g)])
+            want += zip((keep + lo).tolist(), map(bytes, lams))
+            lo += len(b)
+    return next((x, y) for x, y in itertools.zip_longest(got, want) if x != y) if got != want else None
+
+
+def pi2_corruption(real, fault, planted):
+    """``enumeration._regular_closures`` as ``real`` computes it, with the
+    first kept table with |K| >= 2 corrupted: every entry of its largest
+    value v other than the identity moved off K ("outside": still |K|
+    distinct values) or onto the identity ("missing": every value in K,
+    one fewer distinct).  Each planted v is appended to ``planted``."""
+    def corrupt(hol, parts):
+        keep, lams = real(hol, parts)
+        for lam in lams if not planted else ():
+            values = set(lam.tolist())
+            if len(values) >= 2:
+                v = max(values - {hol.aut.identity})
+                lam[lam == v] = (min(set(range(hol.aut.k)) - values) if fault == "outside"
+                                 else hol.aut.identity)
+                planted.append(v)
+                break
+        return keep, lams
+    return corrupt
 
 
 def lifts_mismatch(p, q):

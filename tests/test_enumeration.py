@@ -3,6 +3,10 @@
 import collections
 import functools
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +43,8 @@ from helpers import (
     hol_inv,
     hol_of,
     identify_p2q_oracle,
+    identity_parts,
+    kernel_rows,
     kernel_strata,
     label_keys,
     lift_search_oracle,
@@ -46,8 +52,10 @@ from helpers import (
     old_value_closures,
     orbit_partition,
     packed_elements,
+    pi2_corruption,
     regular_closure_oracle,
     stream_rows,
+    stream_start_mismatch,
 )
 
 
@@ -288,7 +296,7 @@ def assert_lift_search_matches_the_oracle(monkeypatch, hol):
         assert len(got) == len(want), cells
         for lam, oracle in zip(got, want):
             assert lam.dtype == oracle.dtype and np.array_equal(lam, oracle), cells
-    return sum(len(ks) > 1 for ks, _, _, _ in _stream(hol, 7)), split
+    return sum(len(ks) > 1 for ks, _ in _stream(hol, 7)), split
 
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS)
@@ -314,9 +322,9 @@ def test_lift_search_matches_the_oracle_without_a_composition_table(monkeypatch,
 
 
 def closures_of_rows(hol, b, g):
-    """``_regular_closures`` with one g for every row of b."""
-    b = np.array(b)
-    return _regular_closures(hol, b, np.broadcast_to(g, b.shape))
+    """``_regular_closures`` of one part: the rows of b with the
+    automorphisms g, started from {e}."""
+    return _regular_closures(hol, [(np.arange(hol.base.n) == hol.base.identity, np.array(b), g)])
 
 
 def collision_cases(hol):
@@ -360,20 +368,17 @@ def test_regular_closures_reject_collisions_and_proper_subgroups():
 
 
 def test_regular_closures_of_mixed_rows_are_those_of_each_case():
-    # every case in one call, each row with its own g, padded with (e, id)
-    # to the widest: the same rows survive with the same tables
+    # every case in one call, each a part of its own width, which the call
+    # pads with (e, id) to the widest: the same rows survive with the same
+    # tables
     hol = hol_of(2, 7, "PxPQ")
-    e, one = hol.base.identity, hol.aut.identity
     cases = collision_cases(hol) * 2
-    b = np.full((len(cases), 3), e)
-    g = np.full((len(cases), 3), one)
     want_keep, want = [], []
     for r, (cb, cg, _) in enumerate(cases):
-        b[r, :len(cg)], g[r, :len(cg)] = cb[0], cg
         keep, got = closures_of_rows(hol, cb, cg)
         want_keep.extend([r] * len(keep))
         want.extend(got)
-    keep, got = _regular_closures(hol, b, g)
+    keep, got = _regular_closures(hol, identity_parts(hol, [list(zip(cb[0], cg)) for cb, cg, _ in cases]))
     assert keep.tolist() == want_keep == [3, 7]
     assert len(got) == len(want) and all(map(np.array_equal, got, want))
 
@@ -420,14 +425,6 @@ def test_each_k_gets_one_generator_if_cyclic_else_two_where_two_suffice(pair):
     assert sizes[1] and sizes[2] and bool(sizes[3]) == (pair == (5, 2))
 
 
-def rows_of(hol, k_gens, lifts, kernel_gens):
-    """Every combination of ``lifts`` beside the kernel generators, as
-    arrays b and g for ``closures_of_rows``, a few thousand rows at a time."""
-    g = np.array(list(k_gens) + [hol.aut.identity] * len(kernel_gens))
-    for b in core._product_rows(list(lifts) + [[m] for m in kernel_gens], 2**12):
-        yield b, g
-
-
 @pytest.mark.parametrize("pair", SMALL_PAIRS)
 def test_rows_with_a_lower_power_lift_close_to_no_regular_subgroup(pair):
     # Lemma 2 of _lifts: each lift the lower-power test drops makes every
@@ -437,7 +434,7 @@ def test_rows_with_a_lower_power_lift_close_to_no_regular_subgroup(pair):
         hol = hol_of(*pair, key)
         for _, k_gens, elements, gens, new in kernel_strata(hol):
             _, old = lifts_oracle(hol, k_gens, elements, drop_lower_powers=False)
-            for b, g in rows_of(hol, k_gens, old, gens):
+            for b, g in kernel_rows(hol, k_gens, old, gens):
                 kept = np.all([np.isin(b[:, i], lifts) for i, lifts in enumerate(new)], axis=0)
                 if not kept.all():
                     assert not len(closures_of_rows(hol, b[~kept], g)[0]), key
@@ -456,10 +453,28 @@ def test_stratified_reps_are_those_of_index_order_generators_and_every_lift(pair
         for k_rep, _, elements, gens, _ in kernel_strata(hol):
             k_gens = generating_set(hol.aut, k_rep)
             _, old = lifts_oracle(hol, k_gens, elements, drop_lower_powers=False)
-            for b, g in rows_of(hol, k_gens, old, gens):
+            for b, g in kernel_rows(hol, k_gens, old, gens):
                 want.update(lam.tobytes() for lam in closures_of_rows(hol, b, g)[1])
         got = [lam.tobytes() for _, lam in _stratified_reps(hol)][1:]
         assert len(got) == len(set(got)) and set(got) == want, key
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
+def test_stream_rows_from_the_kernel_match_rows_with_kernel_generators(monkeypatch, pair):
+    # the start lemma of _regular_closures on every stratum: the lifts
+    # closed from N x 1 keep the rows and tables of the same lifts beside
+    # N's kept generators closed from {e}, with the default chunks, where
+    # one chunk holds one- and two-generator rows of several strata, and
+    # with chunks of one row
+    mixed = 0
+    for key in label_keys(*pair):
+        hol = hol_of(*pair, key)
+        for cells in (CHUNK_CELLS, hol.base.n):
+            monkeypatch.setattr(core, "CHUNK_CELLS", cells)
+            assert stream_start_mismatch(hol) is None, (key, cells)
+        mixed += any(len({len(g) for _, _, g in parts}) > 1 for _, parts in
+                     _stream(hol, max(1, CHUNK_CELLS // hol.base.n)))
+    assert mixed
 
 
 @pytest.mark.parametrize("fault", ["outside", "missing"])
@@ -468,24 +483,40 @@ def test_stratified_reps_refuse_a_table_whose_pi2_is_not_k(fault, monkeypatch):
     # value v other than the identity moved off K ("outside": still |K|
     # distinct values) or onto the identity ("missing": every value in K,
     # one fewer distinct)
-    hol, real = hol_of(2, 5, "CyclicP2Q"), enumeration._regular_closures
-    planted = []
-
-    def corrupt(hol, b, g):
-        keep, lams = real(hol, b, g)
-        for lam in lams if not planted else ():
-            values = set(lam.tolist())
-            if len(values) >= 2:
-                v = max(values - {hol.aut.identity})
-                lam[lam == v] = min(set(range(hol.aut.k)) - values) if fault == "outside" else hol.aut.identity
-                planted.append(v)
-                break
-        return keep, lams
-
-    monkeypatch.setattr(enumeration, "_regular_closures", corrupt)
+    hol, planted = hol_of(2, 5, "CyclicP2Q"), []
+    monkeypatch.setattr(enumeration, "_regular_closures",
+                        pi2_corruption(enumeration._regular_closures, fault, planted))
     with pytest.raises(AssertionError):
         list(_stratified_reps(hol))
     assert planted
+
+
+PI2_REFUSAL_SCRIPT = """
+import sys
+from p2qbrace import enumeration
+from helpers import hol_of, pi2_corruption
+if sys.flags.optimize != 1:
+    sys.exit(3)
+planted = []
+enumeration._regular_closures = pi2_corruption(enumeration._regular_closures, sys.argv[1], planted)
+try:
+    list(enumeration._stratified_reps(hol_of(2, 5, "CyclicP2Q")))
+except AssertionError:
+    sys.exit(0 if planted else 2)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("fault", ["outside", "missing"])
+def test_stratified_reps_refuse_a_bad_pi2_under_python_o(fault):
+    # the same corruption in an interpreter run with -O, which strips
+    # assert statements: the refusal must still be raised
+    tests = pathlib.Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-O", "-c", PI2_REFUSAL_SCRIPT, fault], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def cold_families():
@@ -529,15 +560,16 @@ PROPERTY_FAMILIES = (((2, 3), "PxPQ"), ((2, 5), "QbyP2_ordP"))
 
 @functools.lru_cache(maxsize=None)
 def stream_generator_rows(pair_key):
-    """The rows of the family's stream as lists of generators (b, g),
-    without their (e, id) padding."""
+    """The rows of the family's stream as lists of generators (b, g): the
+    lifts beside the kernel's kept generators (``kernel_rows``), which
+    generate the stratum's subgroups from {e}."""
     (p, q), key = pair_key
     hol = hol_of(p, q, key)
-    pad = (hol.base.identity, hol.aut.identity)
     return hol, [
-        [pair for pair in zip(br, gr) if pair != pad]
-        for _, _, b, g in _stream(hol, 2**10)
-        for br, gr in zip(b.tolist(), g.tolist())
+        list(zip(br, g.tolist()))
+        for _, k_gens, _, gens, lifts in kernel_strata(hol)
+        for b, g in kernel_rows(hol, k_gens, lifts, gens)
+        for br in b.tolist()
     ]
 
 
@@ -561,8 +593,8 @@ def generator_rows(draw):
 @settings(max_examples=60, deadline=None)
 @given(generator_rows())
 def test_regular_closures_of_random_padded_rows_match_the_oracle(case):
-    hol, rows, b, g = case
-    keep, got = _regular_closures(hol, b, g)
+    hol, rows, _, _ = case
+    keep, got = _regular_closures(hol, identity_parts(hol, rows))
     want = [regular_closure_oracle(hol, [hol.pack(u, h) for u, h in row]) for row in rows]
     assert keep.tolist() == [r for r, lam in enumerate(want) if lam is not None]
     for r, lam in zip(keep.tolist(), got):
@@ -570,7 +602,8 @@ def test_regular_closures_of_random_padded_rows_match_the_oracle(case):
 
 
 def assert_old_value_rule_keeps_the_same_rows(hol, b, g):
-    keep, got = _regular_closures(hol, b, g)
+    rows = [list(zip(br, gr)) for br, gr in zip(b.tolist(), g.tolist())]
+    keep, got = _regular_closures(hol, identity_parts(hol, rows))
     old_keep, old_got, met = old_value_closures(hol, b, g)
     assert keep.tolist() == old_keep.tolist()
     assert all(map(np.array_equal, got, old_got))

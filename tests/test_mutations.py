@@ -8,18 +8,24 @@ passes checks nothing.
 """
 
 import inspect
+import itertools
 import textwrap
 
 from p2qbrace import braces, core, enumeration, holomorph, ybe
+from p2qbrace.core import AutGroup
 from p2qbrace.holomorph import Holomorph
 from helpers import (
     circle_labels_mismatch,
     compositions_width_mismatch,
     generating_set_mismatch,
+    hol_of,
     ideals_mismatch,
+    label_keys,
     lemma_mismatch,
     lifts_mismatch,
+    regular_closure_mismatch,
     rep_solutions,
+    stream_start_mismatch,
     table_orbit_mismatch,
 )
 
@@ -96,3 +102,38 @@ def test_a_conjugation_without_the_position_scatter_fails(monkeypatch):
     assert table_orbit_mismatch(2, 5) is None
     plant(monkeypatch, Holomorph, "conjugate_subgroup", "out[..., self.aut.perms[h]] =", "out[...] =")
     assert table_orbit_mismatch(2, 5) is not None
+
+
+def test_stream_rows_started_from_e_instead_of_the_kernel_fail(monkeypatch):
+    # a row of lifts alone from {e} reaches <lifts>, which misses N x 1
+    # wherever N is not trivial; order 12 shows it in every family
+    hols = [hol_of(2, 3, key) for key in label_keys(2, 3)]
+    assert all(stream_start_mismatch(hol) is None for hol in hols)
+    plant(monkeypatch, enumeration, "_stream", "parts.append((start, ",
+          "parts.append((np.arange(hol.base.n) == hol.base.identity, ")
+    assert any(stream_start_mismatch(hol) is not None for hol in hols)
+
+
+def test_closures_without_the_old_value_clashes_fail(monkeypatch):
+    # a write into a cell filled in an earlier round with another value no
+    # longer kills the row: at order 12 a row of two generators then keeps
+    # a full table of a subgroup that is not regular
+    hol = hol_of(2, 3, "PxPQ")
+    x = list(itertools.product(range(hol.base.n), range(hol.n_aut)))
+    rows = [list(row) for row in itertools.product(x, repeat=2)]
+    assert regular_closure_mismatch(hol, rows) is None
+    plant(monkeypatch, enumeration, "_regular_closures", "alive[r[(flat[cell] != val).any(axis=1)]]",
+          "alive[r[(empty & (flat[cell] != val)).any(axis=1)]]")
+    assert regular_closure_mismatch(hol, rows) is not None
+
+
+def test_a_conjugation_by_the_wrong_inverse_fails(monkeypatch):
+    # h^-1 f h in place of h f h^-1 moves (a, f) to (h(a), h^-1 f h), which
+    # leaves the orbit at order 12; the rows cached before the plant are
+    # set aside for the test
+    assert table_orbit_mismatch(2, 3) is None
+    for key in label_keys(2, 3):
+        monkeypatch.setattr(hol_of(2, 3, key).aut, "_conj_rows", {})
+    plant(monkeypatch, AutGroup, "conj_row", "self.perms[h][self.perms[:, self.perms[self.inv[h], self.key]]]",
+          "self.perms[self.inv[h]][self.perms[:, self.perms[h, self.key]]]")
+    assert table_orbit_mismatch(2, 3) is not None
