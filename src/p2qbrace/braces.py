@@ -26,6 +26,7 @@ from .core import (
     FiniteGroup,
     GroupLabel,
     _first_failure,
+    _gather,
     _hom_images,
     _respects,
     associativity_failure,
@@ -68,7 +69,7 @@ class SkewBrace:
     @cached_property
     def lambda_perms(self) -> np.ndarray:
         """Row a is the permutation b -> lambda_a(b) = -a + a o b."""
-        return self.add.mul[self.add.inv[:, None], self.mul.mul]
+        return _gather(self.add.mul, self.add.inv[:, None], self.mul.mul)
 
     def kernel(self) -> list[int]:
         """Elements with lambda_a = identity.
@@ -199,8 +200,8 @@ def ideals(brace: SkewBrace) -> list[tuple[int, ...]]:
     a, m = np.array(add.generators), np.array(mul.generators)
     maps = np.vstack((
         brace.lambda_perms[m],
-        add.mul[add.mul[a], add.inv[a, None]],
-        mul.mul[mul.mul[m], mul.inv[m, None]],
+        _gather(add.mul, add.mul[a], add.inv[a, None]),
+        _gather(mul.mul, mul.mul[m], mul.inv[m, None]),
     ))
     subs = [h for d in range(1, n + 1) if n % d == 0 for h in subgroups_of_order(add, d)]
     masks = np.zeros((len(subs), n), dtype=bool)

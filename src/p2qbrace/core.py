@@ -138,7 +138,7 @@ class FiniteGroup:
         pos = np.argwhere(mul == self.identity)
         inv = np.full(self.n, -1, dtype=np.int32)
         inv[pos[:, 0]] = pos[:, 1]
-        if (inv < 0).any() or not (mul[inv, np.arange(self.n)] == self.identity).all():
+        if (inv < 0).any() or not (_gather(mul, inv, np.arange(self.n)) == self.identity).all():
             raise ValueError("table has non-invertible elements")
         self.inv = inv
         if generators is not None:
@@ -172,7 +172,11 @@ class FiniteGroup:
 
     def product(self, a, b) -> np.ndarray:
         """a b for broadcast index arrays ``a`` and ``b``."""
-        return self.mul[a, b]
+        return _gather(self.mul, a, b)
+
+    def right(self, g: int) -> list[int]:
+        """Right multiplication by g: entry x is x g."""
+        return self.mul[:, g].tolist()
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -182,7 +186,7 @@ class FiniteGroup:
     @cached_property
     def conjugacy_class_sizes(self) -> np.ndarray:
         # column x holds y x y^-1 for every y: the class of x
-        conj = np.sort(self.mul[self.mul, self.inv[:, None]], axis=0)
+        conj = np.sort(_gather(self.mul, self.mul, self.inv[:, None]), axis=0)
         return (1 + (conj[1:] != conj[:-1]).sum(axis=0)).astype(np.int32)
 
     def is_abelian(self) -> bool:
@@ -202,9 +206,32 @@ class FiniteGroup:
 #
 # One kernel for Cayley-table groups and automorphism groups alike: it needs
 # only ``identity``, a scalar ``compose(a, b)``, a vectorized ``product(a, b)``,
-# the ``inv`` array and ``element_orders``, whose length is the group order.
-# Both kinds of group take their element orders from ``_orders``, the one
-# element-order walk; ``identify_stack`` reads power maps instead.
+# one right-multiplication column ``right(g)`` as a list, the ``inv`` array
+# and ``element_orders``, whose length is the group order.  A product of two
+# index arrays, here and in the hot paths of ``enumeration``, ``braces`` and
+# ``ybe``, is the one flat gather ``_gather``.  Both kinds of group take their
+# element orders from ``_orders``, the one element-order walk;
+# ``identify_stack`` reads power maps instead.
+
+
+def _cells(a, b, width: int) -> np.ndarray:
+    """The flat index a * width + b of the cells (a, b) of a table with rows
+    of ``width``, for broadcast index arrays, computed in np.intp: a stack
+    of tables can have more than 2^31 cells, and int32 operands would wrap."""
+    return np.asarray(a, dtype=np.intp) * width + b
+
+
+def _gather(table: np.ndarray, a, b) -> np.ndarray:
+    """table[a, b] for broadcast index arrays ``a`` and ``b`` as one take on
+    the flattened table: at n^2 ~ 10^4 cells it takes about half the time of
+    the 2-D fancy read.  A Python int ``a`` or ``b`` reads one row or one
+    column instead, which spares the index arithmetic that dominates on
+    the few cells of a scalar product."""
+    if isinstance(a, int):
+        return table[a].take(b)
+    if isinstance(b, int):
+        return table[:, b].take(a)
+    return table.ravel().take(_cells(a, b, table.shape[1]))
 
 
 def _orders(rows: np.ndarray, points) -> np.ndarray:
@@ -293,9 +320,11 @@ def generating_set(group, elements) -> list[int]:
     The subgroup H reached so far is closed under right multiplication by
     the earlier picks.  So when g joins, <H, g> is H together with all that
     right multiplication by every pick reaches from the products H g, and
-    the search runs on the new elements only."""
-    compose = group.compose
+    the search runs on the new elements only.  Each pick reads its
+    right-multiplication column once (``group.right``) and the search
+    indexes those lists, with no scalar ``compose``."""
     gens: list[int] = []
+    cols: list[list[int]] = []
     reached = [group.identity]
     have = set(reached)
     for x in elements:
@@ -303,9 +332,10 @@ def generating_set(group, elements) -> list[int]:
             continue
         g, old = int(x), len(reached)
         gens.append(g)
+        cols.append(group.right(g))
         for i, u in enumerate(reached):  # the loop sees what it appends
-            for s in gens if i >= old else (g,):
-                y = compose(u, s)
+            for col in cols if i >= old else cols[-1:]:
+                y = col[u]
                 if y not in have:
                     have.add(y)
                     reached.append(y)
@@ -468,7 +498,7 @@ def _respects(src: FiniteGroup, dst: FiniteGroup, phi: np.ndarray, gens) -> np.n
     """
     keep = np.arange(len(phi))
     for g in gens:
-        ok = (phi[:, src.mul[g]] == dst.mul[phi[:, g, None], phi]).all(axis=1)
+        ok = (phi[:, src.mul[g]] == _gather(dst.mul, phi[:, g, None], phi)).all(axis=1)
         if not ok.all():
             keep, phi = keep[ok], phi[ok]
     return keep
@@ -542,9 +572,11 @@ class AutGroup:
         self.base, self.k = base, len(perms)
         self.key = generating_set(base, range(base.n))
         self._radix = base.n ** np.arange(len(self.key) - 1, -1, -1, dtype=np.int64)
-        codes = perms[:, self.key] @ self._radix
+        images = perms[:, self.key]
+        codes = images @ self._radix
         order = np.argsort(codes)
-        self.codes, self.perms = codes[order], perms[order]
+        # each row's key images, kept so that a product reads them as rows
+        self.codes, self.perms, self._key_images = codes[order], perms[order], images[order]
         if (np.diff(self.codes) == 0).any():
             raise ValueError("duplicate automorphisms")
         self.identity = int(self._rank(self.key))
@@ -599,14 +631,18 @@ class AutGroup:
         return pos.astype(np.int32)
 
     def _ranked_product(self, f, g) -> np.ndarray:
-        inner = self.perms[np.asarray(g)[..., None], self.key]  # g(s)
-        return self._rank(self.perms[np.asarray(f)[..., None], inner])  # f(g(s))
+        inner = self._key_images[g]  # g(s)
+        return self._rank(_gather(self.perms, np.asarray(f)[..., None], inner))  # f(g(s))
 
     def product(self, f, g) -> np.ndarray:
         """f o g for broadcast index arrays ``f`` and ``g``: a gather from
         the table when there is one, else a rank of key images."""
         comp = self._comp
-        return self._ranked_product(f, g) if comp is None else comp[f, g]
+        return self._ranked_product(f, g) if comp is None else _gather(comp, f, g)
+
+    def right(self, g: int) -> list[int]:
+        """Right composition with g: entry f is f o g, one ``product``."""
+        return self.product(np.arange(self.k), g).tolist()
 
     def conj_row(self, h: int) -> np.ndarray:
         """The map f -> h f h^{-1} on every automorphism index (cached)."""
@@ -620,7 +656,7 @@ class AutGroup:
         # for compose without a table, as Python objects: code -> index,
         # each g's key images, the radix, and the rows
         index = dict(zip(self.codes.tolist(), range(self.k)))
-        images = self.perms[:, self.key].tolist()
+        images = self._key_images.tolist()
         return index, images, self._radix.tolist(), memoryview(self.perms)
 
     def compose(self, f: int, g: int) -> int:

@@ -46,6 +46,7 @@ from .core import (
     FiniteGroup,
     GroupLabel,
     _factor,
+    _gather,
     _product_rows,
     closure,
     generating_set,
@@ -76,9 +77,8 @@ def _circle_tables(hol: Holomorph, lams: np.ndarray) -> tuple[np.ndarray, np.nda
     of a o b is lam[a] o lam[b] throughout, that is whether {(a, lam[a])}
     is closed, hence a subgroup."""
     base, aut = hol.base, hol.aut
-    circ = base.mul[np.arange(base.n)[:, None], aut.perms[lams]]
-    at = circ + (np.arange(len(lams)) * base.n)[:, None, None]
-    lhs = lams.ravel().take(at)  # lam[a o b], each table read at its own cells
+    circ = _gather(base.mul, np.arange(base.n)[:, None], aut.perms[lams])
+    lhs = _gather(lams, np.arange(len(lams))[:, None, None], circ)  # lam[a o b], in its own table
     closed = (lhs == aut.product(lams[:, :, None], lams[:, None, :])).all(axis=(1, 2))
     return circ, closed
 
@@ -176,7 +176,7 @@ def _regular_closures(hol: Holomorph, parts) -> tuple[np.ndarray, np.ndarray]:
     r, a = np.nonzero(lam >= 0)
     while r.size:
         f = lam[r, a]
-        cell = r[:, None] * n + base.mul[a[:, None], aut.perms[f[:, None], b[r]]]
+        cell = r[:, None] * n + _gather(base.mul, a[:, None], _gather(aut.perms, f[:, None], b[r]))
         val = aut.product(f[:, None], g[r])
         empty = flat[cell] < 0
         flat[cell[empty]] = val[empty]
@@ -248,13 +248,13 @@ def _lifts(hol: Holomorph, k_gens: list[int], kernels: _Kernels) -> list[np.ndar
         for out, alpha in zip(masks, k_gens):
             row = aut.perms[alpha]
             moved = row[kernels.gens[at]][:, None, :]  # alpha(m), m generating N
-            conj = base.mul[base.mul[reps[:, :, None], moved], reps_inv[:, :, None]]
+            conj = _gather(base.mul, _gather(base.mul, reps[:, :, None], moved), reps_inv[:, :, None])
             keep = mask[conj + offset[:, :, None]].all(axis=2)
             power = image = reps
             for _ in range(int(aut.element_orders[alpha]) - 1):
                 keep &= ~mask[power + offset]  # Lemma 2
                 image = row[image]
-                power = base.mul[power, image]
+                power = _gather(base.mul, power, image)
             out[at] = keep & mask[power + offset]
     return masks
 

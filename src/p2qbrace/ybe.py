@@ -85,7 +85,7 @@ def solution_from_brace(brace: SkewBrace) -> Solution:
     circ = brace.mul.mul
     cinv = brace.mul.inv
     sigma = brace.lambda_perms
-    tau = circ[cinv[sigma], circ]
+    tau = core._gather(circ, cinv[sigma], circ)
     return Solution(sigma=sigma.astype(np.int32), tau=tau.astype(np.int32))
 
 
@@ -163,14 +163,9 @@ def _braids_by_lemma(sol: Solution) -> bool:
     psi_z: if row l of the distinct psi columns is psi_z, the quadruples of
     z are (l, psi[y], psi[psi_l(y)], l) for y < n, n m_psi in all.
     """
-    n = sol.n
     s = sol.sigma.astype(np.intp)
     t = sol.tau.astype(np.intp)
-    rows = np.arange(n)[:, None]
-    s_inv = np.empty_like(s)
-    s_inv[rows, s] = np.arange(n)
-    # rack[x, y] = x <| y = sigma_y(tau_{sigma_x^-1(y)}(x))
-    rack = np.take(s, np.arange(n) * n + t[rows, s_inv])
+    rack = _rack(s, t)
     sig_rows, sig = _row_labels(s)
     psi_rows, psi = _row_labels(rack.T)
     k = len(sig_rows)
@@ -181,6 +176,17 @@ def _braids_by_lemma(sol: Solution) -> bool:
         and _compositions_agree(np.vstack((sig_rows, psi_rows)), sig_ids, psi[None, :] + k,
                                 psi[sig_rows] + k, sig_ids)
     )
+
+
+def _rack(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """rack[x, y] = x <| y = sigma_y(tau_{sigma_x^-1(y)}(x)) for the sigma
+    and tau tables ``s`` and ``t``; every sigma row bijective."""
+    n = len(s)
+    rows = np.arange(n)[:, None]
+    s_inv = np.empty_like(s)
+    s_inv[rows, s] = np.arange(n)
+    # row y of s read at tau_{sigma_x^-1(y)}(x), for every x
+    return core._gather(s, np.arange(n), core._gather(t, rows, s_inv))
 
 
 def _row_labels(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

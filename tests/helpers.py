@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from p2qbrace import braces, core, enumeration, holomorph, ybe
+from p2qbrace import braces, catalog, core, enumeration, holomorph, ybe
 from p2qbrace.braces import brace_from_regular
 from p2qbrace.catalog import FamilyContext, RecipeError, Witness
 from p2qbrace.core import (
@@ -470,6 +470,119 @@ def generating_set_mismatch(p, q):
             want = generating_set_oracle(group, elements)
             if got != want:
                 return f"{key} {what}", got, want
+    return None
+
+
+# -- the 2-D fancy reads that core._gather replaced -------------------------
+
+
+def ranked_product_oracle(aut, f, g):
+    """``AutGroup._ranked_product`` with its two reads of ``aut.perms`` as
+    2-D fancy indexing."""
+    inner = aut.perms[np.asarray(g)[..., None], aut.key]
+    return aut._rank(aut.perms[np.asarray(f)[..., None], inner])
+
+
+def lambda_oracle(brace):
+    """``SkewBrace.lambda_perms`` by a 2-D fancy read: -a + a o b."""
+    return brace.add.mul[brace.add.inv[:, None], brace.mul.mul]
+
+
+def circle_tables_oracle(hol, lams):
+    """``enumeration._circle_tables`` by 2-D fancy reads."""
+    base, aut = hol.base, hol.aut
+    circ = base.mul[np.arange(base.n)[:, None], aut.perms[lams]]
+    lhs = lams[np.arange(len(lams))[:, None, None], circ]
+    return circ, (lhs == aut.product(lams[:, :, None], lams[:, None, :])).all(axis=(1, 2))
+
+
+def tau_oracle(brace):
+    """tau of ``ybe.solution_from_brace`` by a 2-D fancy read:
+    tau[x, y] = lambda_x(y)' o x o y."""
+    circ, cinv = brace.mul.mul, brace.mul.inv
+    return circ[cinv[brace.lambda_perms], circ]
+
+
+def rack_oracle(s, t):
+    """``ybe._rack`` with the tau read as 2-D fancy indexing."""
+    n = len(s)
+    rows = np.arange(n)[:, None]
+    s_inv = np.empty_like(s)
+    s_inv[rows, s] = np.arange(n)
+    return np.take(s, np.arange(n) * n + t[rows, s_inv])
+
+
+def lifts_fancy_oracle(hol, k_gens, kernels):
+    """``enumeration._lifts`` on the whole stack at once, with the
+    conjugates and the power walk read from the Cayley table by 2-D fancy
+    indexing."""
+    base, aut = hol.base, hol.aut
+    offset = np.arange(len(kernels.reps))[:, None] * base.n
+    mask = kernels.mask.ravel()
+    masks = []
+    for alpha in k_gens:
+        row = aut.perms[alpha]
+        moved = row[kernels.gens][:, None, :]
+        conj = base.mul[base.mul[kernels.reps[:, :, None], moved], kernels.reps_inv[:, :, None]]
+        keep = mask[conj + offset[:, :, None]].all(axis=2)
+        power = image = kernels.reps
+        for _ in range(int(aut.element_orders[alpha]) - 1):
+            keep &= ~mask[power + offset]
+            image = row[image]
+            power = base.mul[power, image]
+        masks.append(keep & mask[power + offset])
+    return masks
+
+
+def gather_mismatch(p, q):
+    """The first (family key, what) at order p^2 q where a read through
+    ``core._gather`` differs from the 2-D fancy read it replaced, or None.
+
+    Each kind of read in turn, on every family: the products of A and its
+    right-multiplication columns; the products of Aut(A) (the table, where
+    there is one, and the ranked path) and their columns, at the
+    generators, the identity and up to 32 more automorphisms; for every
+    orbit class the circle tables, lambda, tau and the rack; and the lifts
+    of every stratum."""
+    hols = {key: hol_of(p, q, key) for key in label_keys(p, q)}
+
+    def base_reads(key, hol):
+        base, el = hol.base, np.arange(hol.base.n)
+        yield "product", base.product(el[:, None], el), base.mul[el[:, None], el]
+        yield "right", [base.right(g) for g in el], base.mul.T.tolist()
+
+    def aut_reads(key, hol):
+        aut, every = hol.aut, np.arange(hol.aut.k)
+        spread = np.linspace(0, aut.k - 1, 32).astype(int).tolist()
+        sample = np.unique(aut.generators + [aut.identity] + spread)
+        want = ranked_product_oracle(aut, every[:, None], sample)
+        yield "aut product", aut.product(every[:, None], sample), want
+        yield "ranked product", aut._ranked_product(every[:, None], sample), want
+        yield "aut right", [aut.right(g) for g in sample], want.T.tolist()
+
+    def class_reads(key, hol):
+        lams = np.array([cl.rep.arr for cl in classes_of(p, q, key)])
+        got, want = enumeration._circle_tables(hol, lams), circle_tables_oracle(hol, lams)
+        yield "circle tables", got[0], want[0]
+        yield "closed flags", got[1], want[1]
+        for cl in classes_of(p, q, key):
+            brace = brace_from_regular(hol, cl.rep)
+            sol = ybe.solution_from_brace(brace)
+            s, t = sol.sigma.astype(np.intp), sol.tau.astype(np.intp)
+            yield "lambda", brace.lambda_perms, lambda_oracle(brace)
+            yield "tau", sol.tau, tau_oracle(brace)
+            yield "rack", ybe._rack(s, t), rack_oracle(s, t)
+
+    def lift_reads(key, hol):
+        for _, k_gens, kernels in enumeration._strata(hol):
+            got = enumeration._lifts(hol, k_gens, kernels)
+            yield "lifts", np.stack(got), np.stack(lifts_fancy_oracle(hol, k_gens, kernels))
+
+    for reads in (base_reads, aut_reads, class_reads, lift_reads):
+        for key, hol in hols.items():
+            for what, got, want in reads(key, hol):
+                if not np.array_equal(got, want):
+                    return key, what
     return None
 
 
@@ -1067,6 +1180,15 @@ def subgroups_of_order_oracle(group, m: int) -> list[tuple[int, ...]]:
     return sorted(subs)
 
 
+def list_every_order(group, n):
+    """``core.subgroups_of_order`` at every order dividing n and the group
+    order, as the module holds it at call time."""
+    size = len(group.element_orders)
+    for m in range(1, n + 1):
+        if n % m == 0 and size % m == 0:
+            core.subgroups_of_order(group, m)
+
+
 def kept_generators_failure(group):
     """The first (order, subgroup, generators) among the lists kept on
     ``group`` by ``core.subgroups_of_order`` whose generators do not
@@ -1215,6 +1337,18 @@ def bi_skew_oracle(brace) -> bool:
     return len(_respects(brace.mul, brace.mul, mu, brace.mul.generators)) == brace.n
 
 
+def bi_skew_mismatch(p, q):
+    """The first (family key, class index) at order p^2 q where
+    ``braces.is_bi_skew`` differs from ``bi_skew_oracle``, or None."""
+    for key in label_keys(p, q):
+        hol = hol_of(p, q, key)
+        for i, cl in enumerate(classes_of(p, q, key)):
+            brace = brace_from_regular(hol, cl.rep)
+            if braces.is_bi_skew(brace) is not bi_skew_oracle(brace):
+                return key, i
+    return None
+
+
 def cache_text_oracle(p, q, key, choice, hol, classes) -> str:
     """The cache file as ``json.dumps`` of the whole payload, each flag from
     the mu test on the brace of its class."""
@@ -1337,3 +1471,25 @@ def gf_vector_oracle(name: str, env: dict, params) -> tuple[int, int]:
         u = _mat_apply(M, (1, 0), p)
         return _mat_apply(F, u, p) if name == "Fuc" else u
     raise RecipeError(f"unknown vector recipe {name!r}")
+
+
+def gf_vector_mismatch(p, q):
+    """The first (choice, recipe, c, outcome, oracle outcome) at the prime
+    pair (p, q), q | p + 1, where ``catalog.gf_vector`` differs from
+    ``gf_vector_oracle`` for c < 3q, a RecipeError counting as its text;
+    or None."""
+    def outcome(fn, name, env, params):
+        try:
+            return fn(name, env, params)
+        except RecipeError as exc:
+            return str(exc)
+
+    for choice in ("first", "second"):
+        params = derive_params(p, q, choice)
+        for name in ("ws", "wt", "uc", "Fuc"):
+            for c in range(3 * q):
+                got = outcome(catalog.gf_vector, name, {"c": c}, params)
+                want = outcome(gf_vector_oracle, name, {"c": c}, params)
+                if got != want:
+                    return choice, name, c, got, want
+    return None

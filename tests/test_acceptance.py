@@ -1,10 +1,13 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
-Criteria 9 (order 147), 10 (order 171) and 11 (order 333) are stretch
-goals; they run only when the P2QBRACE_STRETCH environment variable is set
-to 1, since the largest holomorph at order 147 has 14.5 million elements.
-Orders 171 and 333 take seconds, and tier-1 runs the same table check on
-them (``test_report.py::test_verify_tables_q1_modp2``).
+Criteria 9 (order 147), 10 (order 171), 11 (order 333), 12 (order 657),
+13 (order 775) and 14 (order 867) are stretch goals; they run only when the
+P2QBRACE_STRETCH environment variable is set to 1, since the largest
+holomorph at order 147 has 14.5 million elements.  Orders 171 and 333 take
+seconds, and tier-1 runs the same table check on them
+(``test_report.py::test_verify_tables_q1_modp2``).  Criteria 12-14 check
+the encoded tables beyond order 363, in three regimes, at tens of seconds
+each.
 """
 
 import os
@@ -237,3 +240,25 @@ def test_criterion_11_stretch_order333_q1_modp2():
     problems.extend(diffs)
     _report(11, "order 333 tables, regime q1_modp2",
             problems, time.monotonic() - t0)
+
+
+def _stretch_tables(num, p, q, name):
+    t0 = time.monotonic()
+    problems = [] if regime(p, q) == name else [f"regime({p}, {q}) = {regime(p, q)}"]
+    problems.extend(verify_tables(p, q)[1])
+    _report(num, f"order {p * p * q} tables, regime {name}", problems, time.monotonic() - t0)
+
+
+@stretch
+def test_criterion_12_stretch_order657_q1_modp2():
+    _stretch_tables(12, 3, 73, "q1_modp2")
+
+
+@stretch
+def test_criterion_13_stretch_order775_q1_modp():
+    _stretch_tables(13, 5, 31, "q1_modp")
+
+
+@stretch
+def test_criterion_14_stretch_order867_gf():
+    _stretch_tables(14, 17, 3, "gf")

@@ -39,6 +39,7 @@ from helpers import (
     exponent,
     extend_oracle,
     first_associativity_failure,
+    gather_mismatch,
     generating_set_mismatch,
     group_of,
     hol_of,
@@ -46,6 +47,7 @@ from helpers import (
     identify_p2q_oracle,
     kept_generators_failure,
     label_keys,
+    list_every_order,
     params_of,
     subgroups_of_order_oracle,
 )
@@ -189,6 +191,29 @@ def test_center_and_class_sizes_match_the_loops(pair):
         assert g.center() == center_oracle(g)
         assert all(type(x) is int for x in g.center())
 
+
+def test_flat_gather_index_is_widened_before_the_multiply():
+    # int32 operands whose flat index passes 2^31, as k n does for the
+    # closures of (13,3) Gk(1): int32 arithmetic wraps below zero there
+    width = 46_341
+    a, b = np.array([width - 1, 1], dtype=np.int32), np.array([width - 1, 4], dtype=np.int32)
+    assert (a * width + b)[0] < 0
+    at = core._cells(a, b, width)
+    assert at.dtype == np.intp and at.tolist() == [width * width - 1, width + 4]
+    # broadcast shapes and scalars read the cells of the 2-D fancy index
+    table = np.arange(35, dtype=np.int32).reshape(5, 7)
+    rows, cols = np.array([[4], [0]], dtype=np.int32), np.array([6, 1, 3])
+    for a, b in ((rows, cols), (2, cols), (rows, 5), (2, 5), (np.int64(2), cols)):
+        assert np.array_equal(core._gather(table, a, b), table[a, b])
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
+def test_flat_gathers_match_the_fancy_reads(pair):
+    # (5,2) has the table-less Gk(1), so the ranked product and its
+    # right-multiplication columns are read too
+    assert gather_mismatch(*pair) is None
+
+
 def test_closure_and_generating_set():
     g = cyclic(20)
     assert closure(g, [4]) == [0, 4, 8, 12, 16]
@@ -209,7 +234,7 @@ def test_closure_and_generating_set():
         assert fresh.generators is fresh.generators
 
 
-@pytest.mark.parametrize("pair", SMALL_PAIRS)
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
 def test_generating_set_matches_the_oracle(pair):
     assert generating_set_mismatch(*pair) is None
 
@@ -289,15 +314,6 @@ def test_subgroups_of_order_against_the_pairwise_oracle_at_order50():
         assert subgroups_of_order(aut, m) == subgroups_of_order_oracle(aut, m), m
 
 
-def list_every_order(group, n):
-    """``core.subgroups_of_order`` at every order dividing n and the group
-    order, as the module holds it at call time."""
-    size = len(group.element_orders)
-    for m in range(1, n + 1):
-        if n % m == 0 and size % m == 0:
-            core.subgroups_of_order(group, m)
-
-
 @pytest.mark.parametrize("pair", SMALL_PAIRS + ((5, 2),))
 def test_kept_generators_generate_their_subgroups(pair):
     # A and Aut(A) of every family: each listed subgroup keeps generators
@@ -310,26 +326,6 @@ def test_kept_generators_generate_their_subgroups(pair):
             list_every_order(group, p * p * q)
             assert len(group.subgroups) > 1, key
             assert kept_generators_failure(group) is None, key
-
-
-def test_kept_generators_without_the_coset_step_fail_with_a_witness(monkeypatch):
-    # the wrong rule: keep N's generators and drop y, the step from N to H
-    # (kept first), wherever H was not built from one generator
-    real = core.subgroups_of_order
-
-    def drop_y(group, m):
-        fresh = m not in group.subgroups
-        subs = real(group, m)
-        if fresh and m in group.subgroups:
-            group.subgroups[m] = {h: gens[1:] or gens for h, gens in group.subgroups[m].items()}
-        return subs
-
-    monkeypatch.setattr(core, "subgroups_of_order", drop_y)
-    sa = family_aut(3, 7, "PxQbyP")
-    for group in (sa.base, sa.aut):
-        list_every_order(group, 63)
-        m, sub, gens = kept_generators_failure(group)
-        assert gens and len(closure(group, gens)) < len(sub) == m
 
 
 def relabelled(g, perm):

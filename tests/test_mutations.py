@@ -11,18 +11,25 @@ import inspect
 import itertools
 import textwrap
 
-from p2qbrace import braces, core, enumeration, holomorph, ybe
-from p2qbrace.core import AutGroup
+from p2qbrace import braces, catalog, core, enumeration, holomorph, report, ybe
+from p2qbrace.core import AutGroup, closure
+from p2qbrace.expected import ExpectedType, expected_tables
+from p2qbrace.families import family_aut
 from p2qbrace.holomorph import Holomorph
 from helpers import (
+    bi_skew_mismatch,
     circle_labels_mismatch,
     compositions_width_mismatch,
+    gather_mismatch,
     generating_set_mismatch,
+    gf_vector_mismatch,
     hol_of,
     ideals_mismatch,
+    kept_generators_failure,
     label_keys,
     lemma_mismatch,
     lifts_mismatch,
+    list_every_order,
     regular_closure_mismatch,
     rep_solutions,
     stream_start_mismatch,
@@ -44,7 +51,7 @@ def plant(monkeypatch, owner, name, old, new):
 def test_ideals_without_the_circle_conjugations_fail(monkeypatch):
     # the subgroups of (B, +) that are lambda-stable and normal in (B, +)
     # but not normal in (B, o) pass as ideals; order 20 already has them
-    plant(monkeypatch, braces, "ideals", "        mul.mul[mul.mul[m], mul.inv[m, None]],\n", "")
+    plant(monkeypatch, braces, "ideals", "        _gather(mul.mul, mul.mul[m], mul.inv[m, None]),\n", "")
     assert ideals_mismatch(2, 5) is not None
 
 
@@ -60,8 +67,8 @@ def test_labels_counting_p_th_roots_of_unity_fail(monkeypatch):
 def test_generating_set_without_the_products_h_g_fails(monkeypatch):
     # a new pick reaches nothing, not even itself, so every element but
     # the identity is picked; order 20 shows it on A = Z20 already
-    plant(monkeypatch, core, "generating_set", "for s in gens if i >= old else (g,):",
-          "for s in gens if i >= old else ():")
+    plant(monkeypatch, core, "generating_set", "for col in cols if i >= old else cols[-1:]:",
+          "for col in cols if i >= old else ():")
     assert generating_set_mismatch(2, 5) is not None
 
 
@@ -137,3 +144,67 @@ def test_a_conjugation_by_the_wrong_inverse_fails(monkeypatch):
     plant(monkeypatch, AutGroup, "conj_row", "self.perms[h][self.perms[:, self.perms[self.inv[h], self.key]]]",
           "self.perms[self.inv[h]][self.perms[:, self.perms[h, self.key]]]")
     assert table_orbit_mismatch(2, 3) is not None
+
+
+def test_kept_generators_without_the_coset_step_fail_with_a_witness(monkeypatch):
+    # the wrong rule: keep N's generators and drop y, the step from N to H
+    # (kept first), wherever H was not built from one generator
+    real = core.subgroups_of_order
+
+    def drop_y(group, m):
+        fresh = m not in group.subgroups
+        subs = real(group, m)
+        if fresh and m in group.subgroups:
+            group.subgroups[m] = {h: gens[1:] or gens for h, gens in group.subgroups[m].items()}
+        return subs
+
+    monkeypatch.setattr(core, "subgroups_of_order", drop_y)
+    sa = family_aut(3, 7, "PxQbyP")
+    for group in (sa.base, sa.aut):
+        list_every_order(group, 63)
+        m, sub, gens = kept_generators_failure(group)
+        assert gens and len(closure(group, gens)) < len(sub) == m
+
+
+def test_a_flat_gather_with_its_operands_swapped_fails(monkeypatch):
+    # table[b, a] in place of table[a, b]: the products of every nonabelian
+    # A at order 20 come out transposed
+    assert gather_mismatch(2, 5) is None
+    plant(monkeypatch, core, "_cells", "np.asarray(a, dtype=np.intp) * width + b",
+          "np.asarray(b, dtype=np.intp) * width + a")
+    assert gather_mismatch(2, 5) is not None
+
+
+def test_a_bi_skew_test_of_lambda_as_a_homomorphism_fails(monkeypatch):
+    # lambda_{g+a} = lambda_g o lambda_a in place of lambda_{a+g}: the
+    # homomorphism test, which differs from the anti-homomorphism test only
+    # on a nonabelian (B, +); order 20 has such classes
+    assert bi_skew_mismatch(2, 5) is None
+    plant(monkeypatch, braces, "_anti_hom", "lam[:, add.mul[:, g]]", "lam[:, add.mul[g]]")
+    assert bi_skew_mismatch(2, 5) is not None
+
+
+def test_a_gf_inverse_with_the_wrong_sign_fails(monkeypatch):
+    # the conjugate a + bF' read as (a - xi b) + bF; catalog.gf_vector takes
+    # _gf_inv from families by name, so the plant goes where it is read;
+    # at p = 2 the sign is lost mod 2, so (5,3) is the smallest pair
+    assert gf_vector_mismatch(5, 3) is None
+    plant(monkeypatch, catalog, "_gf_inv", "-b * ni % p", "b * ni % p")
+    assert gf_vector_mismatch(5, 3) is not None
+
+
+def test_table_diffs_with_expected_and_got_swapped_fail(monkeypatch):
+    # one expected cross count raised by one must come back named as the
+    # expected value, with the computed count as the one got
+    exp = expected_tables(2, 5)
+    first = min(exp)
+    cross = dict(exp[first].cross)
+    m = min(cross)
+    cross[m] += 1
+    exp[first] = ExpectedType(cross=cross, by_kernel=exp[first].by_kernel)
+    monkeypatch.setattr(report, "expected_tables", lambda p, q: exp)
+    want = (False, [f"{first} x {m}: expected {cross[m]}, got {cross[m] - 1}"])
+    assert report.verify_tables(2, 5) == want
+    plant(monkeypatch, report, "verify_tables", "_diff(e.cross.get(m, 0), cross[m],",
+          "_diff(cross[m], e.cross.get(m, 0),")
+    assert report.verify_tables(2, 5) != want
