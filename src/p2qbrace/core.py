@@ -28,7 +28,9 @@ given.  A ``FiniteGroup`` uses the generators it was built with, else the
 elements picked in index order, which every check of its table shares.
 An ``AutGroup`` picks by descending element order, which gives fewer
 generators for its orbit walks.  Each subgroup that ``subgroups_of_order``
-lists keeps the generators it was built from, with no pick at all.  One
+lists keeps the generators it was built from, with no pick at all, and
+``enumeration`` reads those lists to pick two generators of a subgroup of
+Aut(A), so no production path closes Aut(A) element by element.  One
 breadth-first search (``_bfs``) gives both the closures and the spanning
 trees; ``generating_set`` extends the subgroup it has reached instead.
 Every batched kernel, here and in ``families``, ``enumeration``,
@@ -542,11 +544,11 @@ class AutGroup:
     greedy pick put i in the key.  phi and psi agree on every key element
     below i, so i is the first key element where they differ.
 
-    An index is found from the code of its key images only (``_rank``, or
-    a dict in the table-less ``compose``).  ``compose(f, g)`` and
-    ``product`` are f o g: apply g, then f.  They gather from the k x k
-    composition table when k <= ``COMP_LIMIT``, built on the first of them,
-    and rank key images otherwise.
+    An index is found from the code of its key images only (``_rank``).
+    ``compose(f, g)`` and ``product`` are f o g: apply g, then f.  They
+    gather from the k x k composition table when k <= ``COMP_LIMIT``,
+    built on the first of them, and rank key images otherwise
+    (``_ranked_product``); ``conj_row`` is two ``product`` calls.
 
     The table is built by right multiplication.  The identity's row is
     0, 1, ..., k - 1.  Then the least index x not yet reached gets its row
@@ -645,30 +647,14 @@ class AutGroup:
         return self.product(np.arange(self.k), g).tolist()
 
     def conj_row(self, h: int) -> np.ndarray:
-        """The map f -> h f h^{-1} on every automorphism index (cached)."""
+        """The map f -> h f h^{-1} on every automorphism index, as two
+        ``product`` calls (cached)."""
         if h not in self._conj_rows:
-            images = self.perms[h][self.perms[:, self.perms[self.inv[h], self.key]]]
-            self._conj_rows[h] = self._rank(images)
+            self._conj_rows[h] = self.product(self.product(h, np.arange(self.k)), self.inv[h])
         return self._conj_rows[h]
 
-    @cached_property
-    def _code_index(self) -> tuple[dict[int, int], list[list[int]], list[int], memoryview]:
-        # for compose without a table, as Python objects: code -> index,
-        # each g's key images, the radix, and the rows
-        index = dict(zip(self.codes.tolist(), range(self.k)))
-        images = self._key_images.tolist()
-        return index, images, self._radix.tolist(), memoryview(self.perms)
-
     def compose(self, f: int, g: int) -> int:
-        comp = self._comp
-        if comp is not None:
-            return int(comp[f, g])
-        # the code of f o g: f's row read at g's key images
-        index, images, radix, rows = self._code_index
-        code = 0
-        for x, r in zip(images[g], radix):
-            code += rows[f, x] * r
-        return index[code]
+        return int(self.product(f, g))
 
     @cached_property
     def element_orders(self) -> np.ndarray:

@@ -4,16 +4,17 @@
 the kernel N = pi1(G meet A x 1), a stratum, and lifts generators of K
 through right coset representatives of N.  Any generating set of K finds
 every regular subgroup of a stratum exactly once (Lemma 1, ``_strata``),
-so K gets one generator, or two where it is 2-generated, and a row is one
-lift per generator of K.  A lift (u, alpha) with a power (u, alpha)^d,
-0 < d < ord(alpha), in N x 1 lies in no regular subgroup with kernel N
-(Lemma 2, ``_lifts``) and joins no row.  The kernels of one order are
-stacked, and the lifts of each generator of K are filtered on every
-kernel of the stack by one pass of gathers.  The lift combinations of
-every stratum form one stream of rows for the whole family, and each row
-starts from its kernel's N x 1, which its lifts normalise.  The stream is
-closed a chunk of rows at a time, as partial lambda tables filled in
-rounds until nothing changes: a table started from N x 1 and closed under
+so K gets one generator, or two where it is 2-generated, the second read
+off the listed subgroups of K with no closure (``_k_generators``), and a
+row is one lift per generator of K.  A lift (u, alpha) with a power
+(u, alpha)^d, 0 < d < ord(alpha), in N x 1 lies in no regular subgroup
+with kernel N (Lemma 2, ``_lifts``) and joins no row.  The kernels of one
+order are stacked, and the lifts of each generator of K are filtered on
+every kernel of the stack by one pass of gathers.  The lift combinations
+of every stratum form one stream of rows for the whole family, and each
+row starts from its kernel's N x 1, which its lifts normalise.  The
+stream is closed a chunk of rows at a time, as partial lambda tables
+filled in rounds until nothing changes: a table started from N x 1 and closed under
 right multiplication by its row's lifts is the subgroup <N x 1, lifts>,
 and two values for one cell are a pi1 collision (``_regular_closures``,
 which pads the narrower rows of a chunk with (e, id)).  A chunk may hold
@@ -48,7 +49,6 @@ from .core import (
     _factor,
     _gather,
     _product_rows,
-    closure,
     generating_set,
 )
 from .holomorph import HolSubgroup, Holomorph, aut_subgroup_classes, orbit
@@ -261,18 +261,32 @@ def _lifts(hol: Holomorph, k_gens: list[int], kernels: _Kernels) -> list[np.ndar
 
 def _k_generators(aut: AutGroup, k_rep: tuple[int, ...]) -> list[int]:
     """One or two generators of K where K has such: the first element x of
-    largest order, alone when it generates K, else with the first element,
-    in descending element order, that generates K with x.  Where no
-    partner exists (K is not 2-generated, as a generalised dihedral
-    (Z_p)^2 : Z_2) the greedy ``generating_set`` over that order."""
+    largest order, alone when it generates K, else with the first element
+    y, in descending element order, outside every listed subgroup of K
+    that holds x, of each order that properly divides |K|.  Where no such
+    y exists (K is not 2-generated, as a generalised dihedral
+    (Z_p)^2 : Z_2) the greedy ``generating_set`` over that order.
+
+    Lemma: if <x> != K, then <x, y> = K exactly when y lies in no proper
+    subgroup of K that holds x.  If y lies in one, it holds <x, y>; if
+    <x, y> != K, it is one.  A proper subgroup of K has an order e that
+    properly divides |K|, and ``subgroups_of_order`` lists every subgroup
+    of Aut(A) of order e, cached by the recursion of
+    ``aut_subgroup_classes(aut, |K|)``; <x> is one of them.  So y is the
+    first element that generates K with x, found with no closure.  Every
+    such e counts, not only |K| / r for a prime r: a maximal subgroup of
+    a solvable group has prime-power index, as Z_3 of index 4 in A_4.
+    """
     by_order = sorted(k_rep, key=lambda f: -aut.element_orders[f])
-    x = by_order[0]
-    if aut.element_orders[x] == len(k_rep):
+    x, m = by_order[0], len(k_rep)
+    if aut.element_orders[x] == m:
         return [x]
-    for y in by_order[1:]:
-        if len(closure(aut, [x, y])) == len(k_rep):
-            return [x, y]
-    return generating_set(aut, by_order)
+    in_k, covered = set(k_rep), set()
+    for e in range(1, m):
+        if m % e == 0:
+            covered.update(*(h for h in core.subgroups_of_order(aut, e) if x in h and in_k.issuperset(h)))
+    y = next((y for y in by_order if y not in covered), None)
+    return generating_set(aut, by_order) if y is None else [x, y]
 
 
 def _strata(hol: Holomorph):

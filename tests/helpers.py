@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -728,6 +729,31 @@ def kernel_strata(hol):
             yield k_rep, k_gens, elements, gens[gens != e].tolist(), [reps[m[i]] for m in masks]
 
 
+def k_generators_oracle(aut, k_rep) -> list[int]:
+    """The generators of K by the closure search that
+    ``enumeration._k_generators`` replaced: the first element x of largest
+    order, alone when it generates K, else with the first element, in
+    descending element order, whose ``closure`` with x is K, else the
+    greedy ``generating_set`` over that order."""
+    by_order = sorted(k_rep, key=lambda f: -aut.element_orders[f])
+    x = by_order[0]
+    if aut.element_orders[x] == len(k_rep):
+        return [x]
+    for y in by_order[1:]:
+        if len(closure(aut, [x, y])) == len(k_rep):
+            return [x, y]
+    return generating_set(aut, by_order)
+
+
+def k_generators_mismatch(hol):
+    """The first (K, its generators) of ``enumeration._strata`` whose
+    generators differ from those of ``k_generators_oracle``, or None."""
+    for k_rep, k_gens, _ in enumeration._strata(hol):
+        if k_gens != k_generators_oracle(hol.aut, k_rep):
+            return k_rep, k_gens
+    return None
+
+
 def kernel_rows(hol, k_gens, lifts, kernel_gens):
     """The rows of a stratum with its kernel written out as generators:
     every combination of ``lifts`` beside the kernel generators, with
@@ -1347,6 +1373,80 @@ def bi_skew_mismatch(p, q):
             if braces.is_bi_skew(brace) is not bi_skew_oracle(brace):
                 return key, i
     return None
+
+
+def opposite_tables(hol, lams):
+    """The lambda tables of the opposite braces (Koch-Truman, J. Algebra
+    546, 2020) of the (R, n) stack ``lams``, a +op b = b + a, moved onto A
+    by x -> -x: lam*[a] = iota(-a) o lam[-a], with iota(x) the inner
+    automorphism y -> x + y - x, ranked by its key images.
+
+    The opposite has lam^op[a](b) = (a o b) - a = iota(a)(lam[a](b)), and
+    x -> -x is an isomorphism from (A, +op) to (A, +) that commutes with
+    every automorphism of A.  So taking the opposite twice gives lam back:
+    iota(a) o iota(-a) is the identity."""
+    base, aut = hol.base, hol.aut
+    x = np.arange(base.n)[:, None]
+    iota = aut._rank(base.mul[base.mul[x, aut.key], base.inv[x]])
+    return aut.product(iota[base.inv], lams[:, base.inv])
+
+
+def opposite_map(hol, classes):
+    """For each orbit class of ``classes``, the index of the class of the
+    opposite brace of its representative (``opposite_tables``), or the
+    first fault as a string: an opposite table that is not closed
+    (``circle_tables_oracle``), or one whose orbit's lex-least member is no
+    representative of ``classes`` with the same circle type and orbit
+    size, or a class map that is not an involution."""
+    lams = np.array([cl.rep.lam for cl in classes], dtype=np.int32)
+    opp = opposite_tables(hol, lams)
+    _, closed = circle_tables_oracle(hol, opp)
+    if not closed.all():
+        return f"{int((~closed).sum())} of {len(closed)} opposite tables are not closed"
+    index = {cl.rep.lam: i for i, cl in enumerate(classes)}
+    out = []
+    for i, lam in enumerate(opp):
+        best, size, _ = _orbit_of(hol, lam)
+        j = index.get(best)
+        if j is None or (classes[j].orbit_size, classes[j].mul_label) != (size, classes[i].mul_label):
+            return f"the opposite of class {i} is no class of the same circle type and orbit size"
+        out.append(j)
+    if any(out[j] != i for i, j in enumerate(out)):
+        return "the opposite is not an involution on the classes"
+    return out
+
+
+def opposite_mismatch(p, q):
+    """The first (family key, fault) at order p^2 q where ``opposite_map``
+    names a fault, or maps a class of an abelian A to another class (x -> -x
+    is then an automorphism, so each brace is its own opposite up to
+    conjugation); else None and, per family key, the number of classes
+    that are their own opposite and the number of classes."""
+    fixed = {}
+    for key in label_keys(p, q):
+        hol = hol_of(p, q, key)
+        out = opposite_map(hol, classes_of(p, q, key))
+        if isinstance(out, str):
+            return (key, out), fixed
+        fixed[key] = (sum(i == j for i, j in enumerate(out)), len(out))
+        if hol.base.is_abelian() and fixed[key][0] != len(out):
+            return (key, "a class of an abelian A is not its own opposite"), fixed
+    return None, fixed
+
+
+def bi_skew_swap_mismatch(p, q):
+    """The first (additive key, circle key) at order p^2 q whose bi-skew
+    classes (``bi_skew_oracle``) are not as many as those with the two
+    keys swapped, or None; and the number of bi-skew classes whose two
+    keys differ.  (B, o, +) is a skew brace iff (B, +, o) is
+    bi-skew (the lemma in ``braces._anti_hom``), and then it is bi-skew
+    too, so swapping the roles is a bijection between those classes."""
+    count = collections.Counter()
+    for key, hol, cl in all_reps(p, q):
+        if bi_skew_oracle(brace_from_regular(hol, cl.rep)):
+            count[key, cl.mul_label.key()] += 1
+    crossed = sum(c for (a, g), c in count.items() if a != g)
+    return next(((a, g) for a, g in count if count[a, g] != count[g, a]), None), crossed
 
 
 def cache_text_oracle(p, q, key, choice, hol, classes) -> str:

@@ -44,6 +44,7 @@ from helpers import (
     hol_of,
     identify_p2q_oracle,
     identity_parts,
+    k_generators_mismatch,
     kernel_rows,
     kernel_strata,
     label_keys,
@@ -171,11 +172,13 @@ def test_circle_kernels_do_not_depend_on_the_chunk_bound(monkeypatch, pair):
 def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
     # one classify_cold pass, on fresh groups: every listed subgroup keeps
     # the generators it was built from, so A pays one generating_set call,
-    # the key of its Aut(A), and the whole pass 34 picks and 255 closures
-    # (a pick extends the subgroup it has reached and closes nothing; 330
-    # when each pick re-closed from the identity); when each subgroup of A
-    # was picked once greedily, the pass paid 635 picks (237 of them on A,
-    # besides the keys) and 1 062 closures
+    # the key of its Aut(A), and the whole pass 34 picks and 17 closures,
+    # the generator checks of the base groups (a pick extends the subgroup
+    # it has reached and closes nothing; 330 closures when each pick
+    # re-closed from the identity, 255 while K's partner was searched by
+    # closing <x, y>, 238 of them); when each subgroup of A was picked once
+    # greedily, the pass paid 635 picks (237 of them on A, besides the
+    # keys) and 1 062 closures
     picks, closures = [], []
     pick, close = core.generating_set, core.closure
 
@@ -188,8 +191,7 @@ def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
         return close(*args, **kwargs)
 
     monkeypatch.setattr(core, "generating_set", counted_pick)
-    for module in (core, enumeration):
-        monkeypatch.setattr(module, "closure", counted_closure)
+    monkeypatch.setattr(core, "closure", counted_closure)
     bases, classes = [], []
     for p, q in ((2, 5), (2, 7), (3, 7), (5, 2)):
         params = derive_params(p, q, "first")
@@ -200,7 +202,7 @@ def test_each_subgroup_of_a_picks_its_generators_once(monkeypatch):
             bases.append(sa.base)
             classes += stratified_orbit_classes(Holomorph(sa.base, sa.aut))
     assert [sum(group is base for group in picks) for base in bases] == [1] * len(bases)
-    assert (len(picks), len(closures)) == (34, 255)
+    assert (len(picks), len(closures)) == (34, 17)
     assert (len(classes), sum(cl.orbit_size for cl in classes)) == (145, 1348)
 
 
@@ -423,6 +425,25 @@ def test_each_k_gets_one_generator_if_cyclic_else_two_where_two_suffice(pair):
     # only (5,2) Gk(1) has K that no two of its elements generate (two of
     # order 50)
     assert sizes[1] and sizes[2] and bool(sizes[3]) == (pair == (5, 2))
+
+
+@pytest.mark.parametrize("pair", SMALL_PAIRS + ((2, 3), (3, 2), (5, 2)))
+def test_k_generators_equal_the_closure_search(pair):
+    # the partner read off the listed subgroups is the one the closure
+    # search finds, for every class representative K of every family
+    for key in label_keys(*pair):
+        assert k_generators_mismatch(hol_of(*pair, key)) is None, key
+
+
+@pytest.mark.parametrize("pair, key", [
+    ((11, 3), "GF"),  # k = 29 040, no composition table
+    pytest.param((7, 2), "Gk(1)", marks=pytest.mark.skipif(  # k = 98 784
+        os.environ.get("P2QBRACE_STRETCH") != "1", reason="stretch case; set P2QBRACE_STRETCH=1 to run")),
+])
+def test_k_generators_equal_the_closure_search_without_a_table(pair, key):
+    hol = hol_of(*pair, key)
+    assert hol.aut._comp is None
+    assert k_generators_mismatch(hol) is None
 
 
 @pytest.mark.parametrize("pair", SMALL_PAIRS)

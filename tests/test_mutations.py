@@ -16,6 +16,7 @@ from p2qbrace.core import AutGroup, closure
 from p2qbrace.expected import ExpectedType, expected_tables
 from p2qbrace.families import family_aut
 from p2qbrace.holomorph import Holomorph
+import helpers
 from helpers import (
     bi_skew_mismatch,
     circle_labels_mismatch,
@@ -25,10 +26,12 @@ from helpers import (
     gf_vector_mismatch,
     hol_of,
     ideals_mismatch,
+    k_generators_mismatch,
     kept_generators_failure,
     label_keys,
     lemma_mismatch,
     lifts_mismatch,
+    opposite_mismatch,
     list_every_order,
     regular_closure_mismatch,
     rep_solutions,
@@ -141,9 +144,32 @@ def test_a_conjugation_by_the_wrong_inverse_fails(monkeypatch):
     assert table_orbit_mismatch(2, 3) is None
     for key in label_keys(2, 3):
         monkeypatch.setattr(hol_of(2, 3, key).aut, "_conj_rows", {})
-    plant(monkeypatch, AutGroup, "conj_row", "self.perms[h][self.perms[:, self.perms[self.inv[h], self.key]]]",
-          "self.perms[self.inv[h]][self.perms[:, self.perms[h, self.key]]]")
+    plant(monkeypatch, AutGroup, "conj_row", "self.product(self.product(h, np.arange(self.k)), self.inv[h])",
+          "self.product(self.product(self.inv[h], np.arange(self.k)), h)")
     assert table_orbit_mismatch(2, 3) is not None
+
+
+def test_k_generators_scanning_only_prime_index_orders_fail(monkeypatch):
+    # a maximal subgroup of a solvable group has prime-power index: at
+    # order 12, K = A_4 in Aut(GF) = S_4 has <x> = Z_3 of index 4, which a
+    # scan of the orders |K| / r alone misses, so x's own powers pass as
+    # partners of x
+    hol = hol_of(2, 3, "GF")
+    assert k_generators_mismatch(hol) is None
+    plant(monkeypatch, enumeration, "_k_generators", "if m % e == 0:",
+          "if m % e == 0 and m // e in dict(_factor(m)):")
+    assert k_generators_mismatch(hol) is not None
+
+
+def test_an_opposite_brace_without_the_inner_automorphism_fails(monkeypatch):
+    # lam*[a] = lam[-a] drops iota(-a), which is the identity only where A
+    # is abelian: the tables of the nonabelian families at order 20 are
+    # then not all closed
+    assert opposite_mismatch(2, 5)[0] is None
+    plant(monkeypatch, helpers, "opposite_tables", "aut.product(iota[base.inv], lams[:, base.inv])",
+          "lams[:, base.inv]")
+    (key, fault), _ = opposite_mismatch(2, 5)
+    assert key == "QbyP2_ordP" and "not closed" in fault
 
 
 def test_kept_generators_without_the_coset_step_fail_with_a_witness(monkeypatch):
